@@ -1,11 +1,12 @@
 # cython: language_level=3, boundscheck=False, wraparound=False
 """Compiled kernel backend.
 
-Cython twin of ``cnomial._kernels_py``.  Keep the two files
-operation-for-operation identical: same libm calls, same evaluation order,
-same compensation branches, so results agree bit for bit.  The integer
-convolutions stay in exact Python object arithmetic (values outgrow 64-bit
-machine words almost immediately); the win there is typed loop indexing.
+Cython twin of ``cnomial._kernels_py``.  The float kernels are kept
+operation-for-operation identical to it: same libm calls, same evaluation
+order, same compensation branches, so results agree bit for bit.  The
+integer convolutions stay in exact Python object arithmetic (values
+outgrow 64-bit machine words almost immediately), so they need only agree
+by value; the win there is typed loop indexing.
 """
 
 from libc.math cimport cos, fabs, pow, sin

@@ -2,10 +2,11 @@
 
 Reference implementation of the hot loops: exact integer convolutions,
 double-precision spectral term generation, and the two summation strategies.
-``cnomial._kernels`` is the compiled twin; the two are kept
-operation-for-operation identical so that floating-point results match bit
-for bit (same libm calls, same evaluation order, no reassociation).  Edit
-both together.
+``cnomial._kernels`` is the compiled twin.  The integer convolutions are
+exact, so the two backends need only agree on their values.  The float
+kernels are kept operation-for-operation identical so that their results
+match bit for bit (same libm calls, same evaluation order, no
+reassociation); edit those in both files together.
 """
 from __future__ import annotations
 
@@ -40,18 +41,24 @@ def convolve_linear(a: list, b: list) -> list:
 
 
 def convolve_cyclic(a: list, b: list) -> list:
-    """Cyclic convolution of two equal-length exact integer rows (indices wrap mod N)."""
+    """Cyclic convolution of two equal-length exact integer rows (indices wrap mod N).
+
+    Only nonzero entries take part, with the sparser operand on the outside:
+    powers of a banded circulant are bands that fill the ring only at the
+    end, so most products a dense sweep would form are with zero.
+    """
     n = len(a)
+    outer = [(i, x) for i, x in enumerate(a) if x]
+    inner = [(j, y) for j, y in enumerate(b) if y]
+    if len(outer) > len(inner):
+        outer, inner = inner, outer
     out = [0] * n
-    for i in range(n):
-        ai = a[i]
-        if ai == 0:
-            continue
-        for j in range(n):
+    for i, x in outer:
+        for j, y in inner:
             t = i + j
             if t >= n:
                 t -= n
-            out[t] = out[t] + ai * b[j]
+            out[t] += x * y
     return out
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from . import _backend
 from .params import Params
@@ -116,12 +117,19 @@ def to_dense(a: CirculantMatrix, limit: int = DENSE_DIM_LIMIT) -> list[list[int]
 def central_via_trace(params: Params) -> int:
     """M^(2k,n) as trace of the n-th power of the central circulant, over N.
 
-    The division must be exact; a nonzero remainder means the row/power
-    bookkeeping is broken, so it raises rather than returning junk.
+    The n-th power is never formed: with X = C^{floor(n/2)} and Y = X, or
+    Y = X C when n is odd (a cheap product, C having 2k+1 nonzeros),
+    Tr(C^n) = Tr(X Y) = N * sum_j x_j * y_{(N-j) mod N}, the (0, 0) entry
+    of X Y taken N times.  The division must be exact; a nonzero remainder
+    means the row/power bookkeeping is broken, so it raises rather than
+    returning junk.
     """
-    power = matrix_power(build_central(params), params.n)
-    t = trace(power)
+    central = build_central(params)
+    half = matrix_power(central, params.n // 2)
+    other = multiply(half, central) if params.n % 2 else half
+    x, y = half.first_row, other.first_row
     n_dim = params.dim
+    t = n_dim * (x[0] * y[0] + sum(map(mul, x[1:], reversed(y[1:]))))
     if t % n_dim:
         raise RuntimeError(
             f"internal invariant violated: trace {t} not divisible by N={n_dim} "

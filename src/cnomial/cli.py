@@ -21,6 +21,7 @@ import time
 from typing import Callable
 
 from . import _backend, circulant, exact, oeis, spectral
+from ._digits import decimal
 from .params import Params
 from .spectral import CertificationError, PrecisionPolicy
 
@@ -69,21 +70,21 @@ def _coefficient(method: str, params: Params, l: int, policy: PrecisionPolicy) -
         "l": l,
     }
     if method == "conv":
-        record["value"] = str(exact.expand_power(params).coeffs[l])
+        record["value"] = decimal(exact.expand_power(params).coeffs[l])
     elif method == "trace":
         value = (
             circulant.central_via_trace(params)
             if central
             else circulant.coefficient_via_shift(params, l)
         )
-        record["value"] = str(value)
+        record["value"] = decimal(value)
     elif method == "spectral":
         certified = (
             spectral.central_via_spectrum(params, policy)
             if central
             else spectral.coefficient_via_spectrum(params, l, policy)
         )
-        record["value"] = str(certified.value)
+        record["value"] = decimal(certified.value)
         record["residual"] = certified.residual
         record["strategy"] = certified.policy_used.strategy
         record["escalations"] = certified.escalations
@@ -136,7 +137,7 @@ def cmd_sequence(args: argparse.Namespace) -> int:
                 "k": args.k,
                 "n": n,
                 "method": args.method,
-                "value": str(value),
+                "value": decimal(value),
             }
         )
     _emit(records, [" ".join(r["value"] for r in records)], args.format)
@@ -328,8 +329,8 @@ def cmd_oeis(args: argparse.Namespace) -> int:
             "oeis_id": report.oeis_id,
             "k": report.k,
             "n": report.start_n + i,
-            "expected": str(report.expected[i]),
-            "computed": str(report.computed[i]),
+            "expected": decimal(report.expected[i]),
+            "computed": decimal(report.computed[i]),
             "equal": report.matches[i],
         }
         for i in range(report.count)
@@ -356,7 +357,7 @@ def cmd_oeis(args: argparse.Namespace) -> int:
         i = n - report.start_n
         plain = [
             f"{report.oeis_id} k={report.k}: mismatch at n={n}: sequence has "
-            f"{report.expected[i]}, computed {report.computed[i]} ({source})"
+            f"{decimal(report.expected[i])}, computed {decimal(report.computed[i])} ({source})"
         ]
     _emit(records, plain, args.format)
     return 0 if report.all_equal else 1

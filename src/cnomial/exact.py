@@ -8,7 +8,9 @@ independent oracle for small cases.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain, repeat
 from math import factorial
+from operator import sub
 
 from . import _backend
 from .params import Params
@@ -43,19 +45,21 @@ class CoefficientTable:
 def expand_power(params: Params, strategy: str = "iterative") -> CoefficientTable:
     """Expand ``(1 + x + ... + x^{2k})^n`` into its exact coefficient row.
 
-    ``strategy="iterative"`` multiplies the all-ones row in n-1 linear
-    convolutions; ``strategy="binary"`` squares rows instead.  Both are
-    exact and produce identical tables (the iterative form is the cheaper
-    default because the short all-ones factor keeps every step linear in
-    the row length).
+    ``strategy="iterative"`` multiplies by the all-ones factor n times, each
+    time as a running-window sum over prefix sums (see
+    :func:`_times_ones`); ``strategy="binary"`` squares rows by schoolbook
+    convolution instead.  Both are exact and produce identical tables; the
+    binary form shares no arithmetic with the default and serves as its
+    cross-check.
     """
-    kern = _backend.active()
-    ones = [1] * params.width
+    width = params.width
     if strategy == "iterative":
         row = [1]
         for _ in range(params.n):
-            row = kern.convolve_linear(row, ones)
+            row = _times_ones(row, width)
     elif strategy == "binary":
+        kern = _backend.active()
+        ones = [1] * width
         row = [1]
         base = ones
         e = params.n
@@ -68,6 +72,20 @@ def expand_power(params: Params, strategy: str = "iterative") -> CoefficientTabl
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     return CoefficientTable(params=params, coeffs=tuple(row))
+
+
+def _times_ones(row: list[int], width: int) -> list[int]:
+    """``row`` times ``1 + x + ... + x^{width-1}``, as a running-window sum.
+
+    Entry j of the product is the sum of the ``width`` entries of ``row``
+    ending at j, i.e. ``P[j+1] - P[j+1-width]`` over the prefix sums P of
+    ``row`` padded with ``width - 1`` zeros (P at a negative index is 0).
+    Both passes run in ``accumulate`` and ``map``, so no per-entry loop is
+    interpreted; each entry costs one big-int addition and one subtraction
+    whatever the width.
+    """
+    prefix = list(accumulate(chain(row, repeat(0, width - 1)), initial=0))
+    return list(map(sub, prefix[1:], chain(repeat(0, width - 1), prefix[: len(row)])))
 
 
 def central_coefficient(params: Params) -> int:

@@ -21,6 +21,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Callable
 
+from ._digits import unlimited_digits
 from .circulant import central_via_trace
 from .exact import central_coefficient
 from .params import Params
@@ -198,8 +199,8 @@ def parse_bfile(text: str) -> list[tuple[int, int]]:
     """Parse b-file text into (index, value) pairs.
 
     Blank lines and '#' comments are ignored; data lines must be exactly
-    two integer fields with consecutive indices.  Errors report the
-    1-based line number.
+    two integer fields with consecutive indices.  Terms may have any number
+    of digits.  Errors report the 1-based line number.
     """
     pairs: list[tuple[int, int]] = []
     for line_number, raw in enumerate(text.splitlines(), start=1):
@@ -212,7 +213,8 @@ def parse_bfile(text: str) -> list[tuple[int, int]]:
                 f"expected 'index value', got {raw.strip()!r}", line_number
             )
         try:
-            index, value = int(fields[0]), int(fields[1])
+            with unlimited_digits():
+                index, value = int(fields[0]), int(fields[1])
         except ValueError:
             raise BFileParseError(
                 f"non-integer field in {raw.strip()!r}", line_number
@@ -291,8 +293,10 @@ def fetch_bfile(
     """First ``limit`` terms of an OEIS sequence from its b-file.
 
     Performs one HTTP GET and caches the raw body on disk keyed by id; on
-    any network failure a warm cache is served instead (``cache_hit``
-    True).  ``offline`` skips the network entirely.  ``http_get`` is the
+    any network failure, or a fetched body that does not parse, a warm
+    cache is served instead (``cache_hit`` True) and left as it was.  With
+    no cache, an unparsable body raises :class:`BFileParseError`.
+    ``offline`` skips the network entirely.  ``http_get`` is the
     transport, injectable for tests.
     """
     validate_id(oeis_id)
@@ -306,17 +310,25 @@ def fetch_bfile(
         body: str | None = None
         fetched_at: float | None = None
         cache_hit = False
+        parse_error: BFileParseError | None = None
         if not offline:
             try:
                 raw = getter(url)
             except (urllib.error.URLError, OSError, TimeoutError):
                 raw = None
             if raw is not None:
-                body = raw.decode("utf-8", errors="replace")
-                parsed = parse_bfile(body)  # validate before poisoning the cache
-                fetched_at = _write_cache(oeis_id, raw, directory)
+                text = raw.decode("utf-8", errors="replace")
+                try:
+                    parsed = parse_bfile(text)  # validate before poisoning the cache
+                except BFileParseError as error:
+                    parse_error = error
+                else:
+                    body = text
+                    fetched_at = _write_cache(oeis_id, raw, directory)
         if body is None:
             cached = _read_cache(oeis_id, directory)
+            if cached is None and parse_error is not None:
+                raise parse_error
             if cached is None:
                 raise FetchError(
                     f"cannot fetch b-file for {oeis_id}: "

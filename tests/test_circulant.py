@@ -115,10 +115,12 @@ def test_central_via_trace_examples():
 
 
 def test_central_via_trace_equals_oracle_on_grid():
+    # The half-power trace against the full n-th power, both parities of n.
     for k in range(1, 5):
-        for n in range(1, 13):
+        for n in range(0, 31):
             p = Params(k, n)
-            assert central_via_trace(p) == central_coefficient(p), (k, n)
+            full = trace(matrix_power(build_central(p), n)) // p.dim
+            assert central_via_trace(p) == full == central_coefficient(p), (k, n)
 
 
 def test_trace_divisibility_on_grid():

@@ -332,6 +332,39 @@ def test_oeis_offline_without_cache(capsys, monkeypatch, tmp_path):
     assert "no cache" in err
 
 
+# 5000 digits, over CPython's default int/str conversion limit of 4300, so
+# the digits are written out rather than taken from str(BIG).
+BIG = 7 * 10**4999 + 3
+BIG_DIGITS = "7" + "0" * 4998 + "3"
+
+
+@pytest.mark.parametrize(
+    "argv, code, line",
+    [
+        (["compute", "--k", "1", "--n", "3", "--method", "trace"], 0, BIG_DIGITS),
+        (["sequence", "--k", "1", "--count", "1", "--start-n", "3",
+          "--method", "trace"], 0, BIG_DIGITS),
+        (["oeis", "--k", "1", "--count", "4", "--offline"], 1,
+         f"A002426 k=1: mismatch at n=3: sequence has 7, computed {BIG_DIGITS} (fixture)"),
+    ],
+    ids=["compute", "sequence", "oeis"],
+)
+def test_values_over_int_str_digit_limit(capsys, monkeypatch, argv, code, line):
+    real = cli.circulant.central_via_trace
+
+    def route(params):
+        return BIG if params.n == 3 else real(params)
+
+    monkeypatch.setattr(cli.circulant, "central_via_trace", route)
+    monkeypatch.setattr(oeis, "central_via_trace", route)
+    status, out, err = run(capsys, *argv)
+    assert (status, err) == (code, "")
+    assert out.strip() == line
+    status, out, _ = run(capsys, *argv, "--format", "json-lines")
+    assert status == code
+    assert BIG_DIGITS in {r.get("value", r.get("computed")) for r in json_lines(out)}
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as info:
         main([])

@@ -122,8 +122,8 @@ def test_row_invariants_fuzzed(k, n):
     assert all(c >= 1 for c in row)
 
 
-@given(k=st.integers(1, 3), n=st.integers(0, 12))
-@settings(max_examples=30, deadline=None)
+@given(k=st.integers(1, 5), n=st.integers(0, 40))
+@settings(max_examples=40, deadline=None)
 def test_binary_strategy_fuzzed(k, n):
     p = Params(k, n)
     assert expand_power(p, "binary").coeffs == expand_power(p, "iterative").coeffs

@@ -61,9 +61,21 @@ def test_convolve_linear_fuzzed(a, b):
     data=st.data(),
     n=st.integers(1, 10),
 )
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_convolve_cyclic_fuzzed(data, n):
-    ints = st.lists(st.integers(-99, 99), min_size=n, max_size=n)
+    # Mostly-zero rows, all-zero rows and single nonzeros reach the
+    # zero-skipping and the choice of the sparser operand as the outer loop.
+    entry = st.one_of(
+        st.just(0), st.integers(-99, 99), st.integers(-(10**30), 10**30)
+    )
+    single = st.builds(
+        lambda i, v: [v if j == i else 0 for j in range(n)],
+        st.integers(0, n - 1),
+        st.integers(-(10**30), 10**30),
+    )
+    ints = st.one_of(
+        st.lists(entry, min_size=n, max_size=n), single, st.just([0] * n)
+    )
     a, b = data.draw(ints), data.draw(ints)
     for name in _backend.available():
         with _backend.select(name):

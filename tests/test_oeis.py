@@ -113,6 +113,11 @@ def test_parse_bfile_skips_comments_and_blanks():
     assert pairs == [(0, 1), (1, 5)]
 
 
+def test_parse_bfile_term_over_int_str_digit_limit():
+    digits = "7" + "0" * 4998 + "3"  # 5000 digits, over the default 4300
+    assert oeis.parse_bfile(f"0 1\n1 {digits}\n") == [(0, 1), (1, 7 * 10**4999 + 3)]
+
+
 def test_parse_bfile_field_count_error():
     with pytest.raises(BFileParseError) as info:
         oeis.parse_bfile("0 1\n1 2\nthree fields here\n")
@@ -198,6 +203,17 @@ def test_fetch_malformed_body_does_not_poison_cache(tmp_path):
             "A002426", 3, http_get=lambda url: b"not a bfile", directory=tmp_path
         )
     assert not (tmp_path / "A002426.txt").exists()
+
+    # With a warm cache, a corrupt body falls back to the cached copy.
+    first = fetch_bfile(
+        "A002426", 6, http_get=lambda url: TRINOMIAL_BFILE, directory=tmp_path
+    )
+    second = fetch_bfile(
+        "A002426", 6, http_get=lambda url: b"not a bfile", directory=tmp_path
+    )
+    assert second.terms == first.terms
+    assert second.cache_hit
+    assert (tmp_path / "A002426.txt").read_bytes() == TRINOMIAL_BFILE
 
 
 def test_fetch_input_guards(tmp_path):
