@@ -13,14 +13,7 @@ coefficient p_l of the row) three ways:
 
 :mod:`cnomial.oeis` ties the k = 1, 2, 3 sequences to their OEIS entries;
 the ``cnomial`` console script exposes everything on the command line.
-Hot kernels run on a compiled extension when available, with a pure
-Python fallback selected at import; ``available_backends``,
-``active_backend``, and ``select_backend`` report and switch between
-them.
 """
-from ._backend import active_name as active_backend
-from ._backend import available as available_backends
-from ._backend import select as select_backend
 from .circulant import (
     CirculantMatrix,
     build_central,
@@ -90,8 +83,6 @@ __all__ = [
     "PrecisionPolicy",
     "SequenceIdError",
     "SequenceRecord",
-    "active_backend",
-    "available_backends",
     "build_central",
     "build_shifted",
     "central_coefficient",
@@ -113,7 +104,6 @@ __all__ = [
     "multiply",
     "registered_sequences",
     "required_bits",
-    "select_backend",
     "to_dense",
     "trace",
     "__version__",

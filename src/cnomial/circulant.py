@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 
-from . import _backend
 from .params import Params
 
 #: Largest dimension :func:`to_dense` will materialize; the dense form only
@@ -82,8 +81,29 @@ def multiply(a: CirculantMatrix, b: CirculantMatrix) -> CirculantMatrix:
     """Product of two circulants: the cyclic convolution of their first rows."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} != {b.dim}")
-    row = _backend.active().convolve_cyclic(list(a.first_row), list(b.first_row))
-    return CirculantMatrix(a.dim, tuple(row))
+    return CirculantMatrix(a.dim, tuple(_convolve_cyclic(a.first_row, b.first_row)))
+
+
+def _convolve_cyclic(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
+    """Cyclic convolution of two equal-length exact integer rows (indices wrap mod N).
+
+    Only nonzero entries take part, with the sparser operand on the outside:
+    powers of a banded circulant are bands that fill the ring only at the
+    end, so most products a dense sweep would form are with zero.
+    """
+    n = len(a)
+    outer = [(i, x) for i, x in enumerate(a) if x]
+    inner = [(j, y) for j, y in enumerate(b) if y]
+    if len(outer) > len(inner):
+        outer, inner = inner, outer
+    out = [0] * n
+    for i, x in outer:
+        for j, y in inner:
+            t = i + j
+            if t >= n:
+                t -= n
+            out[t] += x * y
+    return out
 
 
 def matrix_power(a: CirculantMatrix, n: int) -> CirculantMatrix:
@@ -117,25 +137,17 @@ def to_dense(a: CirculantMatrix, limit: int = DENSE_DIM_LIMIT) -> list[list[int]
 def central_via_trace(params: Params) -> int:
     """M^(2k,n) as trace of the n-th power of the central circulant, over N.
 
-    The n-th power is never formed: with X = C^{floor(n/2)} and Y = X, or
-    Y = X C when n is odd (a cheap product, C having 2k+1 nonzeros),
-    Tr(C^n) = Tr(X Y) = N * sum_j x_j * y_{(N-j) mod N}, the (0, 0) entry
-    of X Y taken N times.  The division must be exact; a nonzero remainder
-    means the row/power bookkeeping is broken, so it raises rather than
-    returning junk.
+    Every diagonal entry of a circulant equals its (0, 0) entry, so
+    Tr(C^n) / N is the (0, 0) entry of C^n.  The n-th power is never
+    formed: with X = C^{floor(n/2)} and Y = X, or Y = X C when n is odd (a
+    cheap product, C having 2k+1 nonzeros), the (0, 0) entry of X Y is
+    sum_j x_j * y_{(N-j) mod N}.
     """
     central = build_central(params)
     half = matrix_power(central, params.n // 2)
     other = multiply(half, central) if params.n % 2 else half
     x, y = half.first_row, other.first_row
-    n_dim = params.dim
-    t = n_dim * (x[0] * y[0] + sum(map(mul, x[1:], reversed(y[1:]))))
-    if t % n_dim:
-        raise RuntimeError(
-            f"internal invariant violated: trace {t} not divisible by N={n_dim} "
-            f"for k={params.k}, n={params.n}"
-        )
-    return t // n_dim
+    return x[0] * y[0] + sum(map(mul, x[1:], reversed(y[1:])))
 
 
 @lru_cache(maxsize=256)

@@ -20,7 +20,7 @@ import sys
 import time
 from typing import Callable
 
-from . import _backend, circulant, exact, oeis, spectral
+from . import circulant, exact, oeis, spectral
 from ._digits import decimal
 from .params import Params
 from .spectral import CertificationError, PrecisionPolicy
@@ -164,9 +164,11 @@ def _verify_case(params: Params, policy: PrecisionPolicy, ls: list[int]) -> list
         failed.append("row-sum")
     if row[0] != 1 or (params.n >= 1 and row[1] != params.n):
         failed.append("edge-coefficients")
+    # C^n has first row b_j = p_{(j + kn) mod N}: the row rotated by kn.
     power = circulant.matrix_power(circulant.build_central(params), params.n)
-    if circulant.trace(power) % params.dim != 0:
-        failed.append("trace-divisibility")
+    shift = params.k * params.n
+    if power.first_row != row[shift:] + row[:shift]:
+        failed.append("circulant-row")
 
     values = {
         method: spectral.eigenvalues(params, method).values
@@ -252,49 +254,32 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {args.repetitions}")
     methods = list(METHODS) if args.method == ["all"] else args.method
-    available = _backend.available()
-    if args.backend == "auto":
-        backends = [_backend.active_name()]
-    elif args.backend == "both":
-        backends = list(available)
-        if len(backends) < 2:
-            print("note: compiled backend unavailable, timing python only",
-                  file=sys.stderr)
-    else:
-        if args.backend not in available:
-            raise ValueError(
-                f"backend {args.backend!r} unavailable (have: {', '.join(available)})"
-            )
-        backends = [args.backend]
     policy = _policy_from(args)
 
     records = []
-    for backend in backends:
-        with _backend.select(backend):
-            for n in args.n:
-                params = Params(args.k, n)
-                for method in methods:
-                    target = _bench_target(method, params, policy)
-                    timings = []
-                    for _ in range(args.repetitions):
-                        start = time.perf_counter()
-                        target()
-                        timings.append(time.perf_counter() - start)
-                    records.append(
-                        {
-                            "type": "timing",
-                            "backend": backend,
-                            "method": method,
-                            "k": args.k,
-                            "n": n,
-                            "repetitions": args.repetitions,
-                            "min_s": round(min(timings), 9),
-                            "median_s": round(statistics.median(timings), 9),
-                        }
-                    )
-    header = f"{'backend':<10} {'method':<10} {'k':>3} {'n':>8} {'reps':>5} {'min_s':>12} {'median_s':>12}"
+    for n in args.n:
+        params = Params(args.k, n)
+        for method in methods:
+            target = _bench_target(method, params, policy)
+            timings = []
+            for _ in range(args.repetitions):
+                start = time.perf_counter()
+                target()
+                timings.append(time.perf_counter() - start)
+            records.append(
+                {
+                    "type": "timing",
+                    "method": method,
+                    "k": args.k,
+                    "n": n,
+                    "repetitions": args.repetitions,
+                    "min_s": round(min(timings), 9),
+                    "median_s": round(statistics.median(timings), 9),
+                }
+            )
+    header = f"{'method':<10} {'k':>3} {'n':>8} {'reps':>5} {'min_s':>12} {'median_s':>12}"
     plain = [header] + [
-        f"{r['backend']:<10} {r['method']:<10} {r['k']:>3} {r['n']:>8} "
+        f"{r['method']:<10} {r['k']:>3} {r['n']:>8} "
         f"{r['repetitions']:>5} {r['min_s']:>12.6f} {r['median_s']:>12.6f}"
         for r in records
     ]
@@ -458,12 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_int_list, required=True, help="comma-separated list of n values")
     p.add_argument("--method", type=_method_list, default=["all"], help="comma-separated methods or 'all'")
     p.add_argument("--repetitions", type=int, default=3)
-    p.add_argument(
-        "--backend",
-        choices=("auto", "compiled", "python", "both"),
-        default="auto",
-        help="which kernel backend(s) to time",
-    )
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser(

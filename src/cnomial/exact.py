@@ -12,7 +12,6 @@ from itertools import accumulate, chain, repeat
 from math import factorial
 from operator import sub
 
-from . import _backend
 from .params import Params
 
 #: Hard ceiling on composition tuples visited by :func:`multinomial_direct`;
@@ -58,17 +57,16 @@ def expand_power(params: Params, strategy: str = "iterative") -> CoefficientTabl
         for _ in range(params.n):
             row = _times_ones(row, width)
     elif strategy == "binary":
-        kern = _backend.active()
         ones = [1] * width
         row = [1]
         base = ones
         e = params.n
         while e:
             if e & 1:
-                row = kern.convolve_linear(row, base)
+                row = _convolve_linear(row, base)
             e >>= 1
             if e:
-                base = kern.convolve_linear(base, base)
+                base = _convolve_linear(base, base)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     return CoefficientTable(params=params, coeffs=tuple(row))
@@ -86,6 +84,20 @@ def _times_ones(row: list[int], width: int) -> list[int]:
     """
     prefix = list(accumulate(chain(row, repeat(0, width - 1)), initial=0))
     return list(map(sub, prefix[1:], chain(repeat(0, width - 1), prefix[: len(row)])))
+
+
+def _convolve_linear(a: list[int], b: list[int]) -> list[int]:
+    """Schoolbook linear convolution of two exact integer coefficient rows."""
+    na = len(a)
+    nb = len(b)
+    out = [0] * (na + nb - 1)
+    for i in range(na):
+        ai = a[i]
+        if ai == 0:
+            continue
+        for j in range(nb):
+            out[i + j] = out[i + j] + ai * b[j]
+    return out
 
 
 def central_coefficient(params: Params) -> int:

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from math import cos, inf, pi, sin
 
 import mpmath
 
-from . import _backend
 from .params import Params
 
 EIGENVALUE_METHODS = ("trig-ratio", "cosine-sum", "chebyshev")
@@ -70,11 +70,7 @@ class PrecisionPolicy:
     residual_cap: float = DEFAULT_RESIDUAL_CAP
 
     def __post_init__(self) -> None:
-        strategy = self.strategy
-        if strategy == "compensated-double":
-            strategy = "compensated"
-            object.__setattr__(self, "strategy", strategy)
-        if strategy not in STRATEGIES:
+        if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
         if self.mantissa_bits is not None and self.mantissa_bits < 1:
             raise ValueError(f"mantissa_bits must be positive, got {self.mantissa_bits}")
@@ -129,16 +125,55 @@ def eigenvalues(params: Params, method: str = "trig-ratio") -> EigenvalueSet:
     """
     if params.n < 1:
         raise ValueError("eigenvalues are defined for n >= 1")
-    kern = _backend.active()
     if method == "trig-ratio":
-        values = kern.eigenvalues_trig(params.k, params.dim)
+        values = _eigenvalues_trig(params.k, params.dim)
     elif method == "cosine-sum":
-        values = kern.eigenvalues_cosine(params.k, params.dim)
+        values = _eigenvalues_cosine(params.k, params.dim)
     elif method == "chebyshev":
-        values = kern.eigenvalues_chebyshev(params.k, params.dim)
+        values = _eigenvalues_chebyshev(params.k, params.dim)
     else:
         raise ValueError(f"method must be one of {EIGENVALUE_METHODS}, got {method!r}")
     return EigenvalueSet(params=params, values=tuple(values), method=method)
+
+
+def _eigenvalues_trig(k: int, dim: int) -> list[float]:
+    """Spectrum of the symmetric width-(2k+1) boolean circulant, sine-ratio form.
+
+    Entry ``r`` (1-based, stored 0-based) is sin((2k+1)(r-1)pi/N) divided by
+    sin((r-1)pi/N); the r=1 eigenvalue is pinned to 2k+1 instead of being
+    evaluated as 0/0.
+    """
+    m = 2 * k + 1
+    out = [float(m)]
+    for r1 in range(1, dim):
+        num = sin(((m * r1) * pi) / dim)
+        den = sin((r1 * pi) / dim)
+        out.append(num / den)
+    return out
+
+
+def _eigenvalues_cosine(k: int, dim: int) -> list[float]:
+    """Same spectrum via the cosine sum 1 + 2*sum_{l=1..k} cos(2pi(r-1)l/N)."""
+    out = [float(2 * k + 1)]
+    for r1 in range(1, dim):
+        acc = 1.0
+        for l in range(1, k + 1):
+            acc += 2.0 * cos(((2.0 * pi) * (r1 * l)) / dim)
+        out.append(acc)
+    return out
+
+
+def _eigenvalues_chebyshev(k: int, dim: int) -> list[float]:
+    """Same spectrum as U_{2k}(cos((r-1)pi/N)) by the three-term recurrence."""
+    out = [float(2 * k + 1)]
+    for r1 in range(1, dim):
+        x = cos((r1 * pi) / dim)
+        u0 = 1.0
+        u1 = 2.0 * x
+        for _ in range(2, 2 * k + 1):
+            u0, u1 = u1, (2.0 * x) * u1 - u0
+        out.append(u1)
+    return out
 
 
 def dirichlet_kernel(k: int, theta: float) -> float:
@@ -161,16 +196,95 @@ def _round_with_residual(quotient: float) -> tuple[int, float]:
     return int(nearest), abs(quotient - nearest)
 
 
+def _pow(base: float, n: int) -> float:
+    """``base ** n`` with C ``pow()`` overflow semantics: saturate to ±inf.
+
+    CPython raises OverflowError where libm returns ±HUGE_VAL; saturating
+    lets callers treat a non-finite sum as "escalate precision" rather than
+    a crash.
+    """
+    try:
+        return base**n
+    except OverflowError:
+        return -inf if (base < 0.0 and n % 2) else inf
+
+
+def _terms_central(k: int, n: int, dim: int) -> list[float]:
+    """Terms of (2k+1)^n + sum_{l=1..N-1} (sin((2k+1)l pi/N)/sin(l pi/N))^n.
+
+    The power term comes first, then l ascending, so every summation
+    strategy sees the same deterministic order.
+    """
+    m = 2 * k + 1
+    out = [_pow(float(m), n)]
+    for l in range(1, dim):
+        num = sin(((m * l) * pi) / dim)
+        den = sin((l * pi) / dim)
+        out.append(_pow(num / den, n))
+    return out
+
+
+def _terms_coefficient(k: int, n: int, dim: int, l: int) -> list[float]:
+    """Terms of (2k+1)^n + sum_{r=1..N-1} E_{r+1}^n cos(2pi r l/N).
+
+    The cosine phase is the real reduction of the circulant element formula
+    (conjugate eigenvalue pairs cancel the imaginary parts); the phase
+    argument is reduced exactly as (r*l) mod N before multiplying by 2pi/N.
+    """
+    m = 2 * k + 1
+    out = [_pow(float(m), n)]
+    for r in range(1, dim):
+        num = sin(((m * r) * pi) / dim)
+        den = sin((r * pi) / dim)
+        phase = cos(((2.0 * pi) * ((r * l) % dim)) / dim)
+        out.append(_pow(num / den, n) * phase)
+    return out
+
+
+def _sum_plain(terms: list[float]) -> float:
+    """Left-to-right double accumulation."""
+    s = 0.0
+    for term in terms:
+        s = s + term
+    return s
+
+
+def _sum_abs(terms: list[float]) -> float:
+    """Left-to-right accumulation of absolute values (for error bounds)."""
+    s = 0.0
+    for term in terms:
+        s = s + abs(term)
+    return s
+
+
+def _sum_compensated(terms: list[float]) -> float:
+    """Left-to-right Neumaier-compensated accumulation.
+
+    Tracks the rounding error of every addition in a second double and
+    re-adds it once at the end, shrinking the error bound from O(m*eps)
+    toward O(eps).
+    """
+    s = 0.0
+    c = 0.0
+    for term in terms:
+        t = s + term
+        if abs(s) >= abs(term):
+            c += (s - t) + term
+        else:
+            c += (term - t) + s
+        s = t
+    return s + c
+
+
 def _evaluate_double(params: Params, phase: int | None, compensated: bool) -> tuple[int, float]:
-    kern = _backend.active()
     if phase is None:
-        terms = kern.spectral_terms_central(params.k, params.n, params.dim)
+        terms = _terms_central(params.k, params.n, params.dim)
     else:
-        terms = kern.spectral_terms_coefficient(params.k, params.n, params.dim, phase)
-    total = kern.sum_compensated(terms) if compensated else kern.sum_plain(terms)
+        terms = _terms_coefficient(params.k, params.n, params.dim, phase)
+    total = _sum_compensated(terms) if compensated else _sum_plain(terms)
     quotient = total / params.dim
     value, measured = _round_with_residual(quotient)
-    abs_total = kern.sum_abs(terms)
+    abs_total = _sum_abs(terms)
     if not math.isfinite(quotient) or not math.isfinite(abs_total):
         return value, math.inf
     # Forward error bound on the quotient, relative to the absolute term

@@ -1,9 +1,7 @@
-"""Shared fixtures: kernel-backend parametrization and network gating."""
+"""Shared fixtures: network gating."""
 import os
 
 import pytest
-
-from cnomial import _backend
 
 
 def pytest_collection_modifyitems(config, items):
@@ -15,10 +13,3 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "network" in item.keywords:
             item.add_marker(skip)
-
-
-@pytest.fixture(params=_backend.available())
-def backend(request):
-    """Runs the test once per importable kernel backend."""
-    with _backend.select(request.param):
-        yield request.param

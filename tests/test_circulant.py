@@ -123,12 +123,14 @@ def test_central_via_trace_equals_oracle_on_grid():
             assert central_via_trace(p) == full == central_coefficient(p), (k, n)
 
 
-def test_trace_divisibility_on_grid():
+def test_circulant_row_on_grid():
+    # C^n has first row b_j = p_{(j + kn) mod N}: the exact row rotated by kn.
     for k in range(1, 5):
-        for n in range(1, 13):
+        for n in range(0, 13):
             p = Params(k, n)
-            t = trace(matrix_power(build_central(p), n))
-            assert t % p.dim == 0, (k, n)
+            row = expand_power(p).coeffs
+            rotated = tuple(row[(j + k * n) % p.dim] for j in range(p.dim))
+            assert matrix_power(build_central(p), n).first_row == rotated, (k, n)
 
 
 def test_coefficient_via_shift_examples():

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from cnomial import _backend, oeis
+from cnomial import oeis
 from cnomial import cli
 from cnomial.cli import main
 
@@ -208,6 +208,25 @@ def test_verify_detects_corruption(capsys, monkeypatch):
     assert "methods-equal" in err
 
 
+def test_verify_detects_wrong_circulant_row(capsys, monkeypatch):
+    # Perturb one entry of C^3 only: verify's full power at n = 3, never the
+    # half powers that central_via_trace forms for n <= 3.
+    true_power = cli.circulant.matrix_power
+
+    def perturbed(a, n):
+        power = true_power(a, n)
+        if n != 3:
+            return power
+        row = power.first_row
+        return cli.circulant.CirculantMatrix(power.dim, row[:-1] + (row[-1] + 1,))
+
+    monkeypatch.setattr(cli.circulant, "matrix_power", perturbed)
+    code, out, err = run(capsys, "verify", "--k-max", "1", "--n-max", "3")
+    assert code == 1
+    assert out.strip() == "3 cases, 1 failure"
+    assert err.strip() == "FAIL k=1 n=3: circulant-row"
+
+
 def test_verify_bad_bounds(capsys):
     code, _, err = run(capsys, "verify", "--k-max", "0", "--n-max", "3")
     assert code == 2
@@ -220,7 +239,7 @@ def test_bench_plain_table_shape(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert len(lines) == 5  # header + 2 n-values x 2 methods
-    assert lines[0].split() == ["backend", "method", "k", "n", "reps", "min_s", "median_s"]
+    assert lines[0].split() == ["method", "k", "n", "reps", "min_s", "median_s"]
 
 
 def test_bench_default_methods(capsys):
@@ -238,23 +257,8 @@ def test_bench_json_records(capsys):
     for record in records:
         assert record["repetitions"] == 3
         assert 0.0 <= record["min_s"] <= record["median_s"]
-        assert record["backend"] == _backend.active_name()
-
-
-def test_bench_both_backends(capsys):
-    code, out, _ = run(capsys, "bench", "--k", "1", "--n", "10",
-                       "--method", "conv", "--backend", "both",
-                       "--format", "json-lines")
-    assert code == 0
-    backends = [r["backend"] for r in json_lines(out)]
-    assert backends == list(_backend.available())
-
-
-def test_bench_python_backend(capsys):
-    code, out, _ = run(capsys, "bench", "--k", "1", "--n", "10", "--method", "trace",
-                       "--backend", "python", "--format", "json-lines")
-    assert code == 0
-    assert json_lines(out)[0]["backend"] == "python"
+        assert set(record) == {"type", "method", "k", "n", "repetitions",
+                               "min_s", "median_s"}
 
 
 def test_bench_bad_method(capsys):

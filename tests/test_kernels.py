@@ -1,22 +1,12 @@
-"""Kernel units and bit-for-bit parity between the two backends."""
+"""Units of the hot kernels, each in the module of the route that calls it."""
 import math
-import os
-import subprocess
-import sys
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnomial import _backend
-from cnomial import _kernels_py as kp
-
-HAS_COMPILED = "compiled" in _backend.available()
-needs_compiled = pytest.mark.skipif(
-    not HAS_COMPILED, reason="compiled extension not built"
-)
-
-PARITY_CASES = [(1, 1), (1, 2), (1, 9), (2, 5), (3, 8), (4, 12), (2, 30)]
+from cnomial.circulant import _convolve_cyclic
+from cnomial.exact import _convolve_linear
+from cnomial.spectral import _sum_abs, _sum_compensated, _sum_plain, _terms_central
 
 
 def naive_linear(a, b):
@@ -36,14 +26,12 @@ def naive_cyclic(a, b):
     return out
 
 
-def test_convolve_linear_example(backend):
-    kern = _backend.active()
-    assert kern.convolve_linear([1, 1, 1], [1, 1, 1]) == [1, 2, 3, 2, 1]
+def test_convolve_linear_example():
+    assert _convolve_linear([1, 1, 1], [1, 1, 1]) == [1, 2, 3, 2, 1]
 
 
-def test_convolve_cyclic_example(backend):
-    kern = _backend.active()
-    assert kern.convolve_cyclic([1, 1, 0, 0, 1], [1, 1, 0, 0, 1]) == [3, 2, 1, 1, 2]
+def test_convolve_cyclic_example():
+    assert _convolve_cyclic([1, 1, 0, 0, 1], [1, 1, 0, 0, 1]) == [3, 2, 1, 1, 2]
 
 
 @given(
@@ -52,9 +40,7 @@ def test_convolve_cyclic_example(backend):
 )
 @settings(max_examples=50, deadline=None)
 def test_convolve_linear_fuzzed(a, b):
-    for name in _backend.available():
-        with _backend.select(name):
-            assert _backend.active().convolve_linear(a, b) == naive_linear(a, b)
+    assert _convolve_linear(a, b) == naive_linear(a, b)
 
 
 @given(
@@ -77,115 +63,28 @@ def test_convolve_cyclic_fuzzed(data, n):
         st.lists(entry, min_size=n, max_size=n), single, st.just([0] * n)
     )
     a, b = data.draw(ints), data.draw(ints)
-    for name in _backend.available():
-        with _backend.select(name):
-            assert _backend.active().convolve_cyclic(a, b) == naive_cyclic(a, b)
+    assert _convolve_cyclic(a, b) == naive_cyclic(a, b)
 
 
-def test_big_integers_survive_convolution(backend):
-    kern = _backend.active()
+def test_big_integers_survive_convolution():
     big = 10**40
-    assert kern.convolve_linear([big, 1], [big, 1]) == [big * big, 2 * big, 1]
+    assert _convolve_linear([big, 1], [big, 1]) == [big * big, 2 * big, 1]
 
 
-def test_compensated_beats_plain_on_cancellation(backend):
-    kern = _backend.active()
+def test_compensated_beats_plain_on_cancellation():
     terms = [1e16, 1.0, -1e16]
-    assert kern.sum_plain(terms) == 0.0
-    assert kern.sum_compensated(terms) == 1.0
+    assert _sum_plain(terms) == 0.0
+    assert _sum_compensated(terms) == 1.0
 
 
-def test_sum_abs(backend):
-    kern = _backend.active()
-    assert kern.sum_abs([1.5, -2.5, 3.0]) == 7.0
-    assert kern.sum_abs([]) == 0.0
+def test_sum_abs():
+    assert _sum_abs([1.5, -2.5, 3.0]) == 7.0
+    assert _sum_abs([]) == 0.0
 
 
-@needs_compiled
-@pytest.mark.parametrize("k, n", PARITY_CASES)
-def test_term_parity(k, n):
-    from cnomial import _kernels as kc
-
-    dim = 2 * k * n + 1
-    assert kc.spectral_terms_central(k, n, dim) == kp.spectral_terms_central(k, n, dim)
-    for l in {0, 1, k * n, dim - 1}:
-        assert kc.spectral_terms_coefficient(
-            k, n, dim, l
-        ) == kp.spectral_terms_coefficient(k, n, dim, l)
-
-
-@needs_compiled
-@pytest.mark.parametrize("k, n", PARITY_CASES)
-def test_eigenvalue_parity(k, n):
-    from cnomial import _kernels as kc
-
-    dim = 2 * k * n + 1
-    assert kc.eigenvalues_trig(k, dim) == kp.eigenvalues_trig(k, dim)
-    assert kc.eigenvalues_cosine(k, dim) == kp.eigenvalues_cosine(k, dim)
-    assert kc.eigenvalues_chebyshev(k, dim) == kp.eigenvalues_chebyshev(k, dim)
-
-
-@needs_compiled
-@pytest.mark.parametrize("k, n", PARITY_CASES)
-def test_sum_parity(k, n):
-    from cnomial import _kernels as kc
-
-    dim = 2 * k * n + 1
-    terms = kp.spectral_terms_central(k, n, dim)
-    assert kc.sum_plain(terms) == kp.sum_plain(terms)
-    assert kc.sum_compensated(terms) == kp.sum_compensated(terms)
-    assert kc.sum_abs(terms) == kp.sum_abs(terms)
-
-
-def test_power_overflow_saturates_to_inf(backend):
-    # libm pow never raises; the python twin must saturate the same way so
-    # callers can escalate precision on a non-finite sum.
-    kern = _backend.active()
-    terms = kern.spectral_terms_central(1, 700, 5)
+def test_power_overflow_saturates_to_inf():
+    # Float ** raises OverflowError where C pow() returns inf; the kernel
+    # saturates instead, so callers escalate precision on a non-finite sum.
+    terms = _terms_central(1, 700, 5)
     assert terms[0] == math.inf
     assert all(not math.isnan(t) for t in terms)
-
-
-@needs_compiled
-def test_power_overflow_parity():
-    from cnomial import _kernels as kc
-
-    assert kc.spectral_terms_central(1, 700, 5) == kp.spectral_terms_central(1, 700, 5)
-    assert kc.spectral_terms_coefficient(
-        1, 700, 5, 2
-    ) == kp.spectral_terms_coefficient(1, 700, 5, 2)
-
-
-def test_select_restores_previous_backend():
-    before = _backend.active_name()
-    with _backend.select("python"):
-        assert _backend.active_name() == "python"
-    assert _backend.active_name() == before
-
-
-def test_select_unknown_backend():
-    with pytest.raises(ValueError):
-        with _backend.select("gpu"):
-            pass
-
-
-def test_environment_forces_python_backend():
-    script = (
-        "from cnomial import _backend; "
-        "print(_backend.active_name(), _backend.available())"
-    )
-    # The child must import the same cnomial as this process, installed or
-    # not, so the directory holding that package leads its PYTHONPATH.
-    package_dir = os.path.dirname(os.path.abspath(_backend.__file__))
-    package_root = os.path.dirname(package_dir)
-    env = dict(os.environ, CNOMIAL_BACKEND="python")
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")])
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env
-    )
-    assert proc.returncode == 0, proc.stderr
-    out = proc.stdout
-    assert out.startswith("python")
-    assert "compiled" not in out

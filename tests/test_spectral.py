@@ -270,15 +270,13 @@ def test_policy_validation():
     with pytest.raises(ValueError):
         PrecisionPolicy(strategy="quad")
     with pytest.raises(ValueError):
+        PrecisionPolicy(strategy="compensated-double")
+    with pytest.raises(ValueError):
         PrecisionPolicy(mantissa_bits=0)
     with pytest.raises(ValueError):
         PrecisionPolicy(residual_cap=0.0)
     with pytest.raises(ValueError):
         PrecisionPolicy(residual_cap=0.5)
-
-
-def test_policy_normalizes_compensated_double():
-    assert PrecisionPolicy(strategy="compensated-double").strategy == "compensated"
 
 
 def test_certified_residual_nonnegative():
