@@ -140,20 +140,31 @@ def central_via_trace(params: Params) -> int:
     Every diagonal entry of a circulant equals its (0, 0) entry, so
     Tr(C^n) / N is the (0, 0) entry of C^n.  The n-th power is never
     formed: with X = C^{floor(n/2)} and Y = X, or Y = X C when n is odd (a
-    cheap product, C having 2k+1 nonzeros), the (0, 0) entry of X Y is
-    sum_j x_j * y_{(N-j) mod N}.
+    cheap product, C having 2k+1 nonzeros), it is entry 0 of the first row
+    of X Y.
     """
     central = build_central(params)
     half = matrix_power(central, params.n // 2)
     other = multiply(half, central) if params.n % 2 else half
-    x, y = half.first_row, other.first_row
-    return x[0] * y[0] + sum(map(mul, x[1:], reversed(y[1:])))
+    return _product_entry(half.first_row, other.first_row, 0)
+
+
+def _product_entry(x: tuple[int, ...], y: tuple[int, ...], t: int) -> int:
+    """Entry t of the first row of X Y, from the first rows of X and Y.
+
+    sum_j x_j * y_{(t - j) mod N}: one row of the cyclic convolution, so the
+    product itself is never formed.
+    """
+    return sum(map(mul, x, y[t::-1] + y[:t:-1]))
 
 
 @lru_cache(maxsize=256)
-def _power_first_row(k: int, n: int, m: int) -> tuple[int, ...]:
-    params = Params(k, n)
-    return matrix_power(build_shifted(params, m), n).first_row
+def _half_power_rows(k: int, n: int, m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """First rows of X = C_m^{floor(n/2)} and Y = X, or X C_m when n is odd."""
+    shifted = build_shifted(Params(k, n), m)
+    half = matrix_power(shifted, n // 2)
+    other = multiply(half, shifted) if n % 2 else half
+    return half.first_row, other.first_row
 
 
 def coefficient_via_shift(params: Params, l: int, m: int | None = None) -> int:
@@ -164,7 +175,9 @@ def coefficient_via_shift(params: Params, l: int, m: int | None = None) -> int:
     coefficients by x^{n*m}, rotating it through the ring.  Reading offset
     ``(l + n*m) mod N`` therefore recovers ``p_l`` for any shift; the
     default shift is the central one ``m = N - k``, which parks the central
-    coefficient on the diagonal.
+    coefficient on the diagonal.  As in :func:`central_via_trace`, the n-th
+    power is never formed: the entry is read off the two half powers, which
+    are cached per (k, n, m) for the other coefficients of the same row.
     """
     if not 0 <= l <= params.degree:
         raise ValueError(f"l must be in [0, {params.degree}], got {l}")
@@ -173,5 +186,5 @@ def coefficient_via_shift(params: Params, l: int, m: int | None = None) -> int:
         m = (n_dim - params.k) % n_dim
     elif not 0 <= m < n_dim:
         raise ValueError(f"shift m must be in [0, {n_dim - 1}], got {m}")
-    row = _power_first_row(params.k, params.n, m)
-    return row[(l + params.n * m) % n_dim]
+    x, y = _half_power_rows(params.k, params.n, m)
+    return _product_entry(x, y, (l + params.n * m) % n_dim)

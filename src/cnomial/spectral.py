@@ -5,7 +5,10 @@ trace power collapses to a finite sum of sine-ratio powers:
 
     M = (1/N) * [ (2k+1)^n + sum_{l=1}^{2kn} (sin((2k+1)l pi/N) / sin(l pi/N))^n ]
 
-with N = 2kn+1.  General coefficients pick up a cosine phase.  The sums are
+with N = 2kn+1.  General coefficients pick up a cosine phase.  Every rung
+evaluates the sum from one half-table of sines, s_j = sin(j pi/N) for
+j <= N/2: numerators fold onto it, E_r = E_{N-r} pairs the terms, and the
+phase cosine is 1 - 2 s_j^2.  The sums are
 evaluated in floating point and rounded back to integers, so every result
 carries a certificate: the pre-rounding distance from the nearest integer
 plus a forward rounding-error bound, required to stay under a cap.  The
@@ -17,6 +20,7 @@ arbitrary precision.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from math import cos, inf, pi, sin
 
@@ -36,8 +40,9 @@ GUARD_BITS = 32
 #: not.
 DEFAULT_RESIDUAL_CAP = 0.25
 
-#: Unit roundoff of IEEE binary64.
+#: Unit roundoff of IEEE binary64, and its mantissa bits.
 _EPS = 2.0**-53
+_DOUBLE_BITS = 53
 
 
 @dataclass(frozen=True)
@@ -86,22 +91,35 @@ class CertifiedInteger:
     N) from the returned integer, widened by a forward error bound on the
     evaluation itself; certification means it stayed below the policy's
     cap.  ``policy_used`` reflects the strategy that finally certified,
-    ``escalations`` how many ladder steps that took.
+    ``escalations`` how many ladder steps that took.  ``rungs`` holds every
+    rung tried, in order, as (strategy, mantissa bits, residual); the last
+    one is the rung that certified.
     """
 
     value: int
     residual: float
     policy_used: PrecisionPolicy
     escalations: int = 0
+    rungs: tuple[tuple[str, int, float], ...] = ()
 
 
 class CertificationError(ArithmeticError):
-    """No strategy on the ladder brought the residual under the cap."""
+    """No strategy on the ladder brought the residual under the cap.
 
-    def __init__(self, message: str, residual: float, policy: PrecisionPolicy):
+    ``rungs`` holds every rung tried, as on :class:`CertifiedInteger`.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        residual: float,
+        policy: PrecisionPolicy,
+        rungs: tuple[tuple[str, int, float], ...] = (),
+    ):
         super().__init__(message)
         self.residual = residual
         self.policy = policy
+        self.rungs = rungs
 
 
 def required_bits(params: Params) -> int:
@@ -209,36 +227,65 @@ def _pow(base: float, n: int) -> float:
         return -inf if (base < 0.0 and n % 2) else inf
 
 
-def _terms_central(k: int, n: int, dim: int) -> list[float]:
-    """Terms of (2k+1)^n + sum_{l=1..N-1} (sin((2k+1)l pi/N)/sin(l pi/N))^n.
+def _sine_table(dim: int, sin=math.sin, pi=math.pi) -> list:
+    """The half-table s_j = sin(j pi/N), j = 0..floor(N/2), every rung's only sines.
 
-    The power term comes first, then l ascending, so every summation
-    strategy sees the same deterministic order.
+    Every argument lies in [0, pi/2], where x cot x <= 1: the relative error
+    of s_j is at most that of its argument plus the sine's own rounding.
+    ``sin`` and ``pi`` are the double ones or a context's; s_0 = 0 needs no
+    call, so a table costs floor(N/2) sines.
     """
-    m = 2 * k + 1
-    out = [_pow(float(m), n)]
-    for l in range(1, dim):
-        num = sin(((m * l) * pi) / dim)
-        den = sin((l * pi) / dim)
-        out.append(_pow(num / den, n))
+    return [0 * pi] + [sin((pi * j) / dim) for j in range(1, dim // 2 + 1)]
+
+
+def _ratios(m: int, sines: list) -> Iterator:
+    """E_r = sin(m r pi/N) / sin(r pi/N) for r = 1..floor(N/2), from the half-table.
+
+    The numerator's angle is reduced exactly: with t = m r mod 2N,
+    sin(t pi/N) is -sin((t-N) pi/N) when t >= N, and sin(j pi/N) =
+    sin((N-j) pi/N) folds j into the table.  t = 0 or N (possible when
+    gcd(m, N) > 1) reads s_0: a zero numerator.  Only the division rounds.
+    """
+    dim = 2 * len(sines) - 1
+    for r in range(1, len(sines)):
+        t = (m * r) % (2 * dim)
+        if t < dim:
+            yield sines[min(t, dim - t)] / sines[r]
+        else:
+            t -= dim
+            yield -sines[min(t, dim - t)] / sines[r]
+
+
+def _phase_terms(powers: list, phase: int | None, sines: list) -> list:
+    """The terms of the sum at a phase offset: powers[r] * cos(2 pi r phase/N).
+
+    The cosine is 1 - 2 s_j^2 with j = (r * phase) mod N folded to
+    min(j, N - j) <= floor(N/2): the phase is reduced exactly before any
+    rounding, and no cosine is called.  ``phase=None`` is the central sum,
+    whose terms are the powers themselves.
+    """
+    if phase is None:
+        return powers
+    dim = 2 * len(sines) - 1
+    out = powers[:1]
+    for r in range(1, len(sines)):
+        j = (r * phase) % dim
+        s = sines[min(j, dim - j)]
+        out.append(powers[r] * (1 - 2 * s * s))
     return out
 
 
-def _terms_coefficient(k: int, n: int, dim: int, l: int) -> list[float]:
-    """Terms of (2k+1)^n + sum_{r=1..N-1} E_{r+1}^n cos(2pi r l/N).
+def _terms_central(k: int, n: int, sines: list[float]) -> list[float]:
+    """Terms of the paired central sum (2k+1)^n + 2 * sum_{r=1..floor(N/2)} E_r^n.
 
-    The cosine phase is the real reduction of the circulant element formula
-    (conjugate eigenvalue pairs cancel the imaginary parts); the phase
-    argument is reduced exactly as (r*l) mod N before multiplying by 2pi/N.
+    E_r = E_{N-r} for the 0-based Fourier index r (both the numerator and
+    the denominator are symmetric about N/2 when 2k+1 is odd), so each pair
+    of the full sum over r = 1..N-1 is one doubled term.  The power term
+    comes first, then r ascending, so every summation strategy sees the
+    same deterministic order; the doubling is exact.
     """
     m = 2 * k + 1
-    out = [_pow(float(m), n)]
-    for r in range(1, dim):
-        num = sin(((m * r) * pi) / dim)
-        den = sin((r * pi) / dim)
-        phase = cos(((2.0 * pi) * ((r * l) % dim)) / dim)
-        out.append(_pow(num / den, n) * phase)
-    return out
+    return [_pow(float(m), n)] + [2.0 * _pow(ratio, n) for ratio in _ratios(m, sines)]
 
 
 def _sum_plain(terms: list[float]) -> float:
@@ -277,25 +324,40 @@ def _sum_compensated(terms: list[float]) -> float:
 
 
 def _evaluate_double(params: Params, phase: int | None, compensated: bool) -> tuple[int, float]:
-    if phase is None:
-        terms = _terms_central(params.k, params.n, params.dim)
-    else:
-        terms = _terms_coefficient(params.k, params.n, params.dim, phase)
+    n_dim = params.dim
+    sines = _sine_table(n_dim)
+    powers = _terms_central(params.k, params.n, sines)
+    terms = _phase_terms(powers, phase, sines)
     total = _sum_compensated(terms) if compensated else _sum_plain(terms)
-    quotient = total / params.dim
+    quotient = total / n_dim
     value, measured = _round_with_residual(quotient)
-    abs_total = _sum_abs(terms)
-    if not math.isfinite(quotient) or not math.isfinite(abs_total):
+    mass = _sum_abs(powers)
+    if not math.isfinite(quotient) or not math.isfinite(mass):
         return value, math.inf
-    # Forward error bound on the quotient, relative to the absolute term
-    # mass: each sine-ratio power costs ~3n ulps (two sines and a division,
-    # amplified n-fold through the power) plus slack for the phase cosine;
-    # plain accumulation adds one ulp per term, Neumaier O(1); the final
-    # ulp covers division by N and the quantization of the quotient itself,
-    # which is what keeps the certificate honest above 2^53.
-    per_term = 3.0 * params.n + 8.0
+    # Forward error bound on the quotient in units of u = 2^-53, charged
+    # against the cosine-free mass A = sum |(2k+1)^n| + 2 |E_r|^n, which also
+    # bounds the weighted terms (|w_r| <= 1):
+    # - s_j = sin(fl(fl(j * pi) / N)): pi carries 0.35u, the product and the
+    #   quotient u each; x cot x <= 1 on [0, pi/2] passes those 2.35u on to
+    #   s_j at most unchanged, and libm's sine adds one ulp (2u): 4.35u.
+    # - E_r: two entries and one division, 9.7u; the fold and the sign are
+    #   exact.  E_r^n multiplies that by n and pow adds an ulp, and the
+    #   doubling is exact: (9.7n + 2)u per term, rounded up to 10n + 2 to
+    #   cover second-order terms.
+    # - w_r = 1 - 2 s_j^2: s_j^2 is within 9.7u relative and below 1, so
+    #   2 s_j^2 is within 19.4u absolute and the subtraction adds u.  This
+    #   error is absolute: where w_r ~ 0 it is no fraction of E_r^n w_r.
+    #   With the product's rounding, a weighted term is within
+    #   (10n + 2 + 21.4)u of |E_r^n|: 22 more units per term.
+    # - Summation: plain left-to-right accumulation of len(terms) terms
+    #   costs at most one u of A per addition; Neumaier's costs u|S| plus
+    #   second-order terms, 4 in all.
+    # - Division by N and the quantization of the quotient itself cost one
+    #   ulp of the quotient, which is what keeps the certificate honest
+    #   above 2^53.
+    per_term = 10.0 * params.n + (2.0 if phase is None else 24.0)
     accumulation = 4.0 if compensated else float(len(terms) + 1)
-    bound = abs_total * (per_term + accumulation) * _EPS / params.dim
+    bound = mass * (per_term + accumulation) * _EPS / n_dim
     bound += math.ulp(abs(quotient))
     return value, measured + bound
 
@@ -305,42 +367,46 @@ def _evaluate_arbitrary(params: Params, phase: int | None, bits: int) -> tuple[i
     ctx.prec = bits
     n, n_dim = params.n, params.dim
     m = params.width
-    pi = +ctx.pi
-    terms = [ctx.mpf(m**n)]
-    for r in range(1, n_dim):
-        num = ctx.sin((pi * (m * r)) / n_dim)
-        den = ctx.sin((pi * r) / n_dim)
-        term = (num / den) ** n
-        if phase is not None:
-            term *= ctx.cos((2 * pi * ((r * phase) % n_dim)) / n_dim)
-        terms.append(term)
+    sines = _sine_table(n_dim, ctx.sin, +ctx.pi)
+    powers = [ctx.mpf(m**n)] + [2 * ratio**n for ratio in _ratios(m, sines)]
+    terms = _phase_terms(powers, phase, sines)
     quotient = ctx.fsum(terms) / n_dim
     nearest = ctx.nint(quotient)
     measured = abs(quotient - nearest)
-    # Same error-bound shape as the double path at working precision;
-    # fsum rounds once, so accumulation costs O(1) ulps.
-    abs_total = ctx.fsum(abs(term) for term in terms)
-    bound = ctx.ldexp(abs_total * (3 * n + 12) / n_dim + abs(quotient), -bits)
+    # The double path's derivation at u = 2^-bits, where pi itself rounds
+    # (u), so each argument carries 3u and s_j 5u with the sine's ulp; E_r
+    # 11u; E_r^n (11n + 2)u, mpmath raising to integer powers with
+    # 4*bitlen(n) + 4 guard bits and rounding once, rounded up to 11n + 3;
+    # (2k+1)^n converts exactly.  The phase weight adds 23u absolute and its
+    # product u: 24 units of |E_r^n|.  fsum adds exactly and rounds once,
+    # and the division by N rounds once: u|quotient| each.
+    mass = ctx.fsum(powers, absolute=True)
+    per_term = 11 * n + (3 if phase is None else 27)
+    bound = ctx.ldexp(mass * per_term / n_dim + 2 * abs(quotient), -bits)
     return int(nearest), float(measured + bound)
 
 
 def _certify(params: Params, phase: int | None, policy: PrecisionPolicy) -> CertifiedInteger:
     ladder = STRATEGIES[STRATEGIES.index(policy.strategy):]
     value, residual = 0, math.inf
+    rungs = []
     for escalations, strategy in enumerate(ladder):
         if strategy == "arbitrary":
             bits = policy.mantissa_bits or required_bits(params)
             value, residual = _evaluate_arbitrary(params, phase, bits)
             effective = replace(policy, strategy="arbitrary", mantissa_bits=bits)
         else:
+            bits = _DOUBLE_BITS
             value, residual = _evaluate_double(params, phase, strategy == "compensated")
             effective = replace(policy, strategy=strategy)
+        rungs.append((strategy, bits, residual))
         if residual < policy.residual_cap:
             return CertifiedInteger(
                 value=value,
                 residual=residual,
                 policy_used=effective,
                 escalations=escalations,
+                rungs=tuple(rungs),
             )
     where = "central sum" if phase is None else f"coefficient sum at phase offset {phase}"
     raise CertificationError(
@@ -348,6 +414,7 @@ def _certify(params: Params, phase: int | None, policy: PrecisionPolicy) -> Cert
         f"(k={params.k}, n={params.n}) even at strategy {ladder[-1]!r}",
         residual=residual,
         policy=policy,
+        rungs=tuple(rungs),
     )
 
 

@@ -19,6 +19,7 @@ from cnomial import (
     to_dense,
     trace,
 )
+from cnomial import circulant
 
 
 def dense_product(a, b):
@@ -149,12 +150,34 @@ def test_coefficient_via_shift_full_rows():
 
 
 def test_coefficient_via_shift_any_shift():
-    # the read-back offset (l + n*m) mod N undoes whatever shift built the matrix
-    p = Params(2, 3)
-    row = expand_power(p).coeffs
-    for m in (0, 1, p.k, p.dim - p.k, p.dim - 1):
-        for l in range(p.degree + 1):
-            assert coefficient_via_shift(p, l, m) == row[l], (m, l)
+    # the read-back offset (l + n*m) mod N undoes whatever shift built the
+    # matrix, whether the half powers pair as X X (n even) or X X C (n odd)
+    for p in (Params(2, 3), Params(2, 4), Params(1, 5)):
+        row = expand_power(p).coeffs
+        for m in (0, 1, p.k, p.dim - p.k, p.dim - 1):
+            for l in range(p.degree + 1):
+                assert coefficient_via_shift(p, l, m) == row[l], (p, m, l)
+
+
+def test_coefficient_via_shift_never_forms_full_power(monkeypatch):
+    # One entry of C^n is one row of the product of the two half powers;
+    # the full power, whose last squaring costs the most, is never formed.
+    exponents = []
+
+    def recording_power(a, e):
+        exponents.append(e)
+        return matrix_power(a, e)
+
+    monkeypatch.setattr(circulant, "matrix_power", recording_power)
+    circulant._half_power_rows.cache_clear()
+    try:
+        for n in (7, 8):
+            p = Params(1, n)
+            row = expand_power(p).coeffs
+            assert [coefficient_via_shift(p, l) for l in range(p.degree + 1)] == list(row)
+    finally:
+        circulant._half_power_rows.cache_clear()
+    assert exponents == [3, 4]
 
 
 def test_coefficient_via_shift_range_errors():

@@ -264,6 +264,46 @@ def test_starved_budget_fails_certification():
         central_via_spectrum(Params(1, 60), policy)
     assert info.value.residual >= policy.residual_cap
     assert info.value.policy is policy
+    assert info.value.rungs == (("arbitrary", 8, info.value.residual),)
+
+
+def test_rungs_record_every_rung_tried():
+    p = Params(1, 60)
+    result = central_via_spectrum(p)
+    assert [strategy for strategy, _, _ in result.rungs] == list(spectral.STRATEGIES)
+    assert [bits for _, bits, _ in result.rungs] == [53, 53, required_bits(p)]
+    assert all(residual >= 0.25 for _, _, residual in result.rungs[:-1])
+    assert result.rungs[-1][2] == result.residual < 0.25
+    assert len(central_via_spectrum(Params(1, 2)).rungs) == 1
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_every_certifying_rung_is_exact(k):
+    # The certificate against the truth.  n runs across the 2^53 crossover
+    # of (2k+1)^n, and the grid holds zero numerators (gcd(2k+1, N) > 1,
+    # e.g. (k, n) = (1, 4), (2, 6)) and numerator folds with
+    # (2k+1)r mod 2N >= N.  Every rung is forced at least once per case
+    # through the policy; a rung the ladder already went through when
+    # started lower is not forced again.
+    certified_at = set()
+    for n in range(1, 61):
+        p = Params(k, n)
+        row = expand_power(p).coeffs
+        d = p.degree
+        for l in sorted({0, d // 4 + 1, (3 * d) // 4, d - 1, k * n}):
+            tried = set()
+            for strategy in spectral.STRATEGIES:
+                if strategy in tried:
+                    continue
+                policy = PrecisionPolicy(strategy=strategy)
+                if l == k * n:
+                    result = central_via_spectrum(p, policy)
+                else:
+                    result = coefficient_via_spectrum(p, l, policy)
+                tried.update(rung for rung, _, _ in result.rungs)
+                certified_at.add(result.policy_used.strategy)
+                assert result.value == row[l], (k, n, l, result.rungs)
+    assert certified_at == set(spectral.STRATEGIES)
 
 
 def test_policy_validation():
