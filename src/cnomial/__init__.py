@@ -8,7 +8,8 @@ coefficient p_l of the row) three ways:
 - exact circulant-matrix powers, reading the trace or a shifted row
   (:mod:`cnomial.circulant`);
 - a closed-form trigonometric sum over the circulant spectrum, evaluated
-  in floating point and rounded back with a certified residual
+  in floating or fixed-point ball arithmetic and rounded back with a
+  certified residual
   (:mod:`cnomial.spectral`).
 
 :mod:`cnomial.oeis` ties the k = 1, 2, 3 sequences to their OEIS entries;

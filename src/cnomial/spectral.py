@@ -8,14 +8,14 @@ trace power collapses to a finite sum of sine-ratio powers:
 with N = 2kn+1.  General coefficients pick up a cosine phase.  Every rung
 evaluates the sum from one half-table of sines, s_j = sin(j pi/N) for
 j <= N/2: numerators fold onto it, E_r = E_{N-r} pairs the terms, and the
-phase cosine is 1 - 2 s_j^2.  The sums are
-evaluated in floating point and rounded back to integers, so every result
-carries a certificate: the pre-rounding distance from the nearest integer
-plus a forward rounding-error bound, required to stay under a cap.  The
-bound matters: once terms outgrow the mantissa the measured distance alone
-is blind (above 2^53 every double is an integer).  When a cheap strategy
-cannot certify, the evaluation escalates double -> compensated double ->
-arbitrary precision.
+phase cosine is 1 - 2 s_j^2.  The sums are rounded back to integers, so
+every result carries a certificate: the pre-rounding distance from the
+nearest integer plus a bound on the evaluation error, required to stay
+under a cap.  The bound matters: once terms outgrow the mantissa the
+measured distance alone is blind (above 2^53 every double is an integer).
+The double and compensated rungs use a forward error bound; when neither
+can certify, the arbitrary rung evaluates the sum in fixed-point ball
+arithmetic, whose radius encloses every rounding.
 """
 from __future__ import annotations
 
@@ -64,7 +64,8 @@ class PrecisionPolicy:
     """How to evaluate the floating spectral sum and when to accept it.
 
     ``strategy`` is the starting point of the escalation ladder.  For the
-    ``arbitrary`` strategy, ``mantissa_bits=None`` means "compute the budget
+    ``arbitrary`` strategy, ``mantissa_bits`` is the number of fractional
+    bits of its fixed-point balls; ``None`` means "compute the budget
     from the operands" via :func:`required_bits`; an explicit value is
     honored as-is (including values too small to certify, which then raise
     :class:`CertificationError`).
@@ -88,8 +89,9 @@ class CertifiedInteger:
     """An integer recovered from a floating sum, plus its rounding evidence.
 
     ``residual`` is the pre-rounding distance of the sum (after division by
-    N) from the returned integer, widened by a forward error bound on the
-    evaluation itself; certification means it stayed below the policy's
+    N) from the returned integer, widened by a bound on the error of the
+    evaluation itself (a forward bound on the double rungs, the ball radius
+    on the arbitrary rung); certification means it stayed below the policy's
     cap.  ``policy_used`` reflects the strategy that finally certified,
     ``escalations`` how many ladder steps that took.  ``rungs`` holds every
     rung tried, in order, as (strategy, mantissa bits, residual); the last
@@ -227,51 +229,67 @@ def _pow(base: float, n: int) -> float:
         return -inf if (base < 0.0 and n % 2) else inf
 
 
-def _sine_table(dim: int, sin=math.sin, pi=math.pi) -> list:
-    """The half-table s_j = sin(j pi/N), j = 0..floor(N/2), every rung's only sines.
+def _sine_table(dim: int) -> list[float]:
+    """The half-table s_j = sin(j pi/N), j = 0..floor(N/2), the double rungs' only sines.
 
     Every argument lies in [0, pi/2], where x cot x <= 1: the relative error
     of s_j is at most that of its argument plus the sine's own rounding.
-    ``sin`` and ``pi`` are the double ones or a context's; s_0 = 0 needs no
-    call, so a table costs floor(N/2) sines.
+    s_0 = 0 needs no call, so a table costs floor(N/2) sines.
     """
-    return [0 * pi] + [sin((pi * j) / dim) for j in range(1, dim // 2 + 1)]
+    return [0.0] + [sin((pi * j) / dim) for j in range(1, dim // 2 + 1)]
 
 
-def _ratios(m: int, sines: list) -> Iterator:
-    """E_r = sin(m r pi/N) / sin(r pi/N) for r = 1..floor(N/2), from the half-table.
+def _numerators(m: int, dim: int) -> Iterator[tuple[int, int]]:
+    """sin(m r pi/N) = sign * s_j for r = 1..floor(N/2), as (sign, j) with j <= N/2.
 
-    The numerator's angle is reduced exactly: with t = m r mod 2N,
-    sin(t pi/N) is -sin((t-N) pi/N) when t >= N, and sin(j pi/N) =
-    sin((N-j) pi/N) folds j into the table.  t = 0 or N (possible when
-    gcd(m, N) > 1) reads s_0: a zero numerator.  Only the division rounds.
+    The angle is reduced exactly: with t = m r mod 2N, sin(t pi/N) is
+    -sin((t-N) pi/N) when t >= N, and sin(j pi/N) = sin((N-j) pi/N) folds j
+    into the half-table.  t = 0 or N (possible when gcd(m, N) > 1) reads
+    s_0: a zero numerator.
     """
-    dim = 2 * len(sines) - 1
-    for r in range(1, len(sines)):
+    for r in range(1, dim // 2 + 1):
         t = (m * r) % (2 * dim)
         if t < dim:
-            yield sines[min(t, dim - t)] / sines[r]
+            yield 1, min(t, dim - t)
         else:
             t -= dim
-            yield -sines[min(t, dim - t)] / sines[r]
+            yield -1, min(t, dim - t)
 
 
-def _phase_terms(powers: list, phase: int | None, sines: list) -> list:
+def _ratios(m: int, sines: list[float]) -> Iterator[float]:
+    """E_r = sin(m r pi/N) / sin(r pi/N) for r = 1..floor(N/2), from the half-table.
+
+    The numerator folds onto the table exactly (:func:`_numerators`), so
+    only the division rounds.
+    """
+    dim = 2 * len(sines) - 1
+    for r, (sign, j) in enumerate(_numerators(m, dim), 1):
+        yield sign * sines[j] / sines[r]
+
+
+def _phase_indices(phase: int, dim: int) -> Iterator[int]:
+    """j with cos(2 pi r phase/N) = 1 - 2 s_j^2, for r = 1..floor(N/2).
+
+    j = (r * phase) mod N folded to min(j, N - j) <= floor(N/2): the phase
+    is reduced exactly before any rounding, and no cosine is needed.
+    """
+    for r in range(1, dim // 2 + 1):
+        j = (r * phase) % dim
+        yield min(j, dim - j)
+
+
+def _phase_terms(powers: list[float], phase: int | None, sines: list[float]) -> list[float]:
     """The terms of the sum at a phase offset: powers[r] * cos(2 pi r phase/N).
 
-    The cosine is 1 - 2 s_j^2 with j = (r * phase) mod N folded to
-    min(j, N - j) <= floor(N/2): the phase is reduced exactly before any
-    rounding, and no cosine is called.  ``phase=None`` is the central sum,
-    whose terms are the powers themselves.
+    The cosine is 1 - 2 s_j^2 (:func:`_phase_indices`).  ``phase=None`` is
+    the central sum, whose terms are the powers themselves.
     """
     if phase is None:
         return powers
-    dim = 2 * len(sines) - 1
     out = powers[:1]
-    for r in range(1, len(sines)):
-        j = (r * phase) % dim
-        s = sines[min(j, dim - j)]
-        out.append(powers[r] * (1 - 2 * s * s))
+    for power, j in zip(powers[1:], _phase_indices(phase, 2 * len(sines) - 1)):
+        s = sines[j]
+        out.append(power * (1 - 2 * s * s))
     return out
 
 
@@ -362,32 +380,126 @@ def _evaluate_double(params: Params, phase: int | None, compensated: bool) -> tu
     return value, measured + bound
 
 
+def _floor_ldexp(man: int, exp: int) -> int:
+    """floor(man * 2^exp), exactly."""
+    return man << exp if exp >= 0 else man >> -exp
+
+
+def _ball(x: mpmath.ctx_iv.ivmpf, bits: int) -> tuple[int, int]:
+    """An integer ball (mid, rad) around 2^bits times every point of the interval x."""
+    (lo, lo_exp), (hi, hi_exp) = (mpmath.libmp.to_man_exp(end) for end in x._mpi_)
+    lo, hi = _floor_ldexp(lo, lo_exp + bits), -_floor_ldexp(-hi, hi_exp + bits)
+    mid = (lo + hi) >> 1
+    return mid, hi - mid
+
+
+def _rotation_table(dim: int, bits: int) -> tuple[list[int], int]:
+    """Midpoints S_j of 2^bits sin(j pi/N), j = 0..floor(N/2), and a step delta.
+
+    z^j = exp(i j pi/N) is built by rotation from one enclosure of z, four
+    products and two floor shifts per step.  Write e_j for the error of
+    (C_j + i S_j) / 2^bits against z^j, in ulps of 2^-bits.  The seed's
+    is e_1 <= e = rad(cos) + rad(sin).  A step rounds each component down
+    by under an ulp, and |z| = 1, so e_{j+1} <= e_j (1 + e/2^bits) + e + 2,
+    which is at most e_j + 2e + 2 while e_j <= 2^bits.  Hence
+    |S_j - 2^bits s_j| <= e_j <= j * delta with delta = 2e + 2, valid as
+    long as floor(N/2) * delta <= 2^bits.  mpmath is called for the seed
+    only, at 20 guard bits.
+    """
+    prec = mpmath.iv.prec
+    try:
+        mpmath.iv.prec = bits + 20
+        angle = mpmath.iv.pi / dim
+        c, rc = _ball(mpmath.iv.cos(angle), bits)
+        s, rs = _ball(mpmath.iv.sin(angle), bits)
+    finally:
+        mpmath.iv.prec = prec
+    table = [0]
+    cj, sj = 1 << bits, 0
+    for _ in range(dim // 2):
+        cj, sj = (cj * c - sj * s) >> bits, (sj * c + cj * s) >> bits
+        table.append(sj)
+    return table, 2 * (rc + rs) + 2
+
+
+def _ball_mul(x: int, rx: int, y: int, ry: int, bits: int) -> tuple[int, int]:
+    """The product of the balls (x, rx) and (y, ry) at scale 2^bits.
+
+    Points within the radii multiply to within |x| ry + |y| rx + rx ry of
+    x y; the floor shift of the midpoint and the rounding up of the radius
+    cost an ulp each.
+    """
+    return (x * y) >> bits, ((abs(x) * ry + abs(y) * rx + rx * ry) >> bits) + 2
+
+
+def _ball_div(x: int, rx: int, y: int, ry: int, bits: int) -> tuple[int, int]:
+    """The quotient of the balls (x, rx) / (y, ry) at scale 2^bits, for y > ry.
+
+    2^bits x/y lies within an ulp above the midpoint q.  Moving x and y
+    within their radii moves it by at most (rx 2^bits + (|q| + 1) ry)/(y - ry),
+    because 2^bits |x|/y <= |q| + 1 and the divisor stays above y - ry.
+    """
+    q = (x << bits) // y
+    return q, -((-(rx << bits) - (abs(q) + 1) * ry) // (y - ry)) + 1
+
+
+def _ball_pow(x: int, rx: int, n: int, bits: int) -> tuple[int, int]:
+    """The n-th power, n >= 1, of the ball (x, rx) by left-to-right binary powering.
+
+    A square is a :func:`_ball_mul` with |y| ry counted once, doubled:
+    one large product fewer.
+    """
+    y, ry = x, rx
+    for bit in bin(n)[3:]:
+        y, ry = (y * y) >> bits, (((2 * abs(y)) * ry + ry * ry) >> bits) + 2
+        if bit == "1":
+            y, ry = _ball_mul(y, ry, x, rx, bits)
+    return y, ry
+
+
 def _evaluate_arbitrary(params: Params, phase: int | None, bits: int) -> tuple[int, float]:
-    ctx = mpmath.mp.clone()
-    ctx.prec = bits
-    n, n_dim = params.n, params.dim
-    m = params.width
-    sines = _sine_table(n_dim, ctx.sin, +ctx.pi)
-    powers = [ctx.mpf(m**n)] + [2 * ratio**n for ratio in _ratios(m, sines)]
-    terms = _phase_terms(powers, phase, sines)
-    quotient = ctx.fsum(terms) / n_dim
-    nearest = ctx.nint(quotient)
-    measured = abs(quotient - nearest)
-    # The double path's derivation at u = 2^-bits, where pi itself rounds
-    # (u), so each argument carries 3u and s_j 5u with the sine's ulp; E_r
-    # 11u; E_r^n (11n + 2)u, mpmath raising to integer powers with
-    # 4*bitlen(n) + 4 guard bits and rounding once, rounded up to 11n + 3;
-    # (2k+1)^n converts exactly.  The phase weight adds 23u absolute and its
-    # product u: 24 units of |E_r^n|.  fsum adds exactly and rounds once,
-    # and the division by N rounds once: u|quotient| each.
-    mass = ctx.fsum(powers, absolute=True)
-    per_term = 11 * n + (3 if phase is None else 27)
-    bound = ctx.ldexp(mass * per_term / n_dim + 2 * abs(quotient), -bits)
-    return int(nearest), float(measured + bound)
+    """The spectral sum in fixed-point ball arithmetic at scale 2^bits.
+
+    Every quantity is an integer midpoint x and an integer radius rx with
+    |2^bits * value - x| <= rx, and every rounding is charged to the radius,
+    so the residual encloses the distance of the exact sum from the returned
+    integer: no error estimate is involved.
+    """
+    n, dim = params.n, params.dim
+    one = 1 << bits
+    sines, delta = _rotation_table(dim, bits)
+    if (dim // 2) * delta > one:
+        return 0, math.inf
+    phases = None if phase is None else _phase_indices(phase, dim)
+    total, radius = params.width**n << bits, 0
+    for r, (sign, j) in enumerate(_numerators(params.width, dim), 1):
+        s, rs = sines[r], r * delta
+        if s <= rs:
+            return 0, math.inf
+        q, rq = _ball_div(sines[j], j * delta, s, rs, bits)
+        x, rx = _ball_pow(sign * q, rq, n, bits)
+        if phases is not None:
+            i = next(phases)
+            w, rw = _ball_mul(sines[i], i * delta, sines[i], i * delta, bits)
+            x, rx = _ball_mul(x, rx, one - 2 * w, 2 * rw, bits)
+        total += 2 * x
+        radius += 2 * rx
+    scale = dim << bits
+    value = (2 * total + scale) // (2 * scale)
+    try:
+        residual = (abs(total - value * scale) + radius) / scale
+    except OverflowError:
+        residual = math.inf
+    return value, residual
 
 
 def _certify(params: Params, phase: int | None, policy: PrecisionPolicy) -> CertifiedInteger:
     ladder = STRATEGIES[STRATEGIES.index(policy.strategy):]
+    # Both double rungs' bounds are at least this: their mass holds
+    # (2k+1)^n and every term is charged (10n + 2)u (see _evaluate_double).
+    # Where it reaches the cap, a double rung is recorded as tried, with
+    # residual inf, but not evaluated.
+    double_floor = _pow(float(params.width), params.n) * (10 * params.n + 2) * _EPS / params.dim
     value, residual = 0, math.inf
     rungs = []
     for escalations, strategy in enumerate(ladder):
@@ -397,7 +509,10 @@ def _certify(params: Params, phase: int | None, policy: PrecisionPolicy) -> Cert
             effective = replace(policy, strategy="arbitrary", mantissa_bits=bits)
         else:
             bits = _DOUBLE_BITS
-            value, residual = _evaluate_double(params, phase, strategy == "compensated")
+            if double_floor < policy.residual_cap:
+                value, residual = _evaluate_double(params, phase, strategy == "compensated")
+            else:
+                value, residual = 0, math.inf
             effective = replace(policy, strategy=strategy)
         rungs.append((strategy, bits, residual))
         if residual < policy.residual_cap:

@@ -1,7 +1,11 @@
 """Spectral sums, eigenvalue evaluators, and the precision certificate."""
 import math
+from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cnomial import (
     EIGENVALUE_METHODS,
@@ -304,6 +308,132 @@ def test_every_certifying_rung_is_exact(k):
                 certified_at.add(result.policy_used.strategy)
                 assert result.value == row[l], (k, n, l, result.rungs)
     assert certified_at == set(spectral.STRATEGIES)
+
+
+def test_double_rungs_skipped_where_they_cannot_certify(monkeypatch):
+    # 3^800 alone puts both double bounds past the cap: the ladder records
+    # the two rungs as tried, with residual inf, and never evaluates them.
+    calls = []
+    evaluate = spectral._evaluate_double
+    monkeypatch.setattr(
+        spectral, "_evaluate_double", lambda *args: calls.append(args) or evaluate(*args)
+    )
+    p = Params(1, 800)
+    result = central_via_spectrum(p)
+    assert calls == []
+    assert result.rungs[:2] == (("double", 53, math.inf), ("compensated", 53, math.inf))
+    assert result.rungs[2][:2] == ("arbitrary", required_bits(p))
+    assert result.escalations == 2
+    assert result.value == central_coefficient(p)
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_ball_rung_encloses_the_exact_value(k):
+    # The residual of the ball rung is a proof: the exact coefficient lies
+    # within it at every budget, starved ones included, and the default
+    # budget certifies.  The grid holds zero numerators, e.g. (1, 4) and
+    # (2, 6), and the central sum (phase None).
+    for n in range(1, 61):
+        p = Params(k, n)
+        row = expand_power(p).coeffs
+        d, budget = p.degree, required_bits(p)
+        for l in sorted({0, d // 4 + 1, (3 * d) // 4, d - 1, k * n}):
+            phase = None if l == k * n else (l - k * n) % p.dim
+            for bits in (8, 16, 32, budget - 20, budget):
+                value, residual = spectral._evaluate_arbitrary(p, phase, bits)
+                assert abs(row[l] - value) <= residual, (k, n, l, bits, residual)
+            assert residual < spectral.DEFAULT_RESIDUAL_CAP, (k, n, l)
+
+
+def _corners(x, rx):
+    return (x - rx, x + rx) + ((0,) if abs(x) <= rx else ())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    bits=st.integers(1, 80),
+    x=st.integers(-(2**90), 2**90),
+    rx=st.integers(0, 2**40),
+    y=st.integers(1, 2**90),
+    ry=st.integers(0, 2**40),
+    n=st.integers(1, 12),
+)
+def test_ball_operations_enclose_every_corner(bits, x, rx, y, ry, n):
+    # Exact rationals at the extreme points of the operand balls: products
+    # and quotients are monotone in each operand, so corners (and 0 for a
+    # power) bound the deviation from the midpoint.
+    scale = 2**bits
+    mid, rad = spectral._ball_mul(x, rx, y, ry, bits)
+    for a in (x - rx, x + rx):
+        for b in (y - ry, y + ry):
+            assert abs(Fraction(a * b, scale) - mid) <= rad
+    mid, rad = spectral._ball_pow(x, rx, n, bits)
+    for a in _corners(x, rx):
+        assert abs(Fraction(a**n, scale ** (n - 1)) - mid) <= rad
+    if y > ry:
+        mid, rad = spectral._ball_div(x, rx, y, ry, bits)
+        for a in (x - rx, x + rx):
+            for b in (y - ry, y + ry):
+                assert abs(Fraction(a * scale, b) - mid) <= rad
+
+
+@settings(max_examples=40, deadline=None)
+@given(half=st.integers(1, 150), bits=st.integers(1, 200))
+def test_rotation_table_encloses_the_sines(half, bits):
+    # |S_j - 2^bits sin(j pi/N)| <= j delta wherever floor(N/2) delta <= 2^bits,
+    # against mpmath.iv at 64 more bits.
+    dim = 2 * half + 1
+    table, delta = spectral._rotation_table(dim, bits)
+    assert len(table) == half + 1 and table[0] == 0
+    if half * delta > 2**bits:
+        return
+    prec = mpmath.iv.prec
+    try:
+        mpmath.iv.prec = bits + 64
+        for j, mid in enumerate(table):
+            exact = mpmath.iv.ldexp(mpmath.iv.sin(mpmath.iv.pi * j / dim), bits)
+            assert mid - j * delta <= exact.a and exact.b <= mid + j * delta, (j, mid)
+    finally:
+        mpmath.iv.prec = prec
+
+
+def test_starved_ball_budget_raises_and_restores_iv_precision():
+    prec = mpmath.iv.prec
+    for bits in range(1, 9):
+        policy = PrecisionPolicy(strategy="arbitrary", mantissa_bits=bits)
+        with pytest.raises(CertificationError) as info:
+            central_via_spectrum(Params(10, 100), policy)
+        assert info.value.rungs[0][:2] == ("arbitrary", bits)
+        assert info.value.residual >= policy.residual_cap
+        assert mpmath.iv.prec == prec
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    k=st.integers(1, 5),
+    n=st.integers(1, 60),
+    where=st.floats(0, 1),
+    strategy=st.sampled_from(("double", "compensated")),
+)
+@example(k=1, n=33, where=0.5, strategy="double")
+@example(k=1, n=34, where=0.5, strategy="compensated")
+@example(k=1, n=4, where=0.5, strategy="double")
+@example(k=2, n=6, where=0.25, strategy="compensated")
+def test_cheap_rungs_agree_with_the_ball_rung(k, n, where, strategy):
+    # Whenever a double rung's heuristic bound certifies, the proof does too,
+    # on the same value, and the ladder does not skip that rung.  3^33 and
+    # 3^34 sit either side of 2^53; (1, 4) and (2, 6) have zero numerators.
+    p = Params(k, n)
+    l = round(where * p.degree)
+    phase = None if l == k * n else (l - k * n) % p.dim
+    value, residual = spectral._evaluate_double(p, phase, strategy == "compensated")
+    if residual >= spectral.DEFAULT_RESIDUAL_CAP:
+        return
+    proven, radius = spectral._evaluate_arbitrary(p, phase, required_bits(p))
+    assert radius < spectral.DEFAULT_RESIDUAL_CAP
+    assert value == proven, (k, n, l, strategy)
+    result = spectral._certify(p, phase, PrecisionPolicy(strategy=strategy))
+    assert result.policy_used.strategy == strategy
 
 
 def test_policy_validation():
