@@ -4,7 +4,8 @@ M^(2k,n) is the coefficient of x^{kn} in (1 + x + ... + x^{2k})^n, the
 largest entry of the row.  The package computes it (and any other
 coefficient p_l of the row) three ways:
 
-- exact polynomial convolution (:mod:`cnomial.exact`), the oracle;
+- the exact coefficient row by a four-term recurrence, cross-checked by
+  a running-window convolution (:mod:`cnomial.exact`), the oracle;
 - exact circulant-matrix powers, reading the trace or a shifted row
   (:mod:`cnomial.circulant`);
 - a closed-form trigonometric sum over the circulant spectrum, evaluated
@@ -28,14 +29,7 @@ from .circulant import (
     to_dense,
     trace,
 )
-from .exact import (
-    ENUMERATION_CAP,
-    CoefficientTable,
-    EnumerationCapExceeded,
-    central_coefficient,
-    expand_power,
-    multinomial_direct,
-)
+from .exact import CoefficientTable, central_coefficient, expand_power
 from .oeis import (
     OEIS_BY_K,
     BFileParseError,
@@ -67,7 +61,6 @@ from .spectral import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ENUMERATION_CAP",
     "DEFAULT_RESIDUAL_CAP",
     "EIGENVALUE_METHODS",
     "OEIS_BY_K",
@@ -78,7 +71,6 @@ __all__ = [
     "CoefficientTable",
     "ComparisonReport",
     "EigenvalueSet",
-    "EnumerationCapExceeded",
     "FetchError",
     "Params",
     "PrecisionPolicy",
@@ -101,7 +93,6 @@ __all__ = [
     "fixture_for_k",
     "identity",
     "matrix_power",
-    "multinomial_direct",
     "multiply",
     "registered_sequences",
     "required_bits",

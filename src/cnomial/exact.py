@@ -1,27 +1,18 @@
 """Exact coefficient rows of (1 + x + ... + x^{2k})^n.
 
-This module is the ground truth the other routes are checked against: the
-full row of coefficients is built by exact integer convolution, and a
-brute-force enumeration over multinomial compositions provides an
-independent oracle for small cases.
+This module is the ground truth the other routes are checked against.  The
+row is built by the four-term recurrence that P = (1 + x + ... + x^{2k})^n
+satisfies, one exact division per coefficient; the running window, n
+multiplications by the all-ones row, builds the same row with no division
+and is the recurrence's cross-check.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
-from math import factorial
 from operator import sub
 
 from .params import Params
-
-#: Hard ceiling on composition tuples visited by :func:`multinomial_direct`;
-#: the enumeration space grows exponentially in k and this keeps the oracle
-#: from hanging a test run.
-ENUMERATION_CAP = 10_000_000
-
-
-class EnumerationCapExceeded(RuntimeError):
-    """Raised when the composition enumeration would visit too many tuples."""
 
 
 @dataclass(frozen=True)
@@ -41,35 +32,54 @@ class CoefficientTable:
         return self.coeffs[self.params.k * self.params.n]
 
 
-def expand_power(params: Params, strategy: str = "iterative") -> CoefficientTable:
+def expand_power(params: Params, strategy: str = "recurrence") -> CoefficientTable:
     """Expand ``(1 + x + ... + x^{2k})^n`` into its exact coefficient row.
 
-    ``strategy="iterative"`` multiplies by the all-ones factor n times, each
-    time as a running-window sum over prefix sums (see
-    :func:`_times_ones`); ``strategy="binary"`` squares rows by schoolbook
-    convolution instead.  Both are exact and produce identical tables; the
-    binary form shares no arithmetic with the default and serves as its
+    ``strategy="recurrence"`` builds p_0..p_{2kn} by the four-term
+    recurrence (see :func:`_recurrence_prefix`), O(kn) big-int steps;
+    ``strategy="window"`` multiplies by the all-ones row n times as a
+    running-window sum (see :func:`_times_ones`), O(kn²) big-int additions.
+    Both are exact and share no arithmetic; the window is the recurrence's
     cross-check.
     """
-    width = params.width
-    if strategy == "iterative":
+    if strategy == "recurrence":
+        row = _recurrence_prefix(params, params.degree)
+    elif strategy == "window":
         row = [1]
         for _ in range(params.n):
-            row = _times_ones(row, width)
-    elif strategy == "binary":
-        ones = [1] * width
-        row = [1]
-        base = ones
-        e = params.n
-        while e:
-            if e & 1:
-                row = _convolve_linear(row, base)
-            e >>= 1
-            if e:
-                base = _convolve_linear(base, base)
+            row = _times_ones(row, params.width)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     return CoefficientTable(params=params, coeffs=tuple(row))
+
+
+def _recurrence_prefix(params: Params, last: int) -> list[int]:
+    """``[p_0, ..., p_last]`` by the recurrence P = Sⁿ satisfies.
+
+    With m = 2k+1, S = (1 − xᵐ)/(1 − x), and P′/P = n·S′/S gives
+    (1 − x)(1 − xᵐ)·P′ = n·[(1 − xᵐ) − m·x^{m−1}(1 − x)]·P, whose
+    coefficient of x^l reads
+
+        (l+1)·p_{l+1} = (l+n)·p_l + (l+1−m−nm)·p_{l+1−m} + (n(m−1)−l+m)·p_{l−m}
+
+    with p_j = 0 for j < 0.  The row is kept behind m leading zeros, so
+    p_j sits at index j + m and the two back terms need no bounds test.
+    The division by l+1 is exact; a remainder means the recurrence is
+    wrong and raises :class:`ArithmeticError`.
+    """
+    n, m = params.n, params.width
+    back1 = 1 - m - n * m  # + l: the factor of p_{l+1-m}
+    back2 = n * (m - 1) + m  # - l: the factor of p_{l-m}
+    row = [0] * m + [1]
+    for l in range(last):
+        total = (l + n) * row[l + m] + (l + back1) * row[l + 1] + (back2 - l) * row[l]
+        value, remainder = divmod(total, l + 1)
+        if remainder:
+            raise ArithmeticError(
+                f"recurrence step l={l} is not exact for k={params.k}, n={n}"
+            )
+        row.append(value)
+    return row[m:]
 
 
 def _times_ones(row: list[int], width: int) -> list[int]:
@@ -86,62 +96,6 @@ def _times_ones(row: list[int], width: int) -> list[int]:
     return list(map(sub, prefix[1:], chain(repeat(0, width - 1), prefix[: len(row)])))
 
 
-def _convolve_linear(a: list[int], b: list[int]) -> list[int]:
-    """Schoolbook linear convolution of two exact integer coefficient rows."""
-    na = len(a)
-    nb = len(b)
-    out = [0] * (na + nb - 1)
-    for i in range(na):
-        ai = a[i]
-        if ai == 0:
-            continue
-        for j in range(nb):
-            out[i + j] = out[i + j] + ai * b[j]
-    return out
-
-
 def central_coefficient(params: Params) -> int:
-    """The central entry ``coeffs[kn]`` of the expanded power."""
-    return expand_power(params).central
-
-
-def multinomial_direct(params: Params, l: int, cap: int = ENUMERATION_CAP) -> int:
-    """Coefficient of ``x^l`` by direct multinomial enumeration.
-
-    Sums ``n! / (n_0! ... n_{2k}!)`` over all tuples with
-    ``sum n_i = n`` and ``sum i*n_i = l``.  Exponential in k; intended as an
-    independent cross-check of :func:`expand_power` at small sizes.  Raises
-    :class:`EnumerationCapExceeded` once more than ``cap`` tuples are
-    visited.
-    """
-    if not 0 <= l <= params.degree:
-        raise ValueError(f"l must be in [0, {params.degree}], got {l}")
-    top = 2 * params.k
-    n_fact = factorial(params.n)
-    visited = 0
-    total = 0
-
-    # counts[i] for positions 0..i-1 are fixed; s items and weight w remain.
-    def descend(i: int, s: int, w: int, denom: int) -> None:
-        nonlocal visited, total
-        visited += 1
-        if visited > cap:
-            raise EnumerationCapExceeded(
-                f"more than {cap} composition tuples for k={params.k}, n={params.n}, l={l}"
-            )
-        if i == top:
-            # remaining items all land on the last position
-            if w == top * s:
-                total += n_fact // (denom * factorial(s))
-            return
-        for ni in range(s + 1):
-            rest = s - ni
-            rem_w = w - i * ni
-            # the remaining positions i+1..top can absorb weights in
-            # [(i+1)*rest, top*rest] only
-            if rem_w < (i + 1) * rest or rem_w > top * rest:
-                continue
-            descend(i + 1, rest, rem_w, denom * factorial(ni))
-
-    descend(0, params.n, l, 1)
-    return total
+    """The central entry p_kn, by the recurrence stopped there."""
+    return _recurrence_prefix(params, params.k * params.n)[-1]

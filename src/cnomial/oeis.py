@@ -4,8 +4,8 @@ The central-coefficient sequences for k = 1, 2, 3 carry OEIS identifiers
 (A002426, A005191, A025012).  This module holds oracle-generated fixtures
 for them, a small b-file client with an on-disk cache, and a comparison
 routine that recomputes terms through both the trace and the spectral
-paths.  Fixture terms are produced by the convolution oracle at lookup
-time, never typed in by hand, so they cannot drift from the oracle.
+paths.  Fixture terms are produced by the exact oracle at lookup time,
+never typed in by hand, so they cannot drift from the oracle.
 """
 from __future__ import annotations
 

@@ -86,7 +86,7 @@ def test_compute_csv(capsys):
 def test_compute_disagree_exits_nonzero(capsys, monkeypatch):
     real = cli.exact.expand_power
 
-    def corrupted(params, strategy="iterative"):
+    def corrupted(params, strategy="recurrence"):
         row = list(real(params, strategy).coeffs)
         row[params.k * params.n] += 1
         return SimpleNamespace(coeffs=tuple(row))
@@ -225,6 +225,24 @@ def test_verify_detects_wrong_circulant_row(capsys, monkeypatch):
     assert code == 1
     assert out.strip() == "3 cases, 1 failure"
     assert err.strip() == "FAIL k=1 n=3: circulant-row"
+
+
+def test_verify_detects_wrong_window_row(capsys, monkeypatch):
+    # Corrupt one entry of the window row at (k, n) = (1, 2) only: the last
+    # of its two passes is the only one that returns five entries.
+    true_times_ones = cli.exact._times_ones
+
+    def corrupted(row, width):
+        out = true_times_ones(row, width)
+        if len(out) == 5:
+            out[1] += 1
+        return out
+
+    monkeypatch.setattr(cli.exact, "_times_ones", corrupted)
+    code, out, err = run(capsys, "verify", "--k-max", "1", "--n-max", "2")
+    assert code == 1
+    assert out.strip() == "2 cases, 1 failure"
+    assert err.strip() == "FAIL k=1 n=2: exact-window"
 
 
 def test_verify_bad_bounds(capsys):

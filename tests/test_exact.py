@@ -1,15 +1,14 @@
-"""Exact convolution rows and the independent enumeration cross-check."""
+"""Exact rows by the recurrence, its window cross-check and the enumeration oracle."""
+from fractions import Fraction
+from types import SimpleNamespace
+
 import pytest
+from enumeration import EnumerationCapExceeded, multinomial_direct
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnomial import (
-    EnumerationCapExceeded,
-    Params,
-    central_coefficient,
-    expand_power,
-    multinomial_direct,
-)
+from cnomial import Params, central_coefficient, expand_power
+from cnomial.exact import _recurrence_prefix
 
 
 def test_power_one_is_the_polynomial_itself():
@@ -63,13 +62,21 @@ def test_row_structure_on_grid():
 
 
 def test_strategies_produce_identical_rows():
-    for k in range(1, 4):
-        for n in range(0, 11):
+    for k in range(1, 11):
+        for n in range(0, 31):
             p = Params(k, n)
             assert (
-                expand_power(p, strategy="iterative").coeffs
-                == expand_power(p, strategy="binary").coeffs
-            )
+                expand_power(p, strategy="recurrence").coeffs
+                == expand_power(p, strategy="window").coeffs
+            ), (k, n)
+
+
+def test_recurrence_guard_raises_on_inexact_step():
+    # (1 + x + x^2)^(1/2) has p_1 = 1/2: the first division by l + 1 leaves
+    # a remainder, which the guard must report rather than floor away.
+    half = SimpleNamespace(k=1, n=Fraction(1, 2), width=3)
+    with pytest.raises(ArithmeticError, match="l=0"):
+        _recurrence_prefix(half, 2)
 
 
 def test_unknown_strategy_rejected():
@@ -122,8 +129,8 @@ def test_row_invariants_fuzzed(k, n):
     assert all(c >= 1 for c in row)
 
 
-@given(k=st.integers(1, 5), n=st.integers(0, 40))
+@given(k=st.integers(1, 10), n=st.integers(0, 200))
 @settings(max_examples=40, deadline=None)
-def test_binary_strategy_fuzzed(k, n):
+def test_recurrence_matches_window_fuzzed(k, n):
     p = Params(k, n)
-    assert expand_power(p, "binary").coeffs == expand_power(p, "iterative").coeffs
+    assert expand_power(p, "recurrence").coeffs == expand_power(p, "window").coeffs

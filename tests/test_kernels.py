@@ -4,8 +4,9 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cnomial import exact
 from cnomial.circulant import _convolve_cyclic
-from cnomial.exact import _convolve_linear
+from cnomial.params import Params
 from cnomial.spectral import (
     _sine_table,
     _sum_abs,
@@ -13,14 +14,6 @@ from cnomial.spectral import (
     _sum_plain,
     _terms_central,
 )
-
-
-def naive_linear(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
 
 
 def naive_cyclic(a, b):
@@ -32,21 +25,31 @@ def naive_cyclic(a, b):
     return out
 
 
-def test_convolve_linear_example():
-    assert _convolve_linear([1, 1, 1], [1, 1, 1]) == [1, 2, 3, 2, 1]
+def test_times_ones_example():
+    assert exact._times_ones([1, 1, 1], 3) == [1, 2, 3, 2, 1]
 
 
 def test_convolve_cyclic_example():
     assert _convolve_cyclic([1, 1, 0, 0, 1], [1, 1, 0, 0, 1]) == [3, 2, 1, 1, 2]
 
 
-@given(
-    a=st.lists(st.integers(-99, 99), min_size=1, max_size=12),
-    b=st.lists(st.integers(-99, 99), min_size=1, max_size=12),
-)
-@settings(max_examples=50, deadline=None)
-def test_convolve_linear_fuzzed(a, b):
-    assert _convolve_linear(a, b) == naive_linear(a, b)
+def test_central_coefficient_stops_at_kn(monkeypatch):
+    built = []
+    true_prefix = exact._recurrence_prefix
+
+    def recorded(params, last):
+        prefix = true_prefix(params, last)
+        built.append(len(prefix))
+        return prefix
+
+    monkeypatch.setattr(exact, "_recurrence_prefix", recorded)
+    for k in range(1, 6):
+        for n in range(0, 25):
+            p = Params(k, n)
+            built.clear()
+            central = exact.central_coefficient(p)
+            assert built == [k * n + 1], (k, n)
+            assert central == exact.expand_power(p).central, (k, n)
 
 
 @given(
@@ -72,9 +75,12 @@ def test_convolve_cyclic_fuzzed(data, n):
     assert _convolve_cyclic(a, b) == naive_cyclic(a, b)
 
 
-def test_big_integers_survive_convolution():
-    big = 10**40
-    assert _convolve_linear([big, 1], [big, 1]) == [big * big, 2 * big, 1]
+def test_big_integers_survive_recurrence():
+    # Central trinomial coefficients are sum_j C(n, 2j) C(2j, j); at n = 2000
+    # they have 953 digits, and every step's exact division is on big ints.
+    n = 2000
+    closed = sum(math.comb(n, 2 * j) * math.comb(2 * j, j) for j in range(n // 2 + 1))
+    assert exact.central_coefficient(Params(1, n)) == closed
 
 
 def test_compensated_beats_plain_on_cancellation():
