@@ -7,7 +7,9 @@ symmetric shifted circulant (first-row ones at offsets -k..k mod N).
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from functools import lru_cache
 from operator import mul
 
@@ -16,6 +18,14 @@ from .params import Params
 #: Largest dimension :func:`to_dense` will materialize; the dense form only
 #: exists so tests can cross-check against naive matrix algebra.
 DENSE_DIM_LIMIT = 64
+
+#: Narrowest window of nonzeros that :func:`matrix_power` squares by one
+#: packed decimal multiply; narrower windows square by the sparse loop of
+#: :func:`_convolve_cyclic`.  The two cost the same at widths of 20 to 25.
+PACKED_MIN_WIDTH = 24
+
+#: Integer products in this context are exact at any size: nothing rounds.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 @dataclass(frozen=True)
@@ -84,12 +94,11 @@ def multiply(a: CirculantMatrix, b: CirculantMatrix) -> CirculantMatrix:
     return CirculantMatrix(a.dim, tuple(_convolve_cyclic(a.first_row, b.first_row)))
 
 
-def _convolve_cyclic(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
+def _convolve_cyclic(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Cyclic convolution of two equal-length exact integer rows (indices wrap mod N).
 
-    Only nonzero entries take part, with the sparser operand on the outside:
-    powers of a banded circulant are bands that fill the ring only at the
-    end, so most products a dense sweep would form are with zero.
+    Only nonzero entries take part, with the sparser operand on the outside,
+    so rows that are mostly zero cost little.
     """
     n = len(a)
     outer = [(i, x) for i, x in enumerate(a) if x]
@@ -107,19 +116,115 @@ def _convolve_cyclic(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
 
 
 def matrix_power(a: CirculantMatrix, n: int) -> CirculantMatrix:
-    """Exact n-th power by exponentiation by squaring; n=0 gives the identity."""
+    """Exact n-th power of a nonnegative circulant; n=0 gives the identity.
+
+    Left-to-right binary powering from ``a``: each step squares the running
+    power and, on a set bit of n, multiplies it by ``a`` (:func:`_step`).
+    The nonzeros of ``a`` lie in a cyclic window of width w starting at s,
+    so those of aᵉ lie in the window of width min(N, e(w-1)+1) starting at
+    e·s mod N: only that window is kept, and it is tracked, never searched
+    for.  Wide windows step by one packed multiply whose fields must not
+    carry into each other, so the entries must be nonnegative, as every
+    power of a boolean circulant is; a negative one raises ``ValueError``.
+    """
     if n < 0:
         raise ValueError(f"power must be >= 0, got {n}")
-    result = identity(a.dim)
-    base = a
-    e = n
-    while e:
-        if e & 1:
-            result = multiply(result, base)
-        e >>= 1
-        if e:
-            base = multiply(base, base)
-    return result
+    row = a.first_row
+    if min(row) < 0:
+        raise ValueError("matrix_power takes nonnegative first rows")
+    dim = a.dim
+    if n == 0:
+        return identity(dim)
+    start, width = _window(row)
+    if width == 0:
+        return a
+    base = [row[(start + i) % dim] for i in range(width)]
+    base_sum = sum(base)
+    # The running power is aᵉ, its window ``values``; its entries sum to
+    # ``total``, since row sums multiply under cyclic convolution.
+    values, e, total = base, 1, base_sum
+    for bit in bin(n)[3:]:
+        times_a = bit == "1"
+        total = total * total * (base_sum if times_a else 1)
+        values = _step(values, base if times_a else None, total, dim)
+        e = 2 * e + times_a
+    out = [0] * dim
+    offset = e * start % dim
+    for i, value in enumerate(values):
+        out[(offset + i) % dim] = value
+    return CirculantMatrix(dim, tuple(out))
+
+
+def _window(row: tuple[int, ...]) -> tuple[int, int]:
+    """(s, w): the shortest cyclic window s, s+1, ..., s+w-1 (mod N) holding
+    every nonzero of ``row``; (0, 0) for the zero row.
+
+    It is the complement of the longest cyclic run of zeros.
+    """
+    nonzero = [i for i, x in enumerate(row) if x]
+    if not nonzero:
+        return 0, 0
+    dim = len(row)
+    gap, start = dim - nonzero[-1] + nonzero[0], nonzero[0]
+    for i, j in zip(nonzero, nonzero[1:]):
+        if j - i > gap:
+            gap, start = j - i, j
+    return start, dim - gap + 1
+
+
+def _step(values: list[int], other: list[int] | None, bound: int, dim: int) -> list[int]:
+    """The window of X², or of X² A when ``other`` is given, folded mod ``dim``.
+
+    ``values`` and ``other`` are the windows of X and A, and ``bound`` is at
+    least every entry of the product.  The product's window starts at twice
+    the start of X's (plus A's start) and has ``count`` fields; past ``dim``
+    fields it wraps round the ring and is folded onto ``dim``.
+
+    Below :data:`PACKED_MIN_WIDTH` the fields come from the sparse loop.
+    Above it, each window is packed as fixed-width decimal fields into one
+    :class:`~decimal.Decimal`, and one multiply (a number-theoretic
+    transform inside libmpdec for large operands) forms every field at
+    once.  The fields are wide enough to hold ``bound``, so with
+    nonnegative entries no carry crosses from one into the next.
+    """
+    count = 2 * len(values) - 1 + (len(other) - 1 if other is not None else 0)
+    if len(values) < PACKED_MIN_WIDTH:
+        # Padded to ``count``, the cyclic convolution never wraps.
+        padded = values + [0] * (count - len(values))
+        fields = _convolve_cyclic(padded, padded)
+        if other is not None:
+            fields = _convolve_cyclic(fields, other + [0] * (count - len(other)))
+    else:
+        digits = bound.bit_length() * 30103 // 100000 + 1  # 10**digits > bound
+        packed = _pack(values, digits)
+        product = _EXACT.multiply(packed, packed)
+        if other is not None:
+            product = _EXACT.multiply(product, _pack(other, digits))
+        fields = _unpack(product, digits, count)
+    if count <= dim:
+        return fields
+    out = fields[:dim]
+    for t in range(dim, count):
+        out[t % dim] += fields[t]
+    return out
+
+
+def _pack(values: list[int], digits: int) -> Decimal:
+    """sum values[i] * 10**(digits*i), each value below 10**digits.
+
+    Conversions go through :class:`~decimal.Decimal`, to which CPython's
+    int/str digit limit does not apply.
+    """
+    return Decimal("".join(str(Decimal(v)).zfill(digits) for v in reversed(values)))
+
+
+def _unpack(packed: Decimal, digits: int, count: int) -> list[int]:
+    """The ``count`` fields of ``digits`` digits of ``packed``, lowest first."""
+    text = str(packed).zfill(digits * count)
+    return [
+        int(Decimal(text[i : i + digits]))
+        for i in range(len(text) - digits, -1, -digits)
+    ]
 
 
 def trace(a: CirculantMatrix) -> int:

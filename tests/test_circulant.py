@@ -97,6 +97,93 @@ def test_matrix_power_negative_rejected():
         matrix_power(identity(3), -1)
 
 
+def test_matrix_power_negative_entry_rejected():
+    # The packed squaring needs carry-free fields: nonnegative rows only.
+    with pytest.raises(ValueError):
+        matrix_power(CirculantMatrix(3, (1, -1, 0)), 2)
+
+
+def power_by_products(a, e):
+    """aᵉ by e products through the sparse loop: the kernel's reference."""
+    result = identity(a.dim)
+    for _ in range(e):
+        result = multiply(result, a)
+    return result
+
+
+def windowed_row(data, dim, widths):
+    """(row, start, width): a nonnegative row, zero outside a cyclic window
+    that may wrap past index 0 and hold zeros inside; the width is drawn
+    from ``widths``."""
+    width = data.draw(widths)
+    start = data.draw(st.integers(0, dim - 1))
+    entry = st.one_of(st.just(0), st.integers(1, 9), st.integers(0, 10**40))
+    row = [0] * dim
+    for i, x in enumerate(data.draw(st.lists(entry, min_size=width, max_size=width))):
+        row[(start + i) % dim] = x
+    return row, start, width
+
+
+@pytest.mark.parametrize("packed", [False, True], ids=["sparse", "packed"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_step_matches_cyclic_convolution(packed, data):
+    # One powering step, X² and X² A, against the full-row convolution, on
+    # both sides of the cutover; the product window wraps and folds when it
+    # outgrows the ring.
+    cut = circulant.PACKED_MIN_WIDTH
+    dim = data.draw(st.integers(cut if packed else 1, 3 * cut))
+    widths = st.integers(cut, dim) if packed else st.integers(0, min(dim, cut - 1))
+    x, xs, xw = windowed_row(data, dim, widths)
+    a, as_, aw = windowed_row(data, dim, st.integers(1, dim))
+    values = [x[(xs + i) % dim] for i in range(max(xw, 1))]  # the zero row: one zero
+    base = [a[(as_ + i) % dim] for i in range(aw)]
+    square = circulant._convolve_cyclic(x, x)
+    for other, start, expected in (
+        (None, 2 * xs, square),
+        (base, 2 * xs + as_, circulant._convolve_cyclic(square, a)),
+    ):
+        bound = sum(x) ** 2 * (sum(a) if other else 1)
+        fields = circulant._step(values, other, bound, dim)
+        assert len(fields) <= dim
+        row = [0] * dim
+        for i, value in enumerate(fields):
+            row[(start + i) % dim] = value
+        assert row == expected
+
+
+@given(data=st.data(), e=st.integers(0, 40))
+@settings(max_examples=60, deadline=None)
+def test_matrix_power_matches_products(data, e):
+    # The tracked window through every step, narrow, packed and wrapped.
+    dim = data.draw(st.integers(1, 60))
+    row, _, _ = windowed_row(data, dim, st.integers(0, dim))
+    a = CirculantMatrix(dim, tuple(row))
+    assert matrix_power(a, e) == power_by_products(a, e)
+
+
+def test_matrix_power_edge_rows():
+    zero = CirculantMatrix(7, (0,) * 7)
+    assert matrix_power(zero, 5) == zero
+    assert matrix_power(zero, 0) == identity(7)
+    single = CirculantMatrix(7, (0, 0, 0, 5, 0, 0, 0))
+    assert matrix_power(single, 4).first_row == (0, 0, 0, 0, 0, 625, 0)
+    full = CirculantMatrix(30, tuple(range(1, 31)))
+    assert matrix_power(full, 5) == power_by_products(full, 5)
+
+
+def test_matrix_power_beyond_the_digit_limit():
+    # Fields of about 6600 digits, past CPython's 4300-digit int/str limit.
+    dim = 60
+    row = [0] * dim
+    for i in range(circulant.PACKED_MIN_WIDTH + 1):
+        row[(50 + i) % dim] = 10**2200 + i
+    a = CirculantMatrix(dim, tuple(row))
+    cubed = matrix_power(a, 3)
+    assert max(cubed.first_row).bit_length() > 4300 * 3.32 * 1.5
+    assert cubed == power_by_products(a, 3)
+
+
 def test_trace_identity():
     assert trace(identity(5)) == 5
 
@@ -126,12 +213,27 @@ def test_central_via_trace_equals_oracle_on_grid():
 
 def test_circulant_row_on_grid():
     # C^n has first row b_j = p_{(j + kn) mod N}: the exact row rotated by kn.
+    # Past n of about 24 / 2k the windows are wide enough to be packed.
     for k in range(1, 5):
-        for n in range(0, 13):
+        for n in range(0, 41):
             p = Params(k, n)
             row = expand_power(p).coeffs
             rotated = tuple(row[(j + k * n) % p.dim] for j in range(p.dim))
             assert matrix_power(build_central(p), n).first_row == rotated, (k, n)
+
+
+def test_trace_route_in_target_regime():
+    # Sizes where every squaring but the first is packed.
+    for k, n in [(1, 1600), (3, 800), (10, 400)]:
+        p = Params(k, n)
+        assert central_via_trace(p) == central_coefficient(p), (k, n)
+    p = Params(10, 200)
+    row = expand_power(p).coeffs
+    try:
+        for l in (3, 1234, 3100):
+            assert coefficient_via_shift(p, l) == row[l], l
+    finally:
+        circulant._half_power_rows.cache_clear()
 
 
 def test_coefficient_via_shift_examples():

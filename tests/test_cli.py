@@ -2,7 +2,6 @@
 import csv
 import io
 import json
-from types import SimpleNamespace
 
 import pytest
 
@@ -84,17 +83,33 @@ def test_compute_csv(capsys):
 
 
 def test_compute_disagree_exits_nonzero(capsys, monkeypatch):
-    real = cli.exact.expand_power
+    real = cli.exact.central_coefficient
 
-    def corrupted(params, strategy="recurrence"):
-        row = list(real(params, strategy).coeffs)
-        row[params.k * params.n] += 1
-        return SimpleNamespace(coeffs=tuple(row))
+    def corrupted(params):
+        return real(params) + 1
 
-    monkeypatch.setattr(cli.exact, "expand_power", corrupted)
+    monkeypatch.setattr(cli.exact, "central_coefficient", corrupted)
     code, out, _ = run(capsys, "compute", "--k", "1", "--n", "2", "--method", "all")
     assert code == 1
     assert out.splitlines()[-1] == "DISAGREE"
+
+
+def test_compute_conv_central_stops_at_kn(capsys, monkeypatch):
+    # At the centre the conv branch runs the recurrence to p_kn only, never
+    # to the end of the row.
+    real = cli.exact._recurrence_prefix
+    central = cli.exact.expand_power(cli.Params(3, 7)).central
+    lasts = []
+
+    def recording(params, last):
+        lasts.append(last)
+        return real(params, last)
+
+    monkeypatch.setattr(cli.exact, "_recurrence_prefix", recording)
+    code, out, _ = run(capsys, "compute", "--k", "3", "--n", "7", "--method", "conv")
+    assert code == 0
+    assert out.strip() == str(central)
+    assert lasts == [21]
 
 
 def test_compute_out_of_range_l(capsys):
@@ -243,6 +258,21 @@ def test_verify_detects_wrong_window_row(capsys, monkeypatch):
     assert code == 1
     assert out.strip() == "2 cases, 1 failure"
     assert err.strip() == "FAIL k=1 n=2: exact-window"
+
+
+def test_verify_detects_wrong_ratios(capsys, monkeypatch):
+    # Flip the sign of every ratio E_r.  The spectral sum only sees E_r^n,
+    # so at n = 2 the routes still agree; at (1, 1) the one ratio is 0.
+    true_ratios = cli.spectral._ratios
+
+    def flipped(m, sines):
+        return (-ratio for ratio in true_ratios(m, sines))
+
+    monkeypatch.setattr(cli.spectral, "_ratios", flipped)
+    code, out, err = run(capsys, "verify", "--k-max", "1", "--n-max", "2")
+    assert code == 1
+    assert out.strip() == "2 cases, 1 failure"
+    assert err.strip() == "FAIL k=1 n=2: eigen-ratios"
 
 
 def test_verify_bad_bounds(capsys):
