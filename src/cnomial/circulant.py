@@ -7,6 +7,7 @@ symmetric shifted circulant (first-row ones at offsets -k..k mod N).
 """
 from __future__ import annotations
 
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
@@ -219,12 +220,15 @@ def _pack(values: list[int], digits: int) -> Decimal:
 
 
 def _unpack(packed: Decimal, digits: int, count: int) -> list[int]:
-    """The ``count`` fields of ``digits`` digits of ``packed``, lowest first."""
+    """The ``count`` fields of ``digits`` digits of ``packed``, lowest first.
+
+    ``int`` parses a field directly within CPython's int/str digit limit
+    (0: none); a wider field goes through :class:`~decimal.Decimal`.
+    """
     text = str(packed).zfill(digits * count)
-    return [
-        int(Decimal(text[i : i + digits]))
-        for i in range(len(text) - digits, -1, -digits)
-    ]
+    limit = sys.get_int_max_str_digits()
+    parse = int if not 0 < limit < digits else lambda field: int(Decimal(field))
+    return [parse(text[i : i + digits]) for i in range(len(text) - digits, -1, -digits)]
 
 
 def trace(a: CirculantMatrix) -> int:

@@ -15,7 +15,8 @@ under a cap.  The bound matters: once terms outgrow the mantissa the
 measured distance alone is blind (above 2^53 every double is an integer).
 The double and compensated rungs use a forward error bound; when neither
 can certify, the arbitrary rung evaluates the sum in fixed-point ball
-arithmetic, whose radius encloses every rounding.
+arithmetic, whose radius encloses every rounding, each term at the width
+its size needs.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from math import cos, inf, pi, sin
 
-import mpmath
+from mpmath import libmp
 
 from .params import Params
 
@@ -385,41 +386,55 @@ def _floor_ldexp(man: int, exp: int) -> int:
     return man << exp if exp >= 0 else man >> -exp
 
 
-def _ball(x: mpmath.ctx_iv.ivmpf, bits: int) -> tuple[int, int]:
-    """An integer ball (mid, rad) around 2^bits times every point of the interval x."""
-    (lo, lo_exp), (hi, hi_exp) = (mpmath.libmp.to_man_exp(end) for end in x._mpi_)
+def _ball(x: tuple[tuple, tuple], bits: int) -> tuple[int, int]:
+    """An integer ball (mid, rad) around 2^bits times every point of the libmp interval x."""
+    (lo, lo_exp), (hi, hi_exp) = (libmp.to_man_exp(end) for end in x)
     lo, hi = _floor_ldexp(lo, lo_exp + bits), -_floor_ldexp(-hi, hi_exp + bits)
     mid = (lo + hi) >> 1
     return mid, hi - mid
 
 
-def _rotation_table(dim: int, bits: int) -> tuple[list[int], int]:
-    """Midpoints S_j of 2^bits sin(j pi/N), j = 0..floor(N/2), and a step delta.
+def _rotation_table(dim: int, bits: int) -> list[tuple[int, int]]:
+    """Balls (S_j, R_j) around 2^bits sin(j pi/N), j = 0..floor(N/2).
 
-    z^j = exp(i j pi/N) is built by rotation from one enclosure of z, four
-    products and two floor shifts per step.  Write e_j for the error of
-    (C_j + i S_j) / 2^bits against z^j, in ulps of 2^-bits.  The seed's
-    is e_1 <= e = rad(cos) + rad(sin).  A step rounds each component down
-    by under an ulp, and |z| = 1, so e_{j+1} <= e_j (1 + e/2^bits) + e + 2,
-    which is at most e_j + 2e + 2 while e_j <= 2^bits.  Hence
-    |S_j - 2^bits s_j| <= e_j <= j * delta with delta = 2e + 2, valid as
-    long as floor(N/2) * delta <= 2^bits.  mpmath is called for the seed
-    only, at 20 guard bits.
+    :func:`_chebyshev_sines` builds them e = 2 bitlen(floor(N/2)) + 2 bits
+    wider, which holds its quadratic error growth to a few ulps here.
     """
-    prec = mpmath.iv.prec
-    try:
-        mpmath.iv.prec = bits + 20
-        angle = mpmath.iv.pi / dim
-        c, rc = _ball(mpmath.iv.cos(angle), bits)
-        s, rs = _ball(mpmath.iv.sin(angle), bits)
-    finally:
-        mpmath.iv.prec = prec
-    table = [0]
-    cj, sj = 1 << bits, 0
-    for _ in range(dim // 2):
-        cj, sj = (cj * c - sj * s) >> bits, (sj * c + cj * s) >> bits
-        table.append(sj)
-    return table, 2 * (rc + rs) + 2
+    extra = 2 * (dim // 2).bit_length() + 2
+    return [_ball_down(x, rx, extra) for x, rx in _chebyshev_sines(dim, bits + extra)]
+
+
+def _chebyshev_sines(dim: int, bits: int) -> list[tuple[int, int]]:
+    """Balls (S_j, R_j) around 2^bits sin(j pi/N), j = 0..floor(N/2), one product each.
+
+    The sines of the rotation z^j = exp(i j pi/N) obey the Chebyshev
+    recurrence s_{j+1} = 2c s_j - s_{j-1}, c = cos(pi/N).  One libmp
+    enclosure of (c, s_1), at 20 guard bits, gives balls (C, rho_c) and
+    (S_1, rho_s).  Write eps_j = S_j - 2^bits s_j, so eps_0 = 0 and
+    |eps_1| <= rho_s.  A step S_{j+1} = floor(2 C S_j / 2^bits) - S_{j-1},
+    with C = 2^bits c + gamma and |gamma| <= rho_c, gives
+
+        eps_{j+1} = 2c eps_j - eps_{j-1} + d_j,   d_j = 2 gamma S_j / 2^bits - f_j,
+
+    f_j in [0, 1) being the floor's cut, so |d_j| <= d = ceil(2 rho_c
+    max|S| / 2^bits) + 1 over the computed entries.  The recurrence is
+    linear, and a kick at step i reaches entry j as U_{j-1-i}(c), the
+    Chebyshev polynomial of the second kind, with |U_m| <= m + 1 on
+    [-1, 1]; eps_1 reaches it as U_{j-1}(c).  Hence
+
+        |eps_j| <= R_j = j rho_s + sum_{i=1}^{j-1} (j - i) d = j rho_s + j(j-1)/2 d,
+
+    at any budget.
+    """
+    half, prec = dim // 2, bits + 20
+    pi = (libmp.mpf_pi(prec, libmp.round_floor), libmp.mpf_pi(prec, libmp.round_ceiling))
+    angle = libmp.mpi_div(pi, (libmp.from_int(dim),) * 2, prec)
+    (c, rc), (s, rs) = (_ball(x, bits) for x in libmp.mpi_cos_sin(angle, prec))
+    table, twice = [0, s][: half + 1], 2 * c
+    for _ in range(half - 1):
+        table.append(((twice * table[-1]) >> bits) - table[-2])
+    d = -(-2 * rc * max(map(abs, table)) >> bits) + 1
+    return [(x, j * rs + j * (j - 1) // 2 * d) for j, x in enumerate(table)]
 
 
 def _ball_mul(x: int, rx: int, y: int, ry: int, bits: int) -> tuple[int, int]:
@@ -432,12 +447,21 @@ def _ball_mul(x: int, rx: int, y: int, ry: int, bits: int) -> tuple[int, int]:
     return (x * y) >> bits, ((abs(x) * ry + abs(y) * rx + rx * ry) >> bits) + 2
 
 
+def _ball_down(x: int, rx: int, shift: int) -> tuple[int, int]:
+    """The ball (x, rx) at a scale 2^shift times coarser.
+
+    The midpoint's floor shift costs under an ulp; the radius rounds up.
+    """
+    return x >> shift, -(-rx >> shift) + 1
+
+
 def _ball_div(x: int, rx: int, y: int, ry: int, bits: int) -> tuple[int, int]:
     """The quotient of the balls (x, rx) / (y, ry) at scale 2^bits, for y > ry.
 
-    2^bits x/y lies within an ulp above the midpoint q.  Moving x and y
-    within their radii moves it by at most (rx 2^bits + (|q| + 1) ry)/(y - ry),
-    because 2^bits |x|/y <= |q| + 1 and the divisor stays above y - ry.
+    x and y share any one scale.  2^bits x/y lies within an ulp above the
+    midpoint q.  Moving x and y within their radii moves it by at most
+    (rx 2^bits + (|q| + 1) ry)/(y - ry), because 2^bits |x|/y <= |q| + 1 and
+    the divisor stays above y - ry.
     """
     q = (x << bits) // y
     return q, -((-(rx << bits) - (abs(q) + 1) * ry) // (y - ry)) + 1
@@ -461,29 +485,44 @@ def _evaluate_arbitrary(params: Params, phase: int | None, bits: int) -> tuple[i
     """The spectral sum in fixed-point ball arithmetic at scale 2^bits.
 
     Every quantity is an integer midpoint x and an integer radius rx with
-    |2^bits * value - x| <= rx, and every rounding is charged to the radius,
-    so the residual encloses the distance of the exact sum from the returned
-    integer: no error estimate is involved.
+    |2^g * value - x| <= rx at its scale 2^g, and every rounding is charged
+    to the radius, so the residual encloses the distance of the exact sum
+    from the returned integer: no error estimate is involved.
+
+    The terms differ enormously in size, so each runs at its own width g_r:
+    an error of 2^-g_r in E_r grows to about n |E_r|^(n-1) 2^-g_r in E_r^n,
+    and N such terms are summed, so g_r = bitlen(n) + bitlen(N) + GUARD_BITS
+    + ceil((n - 1) log2 |E_r|) where |E_r| > 1, capped at ``bits``.  log2 |E_r|
+    is read off the table's midpoints.  The quotient comes out at scale
+    2^g_r from the table's balls, the power and the phase weight run there,
+    and the result is shifted back up, exactly, before it is added.  A
+    width only decides whether the sum certifies, never whether the
+    residual encloses it.
     """
     n, dim = params.n, params.dim
-    one = 1 << bits
-    sines, delta = _rotation_table(dim, bits)
-    if (dim // 2) * delta > one:
-        return 0, math.inf
+    sines = _rotation_table(dim, bits)
     phases = None if phase is None else _phase_indices(phase, dim)
+    least = n.bit_length() + dim.bit_length() + GUARD_BITS
     total, radius = params.width**n << bits, 0
     for r, (sign, j) in enumerate(_numerators(params.width, dim), 1):
-        s, rs = sines[r], r * delta
+        s, rs = sines[r]
         if s <= rs:
             return 0, math.inf
-        q, rq = _ball_div(sines[j], j * delta, s, rs, bits)
-        x, rx = _ball_pow(sign * q, rq, n, bits)
+        t, rt = sines[j]
+        width = least
+        if t > s:
+            width += math.ceil((n - 1) * (math.log2(t) - math.log2(s)))
+        width = min(width, bits)
+        shift = bits - width
+        q, rq = _ball_div(t, rt, s, rs, width)
+        x, rx = _ball_pow(sign * q, rq, n, width)
         if phases is not None:
             i = next(phases)
-            w, rw = _ball_mul(sines[i], i * delta, sines[i], i * delta, bits)
-            x, rx = _ball_mul(x, rx, one - 2 * w, 2 * rw, bits)
-        total += 2 * x
-        radius += 2 * rx
+            si, ri = _ball_down(*sines[i], shift)
+            w, rw = _ball_mul(si, ri, si, ri, width)
+            x, rx = _ball_mul(x, rx, (1 << width) - 2 * w, 2 * rw, width)
+        total += x << (shift + 1)
+        radius += rx << (shift + 1)
     scale = dim << bits
     value = (2 * total + scale) // (2 * scale)
     try:
@@ -545,12 +584,13 @@ def coefficient_via_spectrum(
 ) -> CertifiedInteger:
     """Coefficient ``p_l`` from the phase-weighted spectral sum, certified.
 
-    Uses the real cosine form: the eigenvalue pairing E_r = E_{N+2-r}
-    cancels the imaginary parts of the conjugate Fourier phases, leaving
-    cosine weights.  The phase index is taken relative to the central
-    column, ``(l - kn) mod N``: the n-th power of the central circulant
-    stores ``p_l`` that many columns right of its diagonal, and phase 0
-    (l = kn) reduces to the central sum.
+    Uses the real cosine form: the eigenvalue pairing E_r = E_{N-r} (the
+    0-based Fourier index r, as in the rest of the module) cancels the
+    imaginary parts of the conjugate Fourier phases, leaving cosine
+    weights.  The phase index is taken relative to the central column,
+    ``(l - kn) mod N``: the n-th power of the central circulant stores
+    ``p_l`` that many columns right of its diagonal, and phase 0 (l = kn)
+    reduces to the central sum.
     """
     if not 0 <= l <= params.degree:
         raise ValueError(f"l must be in [0, {params.degree}], got {l}")

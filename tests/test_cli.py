@@ -275,6 +275,32 @@ def test_verify_detects_wrong_ratios(capsys, monkeypatch):
     assert err.strip() == "FAIL k=1 n=2: eigen-ratios"
 
 
+def test_verify_reports_uncertified_cases_and_goes_on(capsys, monkeypatch):
+    # Fold every numerator with the wrong sign: the sums are wrong and some
+    # cannot certify.  Each such case fails with spectral-certified, and
+    # the grid still reaches its last case and the summary.
+    true_numerators = cli.spectral._numerators
+
+    def wrong_sign(m, dim):
+        return ((1, j) for _, j in true_numerators(m, dim))
+
+    monkeypatch.setattr(cli.spectral, "_numerators", wrong_sign)
+    code, out, err = run(capsys, "verify", "--k-max", "3", "--n-max", "8",
+                         "--format", "json-lines")
+    assert code == 1
+    records = json_lines(out)
+    cases = [r for r in records if r["type"] == "case"]
+    assert [(r["k"], r["n"]) for r in cases] == [
+        (k, n) for k in range(1, 4) for n in range(1, 9)
+    ]
+    uncertified = [r for r in cases if "spectral-certified" in r["failed"].split(";")]
+    assert uncertified
+    for r in uncertified:
+        assert f"FAIL k={r['k']} n={r['n']}: " in err
+    failures = sum(not r["ok"] for r in cases)
+    assert records[-1] == {"type": "summary", "cases": 24, "failures": failures}
+
+
 def test_verify_bad_bounds(capsys):
     code, _, err = run(capsys, "verify", "--k-max", "0", "--n-max", "3")
     assert code == 2

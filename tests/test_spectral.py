@@ -345,6 +345,47 @@ def test_ball_rung_encloses_the_exact_value(k):
             assert residual < spectral.DEFAULT_RESIDUAL_CAP, (k, n, l)
 
 
+@pytest.mark.parametrize("k, n, l", [
+    (1, 735, 735), (1, 735, 301),
+    (3, 232, 696), (3, 232, 1000),
+    (10, 92, 920), (10, 92, 77),
+])
+def test_ball_rung_certifies_in_the_central_large_regime(k, n, l):
+    # At the sizes the per-term widths were sized for, the rung alone
+    # certifies the exact row's value at its budget F.
+    p = Params(k, n)
+    policy = PrecisionPolicy(strategy="arbitrary")
+    if l == k * n:
+        result = central_via_spectrum(p, policy)
+    else:
+        result = coefficient_via_spectrum(p, l, policy)
+    bits = required_bits(p)
+    assert result.value == expand_power(p).coeffs[l]
+    assert result.policy_used.mantissa_bits == bits
+    assert result.rungs == (("arbitrary", bits, result.residual),)
+    assert result.residual < spectral.DEFAULT_RESIDUAL_CAP
+
+
+@pytest.mark.parametrize("k, n, phase", [(1, 735, None), (3, 40, 7), (10, 92, None), (2, 6, 3)])
+def test_term_widths_stay_within_the_budget(monkeypatch, k, n, phase):
+    # Every term's power runs at a width of at most F, one term per
+    # r = 1..floor(N/2); at n > 1 the terms with |E_r| < 1 run narrower.
+    widths = []
+    power = spectral._ball_pow
+
+    def recording(x, rx, n, bits):
+        widths.append(bits)
+        return power(x, rx, n, bits)
+
+    monkeypatch.setattr(spectral, "_ball_pow", recording)
+    p = Params(k, n)
+    bits = required_bits(p)
+    spectral._evaluate_arbitrary(p, phase, bits)
+    assert len(widths) == p.dim // 2
+    assert max(widths) <= bits
+    assert min(widths) < bits
+
+
 def _corners(x, rx):
     return (x - rx, x + rx) + ((0,) if abs(x) <= rx else ())
 
@@ -377,22 +418,35 @@ def test_ball_operations_enclose_every_corner(bits, x, rx, y, ry, n):
                 assert abs(Fraction(a * scale, b) - mid) <= rad
 
 
+@settings(max_examples=200, deadline=None)
+@given(x=st.integers(-(2**90), 2**90), rx=st.integers(0, 2**40), shift=st.integers(0, 80))
+def test_ball_down_encloses_both_ends(x, rx, shift):
+    # The table and each phase weight's sine go down to a coarser scale
+    # this way: the floor of the midpoint and the rounding of the radius
+    # both count.
+    mid, rad = spectral._ball_down(x, rx, shift)
+    for a in (x - rx, x + rx):
+        assert abs(Fraction(a, 2**shift) - mid) <= rad
+
+
 @settings(max_examples=40, deadline=None)
-@given(half=st.integers(1, 150), bits=st.integers(1, 200))
+@given(half=st.integers(1, 1000), bits=st.integers(1, 400))
 def test_rotation_table_encloses_the_sines(half, bits):
-    # |S_j - 2^bits sin(j pi/N)| <= j delta wherever floor(N/2) delta <= 2^bits,
-    # against mpmath.iv at 64 more bits.
+    # |S_j - 2^bits sin(j pi/N)| <= R_j for every entry, at every budget,
+    # against mpmath.iv at 64 more bits: the table, and the recurrence
+    # behind it without the table's guard bits, where its radius is tight.
     dim = 2 * half + 1
-    table, delta = spectral._rotation_table(dim, bits)
-    assert len(table) == half + 1 and table[0] == 0
-    if half * delta > 2**bits:
-        return
+    tables = [spectral._rotation_table(dim, bits), spectral._chebyshev_sines(dim, bits)]
+    for table in tables:
+        assert len(table) == half + 1 and table[0][0] == 0
     prec = mpmath.iv.prec
     try:
         mpmath.iv.prec = bits + 64
-        for j, mid in enumerate(table):
+        for j in range(half + 1):
             exact = mpmath.iv.ldexp(mpmath.iv.sin(mpmath.iv.pi * j / dim), bits)
-            assert mid - j * delta <= exact.a and exact.b <= mid + j * delta, (j, mid)
+            for table in tables:
+                mid, rad = table[j]
+                assert mid - rad <= exact.a and exact.b <= mid + rad, (j, mid, rad)
     finally:
         mpmath.iv.prec = prec
 
