@@ -16,20 +16,8 @@ coefficient p_l of the row) three ways:
 :mod:`cnomial.oeis` ties the k = 1, 2, 3 sequences to their OEIS entries;
 the ``cnomial`` console script exposes everything on the command line.
 """
-from .circulant import (
-    CirculantMatrix,
-    build_central,
-    build_shifted,
-    central_via_trace,
-    coefficient_via_shift,
-    cyclic_permutation,
-    identity,
-    matrix_power,
-    multiply,
-    to_dense,
-    trace,
-)
-from .exact import CoefficientTable, central_coefficient, expand_power
+from .circulant import central_via_trace, coefficient_via_shift
+from .exact import central_coefficient, expand_power
 from .oeis import (
     OEIS_BY_K,
     BFileParseError,
@@ -38,65 +26,39 @@ from .oeis import (
     SequenceIdError,
     SequenceRecord,
     compare,
-    computed_sequence,
     fetch_bfile,
     fixture_for_k,
-    registered_sequences,
 )
 from .params import Params
 from .spectral import (
-    DEFAULT_RESIDUAL_CAP,
-    EIGENVALUE_METHODS,
     CertificationError,
     CertifiedInteger,
-    EigenvalueSet,
     PrecisionPolicy,
     central_via_spectrum,
     coefficient_via_spectrum,
-    dirichlet_kernel,
-    eigenvalues,
-    required_bits,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_RESIDUAL_CAP",
-    "EIGENVALUE_METHODS",
     "OEIS_BY_K",
     "BFileParseError",
     "CertificationError",
     "CertifiedInteger",
-    "CirculantMatrix",
-    "CoefficientTable",
     "ComparisonReport",
-    "EigenvalueSet",
     "FetchError",
     "Params",
     "PrecisionPolicy",
     "SequenceIdError",
     "SequenceRecord",
-    "build_central",
-    "build_shifted",
     "central_coefficient",
     "central_via_spectrum",
     "central_via_trace",
     "coefficient_via_shift",
     "coefficient_via_spectrum",
     "compare",
-    "computed_sequence",
-    "cyclic_permutation",
-    "dirichlet_kernel",
-    "eigenvalues",
     "expand_power",
     "fetch_bfile",
     "fixture_for_k",
-    "identity",
-    "matrix_power",
-    "multiply",
-    "registered_sequences",
-    "required_bits",
-    "to_dense",
-    "trace",
     "__version__",
 ]

@@ -16,10 +16,6 @@ from operator import mul
 
 from .params import Params
 
-#: Largest dimension :func:`to_dense` will materialize; the dense form only
-#: exists so tests can cross-check against naive matrix algebra.
-DENSE_DIM_LIMIT = 64
-
 #: Narrowest window of nonzeros that :func:`matrix_power` squares by one
 #: packed decimal multiply; narrower windows square by the sparse loop of
 #: :func:`_convolve_cyclic`.  The two cost the same at widths of 20 to 25.
@@ -51,13 +47,6 @@ class CirculantMatrix:
 
 def identity(dim: int) -> CirculantMatrix:
     return CirculantMatrix(dim, (1,) + (0,) * (dim - 1))
-
-
-def cyclic_permutation(dim: int) -> CirculantMatrix:
-    """The basis circulant with a single 1 at offset 1 (offset 0 when dim=1)."""
-    row = [0] * dim
-    row[1 % dim] = 1
-    return CirculantMatrix(dim, tuple(row))
 
 
 def build_shifted(params: Params, m: int) -> CirculantMatrix:
@@ -223,24 +212,13 @@ def _unpack(packed: Decimal, digits: int, count: int) -> list[int]:
     """The ``count`` fields of ``digits`` digits of ``packed``, lowest first.
 
     ``int`` parses a field directly within CPython's int/str digit limit
-    (0: none); a wider field goes through :class:`~decimal.Decimal`.
+    (0: none, as on Pythons before 3.10.7, which have no limit); a wider
+    field goes through :class:`~decimal.Decimal`.
     """
     text = str(packed).zfill(digits * count)
-    limit = sys.get_int_max_str_digits()
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     parse = int if not 0 < limit < digits else lambda field: int(Decimal(field))
     return [parse(text[i : i + digits]) for i in range(len(text) - digits, -1, -digits)]
-
-
-def trace(a: CirculantMatrix) -> int:
-    """dim * first_row[0]; every diagonal entry of a circulant is first_row[0]."""
-    return a.dim * a.first_row[0]
-
-
-def to_dense(a: CirculantMatrix, limit: int = DENSE_DIM_LIMIT) -> list[list[int]]:
-    """Materialize the full matrix (tests only; guarded against large dims)."""
-    if a.dim > limit:
-        raise ValueError(f"refusing to materialize dim {a.dim} > {limit}")
-    return [[a.first_row[(j - i) % a.dim] for j in range(a.dim)] for i in range(a.dim)]
 
 
 def central_via_trace(params: Params) -> int:
@@ -268,32 +246,27 @@ def _product_entry(x: tuple[int, ...], y: tuple[int, ...], t: int) -> int:
 
 
 @lru_cache(maxsize=256)
-def _half_power_rows(k: int, n: int, m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """First rows of X = C_m^{floor(n/2)} and Y = X, or X C_m when n is odd."""
-    shifted = build_shifted(Params(k, n), m)
-    half = matrix_power(shifted, n // 2)
-    other = multiply(half, shifted) if n % 2 else half
+def _half_power_rows(k: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """First rows of X = C^{floor(n/2)} and Y = X, or X C when n is odd,
+    for the central circulant C of (k, n)."""
+    central = build_central(Params(k, n))
+    half = matrix_power(central, n // 2)
+    other = multiply(half, central) if n % 2 else half
     return half.first_row, other.first_row
 
 
-def coefficient_via_shift(params: Params, l: int, m: int | None = None) -> int:
-    """Coefficient ``p_l`` read from the n-th power of a shifted circulant.
+def coefficient_via_shift(params: Params, l: int) -> int:
+    """Coefficient ``p_l`` read from the n-th power of the central circulant.
 
     The n-th power of the m-shifted circulant has first row
     ``b_j = p_{(j - n*m) mod N}``: the shift multiplies the whole row of
-    coefficients by x^{n*m}, rotating it through the ring.  Reading offset
-    ``(l + n*m) mod N`` therefore recovers ``p_l`` for any shift; the
-    default shift is the central one ``m = N - k``, which parks the central
-    coefficient on the diagonal.  As in :func:`central_via_trace`, the n-th
-    power is never formed: the entry is read off the two half powers, which
-    are cached per (k, n, m) for the other coefficients of the same row.
+    coefficients by x^{n*m}, rotating it through the ring.  The central
+    circulant is the shift ``m = N - k``, so ``p_l`` sits at offset
+    ``(l - kn) mod N``.  As in :func:`central_via_trace`, the n-th power is
+    never formed: the entry is read off the two half powers, which are
+    cached per (k, n) for the other coefficients of the same row.
     """
     if not 0 <= l <= params.degree:
         raise ValueError(f"l must be in [0, {params.degree}], got {l}")
-    n_dim = params.dim
-    if m is None:
-        m = (n_dim - params.k) % n_dim
-    elif not 0 <= m < n_dim:
-        raise ValueError(f"shift m must be in [0, {n_dim - 1}], got {m}")
-    x, y = _half_power_rows(params.k, params.n, m)
-    return _product_entry(x, y, (l + params.n * m) % n_dim)
+    x, y = _half_power_rows(params.k, params.n)
+    return _product_entry(x, y, (l - params.k * params.n) % params.dim)

@@ -59,42 +59,50 @@ def _emit(records: list[dict], plain_lines: list[str], fmt: str) -> None:
         raise ValueError(f"unknown format {fmt!r}")
 
 
+def _evaluate(
+    method: str, params: Params, l: int, policy: PrecisionPolicy
+) -> int | spectral.CertifiedInteger:
+    """p_l by one method: an int, or the certified result of ``spectral``.
+
+    The central coefficient takes each route's central entry point.  Routes
+    are looked up on their modules at every call, so a rebinding there
+    (a test's fake, a tracer's wrapper) sees the call.
+    """
+    central = l == params.k * params.n
+    if method == "conv":
+        if central:
+            return exact.central_coefficient(params)
+        return exact.expand_power(params).coeffs[l]
+    if method == "trace":
+        if central:
+            return circulant.central_via_trace(params)
+        return circulant.coefficient_via_shift(params, l)
+    if method == "spectral":
+        if central:
+            return spectral.central_via_spectrum(params, policy)
+        return spectral.coefficient_via_spectrum(params, l, policy)
+    raise ValueError(f"unknown method {method!r}")
+
+
+def _value(result: int | spectral.CertifiedInteger) -> int:
+    return result if isinstance(result, int) else result.value
+
+
 def _coefficient(method: str, params: Params, l: int, policy: PrecisionPolicy) -> dict:
     """One coefficient by one method, as an output record."""
-    central = l == params.k * params.n
+    result = _evaluate(method, params, l, policy)
     record = {
         "type": "value",
         "method": method,
         "k": params.k,
         "n": params.n,
         "l": l,
+        "value": decimal(_value(result)),
     }
-    if method == "conv":
-        value = (
-            exact.central_coefficient(params)
-            if central
-            else exact.expand_power(params).coeffs[l]
-        )
-        record["value"] = decimal(value)
-    elif method == "trace":
-        value = (
-            circulant.central_via_trace(params)
-            if central
-            else circulant.coefficient_via_shift(params, l)
-        )
-        record["value"] = decimal(value)
-    elif method == "spectral":
-        certified = (
-            spectral.central_via_spectrum(params, policy)
-            if central
-            else spectral.coefficient_via_spectrum(params, l, policy)
-        )
-        record["value"] = decimal(certified.value)
-        record["residual"] = certified.residual
-        record["strategy"] = certified.policy_used.strategy
-        record["escalations"] = certified.escalations
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown method {method!r}")
+    if method == "spectral":
+        record["residual"] = result.residual
+        record["strategy"] = result.policy_used.strategy
+        record["escalations"] = result.escalations
     return record
 
 
@@ -130,12 +138,7 @@ def cmd_sequence(args: argparse.Namespace) -> int:
     records = []
     for n in range(args.start_n, args.start_n + args.count):
         params = Params(args.k, n)
-        if args.method == "conv":
-            value = exact.central_coefficient(params)
-        elif args.method == "trace":
-            value = circulant.central_via_trace(params)
-        else:
-            value = spectral.central_via_spectrum(params, policy).value
+        value = _value(_evaluate(args.method, params, args.k * n, policy))
         records.append(
             {
                 "type": "term",
@@ -262,14 +265,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if failures == 0 else 1
 
 
-def _bench_target(method: str, params: Params, policy: PrecisionPolicy) -> Callable[[], object]:
-    if method == "conv":
-        return lambda: exact.central_coefficient(params)
-    if method == "trace":
-        return lambda: circulant.central_via_trace(params)
-    return lambda: spectral.central_via_spectrum(params, policy).value
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
     if args.repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {args.repetitions}")
@@ -280,11 +275,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for n in args.n:
         params = Params(args.k, n)
         for method in methods:
-            target = _bench_target(method, params, policy)
             timings = []
             for _ in range(args.repetitions):
                 start = time.perf_counter()
-                target()
+                _evaluate(method, params, args.k * n, policy)
                 timings.append(time.perf_counter() - start)
             records.append(
                 {
@@ -400,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--precision",
-        choices=("double", "compensated", "arbitrary"),
+        choices=spectral.STRATEGIES,
         default="double",
         help="starting summation strategy for spectral evaluation",
     )

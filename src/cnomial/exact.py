@@ -32,24 +32,16 @@ class CoefficientTable:
         return self.coeffs[self.params.k * self.params.n]
 
 
-def expand_power(params: Params, strategy: str = "recurrence") -> CoefficientTable:
+def expand_power(params: Params) -> CoefficientTable:
     """Expand ``(1 + x + ... + x^{2k})^n`` into its exact coefficient row.
 
-    ``strategy="recurrence"`` builds p_0..p_{2kn} by the four-term
-    recurrence (see :func:`_recurrence_prefix`), O(kn) big-int steps;
-    ``strategy="window"`` multiplies by the all-ones row n times as a
-    running-window sum (see :func:`_times_ones`), O(kn²) big-int additions.
-    Both are exact and share no arithmetic; the window is the recurrence's
-    cross-check.
+    The row p_0..p_{2kn} comes from the four-term recurrence (see
+    :func:`_recurrence_prefix`), O(kn) big-int steps.  Its cross-check,
+    n multiplications by the all-ones row as a running-window sum (see
+    :func:`_times_ones`), O(kn²) big-int additions, shares no arithmetic
+    with it.
     """
-    if strategy == "recurrence":
-        row = _recurrence_prefix(params, params.degree)
-    elif strategy == "window":
-        row = [1]
-        for _ in range(params.n):
-            row = _times_ones(row, params.width)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+    row = _recurrence_prefix(params, params.degree)
     return CoefficientTable(params=params, coeffs=tuple(row))
 
 

@@ -71,11 +71,10 @@ class BFileParseError(ValueError):
 class SequenceRecord:
     """A named integer sequence plus where its terms came from.
 
-    ``provenance`` is one of ``fixture`` (built-in, oracle-generated),
+    ``provenance`` is ``fixture`` (built-in, oracle-generated) or
     ``fetched`` (b-file, possibly served from the on-disk cache, see
-    ``cache_hit``), or ``computed`` (terms are M^(2k, offset+i) produced
-    on demand).  ``offset`` is the index of the first term, following the
-    OEIS convention.
+    ``cache_hit``).  ``offset`` is the index of the first term, following
+    the OEIS convention.
     """
 
     oeis_id: str
@@ -88,7 +87,7 @@ class SequenceRecord:
 
     def __post_init__(self) -> None:
         validate_id(self.oeis_id)
-        if self.provenance not in ("fixture", "fetched", "computed"):
+        if self.provenance not in ("fixture", "fetched"):
             raise ValueError(f"unknown provenance {self.provenance!r}")
         if not self.terms:
             raise ValueError("a sequence record needs at least one term")
@@ -110,7 +109,6 @@ class ComparisonReport:
     expected: tuple[int, ...]
     computed: tuple[int, ...]
     matches: tuple[bool, ...]
-    paths: tuple[str, ...] = ("trace", "spectral")
 
     @property
     def count(self) -> int:
@@ -143,11 +141,6 @@ def _fixture(k: int) -> SequenceRecord:
     )
 
 
-def registered_sequences() -> list[SequenceRecord]:
-    """The built-in fixtures for k = 1, 2, 3, oracle-generated on demand."""
-    return [_fixture(k) for k in sorted(OEIS_BY_K)]
-
-
 def fixture_for_k(k: int) -> SequenceRecord | None:
     """The built-in fixture for this k, or None when no id is registered."""
     if k in OEIS_BY_K:
@@ -160,28 +153,6 @@ def fixture_for_id(oeis_id: str) -> SequenceRecord | None:
     validate_id(oeis_id)
     k = K_BY_OEIS.get(oeis_id)
     return _fixture(k) if k is not None else None
-
-
-def computed_sequence(k: int, count: int, start_n: int = 0) -> SequenceRecord:
-    """M^(2k, n) for n = start_n .. start_n+count-1 from the exact oracle.
-
-    Records carry OEIS identifiers, so only the registered k values (1,
-    2, 3) can be materialized this way.
-    """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    if k not in OEIS_BY_K:
-        raise ValueError(f"no registered OEIS id for k={k}")
-    terms = tuple(
-        central_coefficient(Params(k, n)) for n in range(start_n, start_n + count)
-    )
-    return SequenceRecord(
-        oeis_id=OEIS_BY_K[k],
-        offset=start_n,
-        terms=terms,
-        provenance="computed",
-        k=k,
-    )
 
 
 def cache_dir() -> Path:

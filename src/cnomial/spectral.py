@@ -23,22 +23,20 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
-from math import cos, inf, pi, sin
+from math import inf, pi, sin
 
 from mpmath import libmp
 
 from .params import Params
-
-EIGENVALUE_METHODS = ("trig-ratio", "cosine-sum", "chebyshev")
 
 STRATEGIES = ("double", "compensated", "arbitrary")
 
 #: Guard bits on top of the magnitude estimate in :func:`required_bits`.
 GUARD_BITS = 32
 
-#: Half of the unambiguous-rounding margin; the other half is headroom
-#: against correlated rounding error.  Escalating is cheap, mis-rounding is
-#: not.
+#: A sum certifies when its residual is below this cap: half of the
+#: unambiguous-rounding margin; the other half is headroom against
+#: correlated rounding error.  Escalating is cheap, mis-rounding is not.
 DEFAULT_RESIDUAL_CAP = 0.25
 
 #: Unit roundoff of IEEE binary64, and its mantissa bits.
@@ -47,22 +45,8 @@ _DOUBLE_BITS = 53
 
 
 @dataclass(frozen=True)
-class EigenvalueSet:
-    """Real spectrum of the symmetric central circulant for given params.
-
-    ``values[r-1]`` is the eigenvalue E_r in the 1-based indexing of the
-    Fourier mode r; E_1 = 2k+1 exactly, and E_r = E_{N+2-r} pairs up for
-    r >= 2 because the first row is symmetric.
-    """
-
-    params: Params
-    values: tuple[float, ...]
-    method: str
-
-
-@dataclass(frozen=True)
 class PrecisionPolicy:
-    """How to evaluate the floating spectral sum and when to accept it.
+    """How to evaluate the spectral sum.
 
     ``strategy`` is the starting point of the escalation ladder.  For the
     ``arbitrary`` strategy, ``mantissa_bits`` is the number of fractional
@@ -74,15 +58,12 @@ class PrecisionPolicy:
 
     strategy: str = "double"
     mantissa_bits: int | None = None
-    residual_cap: float = DEFAULT_RESIDUAL_CAP
 
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
         if self.mantissa_bits is not None and self.mantissa_bits < 1:
             raise ValueError(f"mantissa_bits must be positive, got {self.mantissa_bits}")
-        if not 0.0 < self.residual_cap < 0.5:
-            raise ValueError(f"residual_cap must be in (0, 0.5), got {self.residual_cap}")
 
 
 @dataclass(frozen=True)
@@ -92,11 +73,11 @@ class CertifiedInteger:
     ``residual`` is the pre-rounding distance of the sum (after division by
     N) from the returned integer, widened by a bound on the error of the
     evaluation itself (a forward bound on the double rungs, the ball radius
-    on the arbitrary rung); certification means it stayed below the policy's
-    cap.  ``policy_used`` reflects the strategy that finally certified,
-    ``escalations`` how many ladder steps that took.  ``rungs`` holds every
-    rung tried, in order, as (strategy, mantissa bits, residual); the last
-    one is the rung that certified.
+    on the arbitrary rung); certification means it stayed below
+    :data:`DEFAULT_RESIDUAL_CAP`.  ``policy_used`` reflects the strategy
+    that finally certified, ``escalations`` how many ladder steps that
+    took.  ``rungs`` holds every rung tried, in order, as (strategy,
+    mantissa bits, residual); the last one is the rung that certified.
     """
 
     value: int
@@ -136,73 +117,12 @@ def required_bits(params: Params) -> int:
     return magnitude.bit_length() + (params.dim - 1).bit_length() + GUARD_BITS
 
 
-def eigenvalues(params: Params, method: str = "trig-ratio") -> EigenvalueSet:
-    """Spectrum of the central circulant by one of three evaluation methods.
-
-    All methods pin E_1 = 2k+1 exactly and agree pairwise to ~1e-12
-    relative for moderate N; they differ only in conditioning and cost.
-    Requires n >= 1 (the n=0 ring is a 1x1 identity with nothing to
-    diagonalize).
-    """
-    if params.n < 1:
-        raise ValueError("eigenvalues are defined for n >= 1")
-    if method == "trig-ratio":
-        values = _eigenvalues_trig(params.k, params.dim)
-    elif method == "cosine-sum":
-        values = _eigenvalues_cosine(params.k, params.dim)
-    elif method == "chebyshev":
-        values = _eigenvalues_chebyshev(params.k, params.dim)
-    else:
-        raise ValueError(f"method must be one of {EIGENVALUE_METHODS}, got {method!r}")
-    return EigenvalueSet(params=params, values=tuple(values), method=method)
-
-
-def _eigenvalues_trig(k: int, dim: int) -> list[float]:
-    """Spectrum of the symmetric width-(2k+1) boolean circulant, sine-ratio form.
-
-    Entry ``r`` (1-based, stored 0-based) is sin((2k+1)(r-1)pi/N) divided by
-    sin((r-1)pi/N); the r=1 eigenvalue is pinned to 2k+1 instead of being
-    evaluated as 0/0.
-    """
-    m = 2 * k + 1
-    out = [float(m)]
-    for r1 in range(1, dim):
-        num = sin(((m * r1) * pi) / dim)
-        den = sin((r1 * pi) / dim)
-        out.append(num / den)
-    return out
-
-
-def _eigenvalues_cosine(k: int, dim: int) -> list[float]:
-    """Same spectrum via the cosine sum 1 + 2*sum_{l=1..k} cos(2pi(r-1)l/N)."""
-    out = [float(2 * k + 1)]
-    for r1 in range(1, dim):
-        acc = 1.0
-        for l in range(1, k + 1):
-            acc += 2.0 * cos(((2.0 * pi) * (r1 * l)) / dim)
-        out.append(acc)
-    return out
-
-
-def _eigenvalues_chebyshev(k: int, dim: int) -> list[float]:
-    """Same spectrum as U_{2k}(cos((r-1)pi/N)) by the three-term recurrence."""
-    out = [float(2 * k + 1)]
-    for r1 in range(1, dim):
-        x = cos((r1 * pi) / dim)
-        u0 = 1.0
-        u1 = 2.0 * x
-        for _ in range(2, 2 * k + 1):
-            u0, u1 = u1, (2.0 * x) * u1 - u0
-        out.append(u1)
-    return out
-
-
 def dirichlet_kernel(k: int, theta: float) -> float:
     """D_k(theta) = sin((2k+1)theta/2) / sin(theta/2), with D_k(0) = 2k+1.
 
-    Fourier partial-sum kernel; at theta = 2*pi*(r-1)/N it reproduces the
-    circulant eigenvalues, which makes it a fourth agreement check on the
-    spectrum.
+    Fourier partial-sum kernel; at theta = 2*pi*r/N it reproduces the
+    circulant eigenvalue E_r, an unfolded check on the ratios of
+    :func:`_ratios`.
     """
     half = math.sin(theta / 2.0)
     if half == 0.0:
@@ -548,13 +468,13 @@ def _certify(params: Params, phase: int | None, policy: PrecisionPolicy) -> Cert
             effective = replace(policy, strategy="arbitrary", mantissa_bits=bits)
         else:
             bits = _DOUBLE_BITS
-            if double_floor < policy.residual_cap:
+            if double_floor < DEFAULT_RESIDUAL_CAP:
                 value, residual = _evaluate_double(params, phase, strategy == "compensated")
             else:
                 value, residual = 0, math.inf
             effective = replace(policy, strategy=strategy)
         rungs.append((strategy, bits, residual))
-        if residual < policy.residual_cap:
+        if residual < DEFAULT_RESIDUAL_CAP:
             return CertifiedInteger(
                 value=value,
                 residual=residual,
@@ -564,7 +484,7 @@ def _certify(params: Params, phase: int | None, policy: PrecisionPolicy) -> Cert
             )
     where = "central sum" if phase is None else f"coefficient sum at phase offset {phase}"
     raise CertificationError(
-        f"residual {residual} >= cap {policy.residual_cap} for the {where} "
+        f"residual {residual} >= cap {DEFAULT_RESIDUAL_CAP} for the {where} "
         f"(k={params.k}, n={params.n}) even at strategy {ladder[-1]!r}",
         residual=residual,
         policy=policy,

@@ -1,41 +1,33 @@
 """Circulant construction, powers, trace extraction, shift bookkeeping."""
 import pytest
+from dense import dense_power, dense_product, to_dense
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnomial import (
+from cnomial import Params, central_coefficient, expand_power
+from cnomial import circulant
+from cnomial.circulant import (
     CirculantMatrix,
-    Params,
     build_central,
     build_shifted,
-    central_coefficient,
     central_via_trace,
     coefficient_via_shift,
-    cyclic_permutation,
-    expand_power,
     identity,
     matrix_power,
     multiply,
-    to_dense,
-    trace,
 )
-from cnomial import circulant
 
 
-def dense_product(a, b):
-    n = len(a)
-    return [
-        [sum(a[i][t] * b[t][j] for t in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
+def trace(a):
+    """dim * first_row[0]: every diagonal entry of a circulant is first_row[0]."""
+    return a.dim * a.first_row[0]
 
 
-def dense_power(matrix, n):
-    size = len(matrix)
-    result = [[int(i == j) for j in range(size)] for i in range(size)]
-    for _ in range(n):
-        result = dense_product(result, matrix)
-    return result
+def cyclic_permutation(dim):
+    """The basis circulant with a single 1 at offset 1 (offset 0 when dim=1)."""
+    row = [0] * dim
+    row[1 % dim] = 1
+    return CirculantMatrix(dim, tuple(row))
 
 
 def rotate(row, by):
@@ -184,6 +176,14 @@ def test_matrix_power_beyond_the_digit_limit():
     assert cubed == power_by_products(a, 3)
 
 
+def test_packed_steps_without_a_digit_limit(monkeypatch):
+    # Pythons before 3.10.7 have no int/str digit limit and no
+    # sys.get_int_max_str_digits: the packed steps parse every field by int.
+    monkeypatch.delattr(circulant.sys, "get_int_max_str_digits")
+    p = Params(3, 40)
+    assert central_via_trace(p) == central_coefficient(p)
+
+
 def test_trace_identity():
     assert trace(identity(5)) == 5
 
@@ -253,12 +253,13 @@ def test_coefficient_via_shift_full_rows():
 
 def test_coefficient_via_shift_any_shift():
     # the read-back offset (l + n*m) mod N undoes whatever shift built the
-    # matrix, whether the half powers pair as X X (n even) or X X C (n odd)
+    # matrix; the route reads the central shift m = N - k at (l - kn) mod N
     for p in (Params(2, 3), Params(2, 4), Params(1, 5)):
         row = expand_power(p).coeffs
         for m in (0, 1, p.k, p.dim - p.k, p.dim - 1):
+            power = matrix_power(build_shifted(p, m), p.n).first_row
             for l in range(p.degree + 1):
-                assert coefficient_via_shift(p, l, m) == row[l], (p, m, l)
+                assert power[(l + p.n * m) % p.dim] == row[l], (p, m, l)
 
 
 def test_coefficient_via_shift_never_forms_full_power(monkeypatch):
@@ -286,7 +287,7 @@ def test_coefficient_via_shift_range_errors():
     with pytest.raises(ValueError):
         coefficient_via_shift(Params(1, 2), 5)
     with pytest.raises(ValueError):
-        coefficient_via_shift(Params(1, 2), 1, m=5)
+        coefficient_via_shift(Params(1, 2), -1)
 
 
 def test_shift_covariance():

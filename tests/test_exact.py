@@ -8,7 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cnomial import Params, central_coefficient, expand_power
-from cnomial.exact import _recurrence_prefix
+from cnomial.exact import _recurrence_prefix, _times_ones
+
+
+def window_row(p):
+    """The row by n running-window passes, the recurrence's cross-check."""
+    row = [1]
+    for _ in range(p.n):
+        row = _times_ones(row, p.width)
+    return tuple(row)
 
 
 def test_power_one_is_the_polynomial_itself():
@@ -65,10 +73,7 @@ def test_strategies_produce_identical_rows():
     for k in range(1, 11):
         for n in range(0, 31):
             p = Params(k, n)
-            assert (
-                expand_power(p, strategy="recurrence").coeffs
-                == expand_power(p, strategy="window").coeffs
-            ), (k, n)
+            assert expand_power(p).coeffs == window_row(p), (k, n)
 
 
 def test_recurrence_guard_raises_on_inexact_step():
@@ -77,11 +82,6 @@ def test_recurrence_guard_raises_on_inexact_step():
     half = SimpleNamespace(k=1, n=Fraction(1, 2), width=3)
     with pytest.raises(ArithmeticError, match="l=0"):
         _recurrence_prefix(half, 2)
-
-
-def test_unknown_strategy_rejected():
-    with pytest.raises(ValueError):
-        expand_power(Params(1, 2), strategy="fft")
 
 
 def test_multinomial_central_tuples():
@@ -133,4 +133,4 @@ def test_row_invariants_fuzzed(k, n):
 @settings(max_examples=40, deadline=None)
 def test_recurrence_matches_window_fuzzed(k, n):
     p = Params(k, n)
-    assert expand_power(p, "recurrence").coeffs == expand_power(p, "window").coeffs
+    assert expand_power(p).coeffs == window_row(p)

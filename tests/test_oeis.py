@@ -14,10 +14,8 @@ from cnomial import (
     SequenceRecord,
     central_via_trace,
     compare,
-    computed_sequence,
     fetch_bfile,
     fixture_for_k,
-    registered_sequences,
 )
 from cnomial import oeis
 
@@ -28,8 +26,12 @@ def test_registry_mapping():
     assert OEIS_BY_K == {1: "A002426", 2: "A005191", 3: "A025012"}
 
 
+def fixtures():
+    return [fixture_for_k(k) for k in sorted(OEIS_BY_K)]
+
+
 def test_registered_sequences_shape():
-    records = registered_sequences()
+    records = fixtures()
     assert [r.oeis_id for r in records] == ["A002426", "A005191", "A025012"]
     assert [r.k for r in records] == [1, 2, 3]
     for record in records:
@@ -47,7 +49,7 @@ def test_fixture_prefixes():
 def test_fixture_terms_match_independent_path():
     # fixtures are built from the convolution oracle; cross-check each term
     # against the circulant trace route
-    for record in registered_sequences():
+    for record in fixtures():
         for i, term in enumerate(record.terms):
             assert term == central_via_trace(Params(record.k, record.offset + i))
 
@@ -61,17 +63,6 @@ def test_fixture_by_id():
     assert oeis.fixture_for_id("A999999") is None
     with pytest.raises(SequenceIdError):
         oeis.fixture_for_id("X123")
-
-
-def test_computed_sequence():
-    record = computed_sequence(2, 5)
-    assert record.provenance == "computed"
-    assert record.terms == (1, 1, 5, 19, 85)
-    assert record.oeis_id == "A005191"
-    with pytest.raises(ValueError):
-        computed_sequence(4, 5)
-    with pytest.raises(ValueError):
-        computed_sequence(1, 0)
 
 
 def test_record_validation():
@@ -88,7 +79,6 @@ def test_compare_fixture_matches():
     assert report.all_equal
     assert report.first_mismatch is None
     assert report.count == 15
-    assert report.paths == ("trace", "spectral")
 
 
 def test_compare_cross_sequence_mismatch():
@@ -256,6 +246,6 @@ def test_cache_dir_env_override(monkeypatch, tmp_path):
 
 @pytest.mark.network
 def test_fetched_prefixes_match_fixtures(tmp_path):
-    for record in registered_sequences():
+    for record in fixtures():
         fetched = fetch_bfile(record.oeis_id, 15, directory=tmp_path)
         assert fetched.terms[:15] == record.terms[:15]

@@ -1,4 +1,4 @@
-"""Spectral sums, eigenvalue evaluators, and the precision certificate."""
+"""Spectral sums, the sine-ratio spectrum, and the precision certificate."""
 import math
 from fractions import Fraction
 
@@ -8,19 +8,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cnomial import (
-    EIGENVALUE_METHODS,
     CertificationError,
     Params,
     PrecisionPolicy,
     central_coefficient,
     central_via_spectrum,
     coefficient_via_spectrum,
-    dirichlet_kernel,
-    eigenvalues,
     expand_power,
-    required_bits,
 )
 from cnomial import spectral
+from cnomial.spectral import dirichlet_kernel, required_bits
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -29,82 +26,78 @@ def close(a, b):
     return math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12)
 
 
+def ratios(k, n):
+    """E_r, r = 1..floor(N/2), as the route evaluates them from the half-table."""
+    p = Params(k, n)
+    return list(spectral._ratios(p.width, spectral._sine_table(p.dim)))
+
+
 def test_golden_ratio_spectrum():
-    # sin(3pi/5)/sin(pi/5) is the golden ratio; pairs r=2<->5, r=3<->4
-    values = eigenvalues(Params(1, 2)).values
-    expected = (3.0, PHI, -1 / PHI, -1 / PHI, PHI)
-    assert len(values) == 5
-    assert values[0] == 3.0
-    assert all(close(v, e) for v, e in zip(values, expected))
+    # sin(3pi/5)/sin(pi/5) is the golden ratio, sin(6pi/5)/sin(2pi/5) = -1/phi;
+    # they pair with r = 4 and r = 3 of the full spectrum
+    values = ratios(1, 2)
+    assert len(values) == 2
+    assert close(values[0], PHI) and close(values[1], -1 / PHI)
 
 
 def test_first_eigenvalue_is_width_exactly():
+    # E_0 = 2k+1 is never divided: the leading term is its power, exactly
     for k in range(1, 5):
         for n in (1, 2, 7):
-            for method in EIGENVALUE_METHODS:
-                assert eigenvalues(Params(k, n), method).values[0] == 2 * k + 1
+            p = Params(k, n)
+            terms = spectral._terms_central(k, n, spectral._sine_table(p.dim))
+            assert terms[0] == float((2 * k + 1) ** n)
 
 
 def test_vanishing_spectrum_at_n_one():
-    values = eigenvalues(Params(1, 1)).values
-    assert values[0] == 3.0
-    assert abs(values[1]) < 1e-12 and abs(values[2]) < 1e-12
-
-
-def test_method_tag_recorded():
-    assert eigenvalues(Params(1, 2), "chebyshev").method == "chebyshev"
-
-
-def test_unknown_method_rejected():
-    with pytest.raises(ValueError):
-        eigenvalues(Params(1, 2), "fft")
-
-
-def test_eigenvalues_need_positive_n():
-    with pytest.raises(ValueError):
-        eigenvalues(Params(2, 0))
+    # N = 2k+1: every numerator sin((2k+1) r pi/N) folds onto s_0 = 0
+    for k in range(1, 5):
+        assert ratios(k, 1) == [0.0] * k
 
 
 def test_degeneracy_all_methods():
+    # each ratio stands for the pair E_r = E_{N-r}: the Dirichlet kernel
+    # gives it at both angles 2 pi r/N and 2 pi (N - r)/N
     for k in range(1, 4):
         for n in range(1, 7):
             p = Params(k, n)
-            for method in EIGENVALUE_METHODS:
-                values = eigenvalues(p, method).values
-                for r in range(2, p.dim + 1):
-                    assert close(values[r - 1], values[(p.dim + 2 - r) - 1]), (
-                        k, n, method, r,
-                    )
+            values = ratios(k, n)
+            assert len(values) == p.dim // 2
+            for r, value in enumerate(values, 1):
+                for angle in (r, p.dim - r):
+                    theta = 2.0 * math.pi * angle / p.dim
+                    assert close(value, dirichlet_kernel(k, theta)), (k, n, r, angle)
 
 
 def test_methods_and_dirichlet_agree():
+    # the folded ratios against two unfolded forms of the same spectrum: the
+    # Dirichlet kernel and the cosine sum 1 + 2 sum_{l=1..k} cos(2 pi r l/N)
     for k in range(1, 4):
         for n in range(1, 7):
             p = Params(k, n)
-            sets = [eigenvalues(p, m).values for m in EIGENVALUE_METHODS]
-            kernel = [
-                dirichlet_kernel(k, 2.0 * math.pi * r / p.dim) for r in range(p.dim)
-            ]
-            for i in range(p.dim):
-                reference = sets[0][i]
-                assert all(close(s[i], reference) for s in sets), (k, n, i)
-                assert close(kernel[i], reference), (k, n, i)
+            for r, value in enumerate(ratios(k, n), 1):
+                kernel = dirichlet_kernel(k, 2.0 * math.pi * r / p.dim)
+                cosine = 1.0 + 2.0 * sum(
+                    math.cos(2.0 * math.pi * r * l / p.dim) for l in range(1, k + 1)
+                )
+                assert close(value, kernel), (k, n, r)
+                assert close(value, cosine), (k, n, r)
 
 
 def test_spectrum_sums_to_dim():
-    # sum of eigenvalues = trace of the central circulant = N * 1
+    # sum of eigenvalues = trace of the central circulant = N * 1, with the
+    # pairs doubled: (2k+1) + 2 sum_r E_r = N
     for k in range(1, 4):
         for n in range(1, 8):
             p = Params(k, n)
-            total = math.fsum(eigenvalues(p).values)
+            total = math.fsum([float(p.width)] + [2.0 * v for v in ratios(k, n)])
             assert abs(total - p.dim) < 1e-9 * p.dim
 
 
 def test_spectrum_magnitude_bounded():
     for k in range(1, 4):
         for n in range(1, 8):
-            values = eigenvalues(Params(k, n)).values
-            assert all(abs(v) <= 2 * k + 1 + 1e-9 for v in values)
+            assert all(abs(v) <= 2 * k + 1 + 1e-9 for v in ratios(k, n))
 
 
 def test_dirichlet_removable_singularity():
@@ -266,7 +259,7 @@ def test_starved_budget_fails_certification():
     policy = PrecisionPolicy(strategy="arbitrary", mantissa_bits=8)
     with pytest.raises(CertificationError) as info:
         central_via_spectrum(Params(1, 60), policy)
-    assert info.value.residual >= policy.residual_cap
+    assert info.value.residual >= spectral.DEFAULT_RESIDUAL_CAP
     assert info.value.policy is policy
     assert info.value.rungs == (("arbitrary", 8, info.value.residual),)
 
@@ -458,7 +451,7 @@ def test_starved_ball_budget_raises_and_restores_iv_precision():
         with pytest.raises(CertificationError) as info:
             central_via_spectrum(Params(10, 100), policy)
         assert info.value.rungs[0][:2] == ("arbitrary", bits)
-        assert info.value.residual >= policy.residual_cap
+        assert info.value.residual >= spectral.DEFAULT_RESIDUAL_CAP
         assert mpmath.iv.prec == prec
 
 
@@ -497,10 +490,6 @@ def test_policy_validation():
         PrecisionPolicy(strategy="compensated-double")
     with pytest.raises(ValueError):
         PrecisionPolicy(mantissa_bits=0)
-    with pytest.raises(ValueError):
-        PrecisionPolicy(residual_cap=0.0)
-    with pytest.raises(ValueError):
-        PrecisionPolicy(residual_cap=0.5)
 
 
 def test_certified_residual_nonnegative():
