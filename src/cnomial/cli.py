@@ -53,7 +53,11 @@ def _emit(records: list[dict], plain_lines: list[str], fmt: str) -> None:
         buffer = io.StringIO()
         writer = csv.DictWriter(buffer, fieldnames=fieldnames, restval="")
         writer.writeheader()
-        writer.writerows(records)
+        writer.writerows(
+            {key: json.dumps(value) if isinstance(value, dict) else value
+             for key, value in record.items()}
+            for record in records
+        )
         sys.stdout.write(buffer.getvalue())
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown format {fmt!r}")
@@ -103,6 +107,7 @@ def _coefficient(method: str, params: Params, l: int, policy: PrecisionPolicy) -
         record["residual"] = result.residual
         record["strategy"] = result.policy_used.strategy
         record["escalations"] = result.escalations
+        record["dim"] = result.dim
     return record
 
 
@@ -156,15 +161,26 @@ def _close(a: float, b: float) -> bool:
     return math.isclose(a, b, rel_tol=EIGEN_TOL, abs_tol=EIGEN_TOL)
 
 
+def _routes(conv: int, trace: int, proven: int | None) -> dict:
+    """Each route's value as a decimal string; None for a sum that did not certify."""
+    return {
+        "conv": decimal(conv),
+        "trace": decimal(trace),
+        "spectral": None if proven is None else decimal(proven),
+    }
+
+
 def _verify_case(
     params: Params, policy: PrecisionPolicy, ls: list[int], window: list[int]
-) -> list[str]:
-    """Names of failed checks for one (k, n) grid case.
+) -> tuple[list[str], dict[str, dict]]:
+    """Names of failed checks for one (k, n) grid case, and the values behind them.
 
     ``window`` is the row of (k, n) by the running window, the recurrence
-    row's cross-check.
+    row's cross-check.  A failed ``methods-equal`` or ``coefficient-lN``
+    maps to each route's value (and l) in the second result.
     """
     failed = []
+    values = {}
     table = exact.expand_power(params)
     row = table.coeffs
     central = row[params.k * params.n]
@@ -172,8 +188,10 @@ def _verify_case(
     if list(row) != window:
         failed.append("exact-window")
     proven = _certified(failed, spectral.central_via_spectrum, params, policy)
-    if central != circulant.central_via_trace(params) or proven not in (None, central):
+    trace = circulant.central_via_trace(params)
+    if central != trace or proven not in (None, central):
         failed.append("methods-equal")
+        values["methods-equal"] = _routes(central, trace, proven)
     if any(row[l] != row[params.degree - l] for l in range(params.degree + 1)):
         failed.append("row-symmetry")
     if sum(row) != params.width**params.n:
@@ -188,8 +206,9 @@ def _verify_case(
 
     # The double rungs' ratios E_r = sin(m r pi/N) / sin(r pi/N), folded
     # onto the half-table of sines, against the Dirichlet kernel at both
-    # angles of the pair E_r = E_{N-r} that the spectral sum doubles.
-    dim = params.dim
+    # angles of the pair E_r = E_{N-r} that the spectral sum doubles, at
+    # the N of the central sum.
+    dim = spectral.dimension(params, 0)
     ratios = list(spectral._ratios(params.width, spectral._sine_table(dim)))
     if len(ratios) != dim // 2 or not all(
         _close(ratio, spectral.dirichlet_kernel(params.k, 2.0 * math.pi * r / dim))
@@ -200,9 +219,22 @@ def _verify_case(
 
     for l in ls:
         proven = _certified(failed, spectral.coefficient_via_spectrum, params, l, policy)
-        if row[l] != circulant.coefficient_via_shift(params, l) or proven not in (None, row[l]):
+        shift = circulant.coefficient_via_shift(params, l)
+        if row[l] != shift or proven not in (None, row[l]):
             failed.append(f"coefficient-l{l}")
-    return failed
+            values[f"coefficient-l{l}"] = {"l": l, **_routes(row[l], shift, proven)}
+    return failed, values
+
+
+def _described(name: str, values: dict[str, dict]) -> str:
+    """A failed check's name, with the values behind it where there are any."""
+    if name not in values:
+        return name
+    detail = " ".join(
+        f"{key}={'uncertified' if value is None else value}"
+        for key, value in values[name].items()
+    )
+    return f"{name} ({detail})"
 
 
 def _certified(
@@ -240,19 +272,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 ls = sorted(
                     rng.sample(range(params.degree + 1), min(3, params.degree + 1))
                 )
-            failed = _verify_case(params, policy, ls, window)
+            failed, values = _verify_case(params, policy, ls, window)
             if failed:
                 failures += 1
-                print(f"FAIL k={k} n={n}: {', '.join(failed)}", file=sys.stderr)
-            records.append(
-                {
-                    "type": "case",
-                    "k": k,
-                    "n": n,
-                    "ok": not failed,
-                    "failed": ";".join(failed),
-                }
-            )
+                described = ", ".join(_described(name, values) for name in failed)
+                print(f"FAIL k={k} n={n}: {described}", file=sys.stderr)
+            record = {
+                "type": "case",
+                "k": k,
+                "n": n,
+                "ok": not failed,
+                "failed": ";".join(failed),
+            }
+            if values:
+                record["values"] = values
+            records.append(record)
     cases = args.k_max * args.n_max
     records.append({"type": "summary", "cases": cases, "failures": failures})
     case_word = "case" if cases == 1 else "cases"

@@ -3,9 +3,13 @@
 The symmetric circulant diagonalizes in the discrete Fourier basis, so its
 trace power collapses to a finite sum of sine-ratio powers:
 
-    M = (1/N) * [ (2k+1)^n + sum_{l=1}^{2kn} (sin((2k+1)l pi/N) / sin(l pi/N))^n ]
+    M = (1/N) * [ (2k+1)^n + sum_{r=1}^{N-1} (sin((2k+1)r pi/N) / sin(r pi/N))^n ]
 
-with N = 2kn+1.  General coefficients pick up a cosine phase.  Every rung
+The paper takes N = 2kn+1.  At any odd N the sum, with the phase of an
+offset d = l - kn, gives the sum of p_{kn+t} over t = d (mod N), and every
+term but p_l drops out once N > kn + |d|.  So each coefficient is summed at
+the smallest odd such N (:func:`dimension`): N = 2kn+1 only at l = 0 and
+l = 2kn, and about kn at the centre.  The trace route keeps 2kn+1.  Every rung
 evaluates the sum from one half-table of sines, s_j = sin(j pi/N) for
 j <= N/2: numerators fold onto it, E_r = E_{N-r} pairs the terms, and the
 phase cosine is 1 - 2 s_j^2.  The sums are rounded back to integers, so
@@ -78,11 +82,13 @@ class CertifiedInteger:
     that finally certified, ``escalations`` how many ladder steps that
     took.  ``rungs`` holds every rung tried, in order, as (strategy,
     mantissa bits, residual); the last one is the rung that certified.
+    ``dim`` is the circulant dimension N the sum ran at (:func:`dimension`).
     """
 
     value: int
     residual: float
     policy_used: PrecisionPolicy
+    dim: int
     escalations: int = 0
     rungs: tuple[tuple[str, int, float], ...] = ()
 
@@ -106,12 +112,24 @@ class CertificationError(ArithmeticError):
         self.rungs = rungs
 
 
+def dimension(params: Params, offset: int) -> int:
+    """The smallest odd N > kn + |offset|: the circulant that holds p_{kn+offset} alone.
+
+    The n-th power of the N x N central circulant holds, at ``offset``,
+    the sum of p_{kn+t} over t = offset (mod N), |t| <= kn; every t but
+    ``offset`` itself is then out of range.  l = 0 and l = 2kn get the
+    paper's 2kn+1, n = 0 gets 1.
+    """
+    return (params.k * params.n + abs(offset) + 1) | 1
+
+
 def required_bits(params: Params) -> int:
     """Mantissa budget that certifies the spectral sum for these params.
 
     ceil(n*log2(2k+1)) bounds the term magnitudes, ceil(log2 N) the term
     count, plus fixed guard bits.  The ceilings are computed exactly via
-    bit lengths rather than floating logs.
+    bit lengths rather than floating logs.  N is the paper's 2kn+1, the
+    largest :func:`dimension`, so the budget serves every coefficient.
     """
     magnitude = pow(params.width, params.n) - 1
     return magnitude.bit_length() + (params.dim - 1).bit_length() + GUARD_BITS
@@ -262,13 +280,15 @@ def _sum_compensated(terms: list[float]) -> float:
     return s + c
 
 
-def _evaluate_double(params: Params, phase: int | None, compensated: bool) -> tuple[int, float]:
-    n_dim = params.dim
-    sines = _sine_table(n_dim)
+def _evaluate_double(
+    params: Params, dim: int, phase: int | None, compensated: bool
+) -> tuple[int, float]:
+    """The spectral sum at the odd dimension ``dim`` in doubles, with a forward error bound."""
+    sines = _sine_table(dim)
     powers = _terms_central(params.k, params.n, sines)
     terms = _phase_terms(powers, phase, sines)
     total = _sum_compensated(terms) if compensated else _sum_plain(terms)
-    quotient = total / n_dim
+    quotient = total / dim
     value, measured = _round_with_residual(quotient)
     mass = _sum_abs(powers)
     if not math.isfinite(quotient) or not math.isfinite(mass):
@@ -296,7 +316,7 @@ def _evaluate_double(params: Params, phase: int | None, compensated: bool) -> tu
     #   above 2^53.
     per_term = 10.0 * params.n + (2.0 if phase is None else 24.0)
     accumulation = 4.0 if compensated else float(len(terms) + 1)
-    bound = mass * (per_term + accumulation) * _EPS / n_dim
+    bound = mass * (per_term + accumulation) * _EPS / dim
     bound += math.ulp(abs(quotient))
     return value, measured + bound
 
@@ -401,8 +421,10 @@ def _ball_pow(x: int, rx: int, n: int, bits: int) -> tuple[int, int]:
     return y, ry
 
 
-def _evaluate_arbitrary(params: Params, phase: int | None, bits: int) -> tuple[int, float]:
-    """The spectral sum in fixed-point ball arithmetic at scale 2^bits.
+def _evaluate_arbitrary(
+    params: Params, dim: int, phase: int | None, bits: int
+) -> tuple[int, float]:
+    """The spectral sum at the odd dimension ``dim`` in fixed-point ball arithmetic at scale 2^bits.
 
     Every quantity is an integer midpoint x and an integer radius rx with
     |2^g * value - x| <= rx at its scale 2^g, and every rounding is charged
@@ -419,7 +441,7 @@ def _evaluate_arbitrary(params: Params, phase: int | None, bits: int) -> tuple[i
     width only decides whether the sum certifies, never whether the
     residual encloses it.
     """
-    n, dim = params.n, params.dim
+    n = params.n
     sines = _rotation_table(dim, bits)
     phases = None if phase is None else _phase_indices(phase, dim)
     least = n.bit_length() + dim.bit_length() + GUARD_BITS
@@ -452,24 +474,27 @@ def _evaluate_arbitrary(params: Params, phase: int | None, bits: int) -> tuple[i
     return value, residual
 
 
-def _certify(params: Params, phase: int | None, policy: PrecisionPolicy) -> CertifiedInteger:
+def _certify(params: Params, offset: int | None, policy: PrecisionPolicy) -> CertifiedInteger:
+    """p_{kn+offset}, or the central coefficient for ``offset=None``, at N = :func:`dimension`."""
     ladder = STRATEGIES[STRATEGIES.index(policy.strategy):]
+    dim = dimension(params, offset or 0)
+    phase = None if offset is None else offset % dim
     # Both double rungs' bounds are at least this: their mass holds
     # (2k+1)^n and every term is charged (10n + 2)u (see _evaluate_double).
     # Where it reaches the cap, a double rung is recorded as tried, with
     # residual inf, but not evaluated.
-    double_floor = _pow(float(params.width), params.n) * (10 * params.n + 2) * _EPS / params.dim
+    double_floor = _pow(float(params.width), params.n) * (10 * params.n + 2) * _EPS / dim
     value, residual = 0, math.inf
     rungs = []
     for escalations, strategy in enumerate(ladder):
         if strategy == "arbitrary":
             bits = policy.mantissa_bits or required_bits(params)
-            value, residual = _evaluate_arbitrary(params, phase, bits)
+            value, residual = _evaluate_arbitrary(params, dim, phase, bits)
             effective = replace(policy, strategy="arbitrary", mantissa_bits=bits)
         else:
             bits = _DOUBLE_BITS
             if double_floor < DEFAULT_RESIDUAL_CAP:
-                value, residual = _evaluate_double(params, phase, strategy == "compensated")
+                value, residual = _evaluate_double(params, dim, phase, strategy == "compensated")
             else:
                 value, residual = 0, math.inf
             effective = replace(policy, strategy=strategy)
@@ -479,6 +504,7 @@ def _certify(params: Params, phase: int | None, policy: PrecisionPolicy) -> Cert
                 value=value,
                 residual=residual,
                 policy_used=effective,
+                dim=dim,
                 escalations=escalations,
                 rungs=tuple(rungs),
             )
@@ -495,7 +521,7 @@ def _certify(params: Params, phase: int | None, policy: PrecisionPolicy) -> Cert
 def central_via_spectrum(
     params: Params, policy: PrecisionPolicy = PrecisionPolicy()
 ) -> CertifiedInteger:
-    """M^(2k,n) from the closed-form sine-ratio sum, certified."""
+    """M^(2k,n) from the closed-form sine-ratio sum at the smallest odd N > kn, certified."""
     return _certify(params, None, policy)
 
 
@@ -510,9 +536,8 @@ def coefficient_via_spectrum(
     weights.  The phase index is taken relative to the central column,
     ``(l - kn) mod N``: the n-th power of the central circulant stores
     ``p_l`` that many columns right of its diagonal, and phase 0 (l = kn)
-    reduces to the central sum.
+    reduces to the central sum.  N is :func:`dimension` of l - kn.
     """
     if not 0 <= l <= params.degree:
         raise ValueError(f"l must be in [0, {params.degree}], got {l}")
-    phase = (l - params.k * params.n) % params.dim
-    return _certify(params, phase, policy)
+    return _certify(params, l - params.k * params.n, policy)

@@ -77,9 +77,14 @@ def test_acceptance_3_golden_ratio_anchor(capsys):
         _close(v, e, 1e-12) for v, e in zip(ratios, expected)
     )
     by_hand = (9.0 + phi**2 + phi**-2 + phi**-2 + phi**2) / 5.0
+    # The golden-ratio sum is the paper's N = 5; the route's central sum
+    # runs at N = 3.
+    paper_value, paper_residual = spectral._evaluate_double(params, params.dim, None, False)
     result = spectral.central_via_spectrum(params)
     ok = (spectrum_ok
           and _close(by_hand, 3.0, 1e-14)
+          and paper_value == 3
+          and paper_residual < 1e-9
           and result.value == 3
           and result.residual < 1e-9
           and result.policy_used.strategy == "double")
@@ -161,7 +166,8 @@ def test_acceptance_5_structural_invariants(capsys):
 def test_acceptance_6_escalation_recovers_wide_case(capsys):
     params = Params(1, 60)
     needs = spectral.required_bits(params)
-    _, double_residual = spectral._evaluate_double(params, None, False)
+    _, double_residual = spectral._evaluate_double(
+        params, spectral.dimension(params, 0), None, False)
     result = spectral.central_via_spectrum(params)
     oracle = exact.central_coefficient(params)
     ok = (needs > 52

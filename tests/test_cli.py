@@ -1,7 +1,12 @@
 """Command-line contract: outputs, formats, and exit codes."""
 import csv
+import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -68,6 +73,28 @@ def test_compute_json_lines_round_trip(capsys):
     spectral_record = next(r for r in values if r["method"] == "spectral")
     assert spectral_record["strategy"] in ("double", "compensated", "arbitrary")
     assert records[-1] == {"type": "verdict", "k": 2, "n": 3, "l": 6, "agree": True}
+
+
+def test_compute_json_lines_reports_the_spectral_dimension(capsys):
+    # The central sum of (1, 60) runs at N = 61, p_0 at the paper's 2kn+1.
+    for extra, dim in (((), 61), (("--l", "0"), 121)):
+        code, out, _ = run(capsys, "compute", "--k", "1", "--n", "60", *extra,
+                           "--method", "all", "--format", "json-lines")
+        assert code == 0
+        records = json_lines(out)
+        assert [r.get("dim") for r in records] == [None, None, dim, None]
+    code, out, _ = run(capsys, "compute", "--k", "1", "--n", "60", "--method", "all")
+    assert out.splitlines()[2:] == ["spectral 2665608276005367141972445389", "AGREE"]
+
+
+def test_python_dash_m_runs_without_an_install():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "cnomial", "sequence", "--k", "1", "--count", "7"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "1 1 3 7 19 51 141\n", "")
 
 
 def test_compute_csv(capsys):
@@ -261,18 +288,90 @@ def test_verify_detects_wrong_window_row(capsys, monkeypatch):
 
 
 def test_verify_detects_wrong_ratios(capsys, monkeypatch):
-    # Flip the sign of every ratio E_r.  The spectral sum only sees E_r^n,
-    # so at n = 2 the routes still agree; at (1, 1) the one ratio is 0.
+    # Move every ratio E_r by one part in 10^9: far below what moves the
+    # rounded spectral sums of this grid, so the routes still agree, but
+    # a thousand times the check's tolerance.  The check reads the central
+    # sum's N: 3 at (1, 1) and (1, 2), where every ratio is 0, and 5 at
+    # (1, 3).
     true_ratios = cli.spectral._ratios
 
-    def flipped(m, sines):
-        return (-ratio for ratio in true_ratios(m, sines))
+    def skewed(m, sines):
+        return (ratio * (1 + 1e-9) for ratio in true_ratios(m, sines))
 
-    monkeypatch.setattr(cli.spectral, "_ratios", flipped)
+    monkeypatch.setattr(cli.spectral, "_ratios", skewed)
+    code, out, err = run(capsys, "verify", "--k-max", "1", "--n-max", "3")
+    assert code == 1
+    assert out.strip() == "3 cases, 1 failure"
+    assert err.strip() == "FAIL k=1 n=3: eigen-ratios"
+
+
+def test_verify_reports_the_disagreeing_values(capsys, monkeypatch):
+    # One route off by one: the FAIL line and the case record carry every
+    # route's value, and the failed names and the summary stay as they are.
+    real = cli.circulant.central_via_trace
+    monkeypatch.setattr(cli.circulant, "central_via_trace", lambda params: real(params) + 1)
     code, out, err = run(capsys, "verify", "--k-max", "1", "--n-max", "2")
     assert code == 1
-    assert out.strip() == "2 cases, 1 failure"
-    assert err.strip() == "FAIL k=1 n=2: eigen-ratios"
+    assert out.strip() == "2 cases, 2 failures"
+    assert err.splitlines() == [
+        "FAIL k=1 n=1: methods-equal (conv=1 trace=2 spectral=1)",
+        "FAIL k=1 n=2: methods-equal (conv=3 trace=4 spectral=3)",
+    ]
+    code, out, _ = run(capsys, "verify", "--k-max", "1", "--n-max", "2",
+                       "--format", "json-lines")
+    assert code == 1
+    case = json_lines(out)[1]
+    assert case["failed"] == "methods-equal"
+    assert case["values"] == {"methods-equal": {"conv": "3", "trace": "4", "spectral": "3"}}
+
+    def uncertified(params, policy):
+        raise cli.CertificationError("starved", residual=1.0, policy=policy)
+
+    monkeypatch.setattr(cli.spectral, "central_via_spectrum", uncertified)
+    code, out, err = run(capsys, "verify", "--k-max", "1", "--n-max", "1",
+                         "--format", "json-lines")
+    assert code == 1
+    assert err.strip() == (
+        "FAIL k=1 n=1: spectral-certified, methods-equal (conv=1 trace=2 spectral=uncertified)"
+    )
+    assert json_lines(out)[0]["values"] == {
+        "methods-equal": {"conv": "1", "trace": "2", "spectral": None}
+    }
+
+
+def test_verify_reports_each_routes_coefficient(capsys, monkeypatch):
+    real = cli.spectral.coefficient_via_spectrum
+
+    def off_by_one(params, l, policy):
+        result = real(params, l, policy)
+        return dataclasses.replace(result, value=result.value + 1)
+
+    monkeypatch.setattr(cli.spectral, "coefficient_via_spectrum", off_by_one)
+    code, out, err = run(capsys, "verify", "--k-max", "1", "--n-max", "3", "--seed", "5",
+                         "--format", "json-lines")
+    assert code == 1
+    cases = [r for r in json_lines(out) if r["type"] == "case"]
+    assert [r["ok"] for r in cases] == [False] * 3
+    lines = err.splitlines()
+    assert len(lines) == len(cases)
+    for case, line in zip(cases, lines):
+        row = cli.exact.expand_power(cli.Params(1, case["n"])).coeffs
+        names = case["failed"].split(";")
+        assert all(name.startswith("coefficient-l") for name in names)
+        assert set(case["values"]) == set(names)
+        described = []
+        for name in names:
+            l = int(name[len("coefficient-l"):])
+            value = str(row[l])
+            assert case["values"][name] == {
+                "l": l, "conv": value, "trace": value, "spectral": str(row[l] + 1)
+            }
+            described.append(f"{name} (l={l} conv={value} trace={value} spectral={row[l] + 1})")
+        assert line == f"FAIL k=1 n={case['n']}: {', '.join(described)}"
+    code, out, _ = run(capsys, "verify", "--k-max", "1", "--n-max", "3", "--seed", "5",
+                       "--format", "csv")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert json.loads(rows[0]["values"]) == cases[0]["values"]
 
 
 def test_verify_reports_uncertified_cases_and_goes_on(capsys, monkeypatch):

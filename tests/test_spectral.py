@@ -17,7 +17,7 @@ from cnomial import (
     expand_power,
 )
 from cnomial import spectral
-from cnomial.spectral import dirichlet_kernel, required_bits
+from cnomial.spectral import dimension, dirichlet_kernel, required_bits
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -129,13 +129,18 @@ def test_required_bits_monotone():
 
 
 def test_central_anchor_golden_ratio():
-    # (9 + phi^2 + phi^-2 + phi^-2 + phi^2) / 5 = 3 since phi^2 + phi^-2 = 3
+    # (9 + phi^2 + phi^-2 + phi^-2 + phi^2) / 5 = 3 since phi^2 + phi^-2 = 3:
+    # the paper's N = 5.  The route sums at N = 3, where (9 + 0 + 0) / 3 = 3.
     assert abs((9 + 2 * (PHI**2 + PHI**-2)) / 5 - 3) < 1e-12
-    result = central_via_spectrum(Params(1, 2))
+    p = Params(1, 2)
+    value, residual = spectral._evaluate_double(p, p.dim, None, compensated=False)
+    assert value == 3 and residual < 1e-9
+    result = central_via_spectrum(p)
     assert result.value == 3
     assert result.residual < 1e-9
     assert result.policy_used.strategy == "double"
     assert result.escalations == 0
+    assert result.dim == 3
 
 
 def test_central_identity_case():
@@ -210,7 +215,7 @@ def test_escalation_to_arbitrary():
     # 3^60 dwarfs 2^53: the double pass cannot certify and must escalate
     p = Params(1, 60)
     assert required_bits(p) > 52
-    _, residual = spectral._evaluate_double(p, None, compensated=False)
+    _, residual = spectral._evaluate_double(p, dimension(p, 0), None, compensated=False)
     assert residual >= 0.25
     result = central_via_spectrum(p)
     assert result.escalations >= 1
@@ -333,7 +338,7 @@ def test_ball_rung_encloses_the_exact_value(k):
         for l in sorted({0, d // 4 + 1, (3 * d) // 4, d - 1, k * n}):
             phase = None if l == k * n else (l - k * n) % p.dim
             for bits in (8, 16, 32, budget - 20, budget):
-                value, residual = spectral._evaluate_arbitrary(p, phase, bits)
+                value, residual = spectral._evaluate_arbitrary(p, p.dim, phase, bits)
                 assert abs(row[l] - value) <= residual, (k, n, l, bits, residual)
             assert residual < spectral.DEFAULT_RESIDUAL_CAP, (k, n, l)
 
@@ -359,10 +364,11 @@ def test_ball_rung_certifies_in_the_central_large_regime(k, n, l):
     assert result.residual < spectral.DEFAULT_RESIDUAL_CAP
 
 
-@pytest.mark.parametrize("k, n, phase", [(1, 735, None), (3, 40, 7), (10, 92, None), (2, 6, 3)])
-def test_term_widths_stay_within_the_budget(monkeypatch, k, n, phase):
+@pytest.mark.parametrize("k, n, offset", [(1, 735, None), (3, 40, 7), (10, 92, None), (2, 6, 3)])
+def test_term_widths_stay_within_the_budget(monkeypatch, k, n, offset):
     # Every term's power runs at a width of at most F, one term per
-    # r = 1..floor(N/2); at n > 1 the terms with |E_r| < 1 run narrower.
+    # r = 1..floor(N/2) at the route's N; at n > 1 the terms with |E_r| < 1
+    # run narrower.
     widths = []
     power = spectral._ball_pow
 
@@ -373,10 +379,78 @@ def test_term_widths_stay_within_the_budget(monkeypatch, k, n, phase):
     monkeypatch.setattr(spectral, "_ball_pow", recording)
     p = Params(k, n)
     bits = required_bits(p)
-    spectral._evaluate_arbitrary(p, phase, bits)
-    assert len(widths) == p.dim // 2
+    dim = dimension(p, offset or 0)
+    phase = None if offset is None else offset % dim
+    spectral._evaluate_arbitrary(p, dim, phase, bits)
+    assert len(widths) == dim // 2
     assert max(widths) <= bits
     assert min(widths) < bits
+
+
+def test_dimension_is_the_smallest_odd_above_kn_plus_the_offset():
+    p = Params(1, 60)
+    assert dimension(p, 0) == 61  # the centre: kn + 1, odd
+    assert dimension(p, -60) == dimension(p, 60) == 121 == p.dim  # l = 0, 2kn
+    assert dimension(Params(1, 3), 0) == 5  # kn + 1 = 4 is even
+    assert dimension(Params(2, 5), -3) == 15
+    assert dimension(Params(4, 0), 0) == 1
+    for k in range(1, 4):
+        for n in range(0, 9):
+            p = Params(k, n)
+            for offset in range(-k * n, k * n + 1):
+                dim = dimension(p, offset)
+                assert dim % 2 == 1 and k * n + abs(offset) < dim <= k * n + abs(offset) + 2
+                assert dim <= p.dim
+
+
+def test_certified_results_report_the_dimension():
+    p = Params(1, 60)
+    assert central_via_spectrum(p).dim == 61
+    assert coefficient_via_spectrum(p, 0).dim == 121
+    assert coefficient_via_spectrum(p, 45).dim == 77
+    assert central_via_spectrum(Params(3, 0)).dim == 1
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_every_rung_is_exact_at_the_smallest_dimension(k):
+    # Each rung evaluated directly at the route's N: a double rung that
+    # certifies, and the ball rung always, give the exact row's value, and
+    # the ladder runs at that N.
+    for n in range(1, 41):
+        p = Params(k, n)
+        row = expand_power(p).coeffs
+        d = p.degree
+        for l in sorted({0, 1, d // 4, k * n, (3 * d) // 4, d}):
+            offset = None if l == k * n else l - k * n
+            dim = dimension(p, offset or 0)
+            phase = None if offset is None else offset % dim
+            for compensated in (False, True):
+                value, residual = spectral._evaluate_double(p, dim, phase, compensated)
+                if residual < spectral.DEFAULT_RESIDUAL_CAP:
+                    assert value == row[l], (k, n, l, compensated)
+            value, residual = spectral._evaluate_arbitrary(p, dim, phase, required_bits(p))
+            assert value == row[l] and residual < spectral.DEFAULT_RESIDUAL_CAP, (k, n, l)
+            result = spectral._certify(p, offset, PrecisionPolicy())
+            assert (result.value, result.dim) == (row[l], dim), (k, n, l)
+
+
+@pytest.mark.parametrize("k", range(1, 4))
+def test_one_odd_dimension_less_aliases_a_second_coefficient(k):
+    # The bound N > kn + |l - kn| is tight: at the next odd N below it the
+    # sum holds p_{kn+t} for every t = l - kn (mod N) with |t| <= kn, which
+    # includes l +- N, and every entry of the row is positive.
+    for n in range(1, 13):
+        p = Params(k, n)
+        row = expand_power(p).coeffs
+        for l in range(p.degree + 1):
+            offset = l - k * n
+            dim = dimension(p, offset) - 2
+            phase = None if offset == 0 else offset % dim
+            aliased = [t for t in range(-k * n, k * n + 1) if (t - offset) % dim == 0]
+            assert len(aliased) >= 2, (k, n, l, dim)
+            value, residual = spectral._evaluate_arbitrary(p, dim, phase, required_bits(p))
+            assert residual < spectral.DEFAULT_RESIDUAL_CAP, (k, n, l, dim)
+            assert value == sum(row[k * n + t] for t in aliased) > row[l], (k, n, l, dim)
 
 
 def _corners(x, rx):
@@ -468,19 +542,25 @@ def test_starved_ball_budget_raises_and_restores_iv_precision():
 @example(k=2, n=6, where=0.25, strategy="compensated")
 def test_cheap_rungs_agree_with_the_ball_rung(k, n, where, strategy):
     # Whenever a double rung's heuristic bound certifies, the proof does too,
-    # on the same value, and the ladder does not skip that rung.  3^33 and
-    # 3^34 sit either side of 2^53; (1, 4) and (2, 6) have zero numerators.
+    # on the same value, at the paper's N and at the route's; at the
+    # route's N the ladder does not skip that rung.  3^33 and 3^34 sit
+    # either side of 2^53; (1, 4) and (2, 6) have zero numerators.
     p = Params(k, n)
     l = round(where * p.degree)
-    phase = None if l == k * n else (l - k * n) % p.dim
-    value, residual = spectral._evaluate_double(p, phase, strategy == "compensated")
-    if residual >= spectral.DEFAULT_RESIDUAL_CAP:
-        return
-    proven, radius = spectral._evaluate_arbitrary(p, phase, required_bits(p))
-    assert radius < spectral.DEFAULT_RESIDUAL_CAP
-    assert value == proven, (k, n, l, strategy)
-    result = spectral._certify(p, phase, PrecisionPolicy(strategy=strategy))
-    assert result.policy_used.strategy == strategy
+    offset = None if l == k * n else l - k * n
+    route_dim = dimension(p, offset or 0)
+    for dim in (p.dim, route_dim):
+        phase = None if offset is None else offset % dim
+        value, residual = spectral._evaluate_double(p, dim, phase, strategy == "compensated")
+        if residual >= spectral.DEFAULT_RESIDUAL_CAP:
+            continue
+        proven, radius = spectral._evaluate_arbitrary(p, dim, phase, required_bits(p))
+        assert radius < spectral.DEFAULT_RESIDUAL_CAP
+        assert value == proven, (k, n, l, dim, strategy)
+        if dim == route_dim:
+            result = spectral._certify(p, offset, PrecisionPolicy(strategy=strategy))
+            assert result.policy_used.strategy == strategy
+            assert result.dim == dim
 
 
 def test_policy_validation():
