@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -23,18 +24,12 @@ from typing import Callable
 from . import circulant, exact, oeis, spectral
 from ._digits import decimal
 from .params import Params
-from .spectral import CertificationError, PrecisionPolicy
+from .spectral import CertificationError
 
 METHODS = ("conv", "trace", "spectral")
 
 #: Relative/absolute tolerance of verify's eigenvalue check.
 EIGEN_TOL = 1e-12
-
-
-def _policy_from(args: argparse.Namespace) -> PrecisionPolicy:
-    return PrecisionPolicy(
-        strategy=args.precision, mantissa_bits=args.mantissa_bits
-    )
 
 
 def _emit(records: list[dict], plain_lines: list[str], fmt: str) -> None:
@@ -63,9 +58,7 @@ def _emit(records: list[dict], plain_lines: list[str], fmt: str) -> None:
         raise ValueError(f"unknown format {fmt!r}")
 
 
-def _evaluate(
-    method: str, params: Params, l: int, policy: PrecisionPolicy
-) -> int | spectral.CertifiedInteger:
+def _evaluate(method: str, params: Params, l: int) -> int | spectral.CertifiedInteger:
     """p_l by one method: an int, or the certified result of ``spectral``.
 
     The central coefficient takes each route's central entry point.  Routes
@@ -83,8 +76,8 @@ def _evaluate(
         return circulant.coefficient_via_shift(params, l)
     if method == "spectral":
         if central:
-            return spectral.central_via_spectrum(params, policy)
-        return spectral.coefficient_via_spectrum(params, l, policy)
+            return spectral.central_via_spectrum(params)
+        return spectral.coefficient_via_spectrum(params, l)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -92,9 +85,9 @@ def _value(result: int | spectral.CertifiedInteger) -> int:
     return result if isinstance(result, int) else result.value
 
 
-def _coefficient(method: str, params: Params, l: int, policy: PrecisionPolicy) -> dict:
+def _coefficient(method: str, params: Params, l: int) -> dict:
     """One coefficient by one method, as an output record."""
-    result = _evaluate(method, params, l, policy)
+    result = _evaluate(method, params, l)
     record = {
         "type": "value",
         "method": method,
@@ -116,9 +109,8 @@ def cmd_compute(args: argparse.Namespace) -> int:
     l = args.l if args.l is not None else params.k * params.n
     if not 0 <= l <= params.degree:
         raise ValueError(f"l must be in [0, {params.degree}], got {l}")
-    policy = _policy_from(args)
     methods = list(METHODS) if args.method == "all" else [args.method]
-    records = [_coefficient(method, params, l, policy) for method in methods]
+    records = [_coefficient(method, params, l) for method in methods]
     plain = [f"{r['method']} {r['value']}" for r in records]
     status = 0
     if args.method == "all":
@@ -139,11 +131,10 @@ def cmd_sequence(args: argparse.Namespace) -> int:
         raise ValueError(f"count must be >= 1, got {args.count}")
     if args.start_n < 0:
         raise ValueError(f"start-n must be >= 0, got {args.start_n}")
-    policy = _policy_from(args)
     records = []
     for n in range(args.start_n, args.start_n + args.count):
         params = Params(args.k, n)
-        value = _value(_evaluate(args.method, params, args.k * n, policy))
+        value = _value(_evaluate(args.method, params, args.k * n))
         records.append(
             {
                 "type": "term",
@@ -171,7 +162,7 @@ def _routes(conv: int, trace: int, proven: int | None) -> dict:
 
 
 def _verify_case(
-    params: Params, policy: PrecisionPolicy, ls: list[int], window: list[int]
+    params: Params, ls: list[int], window: list[int]
 ) -> tuple[list[str], dict[str, dict]]:
     """Names of failed checks for one (k, n) grid case, and the values behind them.
 
@@ -187,7 +178,7 @@ def _verify_case(
 
     if list(row) != window:
         failed.append("exact-window")
-    proven = _certified(failed, spectral.central_via_spectrum, params, policy)
+    proven = _certified(failed, spectral.central_via_spectrum, params)
     trace = circulant.central_via_trace(params)
     if central != trace or proven not in (None, central):
         failed.append("methods-equal")
@@ -204,7 +195,7 @@ def _verify_case(
     if power.first_row != row[shift:] + row[:shift]:
         failed.append("circulant-row")
 
-    # The double rungs' ratios E_r = sin(m r pi/N) / sin(r pi/N), folded
+    # The double rung's ratios E_r = sin(m r pi/N) / sin(r pi/N), folded
     # onto the half-table of sines, against the Dirichlet kernel at both
     # angles of the pair E_r = E_{N-r} that the spectral sum doubles, at
     # the N of the central sum.
@@ -218,7 +209,7 @@ def _verify_case(
         failed.append("eigen-ratios")
 
     for l in ls:
-        proven = _certified(failed, spectral.coefficient_via_spectrum, params, l, policy)
+        proven = _certified(failed, spectral.coefficient_via_spectrum, params, l)
         shift = circulant.coefficient_via_shift(params, l)
         if row[l] != shift or proven not in (None, row[l]):
             failed.append(f"coefficient-l{l}")
@@ -256,7 +247,6 @@ def _certified(
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.k_max < 1 or args.n_max < 1:
         raise ValueError("k-max and n-max must be >= 1")
-    policy = _policy_from(args)
     rng = random.Random(args.seed) if args.seed is not None else None
     records = []
     failures = 0
@@ -272,7 +262,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 ls = sorted(
                     rng.sample(range(params.degree + 1), min(3, params.degree + 1))
                 )
-            failed, values = _verify_case(params, policy, ls, window)
+            failed, values = _verify_case(params, ls, window)
             if failed:
                 failures += 1
                 described = ", ".join(_described(name, values) for name in failed)
@@ -303,7 +293,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {args.repetitions}")
     methods = list(METHODS) if args.method == ["all"] else args.method
-    policy = _policy_from(args)
 
     records = []
     for n in args.n:
@@ -312,7 +301,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             timings = []
             for _ in range(args.repetitions):
                 start = time.perf_counter()
-                _evaluate(method, params, args.k * n, policy)
+                _evaluate(method, params, args.k * n)
                 timings.append(time.perf_counter() - start)
             records.append(
                 {
@@ -418,25 +407,15 @@ def _method_list(text: str) -> list[str]:
     return values or ["all"]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it as it was."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format",
         choices=("plain", "csv", "json-lines"),
         default="plain",
         help="output format (default: plain)",
-    )
-    common.add_argument(
-        "--precision",
-        choices=spectral.STRATEGIES,
-        default="double",
-        help="starting summation strategy for spectral evaluation",
-    )
-    common.add_argument(
-        "--mantissa-bits",
-        type=int,
-        default=None,
-        help="explicit bit budget for the arbitrary strategy (default: computed)",
     )
     common.add_argument(
         "--offline",
@@ -498,15 +477,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--id", default=None, help="OEIS identifier, e.g. A002426")
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--count", type=int, default=15)
+    p.add_argument("--count", type=int, default=10)
     p.set_defaults(func=cmd_oeis)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CertificationError as error:

@@ -17,23 +17,22 @@ every result carries a certificate: the pre-rounding distance from the
 nearest integer plus a bound on the evaluation error, required to stay
 under a cap.  The bound matters: once terms outgrow the mantissa the
 measured distance alone is blind (above 2^53 every double is an integer).
-The double and compensated rungs use a forward error bound; when neither
-can certify, the arbitrary rung evaluates the sum in fixed-point ball
-arithmetic, whose radius encloses every rounding, each term at the width
-its size needs.
+The ladder has two rungs, and the code chooses: the double rung, with a
+forward error bound, runs where that bound can reach the cap; when it
+does not certify, the arbitrary rung evaluates the sum in fixed-point ball
+arithmetic at :func:`required_bits`, whose radius encloses every rounding,
+each term at the width its size needs.  Its sines are seeded in integers
+alone (Machin's pi and the sine series), so the module needs only the
+standard library.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import inf, pi, sin
 
-from mpmath import libmp
-
 from .params import Params
-
-STRATEGIES = ("double", "compensated", "arbitrary")
 
 #: Guard bits on top of the magnitude estimate in :func:`required_bits`.
 GUARD_BITS = 32
@@ -50,24 +49,11 @@ _DOUBLE_BITS = 53
 
 @dataclass(frozen=True)
 class PrecisionPolicy:
-    """How to evaluate the spectral sum.
+    """The rung that certified a sum: ``double``, or ``arbitrary`` with
+    ``mantissa_bits`` fractional bits in its fixed-point balls."""
 
-    ``strategy`` is the starting point of the escalation ladder.  For the
-    ``arbitrary`` strategy, ``mantissa_bits`` is the number of fractional
-    bits of its fixed-point balls; ``None`` means "compute the budget
-    from the operands" via :func:`required_bits`; an explicit value is
-    honored as-is (including values too small to certify, which then raise
-    :class:`CertificationError`).
-    """
-
-    strategy: str = "double"
+    strategy: str
     mantissa_bits: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
-        if self.mantissa_bits is not None and self.mantissa_bits < 1:
-            raise ValueError(f"mantissa_bits must be positive, got {self.mantissa_bits}")
 
 
 @dataclass(frozen=True)
@@ -76,12 +62,12 @@ class CertifiedInteger:
 
     ``residual`` is the pre-rounding distance of the sum (after division by
     N) from the returned integer, widened by a bound on the error of the
-    evaluation itself (a forward bound on the double rungs, the ball radius
+    evaluation itself (a forward bound on the double rung, the ball radius
     on the arbitrary rung); certification means it stayed below
-    :data:`DEFAULT_RESIDUAL_CAP`.  ``policy_used`` reflects the strategy
-    that finally certified, ``escalations`` how many ladder steps that
-    took.  ``rungs`` holds every rung tried, in order, as (strategy,
-    mantissa bits, residual); the last one is the rung that certified.
+    :data:`DEFAULT_RESIDUAL_CAP`.  ``policy_used`` records the rung that
+    certified, ``escalations`` how many ladder steps that took.  ``rungs``
+    holds every rung tried, in order, as (strategy, mantissa bits,
+    residual); the last one is the rung that certified.
     ``dim`` is the circulant dimension N the sum ran at (:func:`dimension`).
     """
 
@@ -94,21 +80,16 @@ class CertifiedInteger:
 
 
 class CertificationError(ArithmeticError):
-    """No strategy on the ladder brought the residual under the cap.
+    """No rung of the ladder brought the residual under the cap.
 
     ``rungs`` holds every rung tried, as on :class:`CertifiedInteger`.
     """
 
     def __init__(
-        self,
-        message: str,
-        residual: float,
-        policy: PrecisionPolicy,
-        rungs: tuple[tuple[str, int, float], ...] = (),
+        self, message: str, residual: float, rungs: tuple[tuple[str, int, float], ...] = ()
     ):
         super().__init__(message)
         self.residual = residual
-        self.policy = policy
         self.rungs = rungs
 
 
@@ -169,7 +150,7 @@ def _pow(base: float, n: int) -> float:
 
 
 def _sine_table(dim: int) -> list[float]:
-    """The half-table s_j = sin(j pi/N), j = 0..floor(N/2), the double rungs' only sines.
+    """The half-table s_j = sin(j pi/N), j = 0..floor(N/2), the double rung's only sines.
 
     Every argument lies in [0, pi/2], where x cot x <= 1: the relative error
     of s_j is at most that of its argument plus the sine's own rounding.
@@ -261,33 +242,12 @@ def _sum_abs(terms: list[float]) -> float:
     return s
 
 
-def _sum_compensated(terms: list[float]) -> float:
-    """Left-to-right Neumaier-compensated accumulation.
-
-    Tracks the rounding error of every addition in a second double and
-    re-adds it once at the end, shrinking the error bound from O(m*eps)
-    toward O(eps).
-    """
-    s = 0.0
-    c = 0.0
-    for term in terms:
-        t = s + term
-        if abs(s) >= abs(term):
-            c += (s - t) + term
-        else:
-            c += (term - t) + s
-        s = t
-    return s + c
-
-
-def _evaluate_double(
-    params: Params, dim: int, phase: int | None, compensated: bool
-) -> tuple[int, float]:
+def _evaluate_double(params: Params, dim: int, phase: int | None) -> tuple[int, float]:
     """The spectral sum at the odd dimension ``dim`` in doubles, with a forward error bound."""
     sines = _sine_table(dim)
     powers = _terms_central(params.k, params.n, sines)
     terms = _phase_terms(powers, phase, sines)
-    total = _sum_compensated(terms) if compensated else _sum_plain(terms)
+    total = _sum_plain(terms)
     quotient = total / dim
     value, measured = _round_with_residual(quotient)
     mass = _sum_abs(powers)
@@ -308,30 +268,97 @@ def _evaluate_double(
     #   error is absolute: where w_r ~ 0 it is no fraction of E_r^n w_r.
     #   With the product's rounding, a weighted term is within
     #   (10n + 2 + 21.4)u of |E_r^n|: 22 more units per term.
-    # - Summation: plain left-to-right accumulation of len(terms) terms
-    #   costs at most one u of A per addition; Neumaier's costs u|S| plus
-    #   second-order terms, 4 in all.
+    # - Summation: left-to-right accumulation of len(terms) terms costs at
+    #   most one u of A per addition.
     # - Division by N and the quantization of the quotient itself cost one
     #   ulp of the quotient, which is what keeps the certificate honest
     #   above 2^53.
     per_term = 10.0 * params.n + (2.0 if phase is None else 24.0)
-    accumulation = 4.0 if compensated else float(len(terms) + 1)
-    bound = mass * (per_term + accumulation) * _EPS / dim
+    bound = mass * (per_term + len(terms) + 1) * _EPS / dim
     bound += math.ulp(abs(quotient))
     return value, measured + bound
 
 
-def _floor_ldexp(man: int, exp: int) -> int:
-    """floor(man * 2^exp), exactly."""
-    return man << exp if exp >= 0 else man >> -exp
+#: (bits, mid, rad): a ball around 2^bits pi at the widest scale asked for so far.
+_PI = (0, 3, 1)
 
 
-def _ball(x: tuple[tuple, tuple], bits: int) -> tuple[int, int]:
-    """An integer ball (mid, rad) around 2^bits times every point of the libmp interval x."""
-    (lo, lo_exp), (hi, hi_exp) = (libmp.to_man_exp(end) for end in x)
-    lo, hi = _floor_ldexp(lo, lo_exp + bits), -_floor_ldexp(-hi, hi_exp + bits)
+def _atan_inv(x: int, bits: int) -> tuple[int, int]:
+    """A ball around 2^bits atan(1/x), for an integer x > 1, by its alternating series.
+
+    Term i is floor(2^bits / (x^(2i+1) (2i+1))): nested floors of positive
+    integers compose, so each costs under an ulp however it is reached.
+    The series stops at the first term whose power floor(2^bits/x^(2i+1))
+    is 0; the tail of an alternating series with falling terms is at most
+    that term, which is below one ulp.
+    """
+    power, total, square, i = (1 << bits) // x, 0, x * x, 0
+    while power:
+        term = power // (2 * i + 1)
+        total += -term if i & 1 else term
+        power //= square
+        i += 1
+    return total, i + 1
+
+
+def _pi(bits: int) -> tuple[int, int]:
+    """A ball around 2^bits pi by Machin's formula, pi = 16 atan(1/5) - 4 atan(1/239).
+
+    pi is computed once per process at the widest scale asked for; a
+    narrower one is a right shift of it, with the radius rounded up.
+    """
+    global _PI
+    widest, mid, rad = _PI
+    if widest < bits:
+        (a, ra), (b, rb) = _atan_inv(5, bits), _atan_inv(239, bits)
+        widest, mid, rad = _PI = (bits, 16 * a - 4 * b, 16 * ra + 4 * rb)
+    return _ball_down(mid, rad, widest - bits)
+
+
+def _ball_within(x: int, rx: int, shift: int) -> tuple[int, int]:
+    """The smallest ball at a scale 2^shift coarser whose integer ends hold the ball (x, rx).
+
+    Where (x, rx) is much narrower than the coarser ulp, as a seed is, the
+    radius is one ulp; :func:`_ball_down` would give two.
+    """
+    lo, hi = (x - rx) >> shift, -(-(x + rx) >> shift)
     mid = (lo + hi) >> 1
     return mid, hi - mid
+
+
+def _seed(dim: int, bits: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Balls around 2^bits (cos, sin)(pi/N), odd N >= 3, in integers alone.
+
+    The work runs at p = bits + bitlen(bits) + GUARD_BITS, on a ball
+    (X, rho_x) around 2^p x, x = pi/N.  sin x is its alternating series at
+    X: term i + 1 is T_i Q / 2^p over (2i+2)(2i+3), Q = floor(X^2 / 2^p),
+    floored once.  Q is cut to its top bits first, the low L = p -
+    bitlen(T_i) ones dropped, which moves T_i Q / 2^p by under an ulp and
+    keeps both factors as short as the shrinking term.  With x <= pi/3
+    every term is then within 2 ulps of its exact value at X, and the
+    series stops at a term that is 0, so within 2 ulps of 0, which bounds
+    the alternating tail.  Hence rho_s = 2 (terms + 1) + rho_x, since
+    |sin'| <= 1.  cos x = sqrt(1 - sin^2 x) is isqrt(2^(2p) - S^2): for
+    sines a, b <= 0.87 (sin(pi/3) < 0.867),
+    |sqrt(1 - a^2) - sqrt(1 - b^2)| = |a - b| (a + b) / (sqrt(1 - a^2) +
+    sqrt(1 - b^2)) < 2 |a - b|, and the floor costs an ulp, so
+    rho_c = 2 rho_s + 1.  Each ball then goes to scale 2^bits as the ball
+    between the floor of its lower end and the ceiling of its upper one.
+    """
+    shift = bits.bit_length() + GUARD_BITS
+    prec = bits + shift
+    pi, rpi = _pi(prec)
+    x, rx = pi // dim, -(-rpi // dim) + 1
+    square = (x * x) >> prec
+    s, term, i = 0, x, 0
+    while term:
+        s += -term if i & 1 else term
+        i += 1
+        cut = max(prec - term.bit_length(), 0)
+        term = ((term * (square >> cut)) >> (prec - cut)) // (2 * i * (2 * i + 1))
+    rs = 2 * (i + 1) + rx
+    c = math.isqrt((1 << (2 * prec)) - s * s)
+    return _ball_within(c, 2 * rs + 1, shift), _ball_within(s, rs, shift)
 
 
 def _rotation_table(dim: int, bits: int) -> list[tuple[int, int]]:
@@ -348,10 +375,10 @@ def _chebyshev_sines(dim: int, bits: int) -> list[tuple[int, int]]:
     """Balls (S_j, R_j) around 2^bits sin(j pi/N), j = 0..floor(N/2), one product each.
 
     The sines of the rotation z^j = exp(i j pi/N) obey the Chebyshev
-    recurrence s_{j+1} = 2c s_j - s_{j-1}, c = cos(pi/N).  One libmp
-    enclosure of (c, s_1), at 20 guard bits, gives balls (C, rho_c) and
-    (S_1, rho_s).  Write eps_j = S_j - 2^bits s_j, so eps_0 = 0 and
-    |eps_1| <= rho_s.  A step S_{j+1} = floor(2 C S_j / 2^bits) - S_{j-1},
+    recurrence s_{j+1} = 2c s_j - s_{j-1}, c = cos(pi/N).  :func:`_seed`
+    gives balls (C, rho_c) and (S_1, rho_s) around (c, s_1); N = 1 has
+    only s_0 = 0 and needs none.  Write eps_j = S_j - 2^bits s_j, so
+    eps_0 = 0 and |eps_1| <= rho_s.  A step S_{j+1} = floor(2 C S_j / 2^bits) - S_{j-1},
     with C = 2^bits c + gamma and |gamma| <= rho_c, gives
 
         eps_{j+1} = 2c eps_j - eps_{j-1} + d_j,   d_j = 2 gamma S_j / 2^bits - f_j,
@@ -366,10 +393,10 @@ def _chebyshev_sines(dim: int, bits: int) -> list[tuple[int, int]]:
 
     at any budget.
     """
-    half, prec = dim // 2, bits + 20
-    pi = (libmp.mpf_pi(prec, libmp.round_floor), libmp.mpf_pi(prec, libmp.round_ceiling))
-    angle = libmp.mpi_div(pi, (libmp.from_int(dim),) * 2, prec)
-    (c, rc), (s, rs) = (_ball(x, bits) for x in libmp.mpi_cos_sin(angle, prec))
+    half = dim // 2
+    if not half:
+        return [(0, 0)]
+    (c, rc), (s, rs) = _seed(dim, bits)
     table, twice = [0, s][: half + 1], 2 * c
     for _ in range(half - 1):
         table.append(((twice * table[-1]) >> bits) - table[-2])
@@ -474,60 +501,53 @@ def _evaluate_arbitrary(
     return value, residual
 
 
-def _certify(params: Params, offset: int | None, policy: PrecisionPolicy) -> CertifiedInteger:
-    """p_{kn+offset}, or the central coefficient for ``offset=None``, at N = :func:`dimension`."""
-    ladder = STRATEGIES[STRATEGIES.index(policy.strategy):]
+def _certify(params: Params, offset: int | None) -> CertifiedInteger:
+    """p_{kn+offset}, or the central coefficient for ``offset=None``, at N = :func:`dimension`.
+
+    The double rung runs where its bound can certify; the arbitrary rung,
+    at :func:`required_bits`, runs where the double rung did not certify.
+    """
     dim = dimension(params, offset or 0)
     phase = None if offset is None else offset % dim
-    # Both double rungs' bounds are at least this: their mass holds
-    # (2k+1)^n and every term is charged (10n + 2)u (see _evaluate_double).
-    # Where it reaches the cap, a double rung is recorded as tried, with
-    # residual inf, but not evaluated.
+    # The double rung's bound is at least this: its mass holds (2k+1)^n and
+    # every term is charged (10n + 2)u (see _evaluate_double).  Where it
+    # reaches the cap, the rung is recorded as tried, with residual inf,
+    # but not evaluated.
     double_floor = _pow(float(params.width), params.n) * (10 * params.n + 2) * _EPS / dim
     value, residual = 0, math.inf
-    rungs = []
-    for escalations, strategy in enumerate(ladder):
-        if strategy == "arbitrary":
-            bits = policy.mantissa_bits or required_bits(params)
-            value, residual = _evaluate_arbitrary(params, dim, phase, bits)
-            effective = replace(policy, strategy="arbitrary", mantissa_bits=bits)
-        else:
-            bits = _DOUBLE_BITS
-            if double_floor < DEFAULT_RESIDUAL_CAP:
-                value, residual = _evaluate_double(params, dim, phase, strategy == "compensated")
-            else:
-                value, residual = 0, math.inf
-            effective = replace(policy, strategy=strategy)
-        rungs.append((strategy, bits, residual))
-        if residual < DEFAULT_RESIDUAL_CAP:
-            return CertifiedInteger(
-                value=value,
-                residual=residual,
-                policy_used=effective,
-                dim=dim,
-                escalations=escalations,
-                rungs=tuple(rungs),
-            )
+    if double_floor < DEFAULT_RESIDUAL_CAP:
+        value, residual = _evaluate_double(params, dim, phase)
+    rungs = [("double", _DOUBLE_BITS, residual)]
+    policy = PrecisionPolicy("double")
+    if residual >= DEFAULT_RESIDUAL_CAP:
+        bits = required_bits(params)
+        value, residual = _evaluate_arbitrary(params, dim, phase, bits)
+        rungs.append(("arbitrary", bits, residual))
+        policy = PrecisionPolicy("arbitrary", bits)
+    if residual < DEFAULT_RESIDUAL_CAP:
+        return CertifiedInteger(
+            value=value,
+            residual=residual,
+            policy_used=policy,
+            dim=dim,
+            escalations=len(rungs) - 1,
+            rungs=tuple(rungs),
+        )
     where = "central sum" if phase is None else f"coefficient sum at phase offset {phase}"
     raise CertificationError(
         f"residual {residual} >= cap {DEFAULT_RESIDUAL_CAP} for the {where} "
-        f"(k={params.k}, n={params.n}) even at strategy {ladder[-1]!r}",
+        f"(k={params.k}, n={params.n}) even at strategy 'arbitrary'",
         residual=residual,
-        policy=policy,
         rungs=tuple(rungs),
     )
 
 
-def central_via_spectrum(
-    params: Params, policy: PrecisionPolicy = PrecisionPolicy()
-) -> CertifiedInteger:
+def central_via_spectrum(params: Params) -> CertifiedInteger:
     """M^(2k,n) from the closed-form sine-ratio sum at the smallest odd N > kn, certified."""
-    return _certify(params, None, policy)
+    return _certify(params, None)
 
 
-def coefficient_via_spectrum(
-    params: Params, l: int, policy: PrecisionPolicy = PrecisionPolicy()
-) -> CertifiedInteger:
+def coefficient_via_spectrum(params: Params, l: int) -> CertifiedInteger:
     """Coefficient ``p_l`` from the phase-weighted spectral sum, certified.
 
     Uses the real cosine form: the eigenvalue pairing E_r = E_{N-r} (the
@@ -540,4 +560,4 @@ def coefficient_via_spectrum(
     """
     if not 0 <= l <= params.degree:
         raise ValueError(f"l must be in [0, {params.degree}], got {l}")
-    return _certify(params, l - params.k * params.n, policy)
+    return _certify(params, l - params.k * params.n)

@@ -71,7 +71,7 @@ def test_compute_json_lines_round_trip(capsys):
     assert all(r["value"] == "19" for r in values)
     assert all(r["l"] == 6 for r in values)
     spectral_record = next(r for r in values if r["method"] == "spectral")
-    assert spectral_record["strategy"] in ("double", "compensated", "arbitrary")
+    assert spectral_record["strategy"] in ("double", "arbitrary")
     assert records[-1] == {"type": "verdict", "k": 2, "n": 3, "l": 6, "agree": True}
 
 
@@ -151,10 +151,11 @@ def test_compute_bad_k(capsys):
     assert "k must be >= 1" in err
 
 
-def test_certification_failure_exit(capsys):
+def test_certification_failure_exit(capsys, monkeypatch):
+    # A ball rung starved to 8 bits cannot certify (1, 60).
+    monkeypatch.setattr(cli.spectral, "required_bits", lambda params: 8)
     code, _, err = run(capsys, "compute", "--k", "1", "--n", "60",
-                       "--method", "spectral", "--precision", "arbitrary",
-                       "--mantissa-bits", "8")
+                       "--method", "spectral")
     assert code == 1
     assert "certification failed" in err
     assert "residual" in err
@@ -324,8 +325,8 @@ def test_verify_reports_the_disagreeing_values(capsys, monkeypatch):
     assert case["failed"] == "methods-equal"
     assert case["values"] == {"methods-equal": {"conv": "3", "trace": "4", "spectral": "3"}}
 
-    def uncertified(params, policy):
-        raise cli.CertificationError("starved", residual=1.0, policy=policy)
+    def uncertified(params):
+        raise cli.CertificationError("starved", residual=1.0)
 
     monkeypatch.setattr(cli.spectral, "central_via_spectrum", uncertified)
     code, out, err = run(capsys, "verify", "--k-max", "1", "--n-max", "1",
@@ -342,8 +343,8 @@ def test_verify_reports_the_disagreeing_values(capsys, monkeypatch):
 def test_verify_reports_each_routes_coefficient(capsys, monkeypatch):
     real = cli.spectral.coefficient_via_spectrum
 
-    def off_by_one(params, l, policy):
-        result = real(params, l, policy)
+    def off_by_one(params, l):
+        result = real(params, l)
         return dataclasses.replace(result, value=result.value + 1)
 
     monkeypatch.setattr(cli.spectral, "coefficient_via_spectrum", off_by_one)
@@ -447,14 +448,16 @@ def test_bench_bad_n_list(capsys):
 
 
 def test_oeis_fixture_match(capsys):
-    code, out, _ = run(capsys, "oeis", "--k", "1", "--count", "15", "--offline")
-    assert code == 0
-    assert "A002426 k=1: 15 terms compared, all equal" in out
+    # The default count is the fixtures' ten terms.
+    for extra in ((), ("--count", "10")):
+        code, out, _ = run(capsys, "oeis", "--k", "1", *extra, "--offline")
+        assert code == 0
+        assert out.strip() == "A002426 k=1: 10 terms compared, all equal (fixture)"
 
 
 def test_oeis_explicit_id(capsys):
     code, out, _ = run(capsys, "oeis", "--id", "A005191", "--k", "2",
-                       "--count", "15", "--offline")
+                       "--count", "10", "--offline")
     assert code == 0
     assert "all equal" in out
 
@@ -499,6 +502,8 @@ def test_oeis_usage_errors(capsys):
     assert code == 2 and "pass --k" in err
     code, _, err = run(capsys, "oeis", "--k", "1", "--count", "99", "--offline")
     assert code == 2 and "exceeds" in err
+    code, _, err = run(capsys, "oeis", "--k", "1", "--count", "11", "--offline")
+    assert code == 2 and "count 11 exceeds the 10 available terms" in err
 
 
 def test_oeis_offline_without_cache(capsys, monkeypatch, tmp_path):
@@ -540,6 +545,49 @@ def test_values_over_int_str_digit_limit(capsys, monkeypatch, argv, code, line):
     status, out, _ = run(capsys, *argv, "--format", "json-lines")
     assert status == code
     assert BIG_DIGITS in {r.get("value", r.get("computed")) for r in json_lines(out)}
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_reused_parser_leaks_no_value_between_requests(capsys):
+    # The same argv after a different one prints what it prints after a
+    # fresh parser: no option of the first request sticks.
+    first = ["compute", "--k", "3", "--n", "40", "--l", "3", "--method", "all",
+             "--format", "json-lines"]
+    second = ["compute", "--k", "3", "--n", "40"]
+    expected = []
+    for argv in (first, second):
+        cli.build_parser.cache_clear()
+        expected.append(run(capsys, *argv))
+    cli.build_parser.cache_clear()
+    assert [run(capsys, *argv) for argv in (first, second)] == expected
+    assert expected[1] == (0, "200018125733654567755310652383117\n", "")
+
+
+@pytest.mark.parametrize("option", [["--precision", "arbitrary"], ["--mantissa-bits", "200"]])
+def test_removed_precision_options_are_usage_errors(capsys, option):
+    with pytest.raises(SystemExit) as info:
+        main(["compute", "--k", "1", "--n", "60", "--method", "spectral", *option])
+    assert info.value.code == 2
+
+
+def test_runs_on_the_standard_library_alone():
+    # The spectral route seeds its sines in integers: no request imports mpmath.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    script = (
+        "import sys\n"
+        "from cnomial import cli\n"
+        "codes = [cli.main(['compute', '--k', '3', '--n', '40', '--method', 'all']),\n"
+        "         cli.main(['verify', '--k-max', '2', '--n-max', '6', '--seed', '1'])]\n"
+        "assert codes == [0, 0], codes\n"
+        "assert 'mpmath' not in sys.modules\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 def test_missing_subcommand_is_usage_error():

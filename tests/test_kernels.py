@@ -10,8 +10,6 @@ from cnomial.params import Params
 from cnomial.spectral import (
     _sine_table,
     _sum_abs,
-    _sum_compensated,
-    _sum_plain,
     _terms_central,
 )
 
@@ -81,12 +79,6 @@ def test_big_integers_survive_recurrence():
     n = 2000
     closed = sum(math.comb(n, 2 * j) * math.comb(2 * j, j) for j in range(n // 2 + 1))
     assert exact.central_coefficient(Params(1, n)) == closed
-
-
-def test_compensated_beats_plain_on_cancellation():
-    terms = [1e16, 1.0, -1e16]
-    assert _sum_plain(terms) == 0.0
-    assert _sum_compensated(terms) == 1.0
 
 
 def test_sum_abs():

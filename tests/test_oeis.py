@@ -37,7 +37,7 @@ def test_registered_sequences_shape():
     for record in records:
         assert record.provenance == "fixture"
         assert record.offset == 0
-        assert len(record.terms) >= 15
+        assert len(record.terms) == 10
 
 
 def test_fixture_prefixes():
@@ -47,8 +47,8 @@ def test_fixture_prefixes():
 
 
 def test_fixture_terms_match_independent_path():
-    # fixtures are built from the convolution oracle; cross-check each term
-    # against the circulant trace route
+    # fixtures are typed in from the OEIS entries; each term against the
+    # circulant trace route
     for record in fixtures():
         for i, term in enumerate(record.terms):
             assert term == central_via_trace(Params(record.k, record.offset + i))
@@ -75,10 +75,10 @@ def test_record_validation():
 
 
 def test_compare_fixture_matches():
-    report = compare(fixture_for_k(1), 1, 15)
+    report = compare(fixture_for_k(1), 1, 10)
     assert report.all_equal
     assert report.first_mismatch is None
-    assert report.count == 15
+    assert report.count == 10
 
 
 def test_compare_cross_sequence_mismatch():

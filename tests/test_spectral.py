@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from cnomial import (
     CertificationError,
     Params,
-    PrecisionPolicy,
     central_coefficient,
     central_via_spectrum,
     coefficient_via_spectrum,
@@ -133,7 +132,7 @@ def test_central_anchor_golden_ratio():
     # the paper's N = 5.  The route sums at N = 3, where (9 + 0 + 0) / 3 = 3.
     assert abs((9 + 2 * (PHI**2 + PHI**-2)) / 5 - 3) < 1e-12
     p = Params(1, 2)
-    value, residual = spectral._evaluate_double(p, p.dim, None, compensated=False)
+    value, residual = spectral._evaluate_double(p, p.dim, None)
     assert value == 3 and residual < 1e-9
     result = central_via_spectrum(p)
     assert result.value == 3
@@ -215,7 +214,7 @@ def test_escalation_to_arbitrary():
     # 3^60 dwarfs 2^53: the double pass cannot certify and must escalate
     p = Params(1, 60)
     assert required_bits(p) > 52
-    _, residual = spectral._evaluate_double(p, dimension(p, 0), None, compensated=False)
+    _, residual = spectral._evaluate_double(p, dimension(p, 0), None)
     assert residual >= 0.25
     result = central_via_spectrum(p)
     assert result.escalations >= 1
@@ -224,8 +223,8 @@ def test_escalation_to_arbitrary():
     assert result.value == central_coefficient(p)
 
 
-def test_escalation_count_is_two_from_double():
-    assert central_via_spectrum(Params(1, 60)).escalations == 2
+def test_escalation_count_is_one_from_double():
+    assert central_via_spectrum(Params(1, 60)).escalations == 1
 
 
 def test_overflowing_double_sum_escalates_and_recovers():
@@ -234,46 +233,32 @@ def test_overflowing_double_sum_escalates_and_recovers():
     p = Params(1, 800)
     result = central_via_spectrum(p)
     assert result.policy_used.strategy == "arbitrary"
-    assert result.escalations == 2
+    assert result.escalations == 1
     assert result.value == central_coefficient(p)
 
 
-def test_compensated_start():
-    result = central_via_spectrum(Params(1, 4), PrecisionPolicy(strategy="compensated"))
-    assert result.value == 19
-    assert result.policy_used.strategy == "compensated"
-    assert result.escalations == 0
-
-
 def test_arbitrary_start_uses_computed_budget():
-    result = central_via_spectrum(Params(1, 2), PrecisionPolicy(strategy="arbitrary"))
-    assert result.value == 3
-    assert result.policy_used.strategy == "arbitrary"
-    assert result.policy_used.mantissa_bits == required_bits(Params(1, 2))
-    assert result.escalations == 0
+    # The ball rung alone, at the budget the ladder gives it, on a sum the
+    # double rung certifies.
+    p = Params(1, 2)
+    value, residual = spectral._evaluate_arbitrary(p, dimension(p, 0), None, required_bits(p))
+    assert value == 3
+    assert residual < spectral.DEFAULT_RESIDUAL_CAP
 
 
-def test_explicit_ample_budget_honored():
-    policy = PrecisionPolicy(strategy="arbitrary", mantissa_bits=200)
-    result = central_via_spectrum(Params(1, 60), policy)
-    assert result.value == central_coefficient(Params(1, 60))
-    assert result.policy_used.mantissa_bits == 200
-
-
-def test_starved_budget_fails_certification():
-    policy = PrecisionPolicy(strategy="arbitrary", mantissa_bits=8)
+def test_starved_budget_fails_certification(monkeypatch):
+    monkeypatch.setattr(spectral, "required_bits", lambda params: 8)
     with pytest.raises(CertificationError) as info:
-        central_via_spectrum(Params(1, 60), policy)
+        central_via_spectrum(Params(1, 60))
     assert info.value.residual >= spectral.DEFAULT_RESIDUAL_CAP
-    assert info.value.policy is policy
-    assert info.value.rungs == (("arbitrary", 8, info.value.residual),)
+    assert info.value.rungs == (("double", 53, math.inf), ("arbitrary", 8, info.value.residual))
 
 
 def test_rungs_record_every_rung_tried():
     p = Params(1, 60)
     result = central_via_spectrum(p)
-    assert [strategy for strategy, _, _ in result.rungs] == list(spectral.STRATEGIES)
-    assert [bits for _, bits, _ in result.rungs] == [53, 53, required_bits(p)]
+    assert [strategy for strategy, _, _ in result.rungs] == ["double", "arbitrary"]
+    assert [bits for _, bits, _ in result.rungs] == [53, required_bits(p)]
     assert all(residual >= 0.25 for _, _, residual in result.rungs[:-1])
     assert result.rungs[-1][2] == result.residual < 0.25
     assert len(central_via_spectrum(Params(1, 2)).rungs) == 1
@@ -284,33 +269,35 @@ def test_every_certifying_rung_is_exact(k):
     # The certificate against the truth.  n runs across the 2^53 crossover
     # of (2k+1)^n, and the grid holds zero numerators (gcd(2k+1, N) > 1,
     # e.g. (k, n) = (1, 4), (2, 6)) and numerator folds with
-    # (2k+1)r mod 2N >= N.  Every rung is forced at least once per case
-    # through the policy; a rung the ladder already went through when
-    # started lower is not forced again.
+    # (2k+1)r mod 2N >= N.  Both rungs are evaluated directly on every
+    # case at the route's N, and the ladder's own answer is checked too.
     certified_at = set()
     for n in range(1, 61):
         p = Params(k, n)
         row = expand_power(p).coeffs
         d = p.degree
         for l in sorted({0, d // 4 + 1, (3 * d) // 4, d - 1, k * n}):
-            tried = set()
-            for strategy in spectral.STRATEGIES:
-                if strategy in tried:
-                    continue
-                policy = PrecisionPolicy(strategy=strategy)
-                if l == k * n:
-                    result = central_via_spectrum(p, policy)
-                else:
-                    result = coefficient_via_spectrum(p, l, policy)
-                tried.update(rung for rung, _, _ in result.rungs)
-                certified_at.add(result.policy_used.strategy)
-                assert result.value == row[l], (k, n, l, result.rungs)
-    assert certified_at == set(spectral.STRATEGIES)
+            offset = None if l == k * n else l - k * n
+            dim = dimension(p, offset or 0)
+            phase = None if offset is None else offset % dim
+            for strategy, (value, residual) in (
+                ("double", spectral._evaluate_double(p, dim, phase)),
+                ("arbitrary", spectral._evaluate_arbitrary(p, dim, phase, required_bits(p))),
+            ):
+                if residual < spectral.DEFAULT_RESIDUAL_CAP:
+                    certified_at.add(strategy)
+                    assert value == row[l], (k, n, l, strategy)
+            if l == k * n:
+                result = central_via_spectrum(p)
+            else:
+                result = coefficient_via_spectrum(p, l)
+            assert result.value == row[l], (k, n, l, result.rungs)
+    assert certified_at == {"double", "arbitrary"}
 
 
 def test_double_rungs_skipped_where_they_cannot_certify(monkeypatch):
-    # 3^800 alone puts both double bounds past the cap: the ladder records
-    # the two rungs as tried, with residual inf, and never evaluates them.
+    # 3^800 alone puts the double bound past the cap: the ladder records
+    # the rung as tried, with residual inf, and never evaluates it.
     calls = []
     evaluate = spectral._evaluate_double
     monkeypatch.setattr(
@@ -319,9 +306,9 @@ def test_double_rungs_skipped_where_they_cannot_certify(monkeypatch):
     p = Params(1, 800)
     result = central_via_spectrum(p)
     assert calls == []
-    assert result.rungs[:2] == (("double", 53, math.inf), ("compensated", 53, math.inf))
-    assert result.rungs[2][:2] == ("arbitrary", required_bits(p))
-    assert result.escalations == 2
+    assert result.rungs[0] == ("double", 53, math.inf)
+    assert result.rungs[1][:2] == ("arbitrary", required_bits(p))
+    assert result.escalations == 1
     assert result.value == central_coefficient(p)
 
 
@@ -350,18 +337,19 @@ def test_ball_rung_encloses_the_exact_value(k):
 ])
 def test_ball_rung_certifies_in_the_central_large_regime(k, n, l):
     # At the sizes the per-term widths were sized for, the rung alone
-    # certifies the exact row's value at its budget F.
+    # certifies the exact row's value at its budget F, and the ladder
+    # reaches it there.
     p = Params(k, n)
-    policy = PrecisionPolicy(strategy="arbitrary")
-    if l == k * n:
-        result = central_via_spectrum(p, policy)
-    else:
-        result = coefficient_via_spectrum(p, l, policy)
+    offset = None if l == k * n else l - k * n
+    dim = dimension(p, offset or 0)
+    phase = None if offset is None else offset % dim
     bits = required_bits(p)
-    assert result.value == expand_power(p).coeffs[l]
-    assert result.policy_used.mantissa_bits == bits
-    assert result.rungs == (("arbitrary", bits, result.residual),)
-    assert result.residual < spectral.DEFAULT_RESIDUAL_CAP
+    value, residual = spectral._evaluate_arbitrary(p, dim, phase, bits)
+    assert value == expand_power(p).coeffs[l]
+    assert residual < spectral.DEFAULT_RESIDUAL_CAP
+    result = spectral._certify(p, offset)
+    assert result.policy_used == spectral.PrecisionPolicy("arbitrary", bits)
+    assert result.rungs == (("double", 53, math.inf), ("arbitrary", bits, residual))
 
 
 @pytest.mark.parametrize("k, n, offset", [(1, 735, None), (3, 40, 7), (10, 92, None), (2, 6, 3)])
@@ -424,13 +412,12 @@ def test_every_rung_is_exact_at_the_smallest_dimension(k):
             offset = None if l == k * n else l - k * n
             dim = dimension(p, offset or 0)
             phase = None if offset is None else offset % dim
-            for compensated in (False, True):
-                value, residual = spectral._evaluate_double(p, dim, phase, compensated)
-                if residual < spectral.DEFAULT_RESIDUAL_CAP:
-                    assert value == row[l], (k, n, l, compensated)
+            value, residual = spectral._evaluate_double(p, dim, phase)
+            if residual < spectral.DEFAULT_RESIDUAL_CAP:
+                assert value == row[l], (k, n, l)
             value, residual = spectral._evaluate_arbitrary(p, dim, phase, required_bits(p))
             assert value == row[l] and residual < spectral.DEFAULT_RESIDUAL_CAP, (k, n, l)
-            result = spectral._certify(p, offset, PrecisionPolicy())
+            result = spectral._certify(p, offset)
             assert (result.value, result.dim) == (row[l], dim), (k, n, l)
 
 
@@ -518,31 +505,78 @@ def test_rotation_table_encloses_the_sines(half, bits):
         mpmath.iv.prec = prec
 
 
-def test_starved_ball_budget_raises_and_restores_iv_precision():
+SEED_DIMS = (3, 5, 7, 61, 1601, 16001)
+SEED_BITS = (30, 64, 200, 1000, 3000, 7200)
+
+
+def iv_encloses(ball, exact):
+    mid, rad = ball
+    return mid - rad <= exact.a and exact.b <= mid + rad
+
+
+def test_integer_pi_encloses_pi(monkeypatch):
+    # Machin's series at each precision, and the same precisions shifted
+    # down from pi at the widest one, against mpmath.iv at 64 more bits.
+    prec = mpmath.iv.prec
+    try:
+        for widest in (None, max(SEED_BITS)):
+            monkeypatch.setattr(spectral, "_PI", (0, 3, 1))
+            if widest is not None:
+                spectral._pi(widest)
+            for bits in SEED_BITS:
+                ball = spectral._pi(bits)
+                mpmath.iv.prec = bits + 64
+                assert iv_encloses(ball, mpmath.iv.ldexp(mpmath.iv.pi, bits)), (widest, bits)
+                assert ball[1] <= 4 * bits + 64, (widest, bits, ball[1])
+    finally:
+        mpmath.iv.prec = prec
+
+
+@pytest.mark.parametrize("dim", SEED_DIMS)
+def test_integer_seed_encloses_cos_and_sin(dim):
+    # The balls around (cos, sin)(pi/N) that start the Chebyshev table,
+    # against mpmath.iv at 64 more bits; each is a floor and a ceiling of
+    # the value, so its radius is one ulp.
+    prec = mpmath.iv.prec
+    try:
+        for bits in SEED_BITS:
+            cos_ball, sin_ball = spectral._seed(dim, bits)
+            mpmath.iv.prec = bits + 64
+            angle = mpmath.iv.pi / dim
+            assert iv_encloses(cos_ball, mpmath.iv.ldexp(mpmath.iv.cos(angle), bits)), bits
+            assert iv_encloses(sin_ball, mpmath.iv.ldexp(mpmath.iv.sin(angle), bits)), bits
+            assert cos_ball[1] == sin_ball[1] == 1, (bits, cos_ball[1], sin_ball[1])
+    finally:
+        mpmath.iv.prec = prec
+
+
+def test_one_dimension_needs_no_seed(monkeypatch):
+    # N = 1 (n = 0) has the one entry s_0 = 0.
+    monkeypatch.setattr(spectral, "_seed", None)
+    assert spectral._chebyshev_sines(1, 64) == [(0, 0)]
+    assert central_via_spectrum(Params(3, 0)).value == 1
+
+
+def test_starved_ball_budget_raises_and_restores_iv_precision(monkeypatch):
     prec = mpmath.iv.prec
     for bits in range(1, 9):
-        policy = PrecisionPolicy(strategy="arbitrary", mantissa_bits=bits)
+        monkeypatch.setattr(spectral, "required_bits", lambda params: bits)
         with pytest.raises(CertificationError) as info:
-            central_via_spectrum(Params(10, 100), policy)
-        assert info.value.rungs[0][:2] == ("arbitrary", bits)
+            central_via_spectrum(Params(10, 100))
+        assert info.value.rungs[-1][:2] == ("arbitrary", bits)
         assert info.value.residual >= spectral.DEFAULT_RESIDUAL_CAP
         assert mpmath.iv.prec == prec
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    k=st.integers(1, 5),
-    n=st.integers(1, 60),
-    where=st.floats(0, 1),
-    strategy=st.sampled_from(("double", "compensated")),
-)
-@example(k=1, n=33, where=0.5, strategy="double")
-@example(k=1, n=34, where=0.5, strategy="compensated")
-@example(k=1, n=4, where=0.5, strategy="double")
-@example(k=2, n=6, where=0.25, strategy="compensated")
-def test_cheap_rungs_agree_with_the_ball_rung(k, n, where, strategy):
-    # Whenever a double rung's heuristic bound certifies, the proof does too,
-    # on the same value, at the paper's N and at the route's; at the
+@given(k=st.integers(1, 5), n=st.integers(1, 60), where=st.floats(0, 1))
+@example(k=1, n=33, where=0.5)
+@example(k=1, n=34, where=0.5)
+@example(k=1, n=4, where=0.5)
+@example(k=2, n=6, where=0.25)
+def test_cheap_rungs_agree_with_the_ball_rung(k, n, where):
+    # Whenever the double rung's heuristic bound certifies, the proof does
+    # too, on the same value, at the paper's N and at the route's; at the
     # route's N the ladder does not skip that rung.  3^33 and 3^34 sit
     # either side of 2^53; (1, 4) and (2, 6) have zero numerators.
     p = Params(k, n)
@@ -551,25 +585,16 @@ def test_cheap_rungs_agree_with_the_ball_rung(k, n, where, strategy):
     route_dim = dimension(p, offset or 0)
     for dim in (p.dim, route_dim):
         phase = None if offset is None else offset % dim
-        value, residual = spectral._evaluate_double(p, dim, phase, strategy == "compensated")
+        value, residual = spectral._evaluate_double(p, dim, phase)
         if residual >= spectral.DEFAULT_RESIDUAL_CAP:
             continue
         proven, radius = spectral._evaluate_arbitrary(p, dim, phase, required_bits(p))
         assert radius < spectral.DEFAULT_RESIDUAL_CAP
-        assert value == proven, (k, n, l, dim, strategy)
+        assert value == proven, (k, n, l, dim)
         if dim == route_dim:
-            result = spectral._certify(p, offset, PrecisionPolicy(strategy=strategy))
-            assert result.policy_used.strategy == strategy
+            result = spectral._certify(p, offset)
+            assert result.policy_used.strategy == "double"
             assert result.dim == dim
-
-
-def test_policy_validation():
-    with pytest.raises(ValueError):
-        PrecisionPolicy(strategy="quad")
-    with pytest.raises(ValueError):
-        PrecisionPolicy(strategy="compensated-double")
-    with pytest.raises(ValueError):
-        PrecisionPolicy(mantissa_bits=0)
 
 
 def test_certified_residual_nonnegative():
