@@ -88,6 +88,17 @@ def _times_ones(row: list[int], width: int) -> list[int]:
     return list(map(sub, prefix[1:], chain(repeat(0, width - 1), prefix[: len(row)])))
 
 
+def coefficient(params: Params, l: int) -> int:
+    """The entry p_l, by the recurrence stopped at min(l, 2kn − l).
+
+    The row is symmetric, p_l = p_{2kn−l}, so no entry takes more than kn
+    steps and the rest of the row is never built.
+    """
+    if not 0 <= l <= params.degree:
+        raise ValueError(f"l must be in [0, {params.degree}], got {l}")
+    return _recurrence_prefix(params, min(l, params.degree - l))[-1]
+
+
 def central_coefficient(params: Params) -> int:
     """The central entry p_kn, by the recurrence stopped there."""
-    return _recurrence_prefix(params, params.k * params.n)[-1]
+    return coefficient(params, params.k * params.n)

@@ -15,8 +15,6 @@ import os
 import re
 import threading
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -193,6 +191,10 @@ def parse_bfile(text: str) -> list[tuple[int, int]]:
 
 
 def _default_http_get(url: str) -> bytes:
+    # Imported here: urllib.request pulls in http.client, a large share of
+    # the package's import time, and only a fetch from the network needs it.
+    import urllib.request
+
     request = urllib.request.Request(url, headers={"User-Agent": "cnomial/0.1"})
     with urllib.request.urlopen(request, timeout=30.0) as response:
         return response.read()
@@ -277,7 +279,7 @@ def fetch_bfile(
         if not offline:
             try:
                 raw = getter(url)
-            except (urllib.error.URLError, OSError, TimeoutError):
+            except OSError:  # URLError and TimeoutError are OSErrors
                 raw = None
             if raw is not None:
                 text = raw.decode("utf-8", errors="replace")

@@ -7,29 +7,32 @@ trace power collapses to a finite sum of sine-ratio powers:
 
 The paper takes N = 2kn+1.  At any odd N the sum, with the phase of an
 offset d = l - kn, gives the sum of p_{kn+t} over t = d (mod N), and every
-term but p_l drops out once N > kn + |d|.  So each coefficient is summed at
-the smallest odd such N (:func:`dimension`): N = 2kn+1 only at l = 0 and
-l = 2kn, and about kn at the centre.  The trace route keeps 2kn+1.  Every rung
-evaluates the sum from one half-table of sines, s_j = sin(j pi/N) for
-j <= N/2: numerators fold onto it, E_r = E_{N-r} pairs the terms, and the
-phase cosine is 1 - 2 s_j^2.  The sums are rounded back to integers, so
-every result carries a certificate: the pre-rounding distance from the
-nearest integer plus a bound on the evaluation error, required to stay
-under a cap.  The bound matters: once terms outgrow the mantissa the
-measured distance alone is blind (above 2^53 every double is an integer).
-The ladder has two rungs, and the code chooses: the double rung, with a
-forward error bound, runs where that bound can reach the cap; when it
-does not certify, the arbitrary rung evaluates the sum in fixed-point ball
-arithmetic at :func:`required_bits`, whose radius encloses every rounding,
-each term at the width its size needs.  Its sines are seeded in integers
-alone (Machin's pi and the sine series), so the module needs only the
-standard library.
+term but p_l drops out once N > kn + |d| (:func:`dimension`, the tight
+bound).  The central sum runs at the smallest such N, about kn.  Any other
+coefficient runs at 2kn+1, which holds the whole row: E_r does not depend
+on l, so the arbitrary rung powers it once per row (:func:`_row_spectrum`)
+and each l only weights those powers by its phase.  The trace route keeps
+2kn+1 too.  Every rung evaluates the sum from one half-table of sines,
+s_j = sin(j pi/N) for j <= N/2: numerators fold onto it, E_r = E_{N-r}
+pairs the terms, and the phase cosine is 1 - 2 s_j^2.  The sums are
+rounded back to integers, so every result carries a certificate: the
+pre-rounding distance from the nearest integer plus a bound on the
+evaluation error, required to stay under a cap.  The bound matters: once
+terms outgrow the mantissa the measured distance alone is blind (above
+2^53 every double is an integer).  The ladder has two rungs, and the code
+chooses: the double rung, with a forward error bound, runs where that
+bound can reach the cap; when it does not certify, the arbitrary rung
+evaluates the sum in fixed-point ball arithmetic at :func:`required_bits`,
+whose radius encloses every rounding, each term at the width its size
+needs.  Its sines are seeded in integers alone (Machin's pi and the sine
+series), so the module needs only the standard library.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 from math import inf, pi, sin
 
 from .params import Params
@@ -68,7 +71,8 @@ class CertifiedInteger:
     certified, ``escalations`` how many ladder steps that took.  ``rungs``
     holds every rung tried, in order, as (strategy, mantissa bits,
     residual); the last one is the rung that certified.
-    ``dim`` is the circulant dimension N the sum ran at (:func:`dimension`).
+    ``dim`` is the circulant dimension N the sum ran at: :func:`dimension`
+    of 0 for the central sum, the paper's 2kn+1 for any other coefficient.
     """
 
     value: int
@@ -198,7 +202,9 @@ def _phase_indices(phase: int, dim: int) -> Iterator[int]:
         yield min(j, dim - j)
 
 
-def _phase_terms(powers: list[float], phase: int | None, sines: list[float]) -> list[float]:
+def _phase_terms(
+    powers: Sequence[float], phase: int | None, sines: Sequence[float]
+) -> Sequence[float]:
     """The terms of the sum at a phase offset: powers[r] * cos(2 pi r phase/N).
 
     The cosine is 1 - 2 s_j^2 (:func:`_phase_indices`).  ``phase=None`` is
@@ -206,7 +212,7 @@ def _phase_terms(powers: list[float], phase: int | None, sines: list[float]) -> 
     """
     if phase is None:
         return powers
-    out = powers[:1]
+    out = [powers[0]]
     for power, j in zip(powers[1:], _phase_indices(phase, 2 * len(sines) - 1)):
         s = sines[j]
         out.append(power * (1 - 2 * s * s))
@@ -242,15 +248,27 @@ def _sum_abs(terms: list[float]) -> float:
     return s
 
 
-def _evaluate_double(params: Params, dim: int, phase: int | None) -> tuple[int, float]:
-    """The spectral sum at the odd dimension ``dim`` in doubles, with a forward error bound."""
+@lru_cache(maxsize=8)
+def _double_spectrum(
+    params: Params, dim: int
+) -> tuple[tuple[float, ...], tuple[float, ...], float]:
+    """The double rung's half-table, its paired powers and their mass A.
+
+    None of them depends on the phase, so every coefficient of a row reads
+    the same ones; cached per (k, n, N).
+    """
     sines = _sine_table(dim)
     powers = _terms_central(params.k, params.n, sines)
+    return tuple(sines), tuple(powers), _sum_abs(powers)
+
+
+def _evaluate_double(params: Params, dim: int, phase: int | None) -> tuple[int, float]:
+    """The spectral sum at the odd dimension ``dim`` in doubles, with a forward error bound."""
+    sines, powers, mass = _double_spectrum(params, dim)
     terms = _phase_terms(powers, phase, sines)
     total = _sum_plain(terms)
     quotient = total / dim
     value, measured = _round_with_residual(quotient)
-    mass = _sum_abs(powers)
     if not math.isfinite(quotient) or not math.isfinite(mass):
         return value, math.inf
     # Forward error bound on the quotient in units of u = 2^-53, charged
@@ -361,14 +379,31 @@ def _seed(dim: int, bits: int) -> tuple[tuple[int, int], tuple[int, int]]:
     return _ball_within(c, 2 * rs + 1, shift), _ball_within(s, rs, shift)
 
 
-def _rotation_table(dim: int, bits: int) -> list[tuple[int, int]]:
+@lru_cache(maxsize=2)
+def _rotation_table(dim: int, bits: int) -> tuple[tuple[int, int], ...]:
     """Balls (S_j, R_j) around 2^bits sin(j pi/N), j = 0..floor(N/2).
 
     :func:`_chebyshev_sines` builds them e = 2 bitlen(floor(N/2)) + 2 bits
     wider, which holds its quadratic error growth to a few ulps here.
+    Cached per (N, F): the row spectrum and the cosine table read the same one.
     """
     extra = 2 * (dim // 2).bit_length() + 2
-    return [_ball_down(x, rx, extra) for x, rx in _chebyshev_sines(dim, bits + extra)]
+    return tuple(_ball_down(x, rx, extra) for x, rx in _chebyshev_sines(dim, bits + extra))
+
+
+@lru_cache(maxsize=2)
+def _cosine_table(dim: int, bits: int) -> tuple[tuple[int, int], ...]:
+    """Balls around 2^bits cos(2 i pi/N) = 2^bits (1 - 2 s_i^2), i = 0..floor(N/2).
+
+    Each is one :func:`_ball_mul` square of the rotation table's sine, so
+    the table shares its seed and recurrence; cos(2 (N - i) pi/N) is the
+    same value, which folds every phase index onto it.  Cached per (N, F).
+    """
+    out = []
+    for s, rs in _rotation_table(dim, bits):
+        w, rw = _ball_mul(s, rs, s, rs, bits)
+        out.append(((1 << bits) - 2 * w, 2 * rw))
+    return tuple(out)
 
 
 def _chebyshev_sines(dim: int, bits: int) -> list[tuple[int, int]]:
@@ -448,6 +483,61 @@ def _ball_pow(x: int, rx: int, n: int, bits: int) -> tuple[int, int]:
     return y, ry
 
 
+def _below_ulp(q: int, rq: int, n: int, width: int) -> bool:
+    """Whether the n-th power of the ball (q, rq) at scale 2^width is below one ulp.
+
+    With b = bitlen(|q| + rq), every point of the ball is below 2^(b - width)
+    in magnitude, so its n-th power is below 2^((b - width) n) <= 2^-width
+    when b < width and (width - b) n >= width.  A phase weight has |cos| <= 1,
+    so the weighted term is then the ball (0, 1) at scale 2^width too: no
+    power and no weight need be formed.
+    """
+    b = (abs(q) + rq).bit_length()
+    return b < width and (width - b) * n >= width
+
+
+@lru_cache(maxsize=8)
+def _row_spectrum(
+    params: Params, dim: int, bits: int
+) -> tuple[tuple[tuple[int, int, int, int], ...], int] | None:
+    """The power balls E_r^n, r = 1..floor(N/2), at the odd dimension ``dim``, or None.
+
+    Entry (r, x, rx, g) is the ball (x, rx) around 2^g E_r^n at its own
+    width g = g_r.  An error of 2^-g_r in E_r grows to about n |E_r|^(n-1)
+    2^-g_r in E_r^n, and N such terms are summed, so g_r = bitlen(n) +
+    bitlen(N) + GUARD_BITS + ceil((n - 1) log2 |E_r|) where |E_r| > 1,
+    capped at ``bits``; log2 |E_r| is read off the table's midpoints.  A
+    width only decides whether a sum certifies, never whether its radius
+    encloses it.  The terms below one ulp (:func:`_below_ulp`) are left
+    out; the second result is their radius, 2^(bits - g_r + 1) each at
+    scale 2^bits, doubled like every term for its pair E_r = E_{N-r}.
+    None means the table is too coarse to divide by (a sine ball holds 0).
+
+    The powers do not depend on the phase, so every coefficient of a row
+    reads the same spectrum; cached per (k, n, N, F).
+    """
+    n = params.n
+    sines = _rotation_table(dim, bits)
+    least = n.bit_length() + dim.bit_length() + GUARD_BITS
+    powered, slack = [], 0
+    for r, (sign, j) in enumerate(_numerators(params.width, dim), 1):
+        s, rs = sines[r]
+        if s <= rs:
+            return None
+        t, rt = sines[j]
+        width = least
+        if t > s:
+            width += math.ceil((n - 1) * (math.log2(t) - math.log2(s)))
+        width = min(width, bits)
+        q, rq = _ball_div(t, rt, s, rs, width)
+        if _below_ulp(q, rq, n, width):
+            slack += 1 << (bits - width + 1)
+            continue
+        x, rx = _ball_pow(sign * q, rq, n, width)
+        powered.append((r, x, rx, width))
+    return tuple(powered), slack
+
+
 def _evaluate_arbitrary(
     params: Params, dim: int, phase: int | None, bits: int
 ) -> tuple[int, float]:
@@ -458,40 +548,26 @@ def _evaluate_arbitrary(
     to the radius, so the residual encloses the distance of the exact sum
     from the returned integer: no error estimate is involved.
 
-    The terms differ enormously in size, so each runs at its own width g_r:
-    an error of 2^-g_r in E_r grows to about n |E_r|^(n-1) 2^-g_r in E_r^n,
-    and N such terms are summed, so g_r = bitlen(n) + bitlen(N) + GUARD_BITS
-    + ceil((n - 1) log2 |E_r|) where |E_r| > 1, capped at ``bits``.  log2 |E_r|
-    is read off the table's midpoints.  The quotient comes out at scale
-    2^g_r from the table's balls, the power and the phase weight run there,
-    and the result is shifted back up, exactly, before it is added.  A
-    width only decides whether the sum certifies, never whether the
-    residual encloses it.
+    The powers come from the row's spectrum (:func:`_row_spectrum`), each
+    at its own width g_r.  The central sum adds them; a phase folds i = r *
+    phase mod N onto the cosine table (:func:`_cosine_table`), brings that
+    ball down to g_r and weights the power by one product.  Each term is
+    shifted back up to 2^bits, exactly, before it is added.
     """
-    n = params.n
-    sines = _rotation_table(dim, bits)
-    phases = None if phase is None else _phase_indices(phase, dim)
-    least = n.bit_length() + dim.bit_length() + GUARD_BITS
-    total, radius = params.width**n << bits, 0
-    for r, (sign, j) in enumerate(_numerators(params.width, dim), 1):
-        s, rs = sines[r]
-        if s <= rs:
-            return 0, math.inf
-        t, rt = sines[j]
-        width = least
-        if t > s:
-            width += math.ceil((n - 1) * (math.log2(t) - math.log2(s)))
-        width = min(width, bits)
-        shift = bits - width
-        q, rq = _ball_div(t, rt, s, rs, width)
-        x, rx = _ball_pow(sign * q, rq, n, width)
-        if phases is not None:
-            i = next(phases)
-            si, ri = _ball_down(*sines[i], shift)
-            w, rw = _ball_mul(si, ri, si, ri, width)
-            x, rx = _ball_mul(x, rx, (1 << width) - 2 * w, 2 * rw, width)
-        total += x << (shift + 1)
-        radius += rx << (shift + 1)
+    spectrum = _row_spectrum(params, dim, bits)
+    if spectrum is None:
+        return 0, math.inf
+    terms, radius = spectrum
+    total = params.width**params.n << bits
+    cosines = None if phase is None else _cosine_table(dim, bits)
+    for r, x, rx, width in terms:
+        if cosines is not None:
+            i = (r * phase) % dim
+            c, rc = _ball_down(*cosines[min(i, dim - i)], bits - width)
+            x, rx = _ball_mul(x, rx, c, rc, width)
+        shift = bits - width + 1
+        total += x << shift
+        radius += rx << shift
     scale = dim << bits
     value = (2 * total + scale) // (2 * scale)
     try:
@@ -502,12 +578,16 @@ def _evaluate_arbitrary(
 
 
 def _certify(params: Params, offset: int | None) -> CertifiedInteger:
-    """p_{kn+offset}, or the central coefficient for ``offset=None``, at N = :func:`dimension`.
+    """p_{kn+offset}, or the central coefficient for ``offset=None``, certified.
 
-    The double rung runs where its bound can certify; the arbitrary rung,
-    at :func:`required_bits`, runs where the double rung did not certify.
+    The central sum (and offset 0) runs at the smallest N, :func:`dimension`
+    of 0.  Any other offset runs at the paper's N = 2kn+1, the smallest N
+    that holds every p_l of the row, so all of them read one cached row
+    spectrum (:func:`_row_spectrum`).  The double rung runs where its bound
+    can certify; the arbitrary rung, at :func:`required_bits`, runs where
+    the double rung did not certify.
     """
-    dim = dimension(params, offset or 0)
+    dim = params.dim if offset else dimension(params, 0)
     phase = None if offset is None else offset % dim
     # The double rung's bound is at least this: its mass holds (2k+1)^n and
     # every term is charged (10n + 2)u (see _evaluate_double).  Where it
@@ -556,7 +636,8 @@ def coefficient_via_spectrum(params: Params, l: int) -> CertifiedInteger:
     weights.  The phase index is taken relative to the central column,
     ``(l - kn) mod N``: the n-th power of the central circulant stores
     ``p_l`` that many columns right of its diagonal, and phase 0 (l = kn)
-    reduces to the central sum.  N is :func:`dimension` of l - kn.
+    reduces to the central sum.  N is 2kn+1 for l != kn, shared by the
+    row, and :func:`dimension` of 0 at l = kn.
     """
     if not 0 <= l <= params.degree:
         raise ValueError(f"l must be in [0, {params.degree}], got {l}")

@@ -1,7 +1,21 @@
-"""Shared fixtures: network gating."""
+"""Shared fixtures: network gating and cold package caches."""
 import os
 
 import pytest
+
+from cnomial.cli import _clear_route_caches
+
+
+@pytest.fixture(autouse=True)
+def cold_caches():
+    """Start each test with the routes' functools caches empty; call the fixture to empty them again.
+
+    A row or table cached by an earlier test would bypass a later test's
+    monkeypatch of what builds it (``_numerators``, ``_ball_pow``,
+    ``required_bits``).
+    """
+    _clear_route_caches()
+    return _clear_route_caches
 
 
 def pytest_collection_modifyitems(config, items):

@@ -139,6 +139,21 @@ def test_compute_conv_central_stops_at_kn(capsys, monkeypatch):
     assert lasts == [21]
 
 
+def test_compute_conv_reads_one_coefficient_without_the_row(capsys, monkeypatch):
+    # A general l reads p_l by the recurrence stopped at min(l, 2kn - l);
+    # no route of `compute` builds the whole row.
+    def refuse(params):
+        raise AssertionError("compute must not expand the whole row")
+
+    row = cli.exact.expand_power(cli.Params(3, 40)).coeffs
+    monkeypatch.setattr(cli.exact, "expand_power", refuse)
+    for l in (0, 7, 120, 233, 240):
+        code, out, _ = run(capsys, "compute", "--k", "3", "--n", "40", "--l", str(l),
+                           "--method", "all")
+        assert code == 0, l
+        assert out.splitlines() == [f"{method} {row[l]}" for method in cli.METHODS] + ["AGREE"]
+
+
 def test_compute_out_of_range_l(capsys):
     code, _, err = run(capsys, "compute", "--k", "1", "--n", "2", "--l", "9")
     assert code == 2
@@ -435,6 +450,22 @@ def test_bench_json_records(capsys):
                                "min_s", "median_s"}
 
 
+def test_bench_repetitions_start_from_cold_caches(capsys, monkeypatch):
+    # The spectral route caches its row spectrum; every timed repetition
+    # builds it again, so none of them times a cache hit.
+    calls = []
+    power = cli.spectral._ball_pow
+    monkeypatch.setattr(cli.spectral, "_ball_pow", lambda *args: calls.append(args) or power(*args))
+    counts = []
+    for repetitions in ("1", "3"):
+        calls.clear()
+        code, _, _ = run(capsys, "bench", "--k", "1", "--n", "60", "--method", "spectral",
+                         "--repetitions", repetitions)
+        assert code == 0
+        counts.append(len(calls))
+    assert counts[0] > 0 and counts[1] == 3 * counts[0]
+
+
 def test_bench_bad_method(capsys):
     with pytest.raises(SystemExit) as info:
         main(["bench", "--k", "1", "--n", "10", "--method", "quantum"])
@@ -584,6 +615,22 @@ def test_runs_on_the_standard_library_alone():
         "         cli.main(['verify', '--k-max', '2', '--n-max', '6', '--seed', '1'])]\n"
         "assert codes == [0, 0], codes\n"
         "assert 'mpmath' not in sys.modules\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
+def test_import_leaves_the_network_modules_out():
+    # urllib.request (and http.client behind it) load only when a b-file
+    # is fetched from the network, never at import.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    script = (
+        "import sys\n"
+        "import cnomial.cli\n"
+        "loaded = {'urllib.request', 'http.client'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
     )
     done = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, env=env, timeout=60)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cnomial import Params, central_coefficient, expand_power
-from cnomial.exact import _recurrence_prefix, _times_ones
+from cnomial.exact import _recurrence_prefix, _times_ones, coefficient
 
 
 def window_row(p):
@@ -74,6 +74,19 @@ def test_strategies_produce_identical_rows():
         for n in range(0, 31):
             p = Params(k, n)
             assert expand_power(p).coeffs == window_row(p), (k, n)
+
+
+def test_single_coefficient_matches_the_row():
+    # One entry by the recurrence stopped at min(l, 2kn - l): the row's
+    # symmetry lets no entry take more than kn steps.
+    for k in range(1, 6):
+        for n in range(0, 31):
+            p = Params(k, n)
+            row = expand_power(p).coeffs
+            assert [coefficient(p, l) for l in range(p.degree + 1)] == list(row), (k, n)
+    for l in (-1, 5):
+        with pytest.raises(ValueError, match="l must be in"):
+            coefficient(Params(1, 2), l)
 
 
 def test_recurrence_guard_raises_on_inexact_step():

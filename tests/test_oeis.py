@@ -2,6 +2,7 @@
 import json
 import threading
 import time
+import urllib.error
 
 import pytest
 
@@ -163,6 +164,20 @@ def test_fetch_serves_cache_when_network_fails(tmp_path):
     second = fetch_bfile("A002426", 6, http_get=broken_get, directory=tmp_path)
     assert second.terms == first.terms
     assert second.cache_hit
+
+
+@pytest.mark.parametrize("error", [
+    urllib.error.URLError("unreachable"), TimeoutError("timed out"), ConnectionResetError(),
+])
+def test_fetch_serves_cache_on_every_network_error(tmp_path, error):
+    # URLError and TimeoutError are OSErrors: one clause catches them all.
+    def broken_get(url):
+        raise error
+
+    fetch_bfile("A002426", 6, http_get=lambda url: TRINOMIAL_BFILE, directory=tmp_path)
+    record = fetch_bfile("A002426", 6, http_get=broken_get, directory=tmp_path)
+    assert record.terms == (1, 1, 3, 7, 19, 51)
+    assert record.cache_hit
 
 
 def test_fetch_offline_uses_cache_only(tmp_path):

@@ -1,5 +1,6 @@
 """Spectral sums, the sine-ratio spectrum, and the precision certificate."""
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -23,6 +24,11 @@ PHI = (1 + math.sqrt(5)) / 2
 
 def close(a, b):
     return math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12)
+
+
+def route_dim(p, offset):
+    """The N the ladder sums at: the smallest for the centre, 2kn+1 for any other l."""
+    return p.dim if offset else dimension(p, 0)
 
 
 def ratios(k, n):
@@ -270,7 +276,7 @@ def test_every_certifying_rung_is_exact(k):
     # of (2k+1)^n, and the grid holds zero numerators (gcd(2k+1, N) > 1,
     # e.g. (k, n) = (1, 4), (2, 6)) and numerator folds with
     # (2k+1)r mod 2N >= N.  Both rungs are evaluated directly on every
-    # case at the route's N, and the ladder's own answer is checked too.
+    # case at the smallest N, and the ladder's own answer is checked too.
     certified_at = set()
     for n in range(1, 61):
         p = Params(k, n)
@@ -337,40 +343,48 @@ def test_ball_rung_encloses_the_exact_value(k):
 ])
 def test_ball_rung_certifies_in_the_central_large_regime(k, n, l):
     # At the sizes the per-term widths were sized for, the rung alone
-    # certifies the exact row's value at its budget F, and the ladder
-    # reaches it there.
+    # certifies the exact row's value at its budget F, at the smallest N
+    # and at the route's, and the ladder reaches it at the route's.
     p = Params(k, n)
     offset = None if l == k * n else l - k * n
-    dim = dimension(p, offset or 0)
-    phase = None if offset is None else offset % dim
     bits = required_bits(p)
-    value, residual = spectral._evaluate_arbitrary(p, dim, phase, bits)
-    assert value == expand_power(p).coeffs[l]
-    assert residual < spectral.DEFAULT_RESIDUAL_CAP
+    for dim in (dimension(p, offset or 0), route_dim(p, offset)):
+        phase = None if offset is None else offset % dim
+        value, residual = spectral._evaluate_arbitrary(p, dim, phase, bits)
+        assert value == expand_power(p).coeffs[l]
+        assert residual < spectral.DEFAULT_RESIDUAL_CAP
+    # The loop ends at the route's N, so ``residual`` is the rung's there.
     result = spectral._certify(p, offset)
+    assert result.dim == route_dim(p, offset)
     assert result.policy_used == spectral.PrecisionPolicy("arbitrary", bits)
     assert result.rungs == (("double", 53, math.inf), ("arbitrary", bits, residual))
 
 
 @pytest.mark.parametrize("k, n, offset", [(1, 735, None), (3, 40, 7), (10, 92, None), (2, 6, 3)])
 def test_term_widths_stay_within_the_budget(monkeypatch, k, n, offset):
-    # Every term's power runs at a width of at most F, one term per
-    # r = 1..floor(N/2) at the route's N; at n > 1 the terms with |E_r| < 1
-    # run narrower.
-    widths = []
-    power = spectral._ball_pow
+    # Every term's power runs at a width of at most F, and each r =
+    # 1..floor(N/2) at the route's N is either powered or below one ulp;
+    # at n > 1 the terms with |E_r| < 1 run narrower.
+    widths, skipped = [], []
+    power, below = spectral._ball_pow, spectral._below_ulp
 
     def recording(x, rx, n, bits):
         widths.append(bits)
         return power(x, rx, n, bits)
 
+    def counting(*args):
+        skip = below(*args)
+        skipped.append(skip)
+        return skip
+
     monkeypatch.setattr(spectral, "_ball_pow", recording)
+    monkeypatch.setattr(spectral, "_below_ulp", counting)
     p = Params(k, n)
     bits = required_bits(p)
-    dim = dimension(p, offset or 0)
+    dim = route_dim(p, offset)
     phase = None if offset is None else offset % dim
     spectral._evaluate_arbitrary(p, dim, phase, bits)
-    assert len(widths) == dim // 2
+    assert len(widths) + sum(skipped) == len(skipped) == dim // 2
     assert max(widths) <= bits
     assert min(widths) < bits
 
@@ -395,15 +409,15 @@ def test_certified_results_report_the_dimension():
     p = Params(1, 60)
     assert central_via_spectrum(p).dim == 61
     assert coefficient_via_spectrum(p, 0).dim == 121
-    assert coefficient_via_spectrum(p, 45).dim == 77
+    assert coefficient_via_spectrum(p, 45).dim == 121
     assert central_via_spectrum(Params(3, 0)).dim == 1
 
 
 @pytest.mark.parametrize("k", range(1, 5))
 def test_every_rung_is_exact_at_the_smallest_dimension(k):
-    # Each rung evaluated directly at the route's N: a double rung that
-    # certifies, and the ball rung always, give the exact row's value, and
-    # the ladder runs at that N.
+    # Each rung evaluated directly at the smallest N: a double rung that
+    # certifies, and the ball rung always, give the exact row's value.
+    # The ladder runs at the route's N.
     for n in range(1, 41):
         p = Params(k, n)
         row = expand_power(p).coeffs
@@ -418,7 +432,7 @@ def test_every_rung_is_exact_at_the_smallest_dimension(k):
             value, residual = spectral._evaluate_arbitrary(p, dim, phase, required_bits(p))
             assert value == row[l] and residual < spectral.DEFAULT_RESIDUAL_CAP, (k, n, l)
             result = spectral._certify(p, offset)
-            assert (result.value, result.dim) == (row[l], dim), (k, n, l)
+            assert (result.value, result.dim) == (row[l], route_dim(p, offset)), (k, n, l)
 
 
 @pytest.mark.parametrize("k", range(1, 4))
@@ -438,6 +452,96 @@ def test_one_odd_dimension_less_aliases_a_second_coefficient(k):
             value, residual = spectral._evaluate_arbitrary(p, dim, phase, required_bits(p))
             assert residual < spectral.DEFAULT_RESIDUAL_CAP, (k, n, l, dim)
             assert value == sum(row[k * n + t] for t in aliased) > row[l], (k, n, l, dim)
+
+
+def read(p, l):
+    """p_l by the spectral route as the CLI asks for it."""
+    if l == p.k * p.n:
+        return central_via_spectrum(p)
+    return coefficient_via_spectrum(p, l)
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_results_do_not_depend_on_the_cache_state(cold_caches, k):
+    # Every coefficient read from cold caches is the same result, field by
+    # field (value, residual, rung, dim, rungs), as the same coefficient
+    # read warm: after the rest of its row in shuffled order, and again
+    # once the whole row is cached.  Every l off the centre is summed at
+    # 2kn+1, the centre at the smallest N.
+    rng = random.Random(k)
+    for n in range(1, 31):
+        p = Params(k, n)
+        row = expand_power(p).coeffs
+        ls = list(range(p.degree + 1))
+        cold = {}
+        for l in ls:
+            cold_caches()
+            cold[l] = read(p, l)
+        rng.shuffle(ls)
+        cold_caches()
+        warm = {l: read(p, l) for l in ls}
+        again = {l: read(p, l) for l in reversed(ls)}
+        assert cold == warm == again, (k, n)
+        for l, result in cold.items():
+            assert result.value == row[l], (k, n, l)
+            assert result.dim == (dimension(p, 0) if l == k * n else p.dim), (k, n, l)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    width=st.integers(1, 120),
+    n=st.integers(1, 400),
+    b=st.integers(0, 121),
+    rq=st.integers(0, 2**20),
+    negative=st.booleans(),
+)
+@example(width=5, n=2, b=3, rq=1, negative=False)  # (width - b) n == width - 1
+@example(width=6, n=2, b=3, rq=1, negative=True)  # (width - b) n == width
+@example(width=2, n=2, b=0, rq=1, negative=False)  # q = 0: a zero numerator
+def test_terms_below_one_ulp_are_below_one_ulp(width, n, b, rq, negative):
+    # The shortcut that leaves a term out of the spectrum as the ball
+    # (0, 1) holds on the exact rational: every point of the ball (q, rq)
+    # at scale 2^width has an n-th power below 2^-width.  |q| + rq is
+    # 2^b - 1, the widest ball of its bit length, wherever rq allows.
+    q = max((1 << b) - 1 - rq, 0)
+    q = -q if negative else q
+    if spectral._below_ulp(q, rq, n, width):
+        assert Fraction(abs(q) + rq, 2**width) ** n < Fraction(1, 2**width)
+
+
+@pytest.mark.parametrize("k, n", [(1, 60), (2, 30), (3, 40), (2, 6)])
+def test_row_spectrum_encloses_every_power(k, n):
+    # Each powered entry (r, x, rx, g) holds 2^g E_r^n, and the radius of
+    # the terms left out below one ulp holds their doubled magnitudes at
+    # scale 2^F, at the paper's N and at the smallest: the exact powers
+    # against mpmath.iv at twice the budget.
+    p = Params(k, n)
+    bits = required_bits(p)
+    skipped = 0
+    prec = mpmath.iv.prec
+    try:
+        mpmath.iv.prec = 2 * bits + 64
+        for dim in sorted({p.dim, dimension(p, 0)}):
+            terms, slack = spectral._row_spectrum(p, dim, bits)
+            powered = {r: (x, rx, g) for r, x, rx, g in terms}
+            left_out = mpmath.iv.mpf(0)
+            for r in range(1, dim // 2 + 1):
+                ratio = mpmath.iv.sin(mpmath.iv.pi * (p.width * r) / dim) / mpmath.iv.sin(
+                    mpmath.iv.pi * r / dim
+                )
+                power = ratio**n
+                if r in powered:
+                    x, rx, g = powered[r]
+                    exact = mpmath.iv.ldexp(power, g)
+                    assert x - rx <= exact.a and exact.b <= x + rx, (dim, r)
+                else:
+                    left_out += abs(power)
+                    skipped += 1
+            assert mpmath.iv.ldexp(2 * left_out, bits).b <= slack, dim
+    finally:
+        mpmath.iv.prec = prec
+    if n > 6:
+        assert skipped > 0
 
 
 def _corners(x, rx):
@@ -475,7 +579,7 @@ def test_ball_operations_enclose_every_corner(bits, x, rx, y, ry, n):
 @settings(max_examples=200, deadline=None)
 @given(x=st.integers(-(2**90), 2**90), rx=st.integers(0, 2**40), shift=st.integers(0, 80))
 def test_ball_down_encloses_both_ends(x, rx, shift):
-    # The table and each phase weight's sine go down to a coarser scale
+    # The table and each phase weight's cosine go down to a coarser scale
     # this way: the floor of the midpoint and the rounding of the radius
     # both count.
     mid, rad = spectral._ball_down(x, rx, shift)
@@ -576,14 +680,14 @@ def test_starved_ball_budget_raises_and_restores_iv_precision(monkeypatch):
 @example(k=2, n=6, where=0.25)
 def test_cheap_rungs_agree_with_the_ball_rung(k, n, where):
     # Whenever the double rung's heuristic bound certifies, the proof does
-    # too, on the same value, at the paper's N and at the route's; at the
-    # route's N the ladder does not skip that rung.  3^33 and 3^34 sit
-    # either side of 2^53; (1, 4) and (2, 6) have zero numerators.
+    # too, on the same value, at the paper's N and at the smallest; at the
+    # route's N, one of the two, the ladder does not skip that rung.  3^33
+    # and 3^34 sit either side of 2^53; (1, 4) and (2, 6) have zero
+    # numerators.
     p = Params(k, n)
     l = round(where * p.degree)
     offset = None if l == k * n else l - k * n
-    route_dim = dimension(p, offset or 0)
-    for dim in (p.dim, route_dim):
+    for dim in (p.dim, dimension(p, offset or 0)):
         phase = None if offset is None else offset % dim
         value, residual = spectral._evaluate_double(p, dim, phase)
         if residual >= spectral.DEFAULT_RESIDUAL_CAP:
@@ -591,7 +695,7 @@ def test_cheap_rungs_agree_with_the_ball_rung(k, n, where):
         proven, radius = spectral._evaluate_arbitrary(p, dim, phase, required_bits(p))
         assert radius < spectral.DEFAULT_RESIDUAL_CAP
         assert value == proven, (k, n, l, dim)
-        if dim == route_dim:
+        if dim == route_dim(p, offset):
             result = spectral._certify(p, offset)
             assert result.policy_used.strategy == "double"
             assert result.dim == dim
