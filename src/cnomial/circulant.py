@@ -12,14 +12,18 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from functools import lru_cache
+from itertools import repeat
 from operator import mul
 
 from .params import Params
 
-#: Narrowest window of nonzeros that :func:`matrix_power` squares by one
-#: packed decimal multiply; narrower windows square by the sparse loop of
-#: :func:`_convolve_cyclic`.  The two cost the same at widths of 20 to 25.
-PACKED_MIN_WIDTH = 24
+#: Smallest packed product, in bits (fields times field width), that a
+#: powering step forms by one libmpdec multiply of decimal fields; smaller
+#: products are one CPython int product of binary fields.  libmpdec's
+#: number-theoretic transform beats CPython's Karatsuba only on large
+#: operands, and its decimal packing costs more than the binary one:
+#: ``tools/bench_step.py`` times both kernels at packed sizes 2^12 to 2^20.
+DECIMAL_MIN_BITS = 200_000
 
 #: Integer products in this context are exact at any size: nothing rounds.
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
@@ -113,9 +117,9 @@ def matrix_power(a: CirculantMatrix, n: int) -> CirculantMatrix:
     The nonzeros of ``a`` lie in a cyclic window of width w starting at s,
     so those of aᵉ lie in the window of width min(N, e(w-1)+1) starting at
     e·s mod N: only that window is kept, and it is tracked, never searched
-    for.  Wide windows step by one packed multiply whose fields must not
-    carry into each other, so the entries must be nonnegative, as every
-    power of a boolean circulant is; a negative one raises ``ValueError``.
+    for.  Each step is one packed product whose fields must not carry into
+    each other, so the entries must be nonnegative, as every power of a
+    boolean circulant is; a negative one raises ``ValueError``.
     """
     if n < 0:
         raise ValueError(f"power must be >= 0, got {n}")
@@ -128,7 +132,7 @@ def matrix_power(a: CirculantMatrix, n: int) -> CirculantMatrix:
     start, width = _window(row)
     if width == 0:
         return a
-    base = [row[(start + i) % dim] for i in range(width)]
+    base = _cut(row, start, width)
     base_sum = sum(base)
     # The running power is aᵉ, its window ``values``; its entries sum to
     # ``total``, since row sums multiply under cyclic convolution.
@@ -138,11 +142,7 @@ def matrix_power(a: CirculantMatrix, n: int) -> CirculantMatrix:
         total = total * total * (base_sum if times_a else 1)
         values = _step(values, base if times_a else None, total, dim)
         e = 2 * e + times_a
-    out = [0] * dim
-    offset = e * start % dim
-    for i, value in enumerate(values):
-        out[(offset + i) % dim] = value
-    return CirculantMatrix(dim, tuple(out))
+    return CirculantMatrix(dim, _place(values, e * start, dim))
 
 
 def _window(row: tuple[int, ...]) -> tuple[int, int]:
@@ -162,6 +162,19 @@ def _window(row: tuple[int, ...]) -> tuple[int, int]:
     return start, dim - gap + 1
 
 
+def _cut(row: tuple[int, ...], start: int, width: int) -> list[int]:
+    """The ``width`` entries of ``row`` from ``start`` on, wrapping mod N."""
+    return list(row[start:] + row[:start])[:width]
+
+
+def _place(values: list[int], start: int, dim: int) -> tuple[int, ...]:
+    """The first row of dimension ``dim`` holding ``values`` from ``start`` on
+    (mod ``dim``) and zeros elsewhere; ``values`` has at most ``dim`` entries."""
+    start %= dim
+    out = values + [0] * (dim - len(values))
+    return tuple(out[dim - start :] + out[: dim - start])
+
+
 def _step(values: list[int], other: list[int] | None, bound: int, dim: int) -> list[int]:
     """The window of X², or of X² A when ``other`` is given, folded mod ``dim``.
 
@@ -170,20 +183,25 @@ def _step(values: list[int], other: list[int] | None, bound: int, dim: int) -> l
     the start of X's (plus A's start) and has ``count`` fields; past ``dim``
     fields it wraps round the ring and is folded onto ``dim``.
 
-    Below :data:`PACKED_MIN_WIDTH` the fields come from the sparse loop.
-    Above it, each window is packed as fixed-width decimal fields into one
-    :class:`~decimal.Decimal`, and one multiply (a number-theoretic
-    transform inside libmpdec for large operands) forms every field at
-    once.  The fields are wide enough to hold ``bound``, so with
-    nonnegative entries no carry crosses from one into the next.
+    Each window is packed as fixed-width fields into one number, and one
+    square, times A's packed window on a set bit, forms every field of the
+    product at once.  The fields are wide enough to hold ``bound``, so with
+    nonnegative entries no carry crosses from one into the next.  Below
+    :data:`DECIMAL_MIN_BITS` of product the fields are bytes of a CPython
+    int; from there on they are decimal digits of a
+    :class:`~decimal.Decimal`, whose multiply is a number-theoretic
+    transform inside libmpdec.  A zero ``bound`` means a zero product,
+    whose operands need not fit a field.
     """
     count = 2 * len(values) - 1 + (len(other) - 1 if other is not None else 0)
-    if len(values) < PACKED_MIN_WIDTH:
-        # Padded to ``count``, the cyclic convolution never wraps.
-        padded = values + [0] * (count - len(values))
-        fields = _convolve_cyclic(padded, padded)
+    if not bound:
+        fields = [0] * count
+    elif count * 8 * (nbytes := bound.bit_length() // 8 + 1) < DECIMAL_MIN_BITS:
+        packed = _pack_bytes(values, nbytes)
+        product = packed * packed
         if other is not None:
-            fields = _convolve_cyclic(fields, other + [0] * (count - len(other)))
+            product *= _pack_bytes(other, nbytes)
+        fields = _unpack_bytes(product, nbytes, count)
     else:
         digits = bound.bit_length() * 30103 // 100000 + 1  # 10**digits > bound
         packed = _pack(values, digits)
@@ -191,12 +209,51 @@ def _step(values: list[int], other: list[int] | None, bound: int, dim: int) -> l
         if other is not None:
             product = _EXACT.multiply(product, _pack(other, digits))
         fields = _unpack(product, digits, count)
-    if count <= dim:
+    return _fold(fields, dim)
+
+
+def _times_central(x: tuple[int, ...], k: int, e: int) -> tuple[int, ...]:
+    """First row of X C, for X = Cᵉ and C the central circulant of k on
+    ``len(x)`` points.
+
+    X's nonzeros lie in the window of min(N, 2ke+1) entries from -ke mod N
+    (:func:`matrix_power`).  The window is packed as binary fields, as in
+    :func:`_step`, wide enough for the row sum (2k+1)^(e+1) of X C.  C's
+    2k+1 ones multiply it as 2k+1 shifted copies of the packed window,
+    added together: each product by a one is a shift, and a multiply by
+    C's packed window, fields that are all but empty, costs several times
+    more.
+    """
+    dim = len(x)
+    start, width = -k * e % dim, min(dim, 2 * k * e + 1)
+    nbytes = ((2 * k + 1) ** (e + 1)).bit_length() // 8 + 1
+    packed = _pack_bytes(_cut(x, start, width), nbytes)
+    product = sum(packed << 8 * nbytes * j for j in range(2 * k + 1))
+    fields = _unpack_bytes(product, nbytes, width + 2 * k)
+    return _place(_fold(fields, dim), start - k, dim)
+
+
+def _fold(fields: list[int], dim: int) -> list[int]:
+    """``fields`` wrapped round a ring of ``dim`` points: t is added onto t mod dim."""
+    if len(fields) <= dim:
         return fields
     out = fields[:dim]
-    for t in range(dim, count):
+    for t in range(dim, len(fields)):
         out[t % dim] += fields[t]
     return out
+
+
+def _pack_bytes(values: list[int], nbytes: int) -> int:
+    """sum values[i] * 256**(nbytes*i), each value below 256**nbytes."""
+    data = b"".join(v.to_bytes(nbytes, "little") for v in values)
+    return int.from_bytes(data, "little")
+
+
+def _unpack_bytes(packed: int, nbytes: int, count: int) -> list[int]:
+    """The ``count`` fields of ``nbytes`` bytes of ``packed``, lowest first."""
+    data = packed.to_bytes(count * nbytes, "little")
+    fields = (data[i : i + nbytes] for i in range(0, len(data), nbytes))
+    return list(map(int.from_bytes, fields, repeat("little")))
 
 
 def _pack(values: list[int], digits: int) -> Decimal:
@@ -226,14 +283,10 @@ def central_via_trace(params: Params) -> int:
 
     Every diagonal entry of a circulant equals its (0, 0) entry, so
     Tr(C^n) / N is the (0, 0) entry of C^n.  The n-th power is never
-    formed: with X = C^{floor(n/2)} and Y = X, or Y = X C when n is odd (a
-    cheap product, C having 2k+1 nonzeros), it is entry 0 of the first row
-    of X Y.
+    formed: it is entry 0 of the first row of X Y, the two half powers of
+    :func:`_half_power_rows`, which other coefficients of the row share.
     """
-    central = build_central(params)
-    half = matrix_power(central, params.n // 2)
-    other = multiply(half, central) if params.n % 2 else half
-    return _product_entry(half.first_row, other.first_row, 0)
+    return _product_entry(*_half_power_rows(params.k, params.n), 0)
 
 
 def _product_entry(x: tuple[int, ...], y: tuple[int, ...], t: int) -> int:
@@ -245,14 +298,19 @@ def _product_entry(x: tuple[int, ...], y: tuple[int, ...], t: int) -> int:
     return sum(map(mul, x, y[t::-1] + y[:t:-1]))
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=1)
 def _half_power_rows(k: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """First rows of X = C^{floor(n/2)} and Y = X, or X C when n is odd,
-    for the central circulant C of (k, n)."""
+    for the central circulant C of (k, n).
+
+    One row is kept: reads come in runs on one row, and a row at large n
+    holds tens of MB.  A miss drops the kept row before it builds the next
+    one, so that two rows are never held at once.
+    """
+    _half_power_rows.cache_clear()
     central = build_central(Params(k, n))
-    half = matrix_power(central, n // 2)
-    other = multiply(half, central) if n % 2 else half
-    return half.first_row, other.first_row
+    half = matrix_power(central, n // 2).first_row
+    return half, (_times_central(half, k, n // 2) if n % 2 else half)
 
 
 def coefficient_via_shift(params: Params, l: int) -> int:

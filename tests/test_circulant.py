@@ -103,51 +103,86 @@ def power_by_products(a, e):
     return result
 
 
-def windowed_row(data, dim, widths):
+def windowed_row(data, dim, widths, entry=None):
     """(row, start, width): a nonnegative row, zero outside a cyclic window
     that may wrap past index 0 and hold zeros inside; the width is drawn
-    from ``widths``."""
+    from ``widths``, the entries from ``entry`` if given."""
     width = data.draw(widths)
     start = data.draw(st.integers(0, dim - 1))
-    entry = st.one_of(st.just(0), st.integers(1, 9), st.integers(0, 10**40))
+    if entry is None:
+        entry = st.one_of(st.just(0), st.integers(1, 9), st.integers(0, 10**40))
     row = [0] * dim
     for i, x in enumerate(data.draw(st.lists(entry, min_size=width, max_size=width))):
         row[(start + i) % dim] = x
     return row, start, width
 
 
-@pytest.mark.parametrize("packed", [False, True], ids=["sparse", "packed"])
+#: DECIMAL_MIN_BITS values that force every step onto one kernel.
+KERNELS = {"bytes": float("inf"), "decimal": 0}
+
+
+@pytest.mark.parametrize("kernel", list(KERNELS))
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
-def test_step_matches_cyclic_convolution(packed, data):
+def test_step_matches_cyclic_convolution(kernel, data):
     # One powering step, X² and X² A, against the full-row convolution, on
-    # both sides of the cutover; the product window wraps and folds when it
-    # outgrows the ring.
-    cut = circulant.PACKED_MIN_WIDTH
-    dim = data.draw(st.integers(cut if packed else 1, 3 * cut))
-    widths = st.integers(cut, dim) if packed else st.integers(0, min(dim, cut - 1))
-    x, xs, xw = windowed_row(data, dim, widths)
-    a, as_, aw = windowed_row(data, dim, st.integers(1, dim))
+    # each kernel; the product window wraps and folds when it outgrows the
+    # ring.  A zero X with a nonzero A gives a zero bound, whose fields
+    # could not hold A's entries.
+    dim = data.draw(st.integers(1, 72))
+    if data.draw(st.booleans()):
+        x, xs, xw = windowed_row(data, dim, st.integers(1, dim), entry=st.just(0))
+        a, as_, aw = windowed_row(data, dim, st.integers(1, dim), entry=st.integers(1, 10**40))
+    else:
+        x, xs, xw = windowed_row(data, dim, st.integers(0, dim))
+        a, as_, aw = windowed_row(data, dim, st.integers(1, dim))
     values = [x[(xs + i) % dim] for i in range(max(xw, 1))]  # the zero row: one zero
     base = [a[(as_ + i) % dim] for i in range(aw)]
     square = circulant._convolve_cyclic(x, x)
-    for other, start, expected in (
-        (None, 2 * xs, square),
-        (base, 2 * xs + as_, circulant._convolve_cyclic(square, a)),
-    ):
-        bound = sum(x) ** 2 * (sum(a) if other else 1)
-        fields = circulant._step(values, other, bound, dim)
-        assert len(fields) <= dim
-        row = [0] * dim
-        for i, value in enumerate(fields):
-            row[(start + i) % dim] = value
-        assert row == expected
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(circulant, "DECIMAL_MIN_BITS", KERNELS[kernel])
+        for other, start, expected in (
+            (None, 2 * xs, square),
+            (base, 2 * xs + as_, circulant._convolve_cyclic(square, a)),
+        ):
+            bound = sum(x) ** 2 * (sum(a) if other else 1)
+            fields = circulant._step(values, other, bound, dim)
+            assert len(fields) <= dim
+            row = [0] * dim
+            for i, value in enumerate(fields):
+                row[(start + i) % dim] = value
+            assert row == expected
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_packed_odd_step_matches_multiply(k):
+    # Y = X C for odd n, X = C^{floor(n/2)}: one packed product of X's
+    # window by C's 2k+1 ones against the sparse loop of ``multiply``.
+    for n in range(1, 42, 2):
+        central = build_central(Params(k, n))
+        half = matrix_power(central, n // 2)
+        x, y = circulant._half_power_rows(k, n)
+        assert x == half.first_row, (k, n)
+        assert y == multiply(half, central).first_row, (k, n)
+
+
+def decimal_steps(monkeypatch):
+    """Record each decimal unpack; the list's length is the number of decimal steps."""
+    calls = []
+    unpack = circulant._unpack
+
+    def recording_unpack(packed, digits, count):
+        calls.append(count)
+        return unpack(packed, digits, count)
+
+    monkeypatch.setattr(circulant, "_unpack", recording_unpack)
+    return calls
 
 
 @given(data=st.data(), e=st.integers(0, 40))
 @settings(max_examples=60, deadline=None)
 def test_matrix_power_matches_products(data, e):
-    # The tracked window through every step, narrow, packed and wrapped.
+    # The tracked window through every step, narrow, wide and wrapped.
     dim = data.draw(st.integers(1, 60))
     row, _, _ = windowed_row(data, dim, st.integers(0, dim))
     a = CirculantMatrix(dim, tuple(row))
@@ -164,24 +199,31 @@ def test_matrix_power_edge_rows():
     assert matrix_power(full, 5) == power_by_products(full, 5)
 
 
-def test_matrix_power_beyond_the_digit_limit():
-    # Fields of about 6600 digits, past CPython's 4300-digit int/str limit.
+def test_matrix_power_beyond_the_digit_limit(monkeypatch):
+    # Fields of about 6600 digits, past CPython's 4300-digit int/str limit,
+    # in products large enough for the decimal kernel.
+    steps = decimal_steps(monkeypatch)
     dim = 60
     row = [0] * dim
-    for i in range(circulant.PACKED_MIN_WIDTH + 1):
+    for i in range(25):
         row[(50 + i) % dim] = 10**2200 + i
     a = CirculantMatrix(dim, tuple(row))
     cubed = matrix_power(a, 3)
+    assert steps
     assert max(cubed.first_row).bit_length() > 4300 * 3.32 * 1.5
     assert cubed == power_by_products(a, 3)
 
 
 def test_packed_steps_without_a_digit_limit(monkeypatch):
     # Pythons before 3.10.7 have no int/str digit limit and no
-    # sys.get_int_max_str_digits: the packed steps parse every field by int.
+    # sys.get_int_max_str_digits: the decimal steps parse every field by
+    # int.  At (3, 40) every product is small, so the decimal kernel is forced.
     monkeypatch.delattr(circulant.sys, "get_int_max_str_digits")
+    monkeypatch.setattr(circulant, "DECIMAL_MIN_BITS", 0)
+    steps = decimal_steps(monkeypatch)
     p = Params(3, 40)
     assert central_via_trace(p) == central_coefficient(p)
+    assert steps
 
 
 def test_trace_identity():
@@ -213,7 +255,7 @@ def test_central_via_trace_equals_oracle_on_grid():
 
 def test_circulant_row_on_grid():
     # C^n has first row b_j = p_{(j + kn) mod N}: the exact row rotated by kn.
-    # Past n of about 24 / 2k the windows are wide enough to be packed.
+    # At these sizes every step runs on the binary kernel.
     for k in range(1, 5):
         for n in range(0, 41):
             p = Params(k, n)
@@ -223,7 +265,8 @@ def test_circulant_row_on_grid():
 
 
 def test_trace_route_in_target_regime():
-    # Sizes where every squaring but the first is packed.
+    # Sizes where the top squarings run on the decimal kernel, the others
+    # on the binary one.
     for k, n in [(1, 1600), (3, 800), (10, 400)]:
         p = Params(k, n)
         assert central_via_trace(p) == central_coefficient(p), (k, n)
@@ -275,9 +318,12 @@ def test_coefficient_via_shift_never_forms_full_power(monkeypatch):
     circulant._half_power_rows.cache_clear()
     try:
         for n in (7, 8):
+            # The central read and the other coefficients share one half power.
             p = Params(1, n)
             row = expand_power(p).coeffs
+            assert central_via_trace(p) == row[p.k * p.n]
             assert [coefficient_via_shift(p, l) for l in range(p.degree + 1)] == list(row)
+        assert circulant._half_power_rows.cache_info().currsize == 1
     finally:
         circulant._half_power_rows.cache_clear()
     assert exponents == [3, 4]

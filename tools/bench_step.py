@@ -1,0 +1,89 @@
+"""Time the trace route's steps: squares on both kernels, odd steps packed and sparse.
+
+    PYTHONPATH=src python3 tools/bench_step.py [--repetitions 5]
+
+For k in 1 and 10, and each packed product size of 2^12 to 2^20 bits, the
+script finds the smallest e whose squaring step X² (X = Cᵉ, C the central
+circulant of k on the ring of n = 2e+1, where X² does not wrap) forms a
+product of at least that many bits, counted as ``circulant._step`` counts
+them: fields times field bytes times 8.  It times that square on each
+kernel, forced by setting ``circulant.DECIMAL_MIN_BITS``, and the odd step
+X C of the same row both ways: packed (``circulant._times_central``) and
+by the sparse loop of ``circulant.multiply``.  One JSON line per
+(k, size) goes to stdout, with the min over repetitions in microseconds.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import time
+
+from cnomial import Params
+from cnomial import circulant
+
+SIZES = [2**i for i in range(12, 21)]
+KS = (1, 10)
+KERNELS = {"bytes_us": float("inf"), "decimal_us": 0}
+
+
+def power(k: int, e: int) -> tuple[circulant.CirculantMatrix, circulant.CirculantMatrix]:
+    """Cᵉ and C, C the central circulant of (k, 2e+1)."""
+    central = circulant.build_central(Params(k, 2 * e + 1))
+    return circulant.matrix_power(central, e), central
+
+
+def packed_bits(k: int, e: int) -> int:
+    """The size of X²'s packed product, X = Cᵉ, whose window has 2ke+1 fields."""
+    return (4 * k * e + 1) * (((2 * k + 1) ** (2 * e)).bit_length() // 8 + 1) * 8
+
+
+def smallest_power(k: int, bits: int) -> int:
+    """The least e whose squaring step packs at least ``bits`` bits."""
+    e = 1
+    while packed_bits(k, e) < bits:
+        e += 1
+    return e
+
+
+def timed(call, repetitions: int) -> float:
+    times = []
+    for _ in range(repetitions):
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    return round(min(times) * 1e6, 1)
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repetitions", type=int, default=5)
+    args = parser.parse_args()
+    for k in KS:
+        for size in SIZES:
+            e = smallest_power(k, size)
+            x, central = power(k, e)
+            start, width = circulant._window(x.first_row)
+            values = circulant._cut(x.first_row, start, width)
+            bound = (2 * k + 1) ** (2 * e)
+            record = {"type": "step", "k": k, "e": e, "size_bits": size, "fields": width,
+                      "packed_bits": packed_bits(k, e)}
+            for name, crossover in KERNELS.items():
+                saved = circulant.DECIMAL_MIN_BITS
+                circulant.DECIMAL_MIN_BITS = crossover
+                try:
+                    record[name] = timed(
+                        lambda: circulant._step(values, None, bound, x.dim), args.repetitions
+                    )
+                finally:
+                    circulant.DECIMAL_MIN_BITS = saved
+            record["odd_packed_us"] = timed(
+                lambda: circulant._times_central(x.first_row, k, e), args.repetitions
+            )
+            record["odd_sparse_us"] = timed(
+                lambda: circulant.multiply(x, central), args.repetitions
+            )
+            print(json.dumps(record), flush=True)
+
+
+if __name__ == "__main__":
+    main()
