@@ -1,9 +1,10 @@
 """Circulant-matrix route to (2k+1)-nomial coefficients.
 
-A circulant is stored as its first row only; products are cyclic
-convolutions of first rows, powers are exponentiation by squaring, and the
-central coefficient falls out of the trace of the n-th power of the
-symmetric shifted circulant (first-row ones at offsets -k..k mod N).
+A circulant is stored as its first row only, and products are cyclic
+convolutions of first rows.  The route powers one matrix, the symmetric
+central circulant C (first-row ones at offsets -k..k mod N), by squaring;
+the central coefficient falls out of the trace of Cⁿ.  :func:`multiply`,
+the sparse cyclic convolution, is the reference the tests check against.
 """
 from __future__ import annotations
 
@@ -12,8 +13,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from functools import lru_cache
-from itertools import repeat
-from operator import mul
+from itertools import accumulate, chain, repeat
+from operator import mul, sub
 
 from .params import Params
 
@@ -109,62 +110,31 @@ def _convolve_cyclic(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-def matrix_power(a: CirculantMatrix, n: int) -> CirculantMatrix:
-    """Exact n-th power of a nonnegative circulant; n=0 gives the identity.
+def matrix_power(params: Params, e: int) -> tuple[int, ...]:
+    """First row of Cᵉ, C the central circulant of ``params`` on N = 2kn+1
+    points; e=0 gives the identity's.
 
-    Left-to-right binary powering from ``a``: each step squares the running
-    power and, on a set bit of n, multiplies it by ``a`` (:func:`_step`).
-    The nonzeros of ``a`` lie in a cyclic window of width w starting at s,
-    so those of aᵉ lie in the window of width min(N, e(w-1)+1) starting at
-    e·s mod N: only that window is kept, and it is tracked, never searched
-    for.  Each step is one packed product whose fields must not carry into
-    each other, so the entries must be nonnegative, as every power of a
-    boolean circulant is; a negative one raises ``ValueError``.
+    Left-to-right binary powering: each step squares the running power
+    (:func:`_square`) and, on a set bit of e, multiplies it by C
+    (:func:`_times_central`).  C's ones sit at offsets -k..k, so the
+    nonzeros of Cᵉ lie in the window of min(N, 2ke+1) entries from -ke
+    mod N: only that window is kept, and its place is known, never
+    searched for.  At n = 0 the ring has one point, C's 2k+1 ones fall on
+    it, and the row of Cᵉ is (2k+1)ᵉ.
     """
-    if n < 0:
-        raise ValueError(f"power must be >= 0, got {n}")
-    row = a.first_row
-    if min(row) < 0:
-        raise ValueError("matrix_power takes nonnegative first rows")
-    dim = a.dim
-    if n == 0:
-        return identity(dim)
-    start, width = _window(row)
-    if width == 0:
-        return a
-    base = _cut(row, start, width)
-    base_sum = sum(base)
-    # The running power is aᵉ, its window ``values``; its entries sum to
+    if e < 0:
+        raise ValueError(f"power must be >= 0, got {e}")
+    k, dim = params.k, params.dim
+    # The running power's window is ``values``; its entries sum to
     # ``total``, since row sums multiply under cyclic convolution.
-    values, e, total = base, 1, base_sum
-    for bit in bin(n)[3:]:
-        times_a = bit == "1"
-        total = total * total * (base_sum if times_a else 1)
-        values = _step(values, base if times_a else None, total, dim)
-        e = 2 * e + times_a
-    return CirculantMatrix(dim, _place(values, e * start, dim))
-
-
-def _window(row: tuple[int, ...]) -> tuple[int, int]:
-    """(s, w): the shortest cyclic window s, s+1, ..., s+w-1 (mod N) holding
-    every nonzero of ``row``; (0, 0) for the zero row.
-
-    It is the complement of the longest cyclic run of zeros.
-    """
-    nonzero = [i for i, x in enumerate(row) if x]
-    if not nonzero:
-        return 0, 0
-    dim = len(row)
-    gap, start = dim - nonzero[-1] + nonzero[0], nonzero[0]
-    for i, j in zip(nonzero, nonzero[1:]):
-        if j - i > gap:
-            gap, start = j - i, j
-    return start, dim - gap + 1
-
-
-def _cut(row: tuple[int, ...], start: int, width: int) -> list[int]:
-    """The ``width`` entries of ``row`` from ``start`` on, wrapping mod N."""
-    return list(row[start:] + row[:start])[:width]
+    values, total = [1], 1
+    for bit in bin(e)[2:]:
+        total *= total
+        values = _square(values, total, dim)
+        if bit == "1":
+            total *= params.width
+            values = _times_central(values, k, dim)
+    return _place(values, -k * e, dim)
 
 
 def _place(values: list[int], start: int, dim: int) -> tuple[int, ...]:
@@ -175,62 +145,46 @@ def _place(values: list[int], start: int, dim: int) -> tuple[int, ...]:
     return tuple(out[dim - start :] + out[: dim - start])
 
 
-def _step(values: list[int], other: list[int] | None, bound: int, dim: int) -> list[int]:
-    """The window of X², or of X² A when ``other`` is given, folded mod ``dim``.
+def _square(values: list[int], bound: int, dim: int) -> list[int]:
+    """The window of X², from the window ``values`` of X, folded mod ``dim``.
 
-    ``values`` and ``other`` are the windows of X and A, and ``bound`` is at
-    least every entry of the product.  The product's window starts at twice
-    the start of X's (plus A's start) and has ``count`` fields; past ``dim``
-    fields it wraps round the ring and is folded onto ``dim``.
+    ``bound`` is at least every entry of X², and X's entries are
+    nonnegative.  The square's window starts at twice the start of X's and
+    has 2w-1 fields for w entries of X; past ``dim`` fields it wraps round
+    the ring and is folded onto ``dim``.
 
-    Each window is packed as fixed-width fields into one number, and one
-    square, times A's packed window on a set bit, forms every field of the
-    product at once.  The fields are wide enough to hold ``bound``, so with
-    nonnegative entries no carry crosses from one into the next.  Below
+    The window is packed as fixed-width fields into one number, and one
+    square forms every field of X² at once.  The fields are wide enough
+    to hold ``bound``, so no carry crosses from one into the next.  Below
     :data:`DECIMAL_MIN_BITS` of product the fields are bytes of a CPython
     int; from there on they are decimal digits of a
     :class:`~decimal.Decimal`, whose multiply is a number-theoretic
-    transform inside libmpdec.  A zero ``bound`` means a zero product,
-    whose operands need not fit a field.
+    transform inside libmpdec.
     """
-    count = 2 * len(values) - 1 + (len(other) - 1 if other is not None else 0)
-    if not bound:
-        fields = [0] * count
-    elif count * 8 * (nbytes := bound.bit_length() // 8 + 1) < DECIMAL_MIN_BITS:
+    count = 2 * len(values) - 1
+    if count * 8 * (nbytes := bound.bit_length() // 8 + 1) < DECIMAL_MIN_BITS:
         packed = _pack_bytes(values, nbytes)
-        product = packed * packed
-        if other is not None:
-            product *= _pack_bytes(other, nbytes)
-        fields = _unpack_bytes(product, nbytes, count)
+        fields = _unpack_bytes(packed * packed, nbytes, count)
     else:
         digits = bound.bit_length() * 30103 // 100000 + 1  # 10**digits > bound
         packed = _pack(values, digits)
-        product = _EXACT.multiply(packed, packed)
-        if other is not None:
-            product = _EXACT.multiply(product, _pack(other, digits))
-        fields = _unpack(product, digits, count)
+        fields = _unpack(_EXACT.multiply(packed, packed), digits, count)
     return _fold(fields, dim)
 
 
-def _times_central(x: tuple[int, ...], k: int, e: int) -> tuple[int, ...]:
-    """First row of X C, for X = Cᵉ and C the central circulant of k on
-    ``len(x)`` points.
+def _times_central(values: Sequence[int], k: int, dim: int) -> list[int]:
+    """The window of X C, from the window ``values`` of X, folded mod ``dim``.
 
-    X's nonzeros lie in the window of min(N, 2ke+1) entries from -ke mod N
-    (:func:`matrix_power`).  The window is packed as binary fields, as in
-    :func:`_step`, wide enough for the row sum (2k+1)^(e+1) of X C.  C's
-    2k+1 ones multiply it as 2k+1 shifted copies of the packed window,
-    added together: each product by a one is a shift, and a multiply by
-    C's packed window, fields that are all but empty, costs several times
-    more.
+    C's ones sit at offsets -k..k, so X C's window starts k before X's and
+    is 2k entries longer.  Its entry j is the sum of the 2k+1 entries of
+    X's window from j - 2k to j: with X's window padded by 2k zeros on
+    each side and P its prefix sums, P[j + 2k + 1] - P[j].  Both passes
+    run in ``accumulate`` and ``map``, so each entry costs one big-int
+    addition and one subtraction whatever k is.
     """
-    dim = len(x)
-    start, width = -k * e % dim, min(dim, 2 * k * e + 1)
-    nbytes = ((2 * k + 1) ** (e + 1)).bit_length() // 8 + 1
-    packed = _pack_bytes(_cut(x, start, width), nbytes)
-    product = sum(packed << 8 * nbytes * j for j in range(2 * k + 1))
-    fields = _unpack_bytes(product, nbytes, width + 2 * k)
-    return _place(_fold(fields, dim), start - k, dim)
+    pad = [0] * (2 * k)
+    prefix = list(accumulate(chain(pad, values, pad), initial=0))
+    return _fold(list(map(sub, prefix[2 * k + 1 :], prefix)), dim)
 
 
 def _fold(fields: list[int], dim: int) -> list[int]:
@@ -308,9 +262,14 @@ def _half_power_rows(k: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     one, so that two rows are never held at once.
     """
     _half_power_rows.cache_clear()
-    central = build_central(Params(k, n))
-    half = matrix_power(central, n // 2).first_row
-    return half, (_times_central(half, k, n // 2) if n % 2 else half)
+    params, e = Params(k, n), n // 2
+    half = matrix_power(params, e)
+    if n % 2 == 0:
+        return half, half
+    # X's window: the 2ke+1 entries from -ke mod N (see matrix_power).
+    start = -k * e % params.dim
+    window = (half[start:] + half[:start])[: 2 * k * e + 1]
+    return half, _place(_times_central(window, k, params.dim), start - k, params.dim)
 
 
 def coefficient_via_shift(params: Params, l: int) -> int:

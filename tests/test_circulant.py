@@ -70,29 +70,22 @@ def test_build_central_is_symmetric():
 
 
 def test_matrix_power_zero_is_identity():
-    a = CirculantMatrix(5, (1, 1, 0, 0, 1))
-    assert matrix_power(a, 0).first_row == (1, 0, 0, 0, 0)
+    assert matrix_power(Params(1, 2), 0) == (1, 0, 0, 0, 0)
 
 
 def test_matrix_power_square_no_wraparound():
-    a = CirculantMatrix(5, (1, 1, 1, 0, 0))
-    assert matrix_power(a, 2).first_row == (1, 2, 3, 2, 1)
+    # C² of (1, 3) on 7 points: the window of 5 entries from -2 fits the ring.
+    assert matrix_power(Params(1, 3), 2) == (3, 2, 1, 0, 0, 1, 2)
 
 
 def test_matrix_power_square_with_wraparound():
-    a = CirculantMatrix(5, (1, 1, 0, 0, 1))
-    assert matrix_power(a, 2).first_row == (3, 2, 1, 1, 2)
+    # C² of (1, 2) on 5 points: offsets -2 and 2 meet.
+    assert matrix_power(Params(1, 2), 2) == (3, 2, 1, 1, 2)
 
 
 def test_matrix_power_negative_rejected():
     with pytest.raises(ValueError):
-        matrix_power(identity(3), -1)
-
-
-def test_matrix_power_negative_entry_rejected():
-    # The packed squaring needs carry-free fields: nonnegative rows only.
-    with pytest.raises(ValueError):
-        matrix_power(CirculantMatrix(3, (1, -1, 0)), 2)
+        matrix_power(Params(1, 1), -1)
 
 
 def power_by_products(a, e):
@@ -103,14 +96,13 @@ def power_by_products(a, e):
     return result
 
 
-def windowed_row(data, dim, widths, entry=None):
+def windowed_row(data, dim, widths):
     """(row, start, width): a nonnegative row, zero outside a cyclic window
     that may wrap past index 0 and hold zeros inside; the width is drawn
-    from ``widths``, the entries from ``entry`` if given."""
+    from ``widths``."""
     width = data.draw(widths)
     start = data.draw(st.integers(0, dim - 1))
-    if entry is None:
-        entry = st.one_of(st.just(0), st.integers(1, 9), st.integers(0, 10**40))
+    entry = st.one_of(st.just(0), st.integers(1, 9), st.integers(0, 10**40))
     row = [0] * dim
     for i, x in enumerate(data.draw(st.lists(entry, min_size=width, max_size=width))):
         row[(start + i) % dim] = x
@@ -121,49 +113,56 @@ def windowed_row(data, dim, widths, entry=None):
 KERNELS = {"bytes": float("inf"), "decimal": 0}
 
 
+def placed(fields, start, dim):
+    """The first row holding ``fields`` from ``start`` on, mod ``dim``."""
+    assert len(fields) <= dim
+    row = [0] * dim
+    for i, value in enumerate(fields):
+        row[(start + i) % dim] = value
+    return row
+
+
 @pytest.mark.parametrize("kernel", list(KERNELS))
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_step_matches_cyclic_convolution(kernel, data):
-    # One powering step, X² and X² A, against the full-row convolution, on
-    # each kernel; the product window wraps and folds when it outgrows the
-    # ring.  A zero X with a nonzero A gives a zero bound, whose fields
-    # could not hold A's entries.
+    # The squaring step X² against the full-row convolution, on each
+    # kernel; the square's window wraps and folds when it outgrows the ring.
     dim = data.draw(st.integers(1, 72))
-    if data.draw(st.booleans()):
-        x, xs, xw = windowed_row(data, dim, st.integers(1, dim), entry=st.just(0))
-        a, as_, aw = windowed_row(data, dim, st.integers(1, dim), entry=st.integers(1, 10**40))
-    else:
-        x, xs, xw = windowed_row(data, dim, st.integers(0, dim))
-        a, as_, aw = windowed_row(data, dim, st.integers(1, dim))
+    x, xs, xw = windowed_row(data, dim, st.integers(0, dim))
     values = [x[(xs + i) % dim] for i in range(max(xw, 1))]  # the zero row: one zero
-    base = [a[(as_ + i) % dim] for i in range(aw)]
-    square = circulant._convolve_cyclic(x, x)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(circulant, "DECIMAL_MIN_BITS", KERNELS[kernel])
-        for other, start, expected in (
-            (None, 2 * xs, square),
-            (base, 2 * xs + as_, circulant._convolve_cyclic(square, a)),
-        ):
-            bound = sum(x) ** 2 * (sum(a) if other else 1)
-            fields = circulant._step(values, other, bound, dim)
-            assert len(fields) <= dim
-            row = [0] * dim
-            for i, value in enumerate(fields):
-                row[(start + i) % dim] = value
-            assert row == expected
+        fields = circulant._square(values, sum(x) ** 2, dim)
+    assert placed(fields, 2 * xs, dim) == circulant._convolve_cyclic(x, x)
+
+
+@given(data=st.data(), k=st.integers(1, 5), n=st.integers(1, 6))
+@settings(max_examples=60, deadline=None)
+def test_times_central_matches_multiply(data, k, n):
+    # X C as a running-window sum against the sparse loop, for windows of
+    # X that stay inside the ring, wrap past index 0, or fill it, so that
+    # X C's window folds.
+    central = build_central(Params(k, n))
+    dim = central.dim
+    x, xs, xw = windowed_row(data, dim, st.integers(1, dim))
+    values = [x[(xs + i) % dim] for i in range(xw)]
+    fields = circulant._times_central(values, k, dim)
+    assert placed(fields, xs - k, dim) == list(
+        multiply(CirculantMatrix(dim, tuple(x)), central).first_row
+    )
 
 
 @pytest.mark.parametrize("k", range(1, 6))
 def test_packed_odd_step_matches_multiply(k):
-    # Y = X C for odd n, X = C^{floor(n/2)}: one packed product of X's
-    # window by C's 2k+1 ones against the sparse loop of ``multiply``.
+    # Y = X C for odd n, X = C^{floor(n/2)}: the running-window odd step
+    # of the half powers against the sparse loop of ``multiply``.
     for n in range(1, 42, 2):
-        central = build_central(Params(k, n))
-        half = matrix_power(central, n // 2)
+        p = Params(k, n)
+        half = CirculantMatrix(p.dim, matrix_power(p, n // 2))
         x, y = circulant._half_power_rows(k, n)
         assert x == half.first_row, (k, n)
-        assert y == multiply(half, central).first_row, (k, n)
+        assert y == multiply(half, build_central(p)).first_row, (k, n)
 
 
 def decimal_steps(monkeypatch):
@@ -179,39 +178,29 @@ def decimal_steps(monkeypatch):
     return calls
 
 
-@given(data=st.data(), e=st.integers(0, 40))
-@settings(max_examples=60, deadline=None)
-def test_matrix_power_matches_products(data, e):
-    # The tracked window through every step, narrow, wide and wrapped.
-    dim = data.draw(st.integers(1, 60))
-    row, _, _ = windowed_row(data, dim, st.integers(0, dim))
-    a = CirculantMatrix(dim, tuple(row))
-    assert matrix_power(a, e) == power_by_products(a, e)
-
-
-def test_matrix_power_edge_rows():
-    zero = CirculantMatrix(7, (0,) * 7)
-    assert matrix_power(zero, 5) == zero
-    assert matrix_power(zero, 0) == identity(7)
-    single = CirculantMatrix(7, (0, 0, 0, 5, 0, 0, 0))
-    assert matrix_power(single, 4).first_row == (0, 0, 0, 0, 0, 625, 0)
-    full = CirculantMatrix(30, tuple(range(1, 31)))
-    assert matrix_power(full, 5) == power_by_products(full, 5)
+def test_matrix_power_matches_products():
+    # The known window through every step: narrow, then past n, where
+    # 2ke+1 outgrows the ring and the window wraps round it.
+    for k in range(1, 6):
+        for n in range(1, 7):
+            p = Params(k, n)
+            central = build_central(p)
+            for e in range(3 * n + 2):
+                assert matrix_power(p, e) == power_by_products(central, e).first_row, (k, n, e)
 
 
 def test_matrix_power_beyond_the_digit_limit(monkeypatch):
-    # Fields of about 6600 digits, past CPython's 4300-digit int/str limit,
-    # in products large enough for the decimal kernel.
+    # A square with fields of about 4400 digits, past CPython's 4300-digit
+    # int/str limit, large enough for the decimal kernel; its window of 49
+    # fields wraps a ring of 30 points.
     steps = decimal_steps(monkeypatch)
-    dim = 60
-    row = [0] * dim
-    for i in range(25):
-        row[(50 + i) % dim] = 10**2200 + i
-    a = CirculantMatrix(dim, tuple(row))
-    cubed = matrix_power(a, 3)
+    dim = 30
+    values = [10**2200 + i for i in range(25)]
+    fields = circulant._square(values, sum(values) ** 2, dim)
     assert steps
-    assert max(cubed.first_row).bit_length() > 4300 * 3.32 * 1.5
-    assert cubed == power_by_products(a, 3)
+    assert max(fields).bit_length() > 4300 * 3.32
+    row = placed(values, 20, dim)
+    assert placed(fields, 40, dim) == circulant._convolve_cyclic(row, row)
 
 
 def test_packed_steps_without_a_digit_limit(monkeypatch):
@@ -249,7 +238,7 @@ def test_central_via_trace_equals_oracle_on_grid():
     for k in range(1, 5):
         for n in range(0, 31):
             p = Params(k, n)
-            full = trace(matrix_power(build_central(p), n)) // p.dim
+            full = trace(CirculantMatrix(p.dim, matrix_power(p, n))) // p.dim
             assert central_via_trace(p) == full == central_coefficient(p), (k, n)
 
 
@@ -261,7 +250,7 @@ def test_circulant_row_on_grid():
             p = Params(k, n)
             row = expand_power(p).coeffs
             rotated = tuple(row[(j + k * n) % p.dim] for j in range(p.dim))
-            assert matrix_power(build_central(p), n).first_row == rotated, (k, n)
+            assert matrix_power(p, n) == rotated, (k, n)
 
 
 def test_trace_route_in_target_regime():
@@ -300,7 +289,7 @@ def test_coefficient_via_shift_any_shift():
     for p in (Params(2, 3), Params(2, 4), Params(1, 5)):
         row = expand_power(p).coeffs
         for m in (0, 1, p.k, p.dim - p.k, p.dim - 1):
-            power = matrix_power(build_shifted(p, m), p.n).first_row
+            power = power_by_products(build_shifted(p, m), p.n).first_row
             for l in range(p.degree + 1):
                 assert power[(l + p.n * m) % p.dim] == row[l], (p, m, l)
 
@@ -310,9 +299,9 @@ def test_coefficient_via_shift_never_forms_full_power(monkeypatch):
     # the full power, whose last squaring costs the most, is never formed.
     exponents = []
 
-    def recording_power(a, e):
+    def recording_power(params, e):
         exponents.append(e)
-        return matrix_power(a, e)
+        return matrix_power(params, e)
 
     monkeypatch.setattr(circulant, "matrix_power", recording_power)
     circulant._half_power_rows.cache_clear()
@@ -341,23 +330,23 @@ def test_shift_covariance():
     for k in (1, 2):
         for n in (1, 2, 3, 5):
             p = Params(k, n)
-            base = matrix_power(build_shifted(p, 0), n).first_row
+            base = power_by_products(build_shifted(p, 0), n).first_row
             for m in range(p.dim):
-                shifted = matrix_power(build_shifted(p, m), n).first_row
+                shifted = power_by_products(build_shifted(p, m), n).first_row
                 assert shifted == tuple(rotate(list(base), n * m)), (k, n, m)
 
 
 @pytest.mark.parametrize("dim", [3, 5, 9])
 def test_permutation_basis_period(dim):
     b = cyclic_permutation(dim)
-    assert matrix_power(b, dim).first_row == identity(dim).first_row
+    assert power_by_products(b, dim).first_row == identity(dim).first_row
 
 
 @pytest.mark.parametrize("dim", [3, 5, 9])
 def test_permutation_basis_additive_law(dim):
     # exponents add under matrix product: B^a B^b = B^{(a+b) mod N}
     b = cyclic_permutation(dim)
-    powers = [matrix_power(b, e) for e in range(dim)]
+    powers = [power_by_products(b, e) for e in range(dim)]
     for a in range(dim):
         for c in range(dim):
             assert (
@@ -369,9 +358,8 @@ def test_permutation_basis_additive_law(dim):
 def test_dense_oracle_small_cases():
     for k, n in [(1, 2), (1, 3), (2, 2), (3, 2)]:
         p = Params(k, n)
-        a = build_central(p)
-        expected = dense_power(to_dense(a), n)
-        assert to_dense(matrix_power(a, n)) == expected
+        expected = dense_power(to_dense(build_central(p)), n)
+        assert to_dense(CirculantMatrix(p.dim, matrix_power(p, n))) == expected
 
 
 def test_dense_entry_layout():

@@ -271,12 +271,9 @@ def test_verify_detects_wrong_circulant_row(capsys, monkeypatch):
     # half powers that central_via_trace forms for n <= 3.
     true_power = cli.circulant.matrix_power
 
-    def perturbed(a, n):
-        power = true_power(a, n)
-        if n != 3:
-            return power
-        row = power.first_row
-        return cli.circulant.CirculantMatrix(power.dim, row[:-1] + (row[-1] + 1,))
+    def perturbed(params, e):
+        row = true_power(params, e)
+        return row if e != 3 else row[:-1] + (row[-1] + 1,)
 
     monkeypatch.setattr(cli.circulant, "matrix_power", perturbed)
     code, out, err = run(capsys, "verify", "--k-max", "1", "--n-max", "3")

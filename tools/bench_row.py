@@ -6,7 +6,10 @@ For each (k, n) of a fixed grid, with d = 2kn, l runs over d/8, 3d/8, 5d/8
 and 7d/8.  ``one_l`` times the first l alone, ``four_l`` all four in turn,
 as ``compute --l`` asks for them one after another in one process; every
 repetition starts with the package's functools caches cleared.  One JSON
-line per (k, n) goes to stdout, with the min and median over repetitions.
+line per (k, n) goes to stdout, with the keys ``type``, ``k``, ``n``,
+``l``, ``repetitions``, ``one_l_min_s``, ``one_l_median_s``,
+``four_l_min_s`` and ``four_l_median_s``: the min and median over
+repetitions, in seconds.
 """
 from __future__ import annotations
 

@@ -1,16 +1,20 @@
-"""Time the trace route's steps: squares on both kernels, odd steps packed and sparse.
+"""Time the trace route's steps: squares on both kernels, odd steps by running window and sparse.
 
     PYTHONPATH=src python3 tools/bench_step.py [--repetitions 5]
 
 For k in 1 and 10, and each packed product size of 2^12 to 2^20 bits, the
 script finds the smallest e whose squaring step X² (X = Cᵉ, C the central
 circulant of k on the ring of n = 2e+1, where X² does not wrap) forms a
-product of at least that many bits, counted as ``circulant._step`` counts
-them: fields times field bytes times 8.  It times that square on each
-kernel, forced by setting ``circulant.DECIMAL_MIN_BITS``, and the odd step
-X C of the same row both ways: packed (``circulant._times_central``) and
-by the sparse loop of ``circulant.multiply``.  One JSON line per
-(k, size) goes to stdout, with the min over repetitions in microseconds.
+product of at least that many bits, counted as ``circulant._square``
+counts them: fields times field bytes times 8.  It times that square on
+each kernel, forced by setting ``circulant.DECIMAL_MIN_BITS``, and the odd
+step X C of the same row both ways: as a running-window sum over X's
+window (``circulant._times_central``, placed in a first row) and by the
+sparse loop of ``circulant.multiply``.  One JSON line per (k, size) goes
+to stdout, with the keys ``type``, ``k``, ``e``, ``size_bits``,
+``fields``, ``packed_bits``, ``bytes_us``, ``decimal_us``,
+``odd_window_us`` and ``odd_sparse_us``: the timings are the min over
+repetitions in microseconds.
 """
 from __future__ import annotations
 
@@ -24,12 +28,6 @@ from cnomial import circulant
 SIZES = [2**i for i in range(12, 21)]
 KS = (1, 10)
 KERNELS = {"bytes_us": float("inf"), "decimal_us": 0}
-
-
-def power(k: int, e: int) -> tuple[circulant.CirculantMatrix, circulant.CirculantMatrix]:
-    """Cᵉ and C, C the central circulant of (k, 2e+1)."""
-    central = circulant.build_central(Params(k, 2 * e + 1))
-    return circulant.matrix_power(central, e), central
 
 
 def packed_bits(k: int, e: int) -> int:
@@ -61,26 +59,34 @@ def main() -> None:
     for k in KS:
         for size in SIZES:
             e = smallest_power(k, size)
-            x, central = power(k, e)
-            start, width = circulant._window(x.first_row)
-            values = circulant._cut(x.first_row, start, width)
+            params = Params(k, 2 * e + 1)
+            dim = params.dim
+            x = circulant.matrix_power(params, e)
+            # X's window: the 2ke+1 entries from -ke mod N.
+            start = -k * e % dim
+            values = list(x[start:] + x[:start])[: 2 * k * e + 1]
             bound = (2 * k + 1) ** (2 * e)
-            record = {"type": "step", "k": k, "e": e, "size_bits": size, "fields": width,
+            record = {"type": "step", "k": k, "e": e, "size_bits": size, "fields": len(values),
                       "packed_bits": packed_bits(k, e)}
             for name, crossover in KERNELS.items():
                 saved = circulant.DECIMAL_MIN_BITS
                 circulant.DECIMAL_MIN_BITS = crossover
                 try:
                     record[name] = timed(
-                        lambda: circulant._step(values, None, bound, x.dim), args.repetitions
+                        lambda: circulant._square(values, bound, dim), args.repetitions
                     )
                 finally:
                     circulant.DECIMAL_MIN_BITS = saved
-            record["odd_packed_us"] = timed(
-                lambda: circulant._times_central(x.first_row, k, e), args.repetitions
+            record["odd_window_us"] = timed(
+                lambda: circulant._place(
+                    circulant._times_central(values, k, dim), start - k, dim
+                ),
+                args.repetitions,
             )
+            matrix = circulant.CirculantMatrix(dim, x)
+            central = circulant.build_central(params)
             record["odd_sparse_us"] = timed(
-                lambda: circulant.multiply(x, central), args.repetitions
+                lambda: circulant.multiply(matrix, central), args.repetitions
             )
             print(json.dumps(record), flush=True)
 
