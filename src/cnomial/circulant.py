@@ -239,8 +239,14 @@ def central_via_trace(params: Params) -> int:
     Tr(C^n) / N is the (0, 0) entry of C^n.  The n-th power is never
     formed: it is entry 0 of the first row of X Y, the two half powers of
     :func:`_half_power_rows`, which other coefficients of the row share.
+    C's first row is a palindrome, c_j = c_{N-j}, so C is symmetric and so
+    are its powers: x_j = x_{N-j} and y_j = y_{N-j}.  Entry 0 of X Y,
+    sum_j x_j y_{N-j}, is then x_0 y_0 + 2 sum_{j=1}^{(N-1)/2} x_j y_j:
+    half the products of :func:`_product_entry`.
     """
-    return _product_entry(*_half_power_rows(params.k, params.n), 0)
+    x, y = _half_power_rows(params.k, params.n)
+    half = params.dim // 2 + 1
+    return x[0] * y[0] + 2 * sum(map(mul, x[1:half], y[1:half]))
 
 
 def _product_entry(x: tuple[int, ...], y: tuple[int, ...], t: int) -> int:

@@ -28,7 +28,8 @@ from .spectral import CertificationError
 
 METHODS = ("conv", "trace", "spectral")
 
-#: Relative/absolute tolerance of verify's eigenvalue check.
+#: Relative/absolute tolerance of verify's ``eigen-ratios`` check, which compares the
+#: double rung's sine ratios E_r with the Dirichlet kernel.
 EIGEN_TOL = 1e-12
 
 

@@ -10,7 +10,7 @@ offset d = l - kn, gives the sum of p_{kn+t} over t = d (mod N), and every
 term but p_l drops out once N > kn + |d| (:func:`dimension`, the tight
 bound).  The central sum runs at the smallest such N, about kn.  Any other
 coefficient runs at 2kn+1, which holds the whole row: E_r does not depend
-on l, so the arbitrary rung powers it once per row (:func:`_row_spectrum`)
+on l, so the arbitrary rung powers it once per row (:func:`_row_form`)
 and each l only weights those powers by its phase.  The trace route keeps
 2kn+1 too.  Every rung evaluates the sum from one half-table of sines,
 s_j = sin(j pi/N) for j <= N/2: numerators fold onto it, E_r = E_{N-r}
@@ -34,6 +34,8 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from math import inf, pi, sin
+from operator import lshift, mul, rshift
+from typing import NamedTuple
 
 from .params import Params
 
@@ -392,18 +394,22 @@ def _rotation_table(dim: int, bits: int) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=2)
-def _cosine_table(dim: int, bits: int) -> tuple[tuple[int, int], ...]:
-    """Balls around 2^bits cos(2 i pi/N) = 2^bits (1 - 2 s_i^2), i = 0..floor(N/2).
+def _cosine_table(dim: int, bits: int) -> tuple[tuple[int, ...], int]:
+    """Midpoints around 2^bits cos(2 i pi/N), i = 0..N-1, and one radius for all of them.
 
-    Each is one :func:`_ball_mul` square of the rotation table's sine, so
-    the table shares its seed and recurrence; cos(2 (N - i) pi/N) is the
-    same value, which folds every phase index onto it.  Cached per (N, F).
+    Entry i <= N/2 is 2^bits - 2 floor(S_i^2 / 2^bits), from the rotation
+    table's ball (S_i, R_i) around 2^bits s_i, so the table shares its seed
+    and recurrence; cos(2 (N - i) pi/N) is the same value, so the upper
+    half mirrors the lower and a phase index needs no fold.  With R = max
+    R_i, |S_i| <= 2^bits + R and 2^bits s_i <= 2^bits, so |S_i^2 - 2^(2 bits)
+    s_i^2| <= R (2^(bits+1) + R); the floor costs under an ulp, so each
+    square is within floor(R (2^(bits+1) + R) / 2^bits) + 2, and the cosine
+    within twice that.  Cached per (N, F).
     """
-    out = []
-    for s, rs in _rotation_table(dim, bits):
-        w, rw = _ball_mul(s, rs, s, rs, bits)
-        out.append(((1 << bits) - 2 * w, 2 * rw))
-    return tuple(out)
+    sines = _rotation_table(dim, bits)
+    rad = max(r for _, r in sines)
+    half = [(1 << bits) - 2 * (s * s >> bits) for s, _ in sines]
+    return tuple(half + half[:0:-1]), 2 * ((rad * ((2 << bits) + rad) >> bits) + 2)
 
 
 def _chebyshev_sines(dim: int, bits: int) -> list[tuple[int, int]]:
@@ -439,16 +445,6 @@ def _chebyshev_sines(dim: int, bits: int) -> list[tuple[int, int]]:
     return [(x, j * rs + j * (j - 1) // 2 * d) for j, x in enumerate(table)]
 
 
-def _ball_mul(x: int, rx: int, y: int, ry: int, bits: int) -> tuple[int, int]:
-    """The product of the balls (x, rx) and (y, ry) at scale 2^bits.
-
-    Points within the radii multiply to within |x| ry + |y| rx + rx ry of
-    x y; the floor shift of the midpoint and the rounding up of the radius
-    cost an ulp each.
-    """
-    return (x * y) >> bits, ((abs(x) * ry + abs(y) * rx + rx * ry) >> bits) + 2
-
-
 def _ball_down(x: int, rx: int, shift: int) -> tuple[int, int]:
     """The ball (x, rx) at a scale 2^shift times coarser.
 
@@ -470,17 +466,46 @@ def _ball_div(x: int, rx: int, y: int, ry: int, bits: int) -> tuple[int, int]:
 
 
 def _ball_pow(x: int, rx: int, n: int, bits: int) -> tuple[int, int]:
-    """The n-th power, n >= 1, of the ball (x, rx) by left-to-right binary powering.
+    """The n-th power, n >= 1, of the ball (x, rx): binary powering of the midpoint alone.
 
-    A square is a :func:`_ball_mul` with |y| ry counted once, doubled:
-    one large product fewer.
+    Left to right, each step floors once: a square Y <- floor(Y^2 / 2^bits),
+    on a set bit a product Y <- floor(Y x / 2^bits).  The radius is not
+    carried through the loop but bounded once, in closed form.  Write u =
+    2^-bits, X = x u and a = max(1, (|x| + rx) u), so |X| <= a and every
+    point t of the ball has |t| <= a.  Suppose Y u is within e = a^m ((1 +
+    u)^h - 1) of X^m.  A square is then within (a^m + e)^2 - a^(2m) + u <=
+    a^(2m) ((1 + u)^(2h+1) - 1) of X^(2m), and a product within a e + u <=
+    a^(m+1) ((1 + u)^(h+1) - 1) of X^(m+1), because a >= 1.  h = 0 at m = 1,
+    so h = m - 1 throughout.  The ball adds |t^n - X^n| <= n a^(n-1) rx u.
+    Where (n - 1) u <= 1/2, (1 + u)^(n-1) - 1 <= 2 (n - 1) u, so
+
+        |Y u - t^n| <= a^n u (n rx + 2 (n - 1)) < c u a^n,   c = n (rx + 2):
+
+    the radius is c a^n ulps.  Where n (rx + 4) <= 2^bits, so that n rx u
+    <= 1, which gives (1 + rx u)^n <= 1 + 2 n rx u, and 4 n u <= 1, a^n is
+    bounded in integers from the computed midpoint:
+
+    - |x| < 2^bits: a <= 1 + rx u, so a^n <= 1 + 2 n rx u.
+    - |x| >= 2^bits: a = |X| (1 + rx/|x|) with rx/|x| <= rx u, so a^n <=
+      |X|^n (1 + 2 n rx u).  The midpoint's own bound, at a = |X| >= 1,
+      gives |Y| u >= |X|^n (1 - 2 (n - 1) u), so |X|^n <= |Y| u (1 + 4 n u).
+      Together, a^n <= |Y| u (1 + 4 n (rx + 1) u), as 8 n^2 rx u^2 <= 2 n rx u.
+
+    Elsewhere the radius is the always-valid |Y| + floor((|x| + rx)^n /
+    2^((n-1) bits)) + 1, the sum of both magnitudes.
     """
-    y, ry = x, rx
+    y = x
     for bit in bin(n)[3:]:
-        y, ry = (y * y) >> bits, (((2 * abs(y)) * ry + ry * ry) >> bits) + 2
+        y = (y * y) >> bits
         if bit == "1":
-            y, ry = _ball_mul(y, ry, x, rx, bits)
-    return y, ry
+            y = (y * x) >> bits
+    c = n * (rx + 2)
+    if n * (rx + 4) > 1 << bits:
+        return y, abs(y) + ((abs(x) + rx) ** n >> (n - 1) * bits) + 1
+    if abs(x) >> bits:
+        m = c * abs(y)
+        return y, (m >> bits) + (m * 4 * n * (rx + 1) >> 2 * bits) + 2
+    return y, c + (c * 2 * n * rx >> bits) + 1
 
 
 def _below_ulp(q: int, rq: int, n: int, width: int) -> bool:
@@ -496,7 +521,6 @@ def _below_ulp(q: int, rq: int, n: int, width: int) -> bool:
     return b < width and (width - b) * n >= width
 
 
-@lru_cache(maxsize=8)
 def _row_spectrum(
     params: Params, dim: int, bits: int
 ) -> tuple[tuple[tuple[int, int, int, int], ...], int] | None:
@@ -512,9 +536,8 @@ def _row_spectrum(
     out; the second result is their radius, 2^(bits - g_r + 1) each at
     scale 2^bits, doubled like every term for its pair E_r = E_{N-r}.
     None means the table is too coarse to divide by (a sine ball holds 0).
-
-    The powers do not depend on the phase, so every coefficient of a row
-    reads the same spectrum; cached per (k, n, N, F).
+    The powers do not depend on the phase; :func:`_row_form` keeps them,
+    per row, in the form every coefficient of the row reads.
     """
     n = params.n
     sines = _rotation_table(dim, bits)
@@ -538,6 +561,56 @@ def _row_spectrum(
     return tuple(powered), slack
 
 
+class _RowForm(NamedTuple):
+    """A row spectrum as the sums read it (:func:`_row_form`).
+
+    Term i is the midpoint ``xs[i]`` around 2^g E_r^n, r = ``rs[i]``, at
+    its width g = F - ``cuts[i]``.  ``spread`` is sum rx 2^cut, at scale
+    2^F; ``slack`` is the radius of the terms left out below one ulp, at
+    2^F.
+    """
+
+    rs: tuple[int, ...]
+    xs: tuple[int, ...]
+    cuts: tuple[int, ...]
+    spread: int
+    slack: int
+
+
+@lru_cache(maxsize=8)
+def _row_form(params: Params, dim: int, bits: int) -> _RowForm | None:
+    """The row spectrum (:func:`_row_spectrum`) at scale 2^bits, as a :class:`_RowForm`, or None.
+
+    Cached per (k, n, N, F): every coefficient of a row reads the same one.
+    """
+    spectrum = _row_spectrum(params, dim, bits)
+    if spectrum is None:
+        return None
+    terms, slack = spectrum
+    rs, xs, rads, widths = list(zip(*terms)) or [()] * 4
+    cuts = tuple(bits - g for g in widths)
+    return _RowForm(rs, xs, cuts, sum(map(lshift, rads, cuts)), slack)
+
+
+@lru_cache(maxsize=8)
+def _phase_form(params: Params, dim: int, bits: int) -> tuple[tuple[int, ...], int]:
+    """What a phase's sum reads beyond the row form: its shifts and its radius.
+
+    ``ups[i]`` = 2 cut + 1 takes term i's weighted product from scale
+    2^(2g) to 2^(2F), doubled for the pair E_r = E_{N-r}.  The radius, at
+    2^(2F), is the same for every phase of the row (see
+    :func:`_evaluate_arbitrary`), so the central sum, which reads neither,
+    never builds them.  Cached per (k, n, N, F).
+    """
+    row = _row_form(params, dim, bits)
+    _, rc = _cosine_table(dim, bits)
+    magnitudes = list(map(abs, row.xs))
+    mass = sum(map(lshift, magnitudes, row.cuts))
+    cut_ulps = sum(m << 2 * cut for m, cut in zip(magnitudes, row.cuts) if cut)
+    ups = tuple(2 * cut + 1 for cut in row.cuts)
+    return ups, 2 * (rc * mass + (row.spread << bits) + cut_ulps) + (row.slack << bits)
+
+
 def _evaluate_arbitrary(
     params: Params, dim: int, phase: int | None, bits: int
 ) -> tuple[int, float]:
@@ -548,27 +621,36 @@ def _evaluate_arbitrary(
     to the radius, so the residual encloses the distance of the exact sum
     from the returned integer: no error estimate is involved.
 
-    The powers come from the row's spectrum (:func:`_row_spectrum`), each
-    at its own width g_r.  The central sum adds them; a phase folds i = r *
-    phase mod N onto the cosine table (:func:`_cosine_table`), brings that
-    ball down to g_r and weights the power by one product.  Each term is
-    shifted back up to 2^bits, exactly, before it is added.
+    The powers come from the row's form (:func:`_row_form`), each at its
+    own width g = F - cut.  The central sum shifts each up to 2^F and adds
+    it, with radius 2 spread + slack.  A phase reads the cosine midpoint c
+    at i = r * phase mod N (:func:`_cosine_table`: radius rho_c, so |c -
+    2^F w| <= rho_c for the weight w), cuts it to c' = floor(c / 2^cut) at
+    2^g, and adds the exact product x c' shifted from 2^(2g) up to 2^(2F):
+    one sum of products per coefficient.  With X = 2^g E_r^n and |x - X| <=
+    rx, the term misses 2^(2F) E_r^n w by under |x| 2^(2 cut) for the cut,
+    since |c' 2^cut - c| < 2^cut (and by nothing where cut = 0), plus
+    2^cut |x c - 2^F X w| <= 2^cut (|x| rho_c + 2^F rx), as |w| <= 1.
+    Summed and doubled, with mass = sum |x| 2^cut and cut_ulps = sum |x|
+    2^(2 cut) over the terms with cut > 0, the radius at 2^(2F) is
+    2 (rho_c mass + 2^F spread + cut_ulps) + 2^F slack, the same for every
+    phase of the row (:func:`_phase_form`).
     """
-    spectrum = _row_spectrum(params, dim, bits)
-    if spectrum is None:
+    row = _row_form(params, dim, bits)
+    if row is None:
         return 0, math.inf
-    terms, radius = spectrum
-    total = params.width**params.n << bits
-    cosines = None if phase is None else _cosine_table(dim, bits)
-    for r, x, rx, width in terms:
-        if cosines is not None:
-            i = (r * phase) % dim
-            c, rc = _ball_down(*cosines[min(i, dim - i)], bits - width)
-            x, rx = _ball_mul(x, rx, c, rc, width)
-        shift = bits - width + 1
-        total += x << shift
-        radius += rx << shift
-    scale = dim << bits
+    if phase is None:
+        shift = bits
+        total = sum(map(lshift, row.xs, row.cuts)) << 1
+        radius = 2 * row.spread + row.slack
+    else:
+        shift = 2 * bits
+        cosines, _ = _cosine_table(dim, bits)
+        ups, radius = _phase_form(params, dim, bits)
+        weights = map(cosines.__getitem__, [r * phase % dim for r in row.rs])
+        total = sum(map(lshift, map(mul, row.xs, map(rshift, weights, row.cuts)), ups))
+    total += params.width**params.n << shift
+    scale = dim << shift
     value = (2 * total + scale) // (2 * scale)
     try:
         residual = (abs(total - value * scale) + radius) / scale
@@ -583,7 +665,7 @@ def _certify(params: Params, offset: int | None) -> CertifiedInteger:
     The central sum (and offset 0) runs at the smallest N, :func:`dimension`
     of 0.  Any other offset runs at the paper's N = 2kn+1, the smallest N
     that holds every p_l of the row, so all of them read one cached row
-    spectrum (:func:`_row_spectrum`).  The double rung runs where its bound
+    form (:func:`_row_form`).  The double rung runs where its bound
     can certify; the arbitrary rung, at :func:`required_bits`, runs where
     the double rung did not certify.
     """

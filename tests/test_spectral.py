@@ -558,14 +558,11 @@ def _corners(x, rx):
     n=st.integers(1, 12),
 )
 def test_ball_operations_enclose_every_corner(bits, x, rx, y, ry, n):
-    # Exact rationals at the extreme points of the operand balls: products
-    # and quotients are monotone in each operand, so corners (and 0 for a
-    # power) bound the deviation from the midpoint.
+    # Exact rationals at the extreme points of the operand balls: quotients
+    # are monotone in each operand and powers in |t|, so corners (and 0 for
+    # a power) bound the deviation from the midpoint.  Radii this wide
+    # mostly take the power's always-valid fallback radius.
     scale = 2**bits
-    mid, rad = spectral._ball_mul(x, rx, y, ry, bits)
-    for a in (x - rx, x + rx):
-        for b in (y - ry, y + ry):
-            assert abs(Fraction(a * b, scale) - mid) <= rad
     mid, rad = spectral._ball_pow(x, rx, n, bits)
     for a in _corners(x, rx):
         assert abs(Fraction(a**n, scale ** (n - 1)) - mid) <= rad
@@ -574,6 +571,87 @@ def test_ball_operations_enclose_every_corner(bits, x, rx, y, ry, n):
         for a in (x - rx, x + rx):
             for b in (y - ry, y + ry):
                 assert abs(Fraction(a * scale, b) - mid) <= rad
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    bits=st.integers(60, 300),
+    where=st.fractions(-3, 3),
+    rx=st.integers(0, 2**8),
+    n=st.integers(1, 400),
+)
+@example(bits=60, where=Fraction(1), rx=0, n=400)  # X = 1 exactly: no floor cuts
+@example(bits=60, where=Fraction(-1), rx=256, n=399)  # a^n at the edge of |x| >= 2^bits
+@example(bits=64, where=Fraction(2**64 - 1, 2**64), rx=256, n=400)  # just below it
+@example(bits=60, where=Fraction(0), rx=256, n=2)  # even power of a ball around 0
+def test_power_radius_in_closed_form_encloses_every_corner(bits, where, rx, n):
+    # The closed-form power radius, where it applies (n (rx + 4) <= 2^bits):
+    # exact n-th powers of the ball's corners, and of 0 inside it, lie
+    # within the radius of the midpoint, which is the one binary powering
+    # of the midpoint alone gives.  The radius stays within 2 n (rx + 2)
+    # a^n + 2, a = max(1, (|x| + rx) 2^-bits): it is not the fallback.
+    scale = 2**bits
+    x = math.floor(where * scale)
+    assert n * (rx + 4) <= scale
+    mid, rad = spectral._ball_pow(x, rx, n, bits)
+    y = x
+    for bit in bin(n)[3:]:
+        y = (y * y) >> bits
+        if bit == "1":
+            y = (y * x) >> bits
+    assert mid == y
+    for a in _corners(x, rx):
+        assert abs(Fraction(a**n, scale ** (n - 1)) - mid) <= rad
+    a = max(Fraction(1), Fraction(abs(x) + rx, scale))
+    assert rad <= 2 * n * (rx + 2) * a**n + 2
+
+
+@settings(max_examples=30, deadline=None)
+@given(half=st.integers(0, 300), bits=st.integers(1, 300))
+def test_cosine_table_encloses_the_cosines(half, bits):
+    # Every midpoint, the mirrored upper half included, is within the
+    # table's one radius of 2^bits cos(2 i pi/N), i = 0..N-1, against
+    # mpmath.iv at 64 more bits.
+    dim = 2 * half + 1
+    cosines, rad = spectral._cosine_table(dim, bits)
+    assert len(cosines) == dim and cosines[0] == 1 << bits
+    prec = mpmath.iv.prec
+    try:
+        mpmath.iv.prec = bits + 64
+        for i, mid in enumerate(cosines):
+            exact = mpmath.iv.ldexp(mpmath.iv.cos(2 * mpmath.iv.pi * i / dim), bits)
+            assert mid - rad <= exact.a and exact.b <= mid + rad, (i, mid, rad)
+    finally:
+        mpmath.iv.prec = prec
+
+
+@pytest.mark.parametrize("cut", [0, 12])
+def test_weighting_radius_encloses_the_phase_sums(monkeypatch, cut):
+    # The row-constant radius of a phase's sum of products, alone: a row
+    # whose powers are exact integers x_r at 2^g (radius 0, nothing left
+    # out), g = F - cut, so the cosine radius alone (cut = 0), or with the
+    # cut ulps (cut = 12), carries the whole error.  The terms are about 2^60, so an
+    # error that the radius misses moves the sum by far more than the
+    # rounding's half unit, and every phase's exact sum, over N, must lie
+    # within the residual of the returned integer.
+    p, bits = Params(2, 5), 40
+    dim, width = p.dim, bits - cut
+    rng = random.Random(cut)
+    terms = tuple((r, rng.randrange(-(2 ** (width + 60)), 2 ** (width + 60)), 0, width)
+                  for r in range(1, dim // 2 + 1))
+    monkeypatch.setattr(spectral, "_row_spectrum", lambda *args: (terms, 0))
+    prec = mpmath.iv.prec
+    try:
+        mpmath.iv.prec = 2 * bits + 128
+        for phase in range(dim):
+            value, residual = spectral._evaluate_arbitrary(p, dim, phase, bits)
+            exact = p.width**p.n + 2 * sum(
+                mpmath.iv.ldexp(mpmath.iv.cos(2 * mpmath.iv.pi * r * phase / dim) * x, -g)
+                for r, x, _, g in terms
+            )
+            assert abs(exact / dim - value).b <= residual, (cut, phase)
+    finally:
+        mpmath.iv.prec = prec
 
 
 @settings(max_examples=200, deadline=None)
@@ -699,6 +777,33 @@ def test_cheap_rungs_agree_with_the_ball_rung(k, n, where):
             result = spectral._certify(p, offset)
             assert result.policy_used.strategy == "double"
             assert result.dim == dim
+
+
+def test_double_rung_bound_holds_the_true_error():
+    # The double rung's forward bound, residual - measured, against the
+    # true error |quotient - p_l| of the quotient the rung rounds, taken
+    # exactly in Fractions: k 1-6, n 1-69, seven l per row, at the paper's
+    # N and at the smallest.  Every finite bound holds, certified or not.
+    checked = 0
+    for k in range(1, 7):
+        for n in range(1, 70):
+            p = Params(k, n)
+            row = expand_power(p).coeffs
+            for l in sorted({round(j * p.degree / 6) for j in range(7)}):
+                offset = None if l == k * n else l - k * n
+                for dim in (p.dim, dimension(p, offset or 0)):
+                    phase = None if offset is None else offset % dim
+                    value, residual = spectral._evaluate_double(p, dim, phase)
+                    if not math.isfinite(residual):
+                        continue
+                    sines, powers, _ = spectral._double_spectrum(p, dim)
+                    terms = spectral._phase_terms(powers, phase, sines)
+                    quotient = Fraction(spectral._sum_plain(terms) / dim)
+                    bound = Fraction(residual) - abs(quotient - value)
+                    error = abs(quotient - row[l])
+                    assert error <= bound, (k, n, l, dim)
+                    checked += 1
+    assert checked > 1000
 
 
 def test_certified_residual_nonnegative():
