@@ -3,14 +3,12 @@
 A circulant is stored as its first row only, and products are cyclic
 convolutions of first rows.  The route powers one matrix, the symmetric
 central circulant C (first-row ones at offsets -k..k mod N), by squaring;
-the central coefficient falls out of the trace of Cⁿ.  :func:`multiply`,
-the sparse cyclic convolution, is the reference the tests check against.
+the central coefficient falls out of the trace of Cⁿ.
 """
 from __future__ import annotations
 
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from functools import lru_cache
 from itertools import accumulate, chain, repeat
@@ -26,88 +24,17 @@ from .params import Params
 #: ``tools/bench_step.py`` times both kernels at packed sizes 2^12 to 2^20.
 DECIMAL_MIN_BITS = 200_000
 
+#: Packed size, in bits, below which :func:`matrix_power` forms a power
+#: of C by one ``pow`` of C's packed row instead of one step per bit.  The
+#: one ``pow`` saves the per-step unpacking and packing in Python, but its
+#: fields are as wide as the last step's all along, so on large powers the
+#: steps' narrower early squares win.  ``tools/bench_step.py`` times both:
+#: the ``pow`` is 1.2 to 3.2 times as fast up to 2^15 bits, 1.0 to 1.3 at
+#: 2^16, 0.9 to 1.2 at 2^17, and slower from 2^18 on.
+POW_MAX_BITS = 2**16
+
 #: Integer products in this context are exact at any size: nothing rounds.
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
-
-
-@dataclass(frozen=True)
-class CirculantMatrix:
-    """Circulant over exact integers, determined by its first row.
-
-    The full matrix entry ``(i, j)`` is ``first_row[(j - i) mod dim]``; rows
-    are successive right-rotations of the first.
-    """
-
-    dim: int
-    first_row: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if len(self.first_row) != self.dim:
-            raise ValueError(
-                f"first_row has {len(self.first_row)} entries, expected {self.dim}"
-            )
-
-
-def identity(dim: int) -> CirculantMatrix:
-    return CirculantMatrix(dim, (1,) + (0,) * (dim - 1))
-
-
-def build_shifted(params: Params, m: int) -> CirculantMatrix:
-    """Boolean circulant with first-row ones at offsets ``{m, ..., m+2k} mod N``.
-
-    Multiplying the width-(2k+1) block circulant by ``x^m`` in the
-    polynomial picture; offsets that collide mod N (only possible in the
-    degenerate n=0 case) are marked once, keeping the matrix boolean.
-    """
-    n_dim = params.dim
-    if not 0 <= m < n_dim:
-        raise ValueError(f"shift m must be in [0, {n_dim - 1}], got {m}")
-    row = [0] * n_dim
-    for offset in range(m, m + params.width):
-        row[offset % n_dim] = 1
-    return CirculantMatrix(n_dim, tuple(row))
-
-
-def build_central(params: Params) -> CirculantMatrix:
-    """The symmetric circulant whose n-th power carries M^(2k,n) on the diagonal.
-
-    First-row ones sit at offsets ``{-k, ..., k} mod N``: a leading 1, a
-    block of k ones, and a trailing block of k ones.  Equivalent to
-    :func:`build_shifted` with ``m = N - k`` (the matrix actually used by
-    the spectral route; see the trace/shift bookkeeping notes on
-    :func:`coefficient_via_shift`).
-    """
-    return build_shifted(params, (params.dim - params.k) % params.dim)
-
-
-def multiply(a: CirculantMatrix, b: CirculantMatrix) -> CirculantMatrix:
-    """Product of two circulants: the cyclic convolution of their first rows."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} != {b.dim}")
-    return CirculantMatrix(a.dim, tuple(_convolve_cyclic(a.first_row, b.first_row)))
-
-
-def _convolve_cyclic(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Cyclic convolution of two equal-length exact integer rows (indices wrap mod N).
-
-    Only nonzero entries take part, with the sparser operand on the outside,
-    so rows that are mostly zero cost little.
-    """
-    n = len(a)
-    outer = [(i, x) for i, x in enumerate(a) if x]
-    inner = [(j, y) for j, y in enumerate(b) if y]
-    if len(outer) > len(inner):
-        outer, inner = inner, outer
-    out = [0] * n
-    for i, x in outer:
-        for j, y in inner:
-            t = i + j
-            if t >= n:
-                t -= n
-            out[t] += x * y
-    return out
 
 
 def matrix_power(params: Params, e: int) -> tuple[int, ...]:
@@ -121,20 +48,52 @@ def matrix_power(params: Params, e: int) -> tuple[int, ...]:
     mod N: only that window is kept, and its place is known, never
     searched for.  At n = 0 the ring has one point, C's 2k+1 ones fall on
     it, and the row of Cᵉ is (2k+1)ᵉ.
+
+    The leading bits of e, while the power f they spell stays small
+    (:data:`POW_MAX_BITS`, :data:`DECIMAL_MIN_BITS`), are one step
+    (:func:`_central_power`); the steps go on from Cᶠ.
     """
     if e < 0:
         raise ValueError(f"power must be >= 0, got {e}")
     k, dim = params.k, params.dim
+    bits = bin(e)[2:]
+    limit = min(POW_MAX_BITS, DECIMAL_MIN_BITS)
+    f, used = 0, 0
+    for bit in bits:
+        g = 2 * f + (bit == "1")
+        if (2 * k * g + 1) * 8 * _field_bytes(k, g) >= limit:
+            break
+        f, used = g, used + 1
     # The running power's window is ``values``; its entries sum to
     # ``total``, since row sums multiply under cyclic convolution.
-    values, total = [1], 1
-    for bit in bin(e)[2:]:
+    values, total = _central_power(k, f, dim), params.width**f
+    for bit in bits[used:]:
         total *= total
         values = _square(values, total, dim)
         if bit == "1":
             total *= params.width
             values = _times_central(values, k, dim)
     return _place(values, -k * e, dim)
+
+
+def _field_bytes(k: int, f: int) -> int:
+    """The byte length of (2k+1)ᶠ, the row sum of Cᶠ: bytes enough for any of its entries."""
+    return (((2 * k + 1) ** f).bit_length() + 7) // 8
+
+
+def _central_power(k: int, f: int, dim: int) -> list[int]:
+    """The window of Cᶠ, folded mod ``dim``, by one ``pow`` of C's packed row.
+
+    C's window is 2k+1 ones, so its packed row, with fields of b bits, is
+    R = sum_{j=0}^{2k} 2^(bj) = (2^(b(2k+1)) - 1) / (2^b - 1), and Rᶠ packs
+    Cᶠ's window of 2kf+1 fields.  Each entry is at most the row sum
+    (2k+1)ᶠ, and b is 8 times its byte length, so no field carries.  The
+    window is a palindrome: its lowest kf+1 fields give the rest.
+    """
+    nbytes = _field_bytes(k, f)
+    b = 8 * nbytes
+    packed = pow(((1 << b * (2 * k + 1)) - 1) // ((1 << b) - 1), f)
+    return _fold(_mirrored(_unpack_bytes(packed, nbytes, k * f + 1)), dim)
 
 
 def _place(values: list[int], start: int, dim: int) -> tuple[int, ...]:
@@ -159,17 +118,25 @@ def _square(values: list[int], bound: int, dim: int) -> list[int]:
     :data:`DECIMAL_MIN_BITS` of product the fields are bytes of a CPython
     int; from there on they are decimal digits of a
     :class:`~decimal.Decimal`, whose multiply is a number-theoretic
-    transform inside libmpdec.
+    transform inside libmpdec.  The square of a palindromic window, as
+    every unfolded window of a power of C is, is a palindrome: only its
+    lowest w fields are read.
     """
     count = 2 * len(values) - 1
+    read = len(values) if values == values[::-1] else count
     if count * 8 * (nbytes := bound.bit_length() // 8 + 1) < DECIMAL_MIN_BITS:
         packed = _pack_bytes(values, nbytes)
-        fields = _unpack_bytes(packed * packed, nbytes, count)
+        fields = _unpack_bytes(packed * packed, nbytes, read)
     else:
         digits = bound.bit_length() * 30103 // 100000 + 1  # 10**digits > bound
         packed = _pack(values, digits)
-        fields = _unpack(_EXACT.multiply(packed, packed), digits, count)
-    return _fold(fields, dim)
+        fields = _unpack(_EXACT.multiply(packed, packed), digits, read)
+    return _fold(_mirrored(fields) if read < count else fields, dim)
+
+
+def _mirrored(half: list[int]) -> list[int]:
+    """The palindrome of 2w-1 entries whose lowest w are ``half``."""
+    return half + half[-2::-1]
 
 
 def _times_central(values: Sequence[int], k: int, dim: int) -> list[int]:
@@ -204,9 +171,10 @@ def _pack_bytes(values: list[int], nbytes: int) -> int:
 
 
 def _unpack_bytes(packed: int, nbytes: int, count: int) -> list[int]:
-    """The ``count`` fields of ``nbytes`` bytes of ``packed``, lowest first."""
-    data = packed.to_bytes(count * nbytes, "little")
-    fields = (data[i : i + nbytes] for i in range(0, len(data), nbytes))
+    """The lowest ``count`` fields of ``nbytes`` bytes of ``packed``, lowest first."""
+    size = count * nbytes
+    data = (packed & ((1 << 8 * size) - 1)).to_bytes(size, "little")
+    fields = (data[i : i + nbytes] for i in range(0, size, nbytes))
     return list(map(int.from_bytes, fields, repeat("little")))
 
 
@@ -220,13 +188,13 @@ def _pack(values: list[int], digits: int) -> Decimal:
 
 
 def _unpack(packed: Decimal, digits: int, count: int) -> list[int]:
-    """The ``count`` fields of ``digits`` digits of ``packed``, lowest first.
+    """The lowest ``count`` fields of ``digits`` digits of ``packed``, lowest first.
 
     ``int`` parses a field directly within CPython's int/str digit limit
     (0: none, as on Pythons before 3.10.7, which have no limit); a wider
     field goes through :class:`~decimal.Decimal`.
     """
-    text = str(packed).zfill(digits * count)
+    text = str(packed)[-digits * count :].zfill(digits * count)
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     parse = int if not 0 < limit < digits else lambda field: int(Decimal(field))
     return [parse(text[i : i + digits]) for i in range(len(text) - digits, -1, -digits)]
@@ -281,13 +249,17 @@ def _half_power_rows(k: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def coefficient_via_shift(params: Params, l: int) -> int:
     """Coefficient ``p_l`` read from the n-th power of the central circulant.
 
-    The n-th power of the m-shifted circulant has first row
+    The m-shifted circulant is boolean, with first-row ones at offsets
+    ``{m, ..., m+2k} mod N``: the block 1 + x + ... + x^{2k} times x^m in
+    the polynomial picture.  Its n-th power has first row
     ``b_j = p_{(j - n*m) mod N}``: the shift multiplies the whole row of
     coefficients by x^{n*m}, rotating it through the ring.  The central
-    circulant is the shift ``m = N - k``, so ``p_l`` sits at offset
-    ``(l - kn) mod N``.  As in :func:`central_via_trace`, the n-th power is
-    never formed: the entry is read off the two half powers, which are
-    cached per (k, n) for the other coefficients of the same row.
+    circulant C, ones at offsets -k..k (a leading 1, a block of k ones and
+    a trailing block of k ones), is the shift ``m = N - k``, so ``p_l``
+    sits at offset ``(l - kn) mod N``.  As in :func:`central_via_trace`,
+    the n-th power is never formed: the entry is read off the two half
+    powers, which are cached per (k, n) for the other coefficients of the
+    same row.
     """
     if not 0 <= l <= params.degree:
         raise ValueError(f"l must be in [0, {params.degree}], got {l}")

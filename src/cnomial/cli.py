@@ -184,7 +184,7 @@ def _verify_case(
     if central != trace or proven not in (None, central):
         failed.append("methods-equal")
         values["methods-equal"] = _routes(central, trace, proven)
-    if any(row[l] != row[params.degree - l] for l in range(params.degree + 1)):
+    if row != row[::-1]:
         failed.append("row-symmetry")
     if sum(row) != params.width**params.n:
         failed.append("row-sum")
@@ -200,7 +200,7 @@ def _verify_case(
     # angles of the pair E_r = E_{N-r} that the spectral sum doubles, at
     # the N of the central sum.
     dim = spectral.dimension(params, 0)
-    ratios = list(spectral._ratios(params.width, spectral._sine_table(dim)))
+    ratios = spectral._ratios(params.width, spectral._sine_table(dim))
     if len(ratios) != dim // 2 or not all(
         _close(ratio, spectral.dirichlet_kernel(params.k, 2.0 * math.pi * r / dim))
         and _close(ratio, spectral.dirichlet_kernel(params.k, 2.0 * math.pi * (dim - r) / dim))

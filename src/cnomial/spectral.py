@@ -30,11 +30,12 @@ series), so the module needs only the standard library.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from math import inf, pi, sin
-from operator import lshift, mul, rshift
+from operator import lshift, mul, neg, rshift, truediv
 from typing import NamedTuple
 
 from .params import Params
@@ -182,94 +183,72 @@ def _numerators(m: int, dim: int) -> Iterator[tuple[int, int]]:
             yield -1, min(t, dim - t)
 
 
-def _ratios(m: int, sines: list[float]) -> Iterator[float]:
+def _ratios(m: int, sines: list[float]) -> list[float]:
     """E_r = sin(m r pi/N) / sin(r pi/N) for r = 1..floor(N/2), from the half-table.
 
-    The numerator folds onto the table exactly (:func:`_numerators`), so
-    only the division rounds.
+    The numerator's angle is reduced exactly, t = m r mod 2N, and read off
+    the half-table extended to sin(t pi/N) for t = 0..2N-1: mirrored,
+    sin(t pi/N) = s_{N-t}, and negated, sin(t pi/N) = -sin((t-N) pi/N), as
+    :func:`_numerators` folds it.  So only the division rounds, and the
+    passes run in ``map``, not per entry in Python.
     """
     dim = 2 * len(sines) - 1
-    for r, (sign, j) in enumerate(_numerators(m, dim), 1):
-        yield sign * sines[j] / sines[r]
-
-
-def _phase_indices(phase: int, dim: int) -> Iterator[int]:
-    """j with cos(2 pi r phase/N) = 1 - 2 s_j^2, for r = 1..floor(N/2).
-
-    j = (r * phase) mod N folded to min(j, N - j) <= floor(N/2): the phase
-    is reduced exactly before any rounding, and no cosine is needed.
-    """
-    for r in range(1, dim // 2 + 1):
-        j = (r * phase) % dim
-        yield min(j, dim - j)
-
-
-def _phase_terms(
-    powers: Sequence[float], phase: int | None, sines: Sequence[float]
-) -> Sequence[float]:
-    """The terms of the sum at a phase offset: powers[r] * cos(2 pi r phase/N).
-
-    The cosine is 1 - 2 s_j^2 (:func:`_phase_indices`).  ``phase=None`` is
-    the central sum, whose terms are the powers themselves.
-    """
-    if phase is None:
-        return powers
-    out = [powers[0]]
-    for power, j in zip(powers[1:], _phase_indices(phase, 2 * len(sines) - 1)):
-        s = sines[j]
-        out.append(power * (1 - 2 * s * s))
-    return out
-
-
-def _terms_central(k: int, n: int, sines: list[float]) -> list[float]:
-    """Terms of the paired central sum (2k+1)^n + 2 * sum_{r=1..floor(N/2)} E_r^n.
-
-    E_r = E_{N-r} for the 0-based Fourier index r (both the numerator and
-    the denominator are symmetric about N/2 when 2k+1 is odd), so each pair
-    of the full sum over r = 1..N-1 is one doubled term.  The power term
-    comes first, then r ascending, so every summation strategy sees the
-    same deterministic order; the doubling is exact.
-    """
-    m = 2 * k + 1
-    return [_pow(float(m), n)] + [2.0 * _pow(ratio, n) for ratio in _ratios(m, sines)]
-
-
-def _sum_plain(terms: list[float]) -> float:
-    """Left-to-right double accumulation."""
-    s = 0.0
-    for term in terms:
-        s = s + term
-    return s
-
-
-def _sum_abs(terms: list[float]) -> float:
-    """Left-to-right accumulation of absolute values (for error bounds)."""
-    s = 0.0
-    for term in terms:
-        s = s + abs(term)
-    return s
+    row = sines + sines[:0:-1]
+    signed = row + list(map(neg, row))
+    angles = map((2 * dim).__rmod__, range(m, m * (dim // 2) + 1, m))  # m r mod 2N
+    return list(map(truediv, map(signed.__getitem__, angles), sines[1:]))
 
 
 @lru_cache(maxsize=8)
-def _double_spectrum(
-    params: Params, dim: int
-) -> tuple[tuple[float, ...], tuple[float, ...], float]:
-    """The double rung's half-table, its paired powers and their mass A.
+def _double_spectrum(params: Params, dim: int) -> tuple[tuple[float, ...], float]:
+    """The paired terms of the central sum and their mass A, in doubles.
 
-    None of them depends on the phase, so every coefficient of a row reads
-    the same ones; cached per (k, n, N).
+    The terms are (2k+1)^n, then 2 E_r^n for r = 1..floor(N/2): E_r =
+    E_{N-r} for the 0-based Fourier index r (numerator and denominator are
+    both symmetric about N/2 when 2k+1 is odd), so each pair of the full
+    sum over r = 1..N-1 is one doubled term, and the doubling is exact.
+    A = sum |term|.  Neither depends on the phase, so every coefficient of
+    a row reads the same ones; cached per (k, n, N).
     """
-    sines = _sine_table(dim)
-    powers = _terms_central(params.k, params.n, sines)
-    return tuple(sines), tuple(powers), _sum_abs(powers)
+    n = params.n
+    ratios = _ratios(params.width, _sine_table(dim))
+    powers = tuple([_pow(float(params.width), n)] + [2.0 * _pow(ratio, n) for ratio in ratios])
+    return powers, sum(map(abs, powers), 0.0)
+
+
+@lru_cache(maxsize=2)
+def _phase_weights(dim: int) -> tuple[float, ...]:
+    """w_i = cos(2 pi i/N) = 1 - 2 s_{min(i, N-i)}^2, i = 0..N-1, from the half-table.
+
+    The phase r * d mod N of a term is reduced exactly before it indexes
+    the table, so no cosine is needed; cached per N.
+    """
+    half = [1 - 2 * s * s for s in _sine_table(dim)]
+    return tuple(half + half[:0:-1])
+
+
+def _double_sum(powers: tuple[float, ...], dim: int, phase: int | None) -> float:
+    """The paired spectral sum of :func:`_double_spectrum`'s terms at the odd dimension ``dim``.
+
+    ``phase=None`` is the central sum of the terms themselves; a phase d
+    weights term r by w_{r d mod N} (:func:`_phase_weights`).  The order
+    is fixed: 0.0, the (2k+1)^n term, then r ascending (a phase's sum
+    starts at that term, which is 0.0 plus it exactly).  ``sum`` of
+    floats adds left to right before Python 3.12 and with compensation
+    from 3.12 on; the forward bound of :func:`_evaluate_double` covers
+    both.
+    """
+    if phase is None:
+        return sum(powers, 0.0)
+    weights = _phase_weights(dim)
+    indices = map(dim.__rmod__, map(mul, range(1, len(powers)), repeat(phase)))  # r d mod N
+    return sum(map(mul, powers[1:], map(weights.__getitem__, indices)), powers[0])
 
 
 def _evaluate_double(params: Params, dim: int, phase: int | None) -> tuple[int, float]:
     """The spectral sum at the odd dimension ``dim`` in doubles, with a forward error bound."""
-    sines, powers, mass = _double_spectrum(params, dim)
-    terms = _phase_terms(powers, phase, sines)
-    total = _sum_plain(terms)
-    quotient = total / dim
+    powers, mass = _double_spectrum(params, dim)
+    quotient = _double_sum(powers, dim, phase) / dim
     value, measured = _round_with_residual(quotient)
     if not math.isfinite(quotient) or not math.isfinite(mass):
         return value, math.inf
@@ -288,13 +267,13 @@ def _evaluate_double(params: Params, dim: int, phase: int | None) -> tuple[int, 
     #   error is absolute: where w_r ~ 0 it is no fraction of E_r^n w_r.
     #   With the product's rounding, a weighted term is within
     #   (10n + 2 + 21.4)u of |E_r^n|: 22 more units per term.
-    # - Summation: left-to-right accumulation of len(terms) terms costs at
-    #   most one u of A per addition.
+    # - Summation: left-to-right accumulation of len(powers) terms costs at
+    #   most one u of A per addition; compensated summation costs less.
     # - Division by N and the quantization of the quotient itself cost one
     #   ulp of the quotient, which is what keeps the certificate honest
     #   above 2^53.
     per_term = 10.0 * params.n + (2.0 if phase is None else 24.0)
-    bound = mass * (per_term + len(terms) + 1) * _EPS / dim
+    bound = mass * (per_term + len(powers) + 1) * _EPS / dim
     bound += math.ulp(abs(quotient))
     return value, measured + bound
 

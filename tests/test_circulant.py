@@ -3,19 +3,18 @@ import pytest
 from dense import dense_power, dense_product, to_dense
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sparse import (
+    CirculantMatrix,
+    _convolve_cyclic,
+    build_central,
+    build_shifted,
+    identity,
+    multiply,
+)
 
 from cnomial import Params, central_coefficient, expand_power
 from cnomial import circulant
-from cnomial.circulant import (
-    CirculantMatrix,
-    build_central,
-    build_shifted,
-    central_via_trace,
-    coefficient_via_shift,
-    identity,
-    matrix_power,
-    multiply,
-)
+from cnomial.circulant import central_via_trace, coefficient_via_shift, matrix_power
 
 
 def trace(a):
@@ -112,6 +111,10 @@ def windowed_row(data, dim, widths):
 #: DECIMAL_MIN_BITS values that force every step onto one kernel.
 KERNELS = {"bytes": float("inf"), "decimal": 0}
 
+#: POW_MAX_BITS values that power every bit of e by one pow, the leading
+#: few, or none.
+PREFIXES = {"pow": float("inf"), "mixed": 2**10, "steps": 0}
+
 
 def placed(fields, start, dim):
     """The first row holding ``fields`` from ``start`` on, mod ``dim``."""
@@ -134,7 +137,7 @@ def test_step_matches_cyclic_convolution(kernel, data):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(circulant, "DECIMAL_MIN_BITS", KERNELS[kernel])
         fields = circulant._square(values, sum(x) ** 2, dim)
-    assert placed(fields, 2 * xs, dim) == circulant._convolve_cyclic(x, x)
+    assert placed(fields, 2 * xs, dim) == _convolve_cyclic(x, x)
 
 
 @given(data=st.data(), k=st.integers(1, 5), n=st.integers(1, 6))
@@ -165,6 +168,27 @@ def test_packed_odd_step_matches_multiply(k):
         assert y == multiply(half, build_central(p)).first_row, (k, n)
 
 
+@pytest.mark.parametrize("kernel", list(KERNELS))
+@given(half=st.lists(st.integers(0, 10**40), min_size=2, max_size=10))
+@settings(max_examples=40, deadline=None)
+def test_palindromic_square_reads_half(kernel, half):
+    # A palindromic window's square is read by its lowest w fields and
+    # mirrored: against the full convolution on rings that hold its 2w-1
+    # fields and on rings it folds round, on each kernel.
+    values = half + half[-2::-1]
+    mirrored = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(circulant, "DECIMAL_MIN_BITS", KERNELS[kernel])
+        patch.setattr(circulant, "_mirrored", lambda low: mirrored.append(low) or low + low[-2::-1])
+        for dim in range(len(values), 2 * len(values) + 1):
+            start = dim // 3
+            fields = circulant._square(values, sum(values) ** 2, dim)
+            row = placed(values, start, dim)
+            assert placed(fields, 2 * start, dim) == _convolve_cyclic(row, row), dim
+    assert len(mirrored) == len(values) + 1
+    assert all(len(low) == len(values) for low in mirrored)
+
+
 def decimal_steps(monkeypatch):
     """Record each decimal unpack; the list's length is the number of decimal steps."""
     calls = []
@@ -178,15 +202,19 @@ def decimal_steps(monkeypatch):
     return calls
 
 
-def test_matrix_power_matches_products():
+def test_matrix_power_matches_products(monkeypatch):
     # The known window through every step: narrow, then past n, where
-    # 2ke+1 outgrows the ring and the window wraps round it.
-    for k in range(1, 6):
-        for n in range(1, 7):
-            p = Params(k, n)
-            central = build_central(p)
-            for e in range(3 * n + 2):
-                assert matrix_power(p, e) == power_by_products(central, e).first_row, (k, n, e)
+    # 2ke+1 outgrows the ring and the window wraps round it; the leading
+    # bits of e by one pow, some of them, or none.
+    for prefix, limit in PREFIXES.items():
+        monkeypatch.setattr(circulant, "POW_MAX_BITS", limit)
+        for k in range(1, 6):
+            for n in range(1, 7):
+                p = Params(k, n)
+                central = build_central(p)
+                for e in range(3 * n + 2):
+                    expected = power_by_products(central, e).first_row
+                    assert matrix_power(p, e) == expected, (prefix, k, n, e)
 
 
 def test_matrix_power_beyond_the_digit_limit(monkeypatch):
@@ -200,7 +228,7 @@ def test_matrix_power_beyond_the_digit_limit(monkeypatch):
     assert steps
     assert max(fields).bit_length() > 4300 * 3.32
     row = placed(values, 20, dim)
-    assert placed(fields, 40, dim) == circulant._convolve_cyclic(row, row)
+    assert placed(fields, 40, dim) == _convolve_cyclic(row, row)
 
 
 def test_packed_steps_without_a_digit_limit(monkeypatch):

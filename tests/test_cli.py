@@ -282,6 +282,25 @@ def test_verify_detects_wrong_circulant_row(capsys, monkeypatch):
     assert err.strip() == "FAIL k=1 n=3: circulant-row"
 
 
+def test_verify_detects_an_asymmetric_row(capsys, monkeypatch):
+    # Swap p_2 and p_3 of the row at (1, 3), 1 3 6 7 6 3 1: the sum and
+    # the edges hold, the mirror image does not.
+    true_expand = cli.exact.expand_power
+
+    def swapped(params):
+        table = true_expand(params)
+        if params.n != 3:
+            return table
+        c = table.coeffs
+        return dataclasses.replace(table, coeffs=c[:2] + (c[3], c[2]) + c[4:])
+
+    monkeypatch.setattr(cli.exact, "expand_power", swapped)
+    code, out, err = run(capsys, "verify", "--k-max", "1", "--n-max", "3")
+    assert code == 1
+    assert out.strip() == "3 cases, 1 failure"
+    assert "row-symmetry" in err.split(": ", 1)[1].strip().split(", ")
+
+
 def test_verify_detects_wrong_window_row(capsys, monkeypatch):
     # Corrupt one entry of the window row at (k, n) = (1, 2) only: the last
     # of its two passes is the only one that returns five entries.
@@ -309,7 +328,7 @@ def test_verify_detects_wrong_ratios(capsys, monkeypatch):
     true_ratios = cli.spectral._ratios
 
     def skewed(m, sines):
-        return (ratio * (1 + 1e-9) for ratio in true_ratios(m, sines))
+        return [ratio * (1 + 1e-9) for ratio in true_ratios(m, sines)]
 
     monkeypatch.setattr(cli.spectral, "_ratios", skewed)
     code, out, err = run(capsys, "verify", "--k-max", "1", "--n-max", "3")
@@ -388,15 +407,18 @@ def test_verify_reports_each_routes_coefficient(capsys, monkeypatch):
 
 
 def test_verify_reports_uncertified_cases_and_goes_on(capsys, monkeypatch):
-    # Fold every numerator with the wrong sign: the sums are wrong and some
-    # cannot certify.  Each such case fails with spectral-certified, and
-    # the grid still reaches its last case and the summary.
-    true_numerators = cli.spectral._numerators
+    # Fold every numerator with the wrong sign, on both rungs (the ball
+    # rung's numerators, the double rung's ratios, whose denominators are
+    # positive): the sums are wrong and some cannot certify.  Each such
+    # case fails with spectral-certified, and the grid still reaches its
+    # last case and the summary.
+    true_numerators, true_ratios = cli.spectral._numerators, cli.spectral._ratios
 
     def wrong_sign(m, dim):
-        return ((1, j) for _, j in true_numerators(m, dim))
+        return [(1, j) for _, j in true_numerators(m, dim)]
 
     monkeypatch.setattr(cli.spectral, "_numerators", wrong_sign)
+    monkeypatch.setattr(cli.spectral, "_ratios", lambda m, sines: list(map(abs, true_ratios(m, sines))))
     code, out, err = run(capsys, "verify", "--k-max", "3", "--n-max", "8",
                          "--format", "json-lines")
     assert code == 1

@@ -3,15 +3,11 @@ import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sparse import _convolve_cyclic
 
 from cnomial import exact
-from cnomial.circulant import _convolve_cyclic
 from cnomial.params import Params
-from cnomial.spectral import (
-    _sine_table,
-    _sum_abs,
-    _terms_central,
-)
+from cnomial.spectral import _double_spectrum
 
 
 def naive_cyclic(a, b):
@@ -82,13 +78,16 @@ def test_big_integers_survive_recurrence():
 
 
 def test_sum_abs():
-    assert _sum_abs([1.5, -2.5, 3.0]) == 7.0
-    assert _sum_abs([]) == 0.0
+    # At (1, 3) on 7 points E_2 < 0, so an odd power is a negative term:
+    # the mass adds its magnitude.
+    terms, mass = _double_spectrum(Params(1, 3), 7)
+    assert min(terms) < 0.0
+    assert mass == sum(abs(t) for t in terms)
 
 
 def test_power_overflow_saturates_to_inf():
     # Float ** raises OverflowError where C pow() returns inf; the kernel
     # saturates instead, so callers escalate precision on a non-finite sum.
-    terms = _terms_central(1, 700, _sine_table(5))
-    assert terms[0] == math.inf
+    terms, mass = _double_spectrum(Params(1, 700), 5)
+    assert terms[0] == math.inf == mass
     assert all(not math.isnan(t) for t in terms)

@@ -1,6 +1,7 @@
 """Spectral sums, the sine-ratio spectrum, and the precision certificate."""
 import math
 import random
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -50,7 +51,7 @@ def test_first_eigenvalue_is_width_exactly():
     for k in range(1, 5):
         for n in (1, 2, 7):
             p = Params(k, n)
-            terms = spectral._terms_central(k, n, spectral._sine_table(p.dim))
+            terms, _ = spectral._double_spectrum(p, p.dim)
             assert terms[0] == float((2 * k + 1) ** n)
 
 
@@ -796,14 +797,60 @@ def test_double_rung_bound_holds_the_true_error():
                     value, residual = spectral._evaluate_double(p, dim, phase)
                     if not math.isfinite(residual):
                         continue
-                    sines, powers, _ = spectral._double_spectrum(p, dim)
-                    terms = spectral._phase_terms(powers, phase, sines)
-                    quotient = Fraction(spectral._sum_plain(terms) / dim)
+                    powers, _ = spectral._double_spectrum(p, dim)
+                    quotient = Fraction(spectral._double_sum(powers, dim, phase) / dim)
                     bound = Fraction(residual) - abs(quotient - value)
                     error = abs(quotient - row[l])
                     assert error <= bound, (k, n, l, dim)
                     checked += 1
     assert checked > 1000
+
+
+def plain_double_rung(p, dim, phase):
+    """The double rung by plain loops, each sum left to right from 0.0: the
+    reference the route's whole-row passes must match bit for bit."""
+    sines = [0.0] + [math.sin((math.pi * j) / dim) for j in range(1, dim // 2 + 1)]
+    terms = [spectral._pow(float(p.width), p.n)]
+    for r in range(1, dim // 2 + 1):
+        t = p.width * r % (2 * dim)
+        sign, t = (1, t) if t < dim else (-1, t - dim)
+        terms.append(2.0 * spectral._pow(sign * sines[min(t, dim - t)] / sines[r], p.n))
+    mass = 0.0
+    for term in terms:
+        mass = mass + abs(term)
+    if phase is not None:
+        for r in range(1, len(terms)):
+            j = r * phase % dim
+            s = sines[min(j, dim - j)]
+            terms[r] = terms[r] * (1 - 2 * s * s)
+    total = 0.0
+    for term in terms:
+        total = total + term
+    quotient = total / dim
+    if not math.isfinite(quotient):
+        return 0, math.inf
+    value = round(quotient)
+    if not math.isfinite(mass):
+        return value, math.inf
+    per_term = 10.0 * p.n + (2.0 if phase is None else 24.0)
+    bound = mass * (per_term + len(terms) + 1) * 2.0**-53 / dim + math.ulp(abs(quotient))
+    return value, abs(quotient - value) + bound
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 12), reason="sum() of floats is compensated from 3.12 on")
+def test_double_rung_matches_plain_loops():
+    # The value and residual of the double rung against plain loops, bit
+    # for bit: k 1-4, n 1-30, seven l per row, at the paper's N and at the
+    # smallest, so both the central sum and every phase weight are read.
+    for k in range(1, 5):
+        for n in range(1, 31):
+            p = Params(k, n)
+            for l in sorted({round(j * p.degree / 6) for j in range(7)}):
+                offset = None if l == k * n else l - k * n
+                for dim in (p.dim, dimension(p, offset or 0)):
+                    phase = None if offset is None else offset % dim
+                    expected = plain_double_rung(p, dim, phase)
+                    assert spectral._evaluate_double(p, dim, phase) == expected, (k, n, l, dim)
 
 
 def test_certified_residual_nonnegative():

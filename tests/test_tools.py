@@ -12,7 +12,7 @@ ROOT = Path(__file__).resolve().parent.parent
 #: Each script's record keys, as its docstring names them.
 KEYS = {
     "bench_step.py": {"type", "k", "e", "size_bits", "fields", "packed_bits", "bytes_us",
-                      "decimal_us", "odd_window_us", "odd_sparse_us"},
+                      "decimal_us", "pow_us", "steps_us", "odd_window_us"},
     "bench_row.py": {"type", "k", "n", "l", "repetitions", "one_l_min_s", "one_l_median_s",
                      "four_l_min_s", "four_l_median_s"},
 }

@@ -1,4 +1,4 @@
-"""Time the trace route's steps: squares on both kernels, odd steps by running window and sparse.
+"""Time the trace route's steps: squares on both kernels, powers by one pow or by steps, odd steps.
 
     PYTHONPATH=src python3 tools/bench_step.py [--repetitions 5]
 
@@ -7,14 +7,16 @@ script finds the smallest e whose squaring step X² (X = Cᵉ, C the central
 circulant of k on the ring of n = 2e+1, where X² does not wrap) forms a
 product of at least that many bits, counted as ``circulant._square``
 counts them: fields times field bytes times 8.  It times that square on
-each kernel, forced by setting ``circulant.DECIMAL_MIN_BITS``, and the odd
-step X C of the same row both ways: as a running-window sum over X's
-window (``circulant._times_central``, placed in a first row) and by the
-sparse loop of ``circulant.multiply``.  One JSON line per (k, size) goes
-to stdout, with the keys ``type``, ``k``, ``e``, ``size_bits``,
-``fields``, ``packed_bits``, ``bytes_us``, ``decimal_us``,
-``odd_window_us`` and ``odd_sparse_us``: the timings are the min over
-repetitions in microseconds.
+each kernel, forced by setting ``circulant.DECIMAL_MIN_BITS``; X² itself,
+C²ᵉ, both by one ``pow`` of C's packed row and one unpack
+(``circulant._central_power``) and by ``circulant.matrix_power``'s steps
+alone (``circulant.POW_MAX_BITS`` set to 0), each placed in a first row;
+and the odd step X C as a running-window sum over X's window
+(``circulant._times_central``, placed in a first row).  One JSON line per
+(k, size) goes to stdout, with the keys ``type``, ``k``, ``e``,
+``size_bits``, ``fields``, ``packed_bits``, ``bytes_us``, ``decimal_us``,
+``pow_us``, ``steps_us`` and ``odd_window_us``: the timings are the min
+over repetitions in microseconds.
 """
 from __future__ import annotations
 
@@ -77,16 +79,25 @@ def main() -> None:
                     )
                 finally:
                     circulant.DECIMAL_MIN_BITS = saved
+            record["pow_us"] = timed(
+                lambda: circulant._place(
+                    circulant._central_power(k, 2 * e, dim), -2 * k * e, dim
+                ),
+                args.repetitions,
+            )
+            saved = circulant.POW_MAX_BITS
+            circulant.POW_MAX_BITS = 0
+            try:
+                record["steps_us"] = timed(
+                    lambda: circulant.matrix_power(params, 2 * e), args.repetitions
+                )
+            finally:
+                circulant.POW_MAX_BITS = saved
             record["odd_window_us"] = timed(
                 lambda: circulant._place(
                     circulant._times_central(values, k, dim), start - k, dim
                 ),
                 args.repetitions,
-            )
-            matrix = circulant.CirculantMatrix(dim, x)
-            central = circulant.build_central(params)
-            record["odd_sparse_us"] = timed(
-                lambda: circulant.multiply(matrix, central), args.repetitions
             )
             print(json.dumps(record), flush=True)
 
