@@ -14,21 +14,12 @@ coefficient p_l of the row) three ways:
   (:mod:`cnomial.spectral`).
 
 :mod:`cnomial.oeis` ties the k = 1, 2, 3 sequences to their OEIS entries;
-the ``cnomial`` console script exposes everything on the command line.
+it is imported on first use of one of its names here, so a process that
+never compares against OEIS does not load it.  The ``cnomial`` console
+script exposes everything on the command line.
 """
 from .circulant import central_via_trace, coefficient_via_shift
 from .exact import central_coefficient, expand_power
-from .oeis import (
-    OEIS_BY_K,
-    BFileParseError,
-    ComparisonReport,
-    FetchError,
-    SequenceIdError,
-    SequenceRecord,
-    compare,
-    fetch_bfile,
-    fixture_for_k,
-)
 from .params import Params
 from .spectral import (
     CertificationError,
@@ -39,6 +30,19 @@ from .spectral import (
 )
 
 __version__ = "0.1.0"
+
+#: Names :mod:`cnomial.oeis` defines and the package exports, bound on first access.
+_OEIS_NAMES = frozenset({
+    "OEIS_BY_K",
+    "BFileParseError",
+    "ComparisonReport",
+    "FetchError",
+    "SequenceIdError",
+    "SequenceRecord",
+    "compare",
+    "fetch_bfile",
+    "fixture_for_k",
+})
 
 __all__ = [
     "OEIS_BY_K",
@@ -62,3 +66,12 @@ __all__ = [
     "fixture_for_k",
     "__version__",
 ]
+
+
+def __getattr__(name: str) -> object:
+    if name in _OEIS_NAMES:
+        from . import oeis
+
+        value = globals()[name] = getattr(oeis, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

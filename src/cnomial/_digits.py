@@ -13,6 +13,7 @@ import sys
 import threading
 from collections.abc import Iterator
 from contextlib import contextmanager
+from functools import lru_cache
 
 # Serializes lift/restore pairs so that overlapping lifts in two threads
 # cannot restore each other's saved limit out of order.
@@ -37,7 +38,29 @@ def unlimited_digits() -> Iterator[None]:
             sys.set_int_max_str_digits(previous)
 
 
+@lru_cache(maxsize=4)
+def _admitted_bits(limit: int) -> int:
+    """The largest b with every b-bit integer within ``limit`` decimal digits.
+
+    2^b <= 10^limit exactly when every b-bit integer is below 10^limit, so
+    b = floor(log2 10^limit), in integers: 10^limit is no power of two
+    for limit >= 1.
+    """
+    return (10**limit).bit_length() - 1
+
+
 def decimal(value: int) -> str:
-    """``str(value)`` with no digit limit."""
+    """``str(value)`` with no digit limit.
+
+    A value the current limit admits converts directly; a larger one lifts
+    the limit for its conversion.  A limit of 0 may be another thread's
+    lift, which it can restore before ``str`` runs, so it takes the lift
+    too: under the lock it is the limit's real value.
+    """
+    if not hasattr(sys, "get_int_max_str_digits"):
+        return str(value)
+    limit = sys.get_int_max_str_digits()
+    if limit and value.bit_length() <= _admitted_bits(limit):
+        return str(value)
     with unlimited_digits():
         return str(value)

@@ -6,22 +6,24 @@ network), 2 for usage errors.  Output formats: ``plain`` for humans,
 ``csv`` (header row) and ``json-lines`` (one self-contained object per
 line) for scripting.  Coefficient values are always emitted as decimal
 strings; they outgrow 64-bit integers almost immediately.
+
+Importing this module loads the routes, ``argparse`` and ``decimal``,
+which every command needs; what only one command or format uses
+(:mod:`cnomial.oeis`, ``json``, ``csv``, ``random``, ``statistics``) is
+imported where that command or format runs.
 """
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
-import json
 import math
-import random
-import statistics
 import sys
 import time
+from math import pi, sin
 from typing import Callable
 
-from . import circulant, exact, oeis, spectral
+from . import circulant, exact, spectral
 from ._digits import decimal
 from .params import Params
 from .spectral import CertificationError
@@ -38,9 +40,14 @@ def _emit(records: list[dict], plain_lines: list[str], fmt: str) -> None:
         for line in plain_lines:
             print(line)
     elif fmt == "json-lines":
+        import json
+
         for record in records:
             print(json.dumps(record, sort_keys=False))
     elif fmt == "csv":
+        import csv
+        import json
+
         fieldnames: list[str] = []
         for record in records:
             for key in record:
@@ -149,8 +156,15 @@ def cmd_sequence(args: argparse.Namespace) -> int:
     return 0
 
 
-def _close(a: float, b: float) -> bool:
-    return math.isclose(a, b, rel_tol=EIGEN_TOL, abs_tol=EIGEN_TOL)
+def _kernel_row(m: int, dim: int) -> list[float]:
+    """The Dirichlet kernel at theta = 2 pi r/N for r = 1..N-1, m = 2k+1, in one pass.
+
+    Entry r equals :func:`spectral.dirichlet_kernel` at theta bit for bit:
+    halving is exact, so pi r/N is theta/2 and m (pi r/N) is (2k+1) theta/2.
+    The angles are unfolded, so the row does not read the half-table of
+    sines the ratios fold onto; N is odd, so no sin(theta/2) is 0.
+    """
+    return [sin(m * half) / sin(half) for half in [pi * r / dim for r in range(1, dim)]]
 
 
 def _routes(conv: int, trace: int, proven: int | None) -> dict:
@@ -198,14 +212,14 @@ def _verify_case(
     # The double rung's ratios E_r = sin(m r pi/N) / sin(r pi/N), folded
     # onto the half-table of sines, against the Dirichlet kernel at both
     # angles of the pair E_r = E_{N-r} that the spectral sum doubles, at
-    # the N of the central sum.
+    # the N of the central sum: the ratios, then the same ratios mirrored,
+    # against the kernel at r = 1..N-1.
     dim = spectral.dimension(params, 0)
     ratios = spectral._ratios(params.width, spectral._sine_table(dim))
-    if len(ratios) != dim // 2 or not all(
-        _close(ratio, spectral.dirichlet_kernel(params.k, 2.0 * math.pi * r / dim))
-        and _close(ratio, spectral.dirichlet_kernel(params.k, 2.0 * math.pi * (dim - r) / dim))
-        for r, ratio in enumerate(ratios, 1)
-    ):
+    if len(ratios) != dim // 2 or not all([
+        math.isclose(ratio, kernel, rel_tol=EIGEN_TOL, abs_tol=EIGEN_TOL)
+        for ratio, kernel in zip(ratios + ratios[::-1], _kernel_row(params.width, dim))
+    ]):
         failed.append("eigen-ratios")
 
     for l in ls:
@@ -247,7 +261,11 @@ def _certified(
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.k_max < 1 or args.n_max < 1:
         raise ValueError("k-max and n-max must be >= 1")
-    rng = random.Random(args.seed) if args.seed is not None else None
+    rng = None
+    if args.seed is not None:
+        import random
+
+        rng = random.Random(args.seed)
     records = []
     failures = 0
     for k in range(1, args.k_max + 1):
@@ -299,6 +317,8 @@ def _clear_route_caches() -> None:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    import statistics
+
     if args.repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {args.repetitions}")
     methods = list(METHODS) if args.method == ["all"] else args.method
@@ -335,6 +355,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_oeis(args: argparse.Namespace) -> int:
+    from . import oeis
+
     oeis_id, k = args.id, args.k
     if oeis_id is None and k is None:
         raise ValueError("pass --id, --k, or both")
@@ -352,7 +374,11 @@ def cmd_oeis(args: argparse.Namespace) -> int:
     if args.offline and oeis.fixture_for_id(oeis_id) is not None:
         record = oeis.fixture_for_id(oeis_id)
     else:
-        record = oeis.fetch_bfile(oeis_id, args.count, offline=args.offline)
+        try:
+            record = oeis.fetch_bfile(oeis_id, args.count, offline=args.offline)
+        except oeis.FetchError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 1
     report = oeis.compare(record, k, args.count)
 
     records = [
@@ -501,10 +527,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"certification failed: {error} (residual {error.residual})",
               file=sys.stderr)
         return 1
-    except oeis.FetchError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    except (oeis.SequenceIdError, oeis.BFileParseError, ValueError) as error:
+    except ValueError as error:  # oeis's SequenceIdError and BFileParseError too
         print(f"error: {error}", file=sys.stderr)
         return 2
 

@@ -8,15 +8,14 @@ and is the recurrence's cross-check.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from operator import sub
+from typing import NamedTuple
 
 from .params import Params
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
+class CoefficientTable(NamedTuple):
     """Full coefficient row of ``(1 + x + ... + x^{2k})^n``.
 
     ``coeffs[l]`` is the exact integer coefficient of ``x^l`` for

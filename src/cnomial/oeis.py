@@ -15,9 +15,8 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from ._digits import unlimited_digits
 from .circulant import central_via_trace
@@ -68,16 +67,7 @@ class BFileParseError(ValueError):
         self.line_number = line_number
 
 
-@dataclass(frozen=True)
-class SequenceRecord:
-    """A named integer sequence plus where its terms came from.
-
-    ``provenance`` is ``fixture`` (built-in, from the OEIS entry) or
-    ``fetched`` (b-file, possibly served from the on-disk cache, see
-    ``cache_hit``).  ``offset`` is the index of the first term, following
-    the OEIS convention.
-    """
-
+class _SequenceRecordFields(NamedTuple):
     oeis_id: str
     offset: int
     terms: tuple[int, ...]
@@ -86,16 +76,42 @@ class SequenceRecord:
     fetched_at: float | None = None
     cache_hit: bool = False
 
-    def __post_init__(self) -> None:
-        validate_id(self.oeis_id)
-        if self.provenance not in ("fixture", "fetched"):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
-        if not self.terms:
+
+class SequenceRecord(_SequenceRecordFields):
+    """A named integer sequence plus where its terms came from.
+
+    ``provenance`` is ``fixture`` (built-in, from the OEIS entry) or
+    ``fetched`` (b-file, possibly served from the on-disk cache, see
+    ``cache_hit``).  ``offset`` is the index of the first term, following
+    the OEIS convention.  A named tuple: ``_replace`` validates like the
+    constructor.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        oeis_id: str,
+        offset: int,
+        terms: tuple[int, ...],
+        provenance: str,
+        k: int | None = None,
+        fetched_at: float | None = None,
+        cache_hit: bool = False,
+    ) -> SequenceRecord:
+        validate_id(oeis_id)
+        if provenance not in ("fixture", "fetched"):
+            raise ValueError(f"unknown provenance {provenance!r}")
+        if not terms:
             raise ValueError("a sequence record needs at least one term")
+        return super().__new__(cls, oeis_id, offset, terms, provenance, k, fetched_at, cache_hit)
+
+    @classmethod
+    def _make(cls, iterable) -> SequenceRecord:
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     """Outcome of checking recomputed terms against a sequence record.
 
     ``computed[i]`` is M^(2k, start_n + i) obtained from the trace path and

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from math import inf, pi, sin
@@ -53,8 +52,7 @@ _EPS = 2.0**-53
 _DOUBLE_BITS = 53
 
 
-@dataclass(frozen=True)
-class PrecisionPolicy:
+class PrecisionPolicy(NamedTuple):
     """The rung that certified a sum: ``double``, or ``arbitrary`` with
     ``mantissa_bits`` fractional bits in its fixed-point balls."""
 
@@ -62,8 +60,7 @@ class PrecisionPolicy:
     mantissa_bits: int | None = None
 
 
-@dataclass(frozen=True)
-class CertifiedInteger:
+class CertifiedInteger(NamedTuple):
     """An integer recovered from a floating sum, plus its rounding evidence.
 
     ``residual`` is the pre-rounding distance of the sum (after division by

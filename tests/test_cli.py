@@ -1,8 +1,8 @@
 """Command-line contract: outputs, formats, and exit codes."""
 import csv
-import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -292,7 +292,7 @@ def test_verify_detects_an_asymmetric_row(capsys, monkeypatch):
         if params.n != 3:
             return table
         c = table.coeffs
-        return dataclasses.replace(table, coeffs=c[:2] + (c[3], c[2]) + c[4:])
+        return table._replace(coeffs=c[:2] + (c[3], c[2]) + c[4:])
 
     monkeypatch.setattr(cli.exact, "expand_power", swapped)
     code, out, err = run(capsys, "verify", "--k-max", "1", "--n-max", "3")
@@ -337,6 +337,29 @@ def test_verify_detects_wrong_ratios(capsys, monkeypatch):
     assert err.strip() == "FAIL k=1 n=3: eigen-ratios"
 
 
+def test_kernel_row_is_the_dirichlet_kernel_bit_for_bit():
+    for k in range(1, 6):
+        for dim in (3, 5, 21, 101):
+            expected = [cli.spectral.dirichlet_kernel(k, 2.0 * math.pi * r / dim)
+                        for r in range(1, dim)]
+            assert cli._kernel_row(2 * k + 1, dim) == expected
+
+
+def test_verify_checks_the_mirrored_angle(capsys, monkeypatch):
+    # Only the kernel at r = N - 1 moves: the ratio E_1 still matches r = 1,
+    # but no longer its pair's other angle.
+    true_row = cli._kernel_row
+
+    def skewed(m, dim):
+        row = true_row(m, dim)
+        return row[:-1] + [row[-1] * (1 + 1e-9) + 1e-9]
+
+    monkeypatch.setattr(cli, "_kernel_row", skewed)
+    code, out, err = run(capsys, "verify", "--k-max", "1", "--n-max", "1")
+    assert code == 1
+    assert err.strip() == "FAIL k=1 n=1: eigen-ratios"
+
+
 def test_verify_reports_the_disagreeing_values(capsys, monkeypatch):
     # One route off by one: the FAIL line and the case record carry every
     # route's value, and the failed names and the summary stay as they are.
@@ -376,7 +399,7 @@ def test_verify_reports_each_routes_coefficient(capsys, monkeypatch):
 
     def off_by_one(params, l):
         result = real(params, l)
-        return dataclasses.replace(result, value=result.value + 1)
+        return result._replace(value=result.value + 1)
 
     monkeypatch.setattr(cli.spectral, "coefficient_via_spectrum", off_by_one)
     code, out, err = run(capsys, "verify", "--k-max", "1", "--n-max", "3", "--seed", "5",

@@ -39,3 +39,20 @@ def test_immutable():
     p = Params(1, 1)
     with pytest.raises(AttributeError):
         p.k = 2
+
+
+@pytest.mark.parametrize(
+    "k, n, message",
+    [
+        (1.0, 2, "k must be an integer, got 1.0"),
+        (True, 2, "k must be an integer, got True"),
+        (1, "2", "n must be an integer, got '2'"),
+        (0, 1, "k must be >= 1, got 0"),
+        (1, -1, "n must be >= 0, got -1"),
+    ],
+)
+def test_validation_messages(k, n, message):
+    for call in (lambda: Params(k, n), lambda: Params(k=k, n=n)):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message

@@ -1,6 +1,11 @@
 """The public surface: what ``cnomial`` exports, and the README's example of it."""
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import cnomial
 
@@ -53,3 +58,32 @@ def test_readme_quick_start_runs():
     block = re.search(r"```python\n(.*?)```", section, re.DOTALL)
     assert block is not None, "README quick start has no python block"
     exec(compile(block.group(1), "README quick start", "exec"), {})
+
+
+#: What ``import cnomial.cli`` must not load: ``dataclasses`` and the
+#: ``inspect`` it pulls in, and what one command or format alone uses.
+DEFERRED = ("dataclasses", "inspect", "cnomial.oeis", "json", "csv", "random", "statistics")
+
+
+def test_cli_import_defers_what_one_command_uses():
+    # -S: no site hook, so nothing but the package loads these first.
+    script = (
+        "import sys\n"
+        "import cnomial.cli\n"
+        f"print(sorted(set({DEFERRED!r}) & sys.modules.keys()))\n"
+        "import cnomial\n"
+        "print(cnomial.compare(cnomial.fixture_for_k(1), 1, 10).all_equal)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=60, check=False,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]", "True"]
+
+
+def test_unknown_names_raise_attribute_error():
+    assert getattr(cnomial, "active_backend", None) is None
+    with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
+        cnomial.nonesuch

@@ -15,6 +15,8 @@ KEYS = {
                       "decimal_us", "pow_us", "steps_us", "odd_window_us"},
     "bench_row.py": {"type", "k", "n", "l", "repetitions", "one_l_min_s", "one_l_median_s",
                      "four_l_min_s", "four_l_median_s"},
+    "bench_import.py": {"type", "case", "argv", "repetitions", "min_ms", "median_ms",
+                        "modules"},
 }
 
 
