@@ -41,39 +41,39 @@ def matrix_power(params: Params, e: int) -> tuple[int, ...]:
     """First row of Cᵉ, C the central circulant of ``params`` on N = 2kn+1
     points; e=0 gives the identity's.
 
-    Left-to-right binary powering: each step squares the running power
-    (:func:`_square`) and, on a set bit of e, multiplies it by C
-    (:func:`_times_central`).  C's ones sit at offsets -k..k, so the
-    nonzeros of Cᵉ lie in the window of min(N, 2ke+1) entries from -ke
-    mod N: only that window is kept, and its place is known, never
-    searched for.  At n = 0 the ring has one point, C's 2k+1 ones fall on
-    it, and the row of Cᵉ is (2k+1)ᵉ.
-
-    The leading bits of e, while the power f they spell stays small
-    (:data:`POW_MAX_BITS`, :data:`DECIMAL_MIN_BITS`), are one step
-    (:func:`_central_power`); the steps go on from Cᶠ.
+    C's ones sit at offsets -k..k, so the nonzeros of Cᵉ lie in the
+    window of 2ke+1 entries from -ke mod N: only that window is formed
+    (:func:`_window`), and its place is known, never searched for.  The
+    window does not depend on N; where it outgrows the ring it is folded
+    onto it here, after the cache.  At n = 0 the ring has one point, C's
+    2k+1 ones fall on it, and the row of Cᵉ is (2k+1)ᵉ.
     """
     if e < 0:
         raise ValueError(f"power must be >= 0, got {e}")
     k, dim = params.k, params.dim
-    bits = bin(e)[2:]
-    limit = min(POW_MAX_BITS, DECIMAL_MIN_BITS)
-    f, used = 0, 0
-    for bit in bits:
-        g = 2 * f + (bit == "1")
-        if (2 * k * g + 1) * 8 * _field_bytes(k, g) >= limit:
-            break
-        f, used = g, used + 1
-    # The running power's window is ``values``; its entries sum to
-    # ``total``, since row sums multiply under cyclic convolution.
-    values, total = _central_power(k, f, dim), params.width**f
-    for bit in bits[used:]:
-        total *= total
-        values = _square(values, total, dim)
-        if bit == "1":
-            total *= params.width
-            values = _times_central(values, k, dim)
-    return _place(values, -k * e, dim)
+    return _place(_fold(_window(k, e), dim), -k * e, dim)
+
+
+@lru_cache(maxsize=16)
+def _window(k: int, e: int) -> tuple[int, ...]:
+    """The unfolded window of Cᵉ: its 2ke+1 entries from offset -ke on.
+
+    Binary powering, one bit of e per level: an even power is the square
+    of its half (:func:`_square`), an odd one the product by C
+    (:func:`_times_central`) of the even power below it.  A power small
+    enough (:data:`POW_MAX_BITS`, :data:`DECIMAL_MIN_BITS`) is one ``pow``
+    (:func:`_central_power`) instead.  Cached per (k, e): n = 2m and
+    2m + 1 read the same half power, and the powers of nearby n share
+    their own halves.  The cache is sized for the n of one request, and
+    ``cnomial.cli.main`` empties it as each request starts.  The window's
+    entries sum to the row sum (2k+1)ᵉ, since row sums multiply under
+    cyclic convolution; that sum bounds every entry of a square.
+    """
+    if not e or (2 * k * e + 1) * 8 * _field_bytes(k, e) < min(POW_MAX_BITS, DECIMAL_MIN_BITS):
+        return tuple(_central_power(k, e))
+    if e % 2:
+        return tuple(_times_central(_window(k, e - 1), k))
+    return tuple(_square(_window(k, e // 2), (2 * k + 1) ** e))
 
 
 def _field_bytes(k: int, f: int) -> int:
@@ -81,8 +81,8 @@ def _field_bytes(k: int, f: int) -> int:
     return (((2 * k + 1) ** f).bit_length() + 7) // 8
 
 
-def _central_power(k: int, f: int, dim: int) -> list[int]:
-    """The window of Cᶠ, folded mod ``dim``, by one ``pow`` of C's packed row.
+def _central_power(k: int, f: int) -> list[int]:
+    """The window of Cᶠ by one ``pow`` of C's packed row.
 
     C's window is 2k+1 ones, so its packed row, with fields of b bits, is
     R = sum_{j=0}^{2k} 2^(bj) = (2^(b(2k+1)) - 1) / (2^b - 1), and Rᶠ packs
@@ -93,24 +93,23 @@ def _central_power(k: int, f: int, dim: int) -> list[int]:
     nbytes = _field_bytes(k, f)
     b = 8 * nbytes
     packed = pow(((1 << b * (2 * k + 1)) - 1) // ((1 << b) - 1), f)
-    return _fold(_mirrored(_unpack_bytes(packed, nbytes, k * f + 1)), dim)
+    return _mirrored(_unpack_bytes(packed, nbytes, k * f + 1))
 
 
-def _place(values: list[int], start: int, dim: int) -> tuple[int, ...]:
+def _place(values: Sequence[int], start: int, dim: int) -> tuple[int, ...]:
     """The first row of dimension ``dim`` holding ``values`` from ``start`` on
     (mod ``dim``) and zeros elsewhere; ``values`` has at most ``dim`` entries."""
     start %= dim
-    out = values + [0] * (dim - len(values))
-    return tuple(out[dim - start :] + out[: dim - start])
+    out = (*values, *repeat(0, dim - len(values)))
+    return out[dim - start :] + out[: dim - start]
 
 
-def _square(values: list[int], bound: int, dim: int) -> list[int]:
-    """The window of X², from the window ``values`` of X, folded mod ``dim``.
+def _square(values: Sequence[int], bound: int) -> list[int]:
+    """The window of X², from the window ``values`` of X.
 
     ``bound`` is at least every entry of X², and X's entries are
     nonnegative.  The square's window starts at twice the start of X's and
-    has 2w-1 fields for w entries of X; past ``dim`` fields it wraps round
-    the ring and is folded onto ``dim``.
+    has 2w-1 fields for w entries of X.
 
     The window is packed as fixed-width fields into one number, and one
     square forms every field of X² at once.  The fields are wide enough
@@ -119,8 +118,8 @@ def _square(values: list[int], bound: int, dim: int) -> list[int]:
     int; from there on they are decimal digits of a
     :class:`~decimal.Decimal`, whose multiply is a number-theoretic
     transform inside libmpdec.  The square of a palindromic window, as
-    every unfolded window of a power of C is, is a palindrome: only its
-    lowest w fields are read.
+    every window of a power of C is, is a palindrome: only its lowest w
+    fields are read.
     """
     count = 2 * len(values) - 1
     read = len(values) if values == values[::-1] else count
@@ -131,7 +130,7 @@ def _square(values: list[int], bound: int, dim: int) -> list[int]:
         digits = bound.bit_length() * 30103 // 100000 + 1  # 10**digits > bound
         packed = _pack(values, digits)
         fields = _unpack(_EXACT.multiply(packed, packed), digits, read)
-    return _fold(_mirrored(fields) if read < count else fields, dim)
+    return _mirrored(fields) if read < count else fields
 
 
 def _mirrored(half: list[int]) -> list[int]:
@@ -139,8 +138,8 @@ def _mirrored(half: list[int]) -> list[int]:
     return half + half[-2::-1]
 
 
-def _times_central(values: Sequence[int], k: int, dim: int) -> list[int]:
-    """The window of X C, from the window ``values`` of X, folded mod ``dim``.
+def _times_central(values: Sequence[int], k: int) -> list[int]:
+    """The window of X C, from the window ``values`` of X.
 
     C's ones sit at offsets -k..k, so X C's window starts k before X's and
     is 2k entries longer.  Its entry j is the sum of the 2k+1 entries of
@@ -151,20 +150,20 @@ def _times_central(values: Sequence[int], k: int, dim: int) -> list[int]:
     """
     pad = [0] * (2 * k)
     prefix = list(accumulate(chain(pad, values, pad), initial=0))
-    return _fold(list(map(sub, prefix[2 * k + 1 :], prefix)), dim)
+    return list(map(sub, prefix[2 * k + 1 :], prefix))
 
 
-def _fold(fields: list[int], dim: int) -> list[int]:
+def _fold(fields: Sequence[int], dim: int) -> Sequence[int]:
     """``fields`` wrapped round a ring of ``dim`` points: t is added onto t mod dim."""
     if len(fields) <= dim:
         return fields
-    out = fields[:dim]
+    out = list(fields[:dim])
     for t in range(dim, len(fields)):
         out[t % dim] += fields[t]
     return out
 
 
-def _pack_bytes(values: list[int], nbytes: int) -> int:
+def _pack_bytes(values: Sequence[int], nbytes: int) -> int:
     """sum values[i] * 256**(nbytes*i), each value below 256**nbytes."""
     data = b"".join(v.to_bytes(nbytes, "little") for v in values)
     return int.from_bytes(data, "little")
@@ -178,7 +177,7 @@ def _unpack_bytes(packed: int, nbytes: int, count: int) -> list[int]:
     return list(map(int.from_bytes, fields, repeat("little")))
 
 
-def _pack(values: list[int], digits: int) -> Decimal:
+def _pack(values: Sequence[int], digits: int) -> Decimal:
     """sum values[i] * 10**(digits*i), each value below 10**digits.
 
     Conversions go through :class:`~decimal.Decimal`, to which CPython's
@@ -240,10 +239,9 @@ def _half_power_rows(k: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     half = matrix_power(params, e)
     if n % 2 == 0:
         return half, half
-    # X's window: the 2ke+1 entries from -ke mod N (see matrix_power).
-    start = -k * e % params.dim
-    window = (half[start:] + half[:start])[: 2 * k * e + 1]
-    return half, _place(_times_central(window, k, params.dim), start - k, params.dim)
+    # Y's window is X's window (see matrix_power) times C: 2k(e+1)+1
+    # entries from -k(e+1), which fit the ring of 2kn+1 points.
+    return half, _place(_times_central(_window(k, e), k), -k * (e + 1), params.dim)
 
 
 def coefficient_via_shift(params: Params, l: int) -> int:

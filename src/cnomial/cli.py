@@ -215,7 +215,7 @@ def _verify_case(
     # the N of the central sum: the ratios, then the same ratios mirrored,
     # against the kernel at r = 1..N-1.
     dim = spectral.dimension(params, 0)
-    ratios = spectral._ratios(params.width, spectral._sine_table(dim))
+    ratios = spectral._ratio_row(params.width, dim)
     if len(ratios) != dim // 2 or not all([
         math.isclose(ratio, kernel, rel_tol=EIGEN_TOL, abs_tol=EIGEN_TOL)
         for ratio, kernel in zip(ratios + ratios[::-1], _kernel_row(params.width, dim))
@@ -314,6 +314,19 @@ def _clear_route_caches() -> None:
             clear = getattr(value, "cache_clear", None)
             if callable(clear):
                 clear()
+
+
+def _clear_request_caches() -> None:
+    """Empty the caches that serve one request: C's windows by (k, e), the
+    sine half-tables by N and the ratio rows by (2k+1, N).
+
+    :func:`main` starts every request with them empty, so that a request
+    shares them only between its own n and never reads an earlier
+    request's; their sizes cover one request.
+    """
+    circulant._window.cache_clear()
+    spectral._sine_table.cache_clear()
+    spectral._ratio_row.cache_clear()
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -445,7 +458,11 @@ def _method_list(text: str) -> list[str]:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process: parsing leaves it as it was."""
+    """The command-line parser, built once per process: parsing leaves it as it was.
+
+    Its ``commands`` attribute maps each command's name to the command's
+    own parser, which :func:`_parse_args` runs directly.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format",
@@ -516,11 +533,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=10)
     p.set_defaults(func=cmd_oeis)
 
+    parser.commands = sub.choices
     return parser
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, with the same output, errors and exit codes.
+
+    Where argv[0] names a command, that command's parser reads the rest
+    directly, without the top-level pass that would only find the
+    command; arguments left over are the top-level parser's error, as
+    they are there.  Anything else (help, no command, an unknown one)
+    goes through the top-level parser.
+    """
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
+    _clear_request_caches()
     try:
         return args.func(args)
     except CertificationError as error:

@@ -153,14 +153,19 @@ def _pow(base: float, n: int) -> float:
         return -inf if (base < 0.0 and n % 2) else inf
 
 
-def _sine_table(dim: int) -> list[float]:
+@lru_cache(maxsize=32)
+def _sine_table(dim: int) -> tuple[float, ...]:
     """The half-table s_j = sin(j pi/N), j = 0..floor(N/2), the double rung's only sines.
 
     Every argument lies in [0, pi/2], where x cot x <= 1: the relative error
     of s_j is at most that of its argument plus the sine's own rounding.
-    s_0 = 0 needs no call, so a table costs floor(N/2) sines.
+    s_0 = 0 needs no call, so a table costs floor(N/2) sines.  Cached per
+    N: a row's ratios and phase weights read one table, and so do the
+    sums of different n that meet at one N, as the n of a ``sequence`` or
+    the cases of a ``verify`` grid do.  The cache is sized for one
+    request; ``cnomial.cli.main`` empties it as each request starts.
     """
-    return [0.0] + [sin((pi * j) / dim) for j in range(1, dim // 2 + 1)]
+    return (0.0, *[sin((pi * j) / dim) for j in range(1, dim // 2 + 1)])
 
 
 def _numerators(m: int, dim: int) -> Iterator[tuple[int, int]]:
@@ -180,7 +185,7 @@ def _numerators(m: int, dim: int) -> Iterator[tuple[int, int]]:
             yield -1, min(t, dim - t)
 
 
-def _ratios(m: int, sines: list[float]) -> list[float]:
+def _ratios(m: int, sines: tuple[float, ...]) -> list[float]:
     """E_r = sin(m r pi/N) / sin(r pi/N) for r = 1..floor(N/2), from the half-table.
 
     The numerator's angle is reduced exactly, t = m r mod 2N, and read off
@@ -190,10 +195,21 @@ def _ratios(m: int, sines: list[float]) -> list[float]:
     passes run in ``map``, not per entry in Python.
     """
     dim = 2 * len(sines) - 1
-    row = sines + sines[:0:-1]
+    row = [*sines, *sines[:0:-1]]
     signed = row + list(map(neg, row))
     angles = map((2 * dim).__rmod__, range(m, m * (dim // 2) + 1, m))  # m r mod 2N
     return list(map(truediv, map(signed.__getitem__, angles), sines[1:]))
+
+
+@lru_cache(maxsize=32)
+def _ratio_row(m: int, dim: int) -> tuple[float, ...]:
+    """:func:`_ratios` of m = 2k+1 on the half-table of N, cached per (m, N).
+
+    E_r does not depend on n: the central sums of n and n + 1 can share
+    one N, and ``verify`` checks the ratios its central sum powers.
+    Emptied with :func:`_sine_table` as each request starts.
+    """
+    return tuple(_ratios(m, _sine_table(dim)))
 
 
 @lru_cache(maxsize=8)
@@ -208,7 +224,7 @@ def _double_spectrum(params: Params, dim: int) -> tuple[tuple[float, ...], float
     a row reads the same ones; cached per (k, n, N).
     """
     n = params.n
-    ratios = _ratios(params.width, _sine_table(dim))
+    ratios = _ratio_row(params.width, dim)
     powers = tuple([_pow(float(params.width), n)] + [2.0 * _pow(ratio, n) for ratio in ratios])
     return powers, sum(map(abs, powers), 0.0)
 

@@ -1,0 +1,107 @@
+"""Caches that serve one request: C's windows by (k, e), sine half-tables by
+N and ratio rows by (2k+1, N); what they share, and that they clear."""
+import functools
+
+from cnomial import Params, circulant, cli, exact, spectral
+from cnomial.cli import main
+
+
+def run(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def recorded(monkeypatch, module, name):
+    """Rebuild the functools cache ``module.name`` around a recorder of its
+    misses, at the same size; returns the list of the missed arguments."""
+    cached = getattr(module, name)
+    build, size = cached.__wrapped__, cached.cache_parameters()["maxsize"]
+    misses = []
+
+    def recording(*args):
+        misses.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(module, name, functools.lru_cache(maxsize=size)(recording))
+    return misses
+
+
+def test_sequence_forms_each_window_once_and_even_ones_by_a_square(capsys, monkeypatch):
+    # Every power by steps: the half powers of consecutive n, and their own
+    # half powers, come from the cache; each even window is the square of
+    # its half, and no window is formed twice.
+    monkeypatch.setattr(circulant, "POW_MAX_BITS", 0)
+    windows = recorded(monkeypatch, circulant, "_window")
+    square, squares = circulant._square, []
+
+    def recording_square(values, bound):
+        squares.append(len(values))
+        return square(values, bound)
+
+    monkeypatch.setattr(circulant, "_square", recording_square)
+    k, count = 2, 40
+    code, out, _ = run(capsys, "sequence", "--k", str(k), "--count", str(count), "--method", "trace")
+    assert code == 0
+    assert out.split() == [str(exact.central_coefficient(Params(k, n))) for n in range(count)]
+    assert len(windows) == len(set(windows))
+    assert sorted(e for _, e in windows) == list(range(count // 2))
+    # A square of the window of e/2 (2k(e/2)+1 entries) for every even e > 0.
+    halves = [(width - 1) // (2 * k) for width in squares]
+    assert sorted(2 * h for h in halves) == [e for _, e in windows if e and e % 2 == 0]
+
+
+def test_verify_grid_builds_one_sine_table_per_dimension(capsys, monkeypatch):
+    # The largest grid the benchmark sends: every N the central sums, the
+    # seeded coefficients and the eigen-ratios check meet is built once.
+    tables = recorded(monkeypatch, spectral, "_sine_table")
+    code, out, _ = run(capsys, "verify", "--k-max", "4", "--n-max", "13", "--seed", "5")
+    assert (code, out) == (0, "52 cases, 0 failures\n")
+    assert len(tables) == len(set(tables))
+    assert spectral._sine_table.cache_info().hits > len(tables)
+
+
+def test_a_central_sum_and_the_eigen_ratios_check_share_one_ratio_row(capsys, monkeypatch):
+    # Each (2k+1, N) of the grid's central sums has its ratios formed once,
+    # for the sum and for verify's eigen-ratios check alike.
+    ratios, formed = spectral._ratios, []
+
+    def recording(m, sines):
+        formed.append((m, 2 * len(sines) - 1))
+        return ratios(m, sines)
+
+    monkeypatch.setattr(spectral, "_ratios", recording)
+    assert run(capsys, "verify", "--k-max", "2", "--n-max", "6")[:2] == (0, "12 cases, 0 failures\n")
+    dims = {(2 * k + 1, spectral.dimension(Params(k, n), 0)) for k in (1, 2) for n in range(1, 7)}
+    assert sorted(formed) == sorted(dims)
+
+
+def test_each_request_starts_with_the_request_caches_empty(capsys):
+    # The same request twice in one process builds the same tables twice:
+    # nothing is carried from one request to the next.
+    caches = (circulant._window, spectral._sine_table, spectral._ratio_row)
+    builds = []
+    for _ in range(2):
+        assert run(capsys, "oeis", "--k", "1", "--offline")[0] == 0
+        builds.append([(cache.cache_info().misses, cache.cache_info().hits) for cache in caches])
+    assert builds[0] == builds[1]
+    assert all(misses for misses, _ in builds[0])
+
+
+def test_clear_route_caches_empties_every_route_cache(capsys):
+    # Fill what a mixed set of requests fills, then clear: every functools
+    # cache of the route modules is empty again.
+    for argv in (["sequence", "--k", "1", "--count", "6", "--method", "trace"],
+                 ["sequence", "--k", "2", "--count", "6", "--method", "spectral"],
+                 ["compute", "--k", "3", "--n", "40", "--l", "7", "--method", "all"],
+                 ["verify", "--k-max", "2", "--n-max", "4", "--seed", "1"]):
+        assert run(capsys, *argv)[0] == 0
+    caches = {f"{module.__name__}.{name}": value
+              for module in (circulant, exact, spectral)
+              for name, value in vars(module).items()
+              if callable(getattr(value, "cache_info", None))}
+    filled = {name for name, cache in caches.items() if cache.cache_info().currsize}
+    assert {"cnomial.circulant._window", "cnomial.spectral._sine_table",
+            "cnomial.spectral._ratio_row"} <= filled
+    cli._clear_route_caches()
+    assert {name: cache.cache_info().currsize for name, cache in caches.items()} == dict.fromkeys(caches, 0)

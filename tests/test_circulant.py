@@ -136,7 +136,7 @@ def test_step_matches_cyclic_convolution(kernel, data):
     values = [x[(xs + i) % dim] for i in range(max(xw, 1))]  # the zero row: one zero
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(circulant, "DECIMAL_MIN_BITS", KERNELS[kernel])
-        fields = circulant._square(values, sum(x) ** 2, dim)
+        fields = circulant._fold(circulant._square(values, sum(x) ** 2), dim)
     assert placed(fields, 2 * xs, dim) == _convolve_cyclic(x, x)
 
 
@@ -150,7 +150,7 @@ def test_times_central_matches_multiply(data, k, n):
     dim = central.dim
     x, xs, xw = windowed_row(data, dim, st.integers(1, dim))
     values = [x[(xs + i) % dim] for i in range(xw)]
-    fields = circulant._times_central(values, k, dim)
+    fields = circulant._fold(circulant._times_central(values, k), dim)
     assert placed(fields, xs - k, dim) == list(
         multiply(CirculantMatrix(dim, tuple(x)), central).first_row
     )
@@ -182,7 +182,7 @@ def test_palindromic_square_reads_half(kernel, half):
         patch.setattr(circulant, "_mirrored", lambda low: mirrored.append(low) or low + low[-2::-1])
         for dim in range(len(values), 2 * len(values) + 1):
             start = dim // 3
-            fields = circulant._square(values, sum(values) ** 2, dim)
+            fields = circulant._fold(circulant._square(values, sum(values) ** 2), dim)
             row = placed(values, start, dim)
             assert placed(fields, 2 * start, dim) == _convolve_cyclic(row, row), dim
     assert len(mirrored) == len(values) + 1
@@ -205,9 +205,11 @@ def decimal_steps(monkeypatch):
 def test_matrix_power_matches_products(monkeypatch):
     # The known window through every step: narrow, then past n, where
     # 2ke+1 outgrows the ring and the window wraps round it; the leading
-    # bits of e by one pow, some of them, or none.
+    # bits of e by one pow, some of them, or none; the windows cached per
+    # (k, e) are dropped when the limit changes.
     for prefix, limit in PREFIXES.items():
         monkeypatch.setattr(circulant, "POW_MAX_BITS", limit)
+        circulant._window.cache_clear()
         for k in range(1, 6):
             for n in range(1, 7):
                 p = Params(k, n)
@@ -224,7 +226,7 @@ def test_matrix_power_beyond_the_digit_limit(monkeypatch):
     steps = decimal_steps(monkeypatch)
     dim = 30
     values = [10**2200 + i for i in range(25)]
-    fields = circulant._square(values, sum(values) ** 2, dim)
+    fields = circulant._fold(circulant._square(values, sum(values) ** 2), dim)
     assert steps
     assert max(fields).bit_length() > 4300 * 3.32
     row = placed(values, 20, dim)

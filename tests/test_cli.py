@@ -689,3 +689,43 @@ def test_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as info:
         main(["transmogrify"])
     assert info.value.code == 2
+
+
+#: Bad and help argv: each is parsed by the named command's own parser where
+#: argv[0] is a command, and by the top-level parser otherwise.
+PARSE_ARGV = [
+    [], ["--help"], ["-h"], ["-h", "compute"], ["transmogrify"], ["COMPUTE", "--k", "1"],
+    ["--", "compute", "--k", "1", "--n", "2"], ["compute"], ["compute", "--help"], ["compute", "-h"],
+    ["compute", "--k", "1", "--n", "2", "--he"], ["compute", "--k", "1", "--n", "2", "--help", "--bogus"],
+    ["compute", "--k", "x", "--n", "1"], ["compute", "--k", "1", "--n", "1", "--bogus"],
+    ["compute", "--k", "1", "--n", "1", "extra", "more"], ["compute", "--k", "1", "--n", "2", "--l"],
+    ["compute", "--k", "1", "--n", "2", "--method", "nope"], ["compute", "--for", "json", "--k", "1", "--n", "2"],
+    ["compute", "--k", "1", "--n", "2", "--", "--l", "3"], ["compute", "--version"],
+    ["sequence", "--k", "1", "--count", "2", "--", "x"], ["sequence", "-k", "1"],
+    ["verify", "--k-max", "1"], ["verify", "--k-max", "1", "--n-max", "2", "--seed", "x"],
+    ["bench", "--k", "1", "--n", "a,b"], ["bench", "--k", "1", "--n", "1", "--method", "conv,bad"],
+    ["oeis", "--k", "1", "--offline", "-h"], ["oeis", "--bogus"],
+    # and good ones, whose namespaces must match too
+    ["compute", "--k=1", "--n=2", "--method=all", "--for", "csv"],
+    ["sequence", "--k", "2", "--count", "3", "--start-n", "4", "--format", "json-lines"],
+    ["bench", "--k", "1", "--n", "1,2", "--method", "conv"],
+]
+
+
+def parsed(parse, argv, capsys):
+    """(namespace, exit code, stdout, stderr) of one parse."""
+    namespace, code = None, None
+    try:
+        namespace = vars(parse(list(argv)))
+    except SystemExit as exit:
+        code = exit.code
+    captured = capsys.readouterr()
+    return namespace, code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSE_ARGV, ids=" ".join)
+def test_command_parser_dispatch_matches_the_top_level_parser(capsys, argv):
+    # Usage, help and error text, exit codes and namespaces, byte for byte.
+    expected = parsed(cli.build_parser().parse_args, argv, capsys)
+    assert parsed(cli._parse_args, argv, capsys) == expected
+    assert expected[0] is not None or expected[1] in (0, 2)

@@ -10,7 +10,8 @@ counts them: fields times field bytes times 8.  It times that square on
 each kernel, forced by setting ``circulant.DECIMAL_MIN_BITS``; X² itself,
 C²ᵉ, both by one ``pow`` of C's packed row and one unpack
 (``circulant._central_power``) and by ``circulant.matrix_power``'s steps
-alone (``circulant.POW_MAX_BITS`` set to 0), each placed in a first row;
+alone (``circulant.POW_MAX_BITS`` set to 0 and the window cache emptied
+before each call), each placed in a first row;
 and the odd step X C as a running-window sum over X's window
 (``circulant._times_central``, placed in a first row).  One JSON line per
 (k, size) goes to stdout, with the keys ``type``, ``k``, ``e``,
@@ -63,10 +64,8 @@ def main() -> None:
             e = smallest_power(k, size)
             params = Params(k, 2 * e + 1)
             dim = params.dim
-            x = circulant.matrix_power(params, e)
             # X's window: the 2ke+1 entries from -ke mod N.
-            start = -k * e % dim
-            values = list(x[start:] + x[:start])[: 2 * k * e + 1]
+            values = circulant._window(k, e)
             bound = (2 * k + 1) ** (2 * e)
             record = {"type": "step", "k": k, "e": e, "size_bits": size, "fields": len(values),
                       "packed_bits": packed_bits(k, e)}
@@ -75,13 +74,13 @@ def main() -> None:
                 circulant.DECIMAL_MIN_BITS = crossover
                 try:
                     record[name] = timed(
-                        lambda: circulant._square(values, bound, dim), args.repetitions
+                        lambda: circulant._square(values, bound), args.repetitions
                     )
                 finally:
                     circulant.DECIMAL_MIN_BITS = saved
             record["pow_us"] = timed(
                 lambda: circulant._place(
-                    circulant._central_power(k, 2 * e, dim), -2 * k * e, dim
+                    circulant._central_power(k, 2 * e), -2 * k * e, dim
                 ),
                 args.repetitions,
             )
@@ -89,13 +88,15 @@ def main() -> None:
             circulant.POW_MAX_BITS = 0
             try:
                 record["steps_us"] = timed(
-                    lambda: circulant.matrix_power(params, 2 * e), args.repetitions
+                    lambda: circulant._window.cache_clear() or circulant.matrix_power(params, 2 * e),
+                    args.repetitions,
                 )
             finally:
                 circulant.POW_MAX_BITS = saved
+                circulant._window.cache_clear()
             record["odd_window_us"] = timed(
                 lambda: circulant._place(
-                    circulant._times_central(values, k, dim), start - k, dim
+                    circulant._times_central(values, k), -k * (e + 1), dim
                 ),
                 args.repetitions,
             )

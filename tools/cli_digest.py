@@ -1,0 +1,175 @@
+"""Digest the CLI's stdout, stderr and exit codes over a fixed grid of requests.
+
+    PYTHONPATH=src python3 tools/cli_digest.py [--repetitions 1]
+
+Two source trees print the same lines exactly when ``cnomial``'s output is
+byte-identical on the grid: run the script once with each tree's ``src``
+on PYTHONPATH and compare.  The grid, one group each:
+
+- ``compute-central``: k 1-5, n 0-40, every method and ``all``, every format;
+- ``compute-general``: the same k and n at five general l (0, 1, kn - 1,
+  kn + 1, 2kn), ``--method all``, plain and json-lines;
+- ``compute-large``: (k, n) from (1, 300) to (10, 100), where the trace
+  route squares step by step and the spectral sum runs at arbitrary
+  precision, at the central l and three others, ``--method all``;
+- ``sequence``: windows of n for k 1-5, every method and format;
+- ``oeis``: ``--offline`` for each registered id and k, counts 1-10,
+  every format, and the count past the fixture;
+- ``verify``: grids k-max 1-4 by n-max, with no ``--seed`` and with three;
+- ``errors``: usage errors (exit 2), value errors (exit 2) and help texts.
+
+Every request runs in this process through ``cnomial.cli.main``, as the
+benchmark sends them, so the package's caches stay warm from one request
+to the next.  The grid runs ``repetitions`` times; a pass whose output
+differs from the first's is reported on stderr and the script exits 1.
+One JSON line per group, then one for ``all``, goes to stdout, with the
+keys ``type``, ``group``, ``requests``, ``repetitions``, ``stdout``,
+``stderr`` and ``exit_codes``: the last three are SHA-256 digests of the
+first pass's outputs and exit codes, request by request.
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import traceback
+
+from cnomial import cli
+
+KS = range(1, 6)
+NS = range(0, 41)
+FORMATS = ("plain", "csv", "json-lines")
+OEIS = {"A002426": 1, "A005191": 2, "A025012": 3}
+
+
+def _compute_central() -> list[list[str]]:
+    return [["compute", "--k", str(k), "--n", str(n), "--method", method, "--format", fmt]
+            for k in KS for n in NS for method in (*cli.METHODS, "all") for fmt in FORMATS]
+
+
+def _compute_general() -> list[list[str]]:
+    requests = []
+    for k in KS:
+        for n in NS:
+            ls = sorted({l for l in (0, 1, k * n - 1, k * n + 1, 2 * k * n) if 0 <= l <= 2 * k * n})
+            requests += [["compute", "--k", str(k), "--n", str(n), "--l", str(l), "--method", "all",
+                          "--format", fmt] for l in ls for fmt in ("plain", "json-lines")]
+    return requests
+
+
+def _compute_large() -> list[list[str]]:
+    return [["compute", "--k", str(k), "--n", str(n), "--l", str(l), "--method", "all"]
+            for k, n in ((1, 300), (1, 801), (3, 100), (3, 250), (10, 40), (10, 100))
+            for l in (k * n, 1, k * n + 7, 2 * k * n - 3)]
+
+
+def _sequence() -> list[list[str]]:
+    return [["sequence", "--k", str(k), "--start-n", str(start), "--count", str(count),
+             "--method", method, "--format", fmt]
+            for k in KS for start in range(0, 41, 8) for count in (1, 3, 6)
+            for method in cli.METHODS for fmt in FORMATS]
+
+
+def _oeis() -> list[list[str]]:
+    requests = []
+    for oeis_id, k in OEIS.items():
+        for count in range(1, 11):
+            for fmt in FORMATS:
+                requests += [["oeis", "--id", oeis_id, "--count", str(count), "--offline", "--format", fmt],
+                             ["oeis", "--k", str(k), "--count", str(count), "--offline", "--format", fmt]]
+        requests.append(["oeis", "--id", oeis_id, "--k", str(k), "--count", "1000", "--offline"])
+    return requests
+
+
+def _verify() -> list[list[str]]:
+    requests = []
+    for k_max, n_maxes in {1: (1, 8, 22), 2: (3, 14), 3: (10,), 4: (8, 13)}.items():
+        for n_max in n_maxes:
+            base = ["verify", "--k-max", str(k_max), "--n-max", str(n_max)]
+            requests += [[*base, "--format", fmt] for fmt in FORMATS]
+            requests += [[*base, "--seed", str(seed), "--format", "json-lines"] for seed in (1, 2, 660583)]
+    return requests
+
+
+def _errors() -> list[list[str]]:
+    usage = [[], ["transmogrify"], ["compute"], ["compute", "--k", "x", "--n", "1"],
+             ["compute", "--k", "1", "--n", "1", "--bogus"], ["compute", "--k", "1", "--n", "1", "extra"],
+             ["compute", "--k", "1", "--n", "1", "--method", "nope"], ["sequence", "--k", "1"],
+             ["verify", "--k-max", "1", "--n-max", "2", "--seed", "x"], ["bench", "--k", "1", "--n", "a"],
+             ["bench", "--k", "1", "--n", "1", "--method", "conv,bad"], ["oeis", "--bogus"],
+             ["compute", "--k", "1", "--n", "1", "--precision", "arbitrary"]]
+    values = [["compute", "--k", "0", "--n", "1"], ["compute", "--k", "1", "--n", "-1"],
+              ["compute", "--k", "1", "--n", "2", "--l", "5"], ["compute", "--k", "1", "--n", "2", "--l", "-1"],
+              ["sequence", "--k", "1", "--count", "0"], ["sequence", "--k", "1", "--count", "2", "--start-n", "-1"],
+              ["verify", "--k-max", "0", "--n-max", "1"], ["bench", "--k", "1", "--n", "1", "--repetitions", "0"],
+              ["oeis", "--offline"], ["oeis", "--id", "B000001", "--offline"], ["oeis", "--k", "9", "--offline"],
+              ["oeis", "--id", "A000001", "--offline"], ["oeis", "--k", "1", "--count", "0", "--offline"]]
+    helps = [["--help"], ["-h"], *([command, "--help"] for command in ("compute", "sequence", "verify",
+                                                                      "bench", "oeis"))]
+    return usage + values + helps
+
+
+GROUPS = {
+    "compute-central": _compute_central,
+    "compute-general": _compute_general,
+    "compute-large": _compute_large,
+    "sequence": _sequence,
+    "oeis": _oeis,
+    "verify": _verify,
+    "errors": _errors,
+}
+
+
+def run(argv: list[str]) -> tuple[str, str, str]:
+    """stdout, stderr and exit code of one request through ``cli.main``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = str(cli.main(list(argv)))
+        except SystemExit as exit:
+            code = str(exit.code)
+        except Exception:  # a crash is an output too: the digest must show it
+            code = "raised"
+            traceback.print_exc(limit=0)
+    return out.getvalue(), err.getvalue(), code
+
+
+def digests(results: list[tuple[str, str, str]]) -> dict[str, str]:
+    """SHA-256 of each stream, every request's text framed by its length."""
+    hashes = [hashlib.sha256() for _ in range(3)]
+    for result in results:
+        for digest, text in zip(hashes, result):
+            data = text.encode()
+            digest.update(b"%d:" % len(data) + data)
+    return dict(zip(("stdout", "stderr", "exit_codes"), (h.hexdigest() for h in hashes)))
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repetitions", type=int, default=1)
+    args = parser.parse_args()
+    grid = {name: build() for name, build in GROUPS.items()}
+    first: dict[str, list[tuple[str, str, str]]] = {}
+    status = 0
+    for repetition in range(args.repetitions):
+        for name, requests in grid.items():
+            results = [run(argv) for argv in requests]
+            if name not in first:
+                first[name] = results
+            elif results != first[name]:
+                index = next(i for i, pair in enumerate(zip(results, first[name])) if pair[0] != pair[1])
+                print(f"pass {repetition + 1} differs from the first in {name}: {requests[index]}",
+                      file=sys.stderr)
+                status = 1
+    everything = [result for results in first.values() for result in results]
+    for name, results in (*first.items(), ("all", everything)):
+        print(json.dumps({"type": "digest", "group": name, "requests": len(results),
+                          "repetitions": args.repetitions, **digests(results)}))
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())
