@@ -1,9 +1,11 @@
 """Circulant-matrix route to (2k+1)-nomial coefficients.
 
-A circulant is stored as its first row only, and products are cyclic
-convolutions of first rows.  The route powers one matrix, the symmetric
-central circulant C (first-row ones at offsets -k..k mod N), by squaring;
-the central coefficient falls out of the trace of Cⁿ.
+The route powers one matrix, the symmetric central circulant C
+(first-row ones at offsets -k..k mod N), by squaring, and keeps only the
+nonzero window of each power: the window of Cᵉ is the coefficient row of
+(1 + x + ... + x^{2k})ᵉ.  Every coefficient is read off the windows of
+two half powers; the central one is the trace of Cⁿ over N.  The ring
+of N points appears only in :func:`matrix_power`.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from .params import Params
 #: ``tools/bench_step.py`` times both kernels at packed sizes 2^12 to 2^20.
 DECIMAL_MIN_BITS = 200_000
 
-#: Packed size, in bits, below which :func:`matrix_power` forms a power
+#: Packed size, in bits, below which :func:`_window` forms a power
 #: of C by one ``pow`` of C's packed row instead of one step per bit.  The
 #: one ``pow`` saves the per-step unpacking and packing in Python, but its
 #: fields are as wide as the last step's all along, so on large powers the
@@ -39,24 +41,22 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 def matrix_power(params: Params, e: int) -> tuple[int, ...]:
     """First row of Cᵉ, C the central circulant of ``params`` on N = 2kn+1
-    points; e=0 gives the identity's.
+    points, for 0 <= e <= n; e=0 gives the identity's.
 
     C's ones sit at offsets -k..k, so the nonzeros of Cᵉ lie in the
     window of 2ke+1 entries from -ke mod N: only that window is formed
-    (:func:`_window`), and its place is known, never searched for.  The
-    window does not depend on N; where it outgrows the ring it is folded
-    onto it here, after the cache.  At n = 0 the ring has one point, C's
-    2k+1 ones fall on it, and the row of Cᵉ is (2k+1)ᵉ.
+    (:func:`_window`), and its place is known, never searched for.  For
+    e <= n the window has at most N entries, so it never wraps onto
+    itself; a larger e is refused.
     """
-    if e < 0:
-        raise ValueError(f"power must be >= 0, got {e}")
-    k, dim = params.k, params.dim
-    return _place(_fold(_window(k, e), dim), -k * e, dim)
+    if not 0 <= e <= params.n:
+        raise ValueError(f"power must be in [0, {params.n}], got {e}")
+    return _place(_window(params.k, e), -params.k * e, params.dim)
 
 
 @lru_cache(maxsize=16)
 def _window(k: int, e: int) -> tuple[int, ...]:
-    """The unfolded window of Cᵉ: its 2ke+1 entries from offset -ke on.
+    """The window of Cᵉ: its 2ke+1 entries from offset -ke on.
 
     Binary powering, one bit of e per level: an even power is the square
     of its half (:func:`_square`), an odd one the product by C
@@ -105,7 +105,7 @@ def _place(values: Sequence[int], start: int, dim: int) -> tuple[int, ...]:
 
 
 def _square(values: Sequence[int], bound: int) -> list[int]:
-    """The window of X², from the window ``values`` of X.
+    """The window of X², from the palindromic window ``values`` of X.
 
     ``bound`` is at least every entry of X², and X's entries are
     nonnegative.  The square's window starts at twice the start of X's and
@@ -117,20 +117,18 @@ def _square(values: Sequence[int], bound: int) -> list[int]:
     :data:`DECIMAL_MIN_BITS` of product the fields are bytes of a CPython
     int; from there on they are decimal digits of a
     :class:`~decimal.Decimal`, whose multiply is a number-theoretic
-    transform inside libmpdec.  The square of a palindromic window, as
-    every window of a power of C is, is a palindrome: only its lowest w
-    fields are read.
+    transform inside libmpdec.  Every window of a power of C is a
+    palindrome, and so is its square: only its lowest w fields are read.
     """
-    count = 2 * len(values) - 1
-    read = len(values) if values == values[::-1] else count
-    if count * 8 * (nbytes := bound.bit_length() // 8 + 1) < DECIMAL_MIN_BITS:
+    w = len(values)
+    if (2 * w - 1) * 8 * (nbytes := bound.bit_length() // 8 + 1) < DECIMAL_MIN_BITS:
         packed = _pack_bytes(values, nbytes)
-        fields = _unpack_bytes(packed * packed, nbytes, read)
+        fields = _unpack_bytes(packed * packed, nbytes, w)
     else:
         digits = bound.bit_length() * 30103 // 100000 + 1  # 10**digits > bound
         packed = _pack(values, digits)
-        fields = _unpack(_EXACT.multiply(packed, packed), digits, read)
-    return _mirrored(fields) if read < count else fields
+        fields = _unpack(_EXACT.multiply(packed, packed), digits, w)
+    return _mirrored(fields)
 
 
 def _mirrored(half: list[int]) -> list[int]:
@@ -151,16 +149,6 @@ def _times_central(values: Sequence[int], k: int) -> list[int]:
     pad = [0] * (2 * k)
     prefix = list(accumulate(chain(pad, values, pad), initial=0))
     return list(map(sub, prefix[2 * k + 1 :], prefix))
-
-
-def _fold(fields: Sequence[int], dim: int) -> Sequence[int]:
-    """``fields`` wrapped round a ring of ``dim`` points: t is added onto t mod dim."""
-    if len(fields) <= dim:
-        return fields
-    out = list(fields[:dim])
-    for t in range(dim, len(fields)):
-        out[t % dim] += fields[t]
-    return out
 
 
 def _pack_bytes(values: Sequence[int], nbytes: int) -> int:
@@ -203,45 +191,33 @@ def central_via_trace(params: Params) -> int:
     """M^(2k,n) as trace of the n-th power of the central circulant, over N.
 
     Every diagonal entry of a circulant equals its (0, 0) entry, so
-    Tr(C^n) / N is the (0, 0) entry of C^n.  The n-th power is never
-    formed: it is entry 0 of the first row of X Y, the two half powers of
-    :func:`_half_power_rows`, which other coefficients of the row share.
-    C's first row is a palindrome, c_j = c_{N-j}, so C is symmetric and so
-    are its powers: x_j = x_{N-j} and y_j = y_{N-j}.  Entry 0 of X Y,
-    sum_j x_j y_{N-j}, is then x_0 y_0 + 2 sum_{j=1}^{(N-1)/2} x_j y_j:
-    half the products of :func:`_product_entry`.
+    Tr(C^n) / N is the (0, 0) entry of C^n: its first row's entry at
+    offset 0.  The n-th power is never formed: the entry is read off the
+    windows x and y of the two half powers X and Y
+    (:func:`_half_power_windows`), which other coefficients of the row
+    share.  C is symmetric, so each window is a palindrome centred on
+    offset 0.  With i and j their centres, entry 0 of X Y is
+    sum_t x_{i+t} y_{j-t} = x_i y_j + 2 sum_{t>=1} x_{i+t} y_{j+t}: half
+    the products of the read in :func:`coefficient_via_shift`.
     """
-    x, y = _half_power_rows(params.k, params.n)
-    half = params.dim // 2 + 1
-    return x[0] * y[0] + 2 * sum(map(mul, x[1:half], y[1:half]))
-
-
-def _product_entry(x: tuple[int, ...], y: tuple[int, ...], t: int) -> int:
-    """Entry t of the first row of X Y, from the first rows of X and Y.
-
-    sum_j x_j * y_{(t - j) mod N}: one row of the cyclic convolution, so the
-    product itself is never formed.
-    """
-    return sum(map(mul, x, y[t::-1] + y[:t:-1]))
+    x, y = _half_power_windows(params.k, params.n)
+    i, j = len(x) // 2, len(y) // 2
+    return x[i] * y[j] + 2 * sum(map(mul, x[i + 1 :], y[j + 1 :]))
 
 
 @lru_cache(maxsize=1)
-def _half_power_rows(k: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """First rows of X = C^{floor(n/2)} and Y = X, or X C when n is odd,
-    for the central circulant C of (k, n).
+def _half_power_windows(k: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Windows of X = C^{floor(n/2)} and Y = X, or X C when n is odd, for
+    the central circulant C of (k, n).
 
-    One row is kept: reads come in runs on one row, and a row at large n
-    holds tens of MB.  A miss drops the kept row before it builds the next
-    one, so that two rows are never held at once.
+    X's window is :func:`_window`'s cached tuple itself.  One pair is
+    kept: reads come in runs on one row, and Y's window at large n holds
+    MBs.  A miss drops the kept pair before it builds the next one, so
+    that two are never held at once.
     """
-    _half_power_rows.cache_clear()
-    params, e = Params(k, n), n // 2
-    half = matrix_power(params, e)
-    if n % 2 == 0:
-        return half, half
-    # Y's window is X's window (see matrix_power) times C: 2k(e+1)+1
-    # entries from -k(e+1), which fit the ring of 2kn+1 points.
-    return half, _place(_times_central(_window(k, e), k), -k * (e + 1), params.dim)
+    _half_power_windows.cache_clear()
+    x = _window(k, n // 2)
+    return x, (tuple(_times_central(x, k)) if n % 2 else x)
 
 
 def coefficient_via_shift(params: Params, l: int) -> int:
@@ -254,12 +230,21 @@ def coefficient_via_shift(params: Params, l: int) -> int:
     coefficients by x^{n*m}, rotating it through the ring.  The central
     circulant C, ones at offsets -k..k (a leading 1, a block of k ones and
     a trailing block of k ones), is the shift ``m = N - k``, so ``p_l``
-    sits at offset ``(l - kn) mod N``.  As in :func:`central_via_trace`,
-    the n-th power is never formed: the entry is read off the two half
-    powers, which are cached per (k, n) for the other coefficients of the
-    same row.
+    sits at offset ``(l - kn) mod N``.
+
+    As in :func:`central_via_trace`, the n-th power is never formed: the
+    entry is read off the windows x and y of the two half powers, cached
+    per (k, n) for the other coefficients of the same row.  The window of
+    Cᵉ, 2ke+1 entries from offset -ke, is the coefficient row of
+    (1 + x + ... + x^{2k})ᵉ, so p_l = sum_j x_j y_{l-j}.  The windows'
+    product has 2kn+1 = N coefficients and fills the ring exactly, so no
+    index wraps and none is reduced mod N.  y is a palindrome, so
+    y_{l-j} = y_{j+c} with c = len(y) - 1 - l: one pass over aligned
+    slices from j = max(0, -c) on.
     """
     if not 0 <= l <= params.degree:
         raise ValueError(f"l must be in [0, {params.degree}], got {l}")
-    x, y = _half_power_rows(params.k, params.n)
-    return _product_entry(x, y, (l - params.k * params.n) % params.dim)
+    x, y = _half_power_windows(params.k, params.n)
+    c = len(y) - 1 - l
+    lo = max(0, -c)
+    return sum(map(mul, x[lo:], y[lo + c :]))

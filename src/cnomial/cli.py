@@ -157,12 +157,13 @@ def cmd_sequence(args: argparse.Namespace) -> int:
 
 
 def _kernel_row(m: int, dim: int) -> list[float]:
-    """The Dirichlet kernel at theta = 2 pi r/N for r = 1..N-1, m = 2k+1, in one pass.
+    """The Dirichlet kernel sin(m theta/2) / sin(theta/2) at theta = 2 pi r/N
+    for r = 1..N-1, m = 2k+1, in one pass.
 
-    Entry r equals :func:`spectral.dirichlet_kernel` at theta bit for bit:
-    halving is exact, so pi r/N is theta/2 and m (pi r/N) is (2k+1) theta/2.
-    The angles are unfolded, so the row does not read the half-table of
-    sines the ratios fold onto; N is odd, so no sin(theta/2) is 0.
+    Entry r is bit for bit the kernel evaluated at theta itself: halving is
+    exact, so pi r/N is theta/2 and m (pi r/N) is m theta/2.  The angles
+    are unfolded, so the row does not read the half-table of sines the
+    ratios fold onto; N is odd, so no sin(theta/2) is 0.
     """
     return [sin(m * half) / sin(half) for half in [pi * r / dim for r in range(1, dim)]]
 

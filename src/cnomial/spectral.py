@@ -120,19 +120,6 @@ def required_bits(params: Params) -> int:
     return magnitude.bit_length() + (params.dim - 1).bit_length() + GUARD_BITS
 
 
-def dirichlet_kernel(k: int, theta: float) -> float:
-    """D_k(theta) = sin((2k+1)theta/2) / sin(theta/2), with D_k(0) = 2k+1.
-
-    Fourier partial-sum kernel; at theta = 2*pi*r/N it reproduces the
-    circulant eigenvalue E_r, an unfolded check on the ratios of
-    :func:`_ratios`.
-    """
-    half = math.sin(theta / 2.0)
-    if half == 0.0:
-        return float(2 * k + 1)
-    return math.sin((2 * k + 1) * theta / 2.0) / half
-
-
 def _round_with_residual(quotient: float) -> tuple[int, float]:
     if not math.isfinite(quotient):
         return 0, math.inf
@@ -192,7 +179,9 @@ def _ratios(m: int, sines: tuple[float, ...]) -> list[float]:
     the half-table extended to sin(t pi/N) for t = 0..2N-1: mirrored,
     sin(t pi/N) = s_{N-t}, and negated, sin(t pi/N) = -sin((t-N) pi/N), as
     :func:`_numerators` folds it.  So only the division rounds, and the
-    passes run in ``map``, not per entry in Python.
+    passes run in ``map``, not per entry in Python.  E_r is the Dirichlet
+    kernel sin(m theta/2) / sin(theta/2) at theta = 2 pi r/N and at
+    2 pi (N - r)/N; ``verify``'s eigen-ratios check compares the two.
     """
     dim = 2 * len(sines) - 1
     row = [*sines, *sines[:0:-1]]

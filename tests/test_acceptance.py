@@ -9,6 +9,7 @@ import time
 
 import pytest
 from dense import dense_power, to_dense
+from dirichlet import dirichlet_kernel
 from sparse import build_central
 
 from cnomial import circulant, exact, oeis, spectral
@@ -154,7 +155,7 @@ def test_acceptance_5_structural_invariants(capsys):
             for r, ratio in enumerate(ratios, 1):
                 for angle in (r, dim - r):
                     theta = 2.0 * math.pi * angle / dim
-                    if not _close(ratio, spectral.dirichlet_kernel(k, theta)):
+                    if not _close(ratio, dirichlet_kernel(k, theta)):
                         ok = False
                     checks += 1
 

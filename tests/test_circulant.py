@@ -78,7 +78,7 @@ def test_matrix_power_square_no_wraparound():
 
 
 def test_matrix_power_square_with_wraparound():
-    # C² of (1, 2) on 5 points: offsets -2 and 2 meet.
+    # C² of (1, 2) on 5 points: the window of 5 entries from -2 fills the ring.
     assert matrix_power(Params(1, 2), 2) == (3, 2, 1, 1, 2)
 
 
@@ -130,27 +130,32 @@ def placed(fields, start, dim):
 @settings(max_examples=40, deadline=None)
 def test_step_matches_cyclic_convolution(kernel, data):
     # The squaring step X² against the full-row convolution, on each
-    # kernel; the square's window wraps and folds when it outgrows the ring.
-    dim = data.draw(st.integers(1, 72))
-    x, xs, xw = windowed_row(data, dim, st.integers(0, dim))
-    values = [x[(xs + i) % dim] for i in range(max(xw, 1))]  # the zero row: one zero
+    # kernel, for palindromic windows, as every window of a power of C is,
+    # that may hold zeros and wrap past index 0, on rings that hold the
+    # square's window.
+    entry = st.one_of(st.just(0), st.integers(1, 9), st.integers(0, 10**40))
+    half = data.draw(st.lists(entry, min_size=1, max_size=18))
+    values = half + half[-2::-1]
+    dim = data.draw(st.integers(2 * len(values) - 1, 72))
+    start = data.draw(st.integers(0, dim - 1))
+    x = placed(values, start, dim)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(circulant, "DECIMAL_MIN_BITS", KERNELS[kernel])
-        fields = circulant._fold(circulant._square(values, sum(x) ** 2), dim)
-    assert placed(fields, 2 * xs, dim) == _convolve_cyclic(x, x)
+        fields = circulant._square(values, sum(x) ** 2)
+    assert placed(fields, 2 * start, dim) == _convolve_cyclic(x, x)
 
 
 @given(data=st.data(), k=st.integers(1, 5), n=st.integers(1, 6))
 @settings(max_examples=60, deadline=None)
 def test_times_central_matches_multiply(data, k, n):
     # X C as a running-window sum against the sparse loop, for windows of
-    # X that stay inside the ring, wrap past index 0, or fill it, so that
-    # X C's window folds.
+    # X that stay inside the ring or wrap past index 0, up to the widest
+    # whose X C window still fits the ring.
     central = build_central(Params(k, n))
     dim = central.dim
-    x, xs, xw = windowed_row(data, dim, st.integers(1, dim))
+    x, xs, xw = windowed_row(data, dim, st.integers(1, dim - 2 * k))
     values = [x[(xs + i) % dim] for i in range(xw)]
-    fields = circulant._fold(circulant._times_central(values, k), dim)
+    fields = circulant._times_central(values, k)
     assert placed(fields, xs - k, dim) == list(
         multiply(CirculantMatrix(dim, tuple(x)), central).first_row
     )
@@ -163,9 +168,18 @@ def test_packed_odd_step_matches_multiply(k):
     for n in range(1, 42, 2):
         p = Params(k, n)
         half = CirculantMatrix(p.dim, matrix_power(p, n // 2))
-        x, y = circulant._half_power_rows(k, n)
-        assert x == half.first_row, (k, n)
-        assert y == multiply(half, build_central(p)).first_row, (k, n)
+        x, y = circulant._half_power_windows(k, n)
+        assert tuple(placed(x, -k * (n // 2), p.dim)) == half.first_row, (k, n)
+        odd = multiply(half, build_central(p)).first_row
+        assert tuple(placed(y, -k * (n // 2 + 1), p.dim)) == odd, (k, n)
+
+
+def test_half_power_windows_share_the_cached_window():
+    # X is the window cache's own tuple, and Y is X itself at even n.
+    for k, n in [(1, 0), (2, 7), (3, 10), (4, 33)]:
+        x, y = circulant._half_power_windows(k, n)
+        assert x is circulant._window(k, n // 2), (k, n)
+        assert (y is x) == (n % 2 == 0), (k, n)
 
 
 @pytest.mark.parametrize("kernel", list(KERNELS))
@@ -173,19 +187,20 @@ def test_packed_odd_step_matches_multiply(k):
 @settings(max_examples=40, deadline=None)
 def test_palindromic_square_reads_half(kernel, half):
     # A palindromic window's square is read by its lowest w fields and
-    # mirrored: against the full convolution on rings that hold its 2w-1
-    # fields and on rings it folds round, on each kernel.
+    # mirrored: against the full convolution on rings that its 2w-1 fields
+    # fill exactly or with room to spare, on each kernel.
     values = half + half[-2::-1]
+    dims = range(2 * len(values) - 1, 2 * len(values) + 2)
     mirrored = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(circulant, "DECIMAL_MIN_BITS", KERNELS[kernel])
         patch.setattr(circulant, "_mirrored", lambda low: mirrored.append(low) or low + low[-2::-1])
-        for dim in range(len(values), 2 * len(values) + 1):
+        for dim in dims:
             start = dim // 3
-            fields = circulant._fold(circulant._square(values, sum(values) ** 2), dim)
+            fields = circulant._square(values, sum(values) ** 2)
             row = placed(values, start, dim)
             assert placed(fields, 2 * start, dim) == _convolve_cyclic(row, row), dim
-    assert len(mirrored) == len(values) + 1
+    assert len(mirrored) == len(dims)
     assert all(len(low) == len(values) for low in mirrored)
 
 
@@ -203,30 +218,33 @@ def decimal_steps(monkeypatch):
 
 
 def test_matrix_power_matches_products(monkeypatch):
-    # The known window through every step: narrow, then past n, where
-    # 2ke+1 outgrows the ring and the window wraps round it; the leading
-    # bits of e by one pow, some of them, or none; the windows cached per
-    # (k, e) are dropped when the limit changes.
+    # The known window through every step, for every e up to n, where
+    # 2ke+1 fills the ring; the leading bits of e by one pow, some of
+    # them, or none; the windows cached per (k, e) are dropped when the
+    # limit changes.  Past n the power is refused.
     for prefix, limit in PREFIXES.items():
         monkeypatch.setattr(circulant, "POW_MAX_BITS", limit)
         circulant._window.cache_clear()
         for k in range(1, 6):
-            for n in range(1, 7):
+            for n in range(1, 9):
                 p = Params(k, n)
                 central = build_central(p)
-                for e in range(3 * n + 2):
+                for e in range(n + 1):
                     expected = power_by_products(central, e).first_row
                     assert matrix_power(p, e) == expected, (prefix, k, n, e)
+                with pytest.raises(ValueError):
+                    matrix_power(p, n + 1)
 
 
 def test_matrix_power_beyond_the_digit_limit(monkeypatch):
     # A square with fields of about 4400 digits, past CPython's 4300-digit
     # int/str limit, large enough for the decimal kernel; its window of 49
-    # fields wraps a ring of 30 points.
+    # fields wraps past index 0 of a ring of 60 points.
     steps = decimal_steps(monkeypatch)
-    dim = 30
-    values = [10**2200 + i for i in range(25)]
-    fields = circulant._fold(circulant._square(values, sum(values) ** 2), dim)
+    dim = 60
+    half = [10**2200 + i for i in range(13)]
+    values = half + half[-2::-1]
+    fields = circulant._square(values, sum(values) ** 2)
     assert steps
     assert max(fields).bit_length() > 4300 * 3.32
     row = placed(values, 20, dim)
@@ -295,7 +313,7 @@ def test_trace_route_in_target_regime():
         for l in (3, 1234, 3100):
             assert coefficient_via_shift(p, l) == row[l], l
     finally:
-        circulant._half_power_rows.cache_clear()
+        circulant._half_power_windows.cache_clear()
 
 
 def test_coefficient_via_shift_examples():
@@ -305,10 +323,13 @@ def test_coefficient_via_shift_examples():
 
 
 def test_coefficient_via_shift_full_rows():
-    for k in range(1, 4):
-        for n in range(1, 9):
+    # Every coefficient by the read off the two half-power windows, and the
+    # central one by the palindromic half read, against the exact row.
+    for k in range(1, 6):
+        for n in range(41):
             p = Params(k, n)
             row = expand_power(p).coeffs
+            assert central_via_trace(p) == row[k * n], (k, n)
             for l in range(p.degree + 1):
                 assert coefficient_via_shift(p, l) == row[l], (k, n, l)
 
@@ -325,16 +346,18 @@ def test_coefficient_via_shift_any_shift():
 
 
 def test_coefficient_via_shift_never_forms_full_power(monkeypatch):
-    # One entry of C^n is one row of the product of the two half powers;
-    # the full power, whose last squaring costs the most, is never formed.
+    # One entry of C^n is one entry of the product of the two half powers'
+    # windows; the full power, whose last squaring costs the most, is never
+    # formed.
     exponents = []
+    window = circulant._window
 
-    def recording_power(params, e):
+    def recording_window(k, e):
         exponents.append(e)
-        return matrix_power(params, e)
+        return window(k, e)
 
-    monkeypatch.setattr(circulant, "matrix_power", recording_power)
-    circulant._half_power_rows.cache_clear()
+    monkeypatch.setattr(circulant, "_window", recording_window)
+    circulant._half_power_windows.cache_clear()
     try:
         for n in (7, 8):
             # The central read and the other coefficients share one half power.
@@ -342,9 +365,9 @@ def test_coefficient_via_shift_never_forms_full_power(monkeypatch):
             row = expand_power(p).coeffs
             assert central_via_trace(p) == row[p.k * p.n]
             assert [coefficient_via_shift(p, l) for l in range(p.degree + 1)] == list(row)
-        assert circulant._half_power_rows.cache_info().currsize == 1
+        assert circulant._half_power_windows.cache_info().currsize == 1
     finally:
-        circulant._half_power_rows.cache_clear()
+        circulant._half_power_windows.cache_clear()
     assert exponents == [3, 4]
 
 

@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from dirichlet import dirichlet_kernel
 
 from cnomial import oeis
 from cnomial import cli
@@ -340,7 +341,7 @@ def test_verify_detects_wrong_ratios(capsys, monkeypatch):
 def test_kernel_row_is_the_dirichlet_kernel_bit_for_bit():
     for k in range(1, 6):
         for dim in (3, 5, 21, 101):
-            expected = [cli.spectral.dirichlet_kernel(k, 2.0 * math.pi * r / dim)
+            expected = [dirichlet_kernel(k, 2.0 * math.pi * r / dim)
                         for r in range(1, dim)]
             assert cli._kernel_row(2 * k + 1, dim) == expected
 

@@ -18,7 +18,8 @@ from cnomial import (
     expand_power,
 )
 from cnomial import spectral
-from cnomial.spectral import dimension, dirichlet_kernel, required_bits
+from cnomial.spectral import dimension, required_bits
+from dirichlet import dirichlet_kernel
 
 PHI = (1 + math.sqrt(5)) / 2
 

@@ -5,36 +5,26 @@
 For each (k, n) of a fixed grid, with d = 2kn, l runs over d/8, 3d/8, 5d/8
 and 7d/8.  ``one_l`` times the first l alone, ``four_l`` all four in turn,
 as ``compute --l`` asks for them one after another in one process; every
-repetition starts with the package's functools caches cleared.  One JSON
-line per (k, n) goes to stdout, with the keys ``type``, ``k``, ``n``,
-``l``, ``repetitions``, ``one_l_min_s``, ``one_l_median_s``,
-``four_l_min_s`` and ``four_l_median_s``: the min and median over
-repetitions, in seconds.
+repetition starts with the routes' functools caches cleared by
+``cnomial.cli._clear_route_caches``.  One JSON line per (k, n) goes to
+stdout, with the keys ``type``, ``k``, ``n``, ``l``, ``repetitions``,
+``one_l_min_s``, ``one_l_median_s``, ``four_l_min_s`` and
+``four_l_median_s``: the min and median over repetitions, in seconds.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import statistics
-import sys
 import time
 
-from cnomial import Params, coefficient_via_spectrum
+from cnomial import Params, cli, coefficient_via_spectrum
 
 GRID = ((1, 1600), (3, 800), (10, 400), (10, 800))
 
 
-def clear_caches() -> None:
-    for name, module in list(sys.modules.items()):
-        if name == "cnomial" or name.startswith("cnomial."):
-            for value in list(vars(module).values()):
-                clear = getattr(value, "cache_clear", None)
-                if callable(clear):
-                    clear()
-
-
 def timed(params: Params, ls: list[int]) -> float:
-    clear_caches()
+    cli._clear_route_caches()
     start = time.perf_counter()
     for l in ls:
         coefficient_via_spectrum(params, l)
