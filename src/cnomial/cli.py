@@ -139,19 +139,16 @@ def cmd_sequence(args: argparse.Namespace) -> int:
         raise ValueError(f"count must be >= 1, got {args.count}")
     if args.start_n < 0:
         raise ValueError(f"start-n must be >= 0, got {args.start_n}")
-    records = []
-    for n in range(args.start_n, args.start_n + args.count):
-        params = Params(args.k, n)
-        value = _value(_evaluate(args.method, params, args.k * n))
-        records.append(
-            {
-                "type": "term",
-                "k": args.k,
-                "n": n,
-                "method": args.method,
-                "value": decimal(value),
-            }
-        )
+    ns = range(args.start_n, args.start_n + args.count)
+    if args.method == "spectral":
+        # One ball spectrum serves every n whose double rung escalates.
+        values = [result.value for result in spectral.central_run(args.k, ns[0], ns[-1])]
+    else:
+        values = [_value(_evaluate(args.method, Params(args.k, n), args.k * n)) for n in ns]
+    records = [
+        {"type": "term", "k": args.k, "n": n, "method": args.method, "value": decimal(value)}
+        for n, value in zip(ns, values)
+    ]
     _emit(records, [" ".join(r["value"] for r in records)], args.format)
     return 0
 

@@ -10,6 +10,7 @@ against the sequence itself.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import re
@@ -21,7 +22,7 @@ from typing import Callable, NamedTuple
 from ._digits import unlimited_digits
 from .circulant import central_via_trace
 from .params import Params
-from .spectral import central_via_spectrum
+from .spectral import central_run
 
 #: k -> OEIS identifier for the central (2k+1)-nomial coefficient sequence.
 OEIS_BY_K = {1: "A002426", 2: "A005191", 3: "A025012"}
@@ -231,36 +232,49 @@ def _cache_paths(oeis_id: str, directory: Path) -> tuple[Path, Path]:
 
 
 def _write_cache(oeis_id: str, body: bytes, directory: Path) -> float:
+    # Imported here: only a fetch from the network writes the cache.
+    import tempfile
+
     body_path, meta_path = _cache_paths(oeis_id, directory)
     directory.mkdir(parents=True, exist_ok=True)
     fetched_at = time.time()
-    # Write-then-replace keeps a concurrent reader off half-written files.
-    for target, payload in (
-        (body_path, body),
-        (
-            meta_path,
-            json.dumps(
-                {"id": oeis_id, "fetched_at": fetched_at, "bytes": len(body)}
-            ).encode(),
-        ),
-    ):
-        tmp = target.with_suffix(target.suffix + ".tmp")
-        tmp.write_bytes(payload)
-        os.replace(tmp, target)
+    meta = json.dumps({"id": oeis_id, "fetched_at": fetched_at, "bytes": len(body)}).encode()
+    # Each write goes to a temporary file of its own, then replaces its
+    # target: no reader sees a half-written file, and two writers of one id
+    # (two processes) never share a temporary file.
+    for target, payload in ((body_path, body), (meta_path, meta)):
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=target.name + ".", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as out:
+                out.write(payload)
+            os.replace(tmp, target)
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+            raise
     return fetched_at
 
 
 def _read_cache(oeis_id: str, directory: Path) -> tuple[str, float] | None:
+    """The cached body and when it was fetched, or None.
+
+    The body and its meta file are replaced one after the other, so
+    another writer can come between them: the meta's ``fetched_at`` is
+    taken only when its ``bytes`` is the body's length, and the body's
+    mtime otherwise.
+    """
     body_path, meta_path = _cache_paths(oeis_id, directory)
     if not body_path.exists():
         return None
-    body = body_path.read_text()
+    raw = body_path.read_bytes()
     fetched_at = body_path.stat().st_mtime
     try:
-        fetched_at = float(json.loads(meta_path.read_text())["fetched_at"])
-    except (OSError, ValueError, KeyError):
+        meta = json.loads(meta_path.read_text())
+        if meta["bytes"] == len(raw):
+            fetched_at = float(meta["fetched_at"])
+    except (OSError, ValueError, KeyError, TypeError):
         pass
-    return body, fetched_at
+    return raw.decode(), fetched_at
 
 
 def fetch_bfile(
@@ -336,7 +350,9 @@ def compare(record: SequenceRecord, k: int, count: int) -> ComparisonReport:
     """Recompute ``count`` central coefficients for this k and diff them.
 
     Each term is computed through the exact trace path and the certified
-    spectral path; an index matches only when both agree with the record.
+    spectral path, the latter as one run over the window
+    (:func:`cnomial.spectral.central_run`); an index matches only when
+    both agree with the record.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -345,14 +361,13 @@ def compare(record: SequenceRecord, k: int, count: int) -> ComparisonReport:
             f"count {count} exceeds the {len(record.terms)} available terms"
         )
     expected = record.terms[:count]
-    computed: list[int] = []
-    matches: list[bool] = []
-    for i, want in enumerate(expected):
-        params = Params(k, record.offset + i)
-        via_trace = central_via_trace(params)
-        via_spectrum = central_via_spectrum(params).value
-        computed.append(via_trace)
-        matches.append(via_trace == want and via_spectrum == want)
+    first = record.offset
+    spectra = central_run(k, first, first + count - 1)
+    computed = [central_via_trace(Params(k, first + i)) for i in range(count)]
+    matches = [
+        via_trace == want == via_spectrum.value
+        for via_trace, via_spectrum, want in zip(computed, spectra, expected)
+    ]
     return ComparisonReport(
         oeis_id=record.oeis_id,
         k=k,

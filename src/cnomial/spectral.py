@@ -34,7 +34,7 @@ from collections.abc import Iterator
 from functools import lru_cache
 from itertools import repeat
 from math import inf, pi, sin
-from operator import lshift, mul, neg, rshift, truediv
+from operator import lshift, mul, neg, rshift
 from typing import NamedTuple
 
 from .params import Params
@@ -178,16 +178,15 @@ def _ratios(m: int, sines: tuple[float, ...]) -> list[float]:
     The numerator's angle is reduced exactly, t = m r mod 2N, and read off
     the half-table extended to sin(t pi/N) for t = 0..2N-1: mirrored,
     sin(t pi/N) = s_{N-t}, and negated, sin(t pi/N) = -sin((t-N) pi/N), as
-    :func:`_numerators` folds it.  So only the division rounds, and the
-    passes run in ``map``, not per entry in Python.  E_r is the Dirichlet
+    :func:`_numerators` folds it.  So only the division rounds, and each
+    entry is one index and one division.  E_r is the Dirichlet
     kernel sin(m theta/2) / sin(theta/2) at theta = 2 pi r/N and at
     2 pi (N - r)/N; ``verify``'s eigen-ratios check compares the two.
     """
-    dim = 2 * len(sines) - 1
+    twice = 4 * len(sines) - 2  # 2N
     row = [*sines, *sines[:0:-1]]
     signed = row + list(map(neg, row))
-    angles = map((2 * dim).__rmod__, range(m, m * (dim // 2) + 1, m))  # m r mod 2N
-    return list(map(truediv, map(signed.__getitem__, angles), sines[1:]))
+    return [signed[m * r % twice] / sines[r] for r in range(1, len(sines))]
 
 
 @lru_cache(maxsize=32)
@@ -210,11 +209,16 @@ def _double_spectrum(params: Params, dim: int) -> tuple[tuple[float, ...], float
     both symmetric about N/2 when 2k+1 is odd), so each pair of the full
     sum over r = 1..N-1 is one doubled term, and the doubling is exact.
     A = sum |term|.  Neither depends on the phase, so every coefficient of
-    a row reads the same ones; cached per (k, n, N).
+    a row reads the same ones; cached per (k, n, N).  Where a power
+    overflows, every entry is formed again by :func:`_pow`, which
+    saturates it.
     """
-    n = params.n
+    n, base = params.n, float(params.width)
     ratios = _ratio_row(params.width, dim)
-    powers = tuple([_pow(float(params.width), n)] + [2.0 * _pow(ratio, n) for ratio in ratios])
+    try:
+        powers = (base**n, *[2.0 * ratio**n for ratio in ratios])
+    except OverflowError:
+        powers = (_pow(base, n), *[2.0 * _pow(ratio, n) for ratio in ratios])
     return powers, sum(map(abs, powers), 0.0)
 
 
@@ -243,8 +247,8 @@ def _double_sum(powers: tuple[float, ...], dim: int, phase: int | None) -> float
     if phase is None:
         return sum(powers, 0.0)
     weights = _phase_weights(dim)
-    indices = map(dim.__rmod__, map(mul, range(1, len(powers)), repeat(phase)))  # r d mod N
-    return sum(map(mul, powers[1:], map(weights.__getitem__, indices)), powers[0])
+    gathered = [weights[r * phase % dim] for r in range(1, len(powers))]  # w_{r d mod N}
+    return sum(map(mul, powers[1:], gathered), powers[0])
 
 
 def _evaluate_double(params: Params, dim: int, phase: int | None) -> tuple[int, float]:
@@ -451,14 +455,31 @@ def _ball_pow(x: int, rx: int, n: int, bits: int) -> tuple[int, int]:
 
     Left to right, each step floors once: a square Y <- floor(Y^2 / 2^bits),
     on a set bit a product Y <- floor(Y x / 2^bits).  The radius is not
-    carried through the loop but bounded once, in closed form.  Write u =
+    carried through the loop but bounded once, by :func:`_power_radius`.
+    """
+    y = x
+    for bit in bin(n)[3:]:
+        y = (y * y) >> bits
+        if bit == "1":
+            y = (y * x) >> bits
+    return y, _power_radius(x, rx, y, n, bits)
+
+
+def _power_radius(x: int, rx: int, y: int, n: int, bits: int) -> int:
+    """The radius of the midpoint y of x^n, reached by any chain of floor squares and floor products by x.
+
+    Each step of the chain floors once: a square Y <- floor(Y^2 / 2^bits)
+    or a product Y <- floor(Y x / 2^bits), in any order; binary powering
+    (:func:`_ball_pow`) is one such chain, and so is any chain continued
+    by products, as the n of a run (:func:`_row_spectrum`) are.  Write u =
     2^-bits, X = x u and a = max(1, (|x| + rx) u), so |X| <= a and every
     point t of the ball has |t| <= a.  Suppose Y u is within e = a^m ((1 +
     u)^h - 1) of X^m.  A square is then within (a^m + e)^2 - a^(2m) + u <=
     a^(2m) ((1 + u)^(2h+1) - 1) of X^(2m), and a product within a e + u <=
     a^(m+1) ((1 + u)^(h+1) - 1) of X^(m+1), because a >= 1.  h = 0 at m = 1,
-    so h = m - 1 throughout.  The ball adds |t^n - X^n| <= n a^(n-1) rx u.
-    Where (n - 1) u <= 1/2, (1 + u)^(n-1) - 1 <= 2 (n - 1) u, so
+    so h = m - 1 throughout, whatever the chain.  The ball adds |t^n - X^n|
+    <= n a^(n-1) rx u.  Where (n - 1) u <= 1/2, (1 + u)^(n-1) - 1 <= 2 (n -
+    1) u, so
 
         |Y u - t^n| <= a^n u (n rx + 2 (n - 1)) < c u a^n,   c = n (rx + 2):
 
@@ -475,18 +496,13 @@ def _ball_pow(x: int, rx: int, n: int, bits: int) -> tuple[int, int]:
     Elsewhere the radius is the always-valid |Y| + floor((|x| + rx)^n /
     2^((n-1) bits)) + 1, the sum of both magnitudes.
     """
-    y = x
-    for bit in bin(n)[3:]:
-        y = (y * y) >> bits
-        if bit == "1":
-            y = (y * x) >> bits
     c = n * (rx + 2)
     if n * (rx + 4) > 1 << bits:
-        return y, abs(y) + ((abs(x) + rx) ** n >> (n - 1) * bits) + 1
+        return abs(y) + ((abs(x) + rx) ** n >> (n - 1) * bits) + 1
     if abs(x) >> bits:
         m = c * abs(y)
-        return y, (m >> bits) + (m * 4 * n * (rx + 1) >> 2 * bits) + 2
-    return y, c + (c * 2 * n * rx >> bits) + 1
+        return (m >> bits) + (m * 4 * n * (rx + 1) >> 2 * bits) + 2
+    return c + (c * 2 * n * rx >> bits) + 1
 
 
 def _below_ulp(q: int, rq: int, n: int, width: int) -> bool:
@@ -496,54 +512,75 @@ def _below_ulp(q: int, rq: int, n: int, width: int) -> bool:
     in magnitude, so its n-th power is below 2^((b - width) n) <= 2^-width
     when b < width and (width - b) n >= width.  A phase weight has |cos| <= 1,
     so the weighted term is then the ball (0, 1) at scale 2^width too: no
-    power and no weight need be formed.
+    power and no weight need be formed.  A term below one ulp at n stays
+    below at every larger n.
     """
     b = (abs(q) + rq).bit_length()
     return b < width and (width - b) * n >= width
 
 
-def _row_spectrum(
-    params: Params, dim: int, bits: int
-) -> tuple[tuple[tuple[int, int, int, int], ...], int] | None:
-    """The power balls E_r^n, r = 1..floor(N/2), at the odd dimension ``dim``, or None.
+_Spectrum = tuple[tuple[tuple[int, int, int, int], ...], int]
 
-    Entry (r, x, rx, g) is the ball (x, rx) around 2^g E_r^n at its own
-    width g = g_r.  An error of 2^-g_r in E_r grows to about n |E_r|^(n-1)
-    2^-g_r in E_r^n, and N such terms are summed, so g_r = bitlen(n) +
-    bitlen(N) + GUARD_BITS + ceil((n - 1) log2 |E_r|) where |E_r| > 1,
-    capped at ``bits``; log2 |E_r| is read off the table's midpoints.  A
-    width only decides whether a sum certifies, never whether its radius
-    encloses it.  The terms below one ulp (:func:`_below_ulp`) are left
-    out; the second result is their radius, 2^(bits - g_r + 1) each at
-    scale 2^bits, doubled like every term for its pair E_r = E_{N-r}.
-    None means the table is too coarse to divide by (a sine ball holds 0).
-    The powers do not depend on the phase; :func:`_row_form` keeps them,
-    per row, in the form every coefficient of the row reads.
+
+def _row_spectrum(k: int, first: int, last: int, dim: int, bits: int) -> Iterator[_Spectrum | None]:
+    """The power balls E_r^n, r = 1..floor(N/2), at the odd dimension ``dim``, for n = first..last.
+
+    Yields one spectrum per n, 1 <= first <= last, or None for every n
+    where the table is too coarse to divide by (a sine ball holds 0).  In
+    a spectrum, entry (r, x, rx, g) is the ball (x, rx) around 2^g E_r^n
+    at its own width g = g_r.  An error of 2^-g_r in E_r grows to about n
+    |E_r|^(n-1) 2^-g_r in E_r^n, and N such terms are summed, so g_r =
+    bitlen(n) + bitlen(N) + GUARD_BITS + ceil((n - 1) log2 |E_r|) where
+    |E_r| > 1, capped at ``bits``, at n = ``last``; log2 |E_r| is read off
+    the table's midpoints.  A width only decides whether a sum
+    certifies, never whether its radius encloses it, and the widths of
+    the largest n serve every smaller one.  The terms below one ulp
+    (:func:`_below_ulp`) are left out; the second item is their radius,
+    2^(bits - g_r + 1) each at scale 2^bits, doubled like every term for
+    its pair E_r = E_{N-r}.
+
+    E_r does not depend on n, so each ball E_r is divided once.  The
+    first n powers it by :func:`_ball_pow`; each later n is one floor
+    product y <- floor(y E_r / 2^g) of the n before, and its radius the
+    closed form of :func:`_power_radius`.  The powers do not depend on
+    the phase; :func:`_row_form` keeps a run of one, per row, in the form
+    every coefficient of the row reads.
     """
-    n = params.n
     sines = _rotation_table(dim, bits)
-    least = n.bit_length() + dim.bit_length() + GUARD_BITS
-    powered, slack = [], 0
-    for r, (sign, j) in enumerate(_numerators(params.width, dim), 1):
+    least = last.bit_length() + dim.bit_length() + GUARD_BITS
+    live = []  # (r, E_r's midpoint and radius, g, the power of the n before)
+    for r, (sign, j) in enumerate(_numerators(2 * k + 1, dim), 1):
         s, rs = sines[r]
         if s <= rs:
-            return None
+            yield from repeat(None, last - first + 1)
+            return
         t, rt = sines[j]
         width = least
         if t > s:
-            width += math.ceil((n - 1) * (math.log2(t) - math.log2(s)))
+            width += math.ceil((last - 1) * (math.log2(t) - math.log2(s)))
         width = min(width, bits)
         q, rq = _ball_div(t, rt, s, rs, width)
-        if _below_ulp(q, rq, n, width):
-            slack += 1 << (bits - width + 1)
-            continue
-        x, rx = _ball_pow(sign * q, rq, n, width)
-        powered.append((r, x, rx, width))
-    return tuple(powered), slack
+        live.append((r, sign * q, rq, width, None))
+    slack = 0
+    for n in range(first, last + 1):
+        kept, terms = [], []
+        for r, x, rx, g, y in live:
+            if _below_ulp(x, rx, n, g):
+                slack += 1 << (bits - g + 1)
+                continue
+            if y is None:
+                y, ry = _ball_pow(x, rx, n, g)
+            else:
+                y = (y * x) >> g
+                ry = _power_radius(x, rx, y, n, g)
+            kept.append((r, x, rx, g, y))
+            terms.append((r, y, ry, g))
+        live = kept
+        yield tuple(terms), slack
 
 
 class _RowForm(NamedTuple):
-    """A row spectrum as the sums read it (:func:`_row_form`).
+    """A row spectrum as the sums read it (:func:`_form`).
 
     Term i is the midpoint ``xs[i]`` around 2^g E_r^n, r = ``rs[i]``, at
     its width g = F - ``cuts[i]``.  ``spread`` is sum rx 2^cut, at scale
@@ -558,19 +595,22 @@ class _RowForm(NamedTuple):
     slack: int
 
 
-@lru_cache(maxsize=8)
-def _row_form(params: Params, dim: int, bits: int) -> _RowForm | None:
-    """The row spectrum (:func:`_row_spectrum`) at scale 2^bits, as a :class:`_RowForm`, or None.
-
-    Cached per (k, n, N, F): every coefficient of a row reads the same one.
-    """
-    spectrum = _row_spectrum(params, dim, bits)
-    if spectrum is None:
-        return None
+def _form(spectrum: _Spectrum, bits: int) -> _RowForm:
+    """One spectrum of :func:`_row_spectrum` at scale 2^bits, as a :class:`_RowForm`."""
     terms, slack = spectrum
     rs, xs, rads, widths = list(zip(*terms)) or [()] * 4
     cuts = tuple(bits - g for g in widths)
     return _RowForm(rs, xs, cuts, sum(map(lshift, rads, cuts)), slack)
+
+
+@lru_cache(maxsize=8)
+def _row_form(params: Params, dim: int, bits: int) -> _RowForm | None:
+    """The row spectrum of n alone, a run of one (:func:`_row_spectrum`), as a :class:`_RowForm`, or None.
+
+    Cached per (k, n, N, F): every coefficient of a row reads the same one.
+    """
+    spectrum = next(_row_spectrum(params.k, params.n, params.n, dim, bits))
+    return None if spectrum is None else _form(spectrum, bits)
 
 
 @lru_cache(maxsize=8)
@@ -592,6 +632,29 @@ def _phase_form(params: Params, dim: int, bits: int) -> tuple[tuple[int, ...], i
     return ups, 2 * (rc * mass + (row.spread << bits) + cut_ulps) + (row.slack << bits)
 
 
+def _rounded(total: int, radius: int, scale: int) -> tuple[int, float]:
+    """The integer nearest total / scale, and the distance from it widened by radius / scale."""
+    value = (2 * total + scale) // (2 * scale)
+    try:
+        residual = (abs(total - value * scale) + radius) / scale
+    except OverflowError:
+        residual = math.inf
+    return value, residual
+
+
+def _central_ball(params: Params, row: _RowForm | None, dim: int, bits: int) -> tuple[int, float]:
+    """The central sum of a row form at the odd dimension ``dim``, at scale 2^bits.
+
+    Each power is shifted up to 2^F and added, doubled for its pair, to
+    2^F (2k+1)^n; the radius is 2 spread + slack (see
+    :func:`_evaluate_arbitrary`).
+    """
+    if row is None:
+        return 0, math.inf
+    total = (sum(map(lshift, row.xs, row.cuts)) << 1) + (params.width**params.n << bits)
+    return _rounded(total, 2 * row.spread + row.slack, dim << bits)
+
+
 def _evaluate_arbitrary(
     params: Params, dim: int, phase: int | None, bits: int
 ) -> tuple[int, float]:
@@ -604,11 +667,12 @@ def _evaluate_arbitrary(
 
     The powers come from the row's form (:func:`_row_form`), each at its
     own width g = F - cut.  The central sum shifts each up to 2^F and adds
-    it, with radius 2 spread + slack.  A phase reads the cosine midpoint c
-    at i = r * phase mod N (:func:`_cosine_table`: radius rho_c, so |c -
-    2^F w| <= rho_c for the weight w), cuts it to c' = floor(c / 2^cut) at
-    2^g, and adds the exact product x c' shifted from 2^(2g) up to 2^(2F):
-    one sum of products per coefficient.  With X = 2^g E_r^n and |x - X| <=
+    it, with radius 2 spread + slack (:func:`_central_ball`).  A phase
+    reads the cosine midpoint c at i = r * phase mod N
+    (:func:`_cosine_table`: radius rho_c, so |c - 2^F w| <= rho_c for the
+    weight w), cuts it to c' = floor(c / 2^cut) at 2^g, and adds the
+    exact product x c' shifted from 2^(2g) up to 2^(2F): one sum of
+    products per coefficient.  With X = 2^g E_r^n and |x - X| <=
     rx, the term misses 2^(2F) E_r^n w by under |x| 2^(2 cut) for the cut,
     since |c' 2^cut - c| < 2^cut (and by nothing where cut = 0), plus
     2^cut |x c - 2^F X w| <= 2^cut (|x| rho_c + 2^F rx), as |w| <= 1.
@@ -618,64 +682,39 @@ def _evaluate_arbitrary(
     phase of the row (:func:`_phase_form`).
     """
     row = _row_form(params, dim, bits)
-    if row is None:
-        return 0, math.inf
-    if phase is None:
-        shift = bits
-        total = sum(map(lshift, row.xs, row.cuts)) << 1
-        radius = 2 * row.spread + row.slack
-    else:
-        shift = 2 * bits
-        cosines, _ = _cosine_table(dim, bits)
-        ups, radius = _phase_form(params, dim, bits)
-        weights = map(cosines.__getitem__, [r * phase % dim for r in row.rs])
-        total = sum(map(lshift, map(mul, row.xs, map(rshift, weights, row.cuts)), ups))
+    if phase is None or row is None:
+        return _central_ball(params, row, dim, bits)
+    shift = 2 * bits
+    cosines, _ = _cosine_table(dim, bits)
+    ups, radius = _phase_form(params, dim, bits)
+    weights = [cosines[r * phase % dim] for r in row.rs]
+    total = sum(map(lshift, map(mul, row.xs, map(rshift, weights, row.cuts)), ups))
     total += params.width**params.n << shift
-    scale = dim << shift
-    value = (2 * total + scale) // (2 * scale)
-    try:
-        residual = (abs(total - value * scale) + radius) / scale
-    except OverflowError:
-        residual = math.inf
-    return value, residual
+    return _rounded(total, radius, dim << shift)
 
 
-def _certify(params: Params, offset: int | None) -> CertifiedInteger:
-    """p_{kn+offset}, or the central coefficient for ``offset=None``, certified.
+def _double_rung(params: Params, dim: int, phase: int | None) -> tuple[int, float]:
+    """:func:`_evaluate_double` where its bound can certify; else (0, inf), not evaluated.
 
-    The central sum (and offset 0) runs at the smallest N, :func:`dimension`
-    of 0.  Any other offset runs at the paper's N = 2kn+1, the smallest N
-    that holds every p_l of the row, so all of them read one cached row
-    form (:func:`_row_form`).  The double rung runs where its bound
-    can certify; the arbitrary rung, at :func:`required_bits`, runs where
-    the double rung did not certify.
+    The double rung's bound is at least this floor: its mass holds
+    (2k+1)^n and every term is charged (10n + 2)u (see
+    :func:`_evaluate_double`).  Where the floor reaches the cap, the rung
+    is still recorded as tried, with residual inf.
     """
-    dim = params.dim if offset else dimension(params, 0)
-    phase = None if offset is None else offset % dim
-    # The double rung's bound is at least this: its mass holds (2k+1)^n and
-    # every term is charged (10n + 2)u (see _evaluate_double).  Where it
-    # reaches the cap, the rung is recorded as tried, with residual inf,
-    # but not evaluated.
     double_floor = _pow(float(params.width), params.n) * (10 * params.n + 2) * _EPS / dim
-    value, residual = 0, math.inf
     if double_floor < DEFAULT_RESIDUAL_CAP:
-        value, residual = _evaluate_double(params, dim, phase)
-    rungs = [("double", _DOUBLE_BITS, residual)]
-    policy = PrecisionPolicy("double")
-    if residual >= DEFAULT_RESIDUAL_CAP:
-        bits = required_bits(params)
-        value, residual = _evaluate_arbitrary(params, dim, phase, bits)
-        rungs.append(("arbitrary", bits, residual))
-        policy = PrecisionPolicy("arbitrary", bits)
+        return _evaluate_double(params, dim, phase)
+    return 0, math.inf
+
+
+def _certified(
+    params: Params, dim: int, phase: int | None, value: int, rungs: list[tuple[str, int, float]]
+) -> CertifiedInteger:
+    """The result of the rungs tried, the last of which gave ``value``, or CertificationError."""
+    strategy, bits, residual = rungs[-1]
     if residual < DEFAULT_RESIDUAL_CAP:
-        return CertifiedInteger(
-            value=value,
-            residual=residual,
-            policy_used=policy,
-            dim=dim,
-            escalations=len(rungs) - 1,
-            rungs=tuple(rungs),
-        )
+        policy = PrecisionPolicy(strategy, None if strategy == "double" else bits)
+        return CertifiedInteger(value, residual, policy, dim, len(rungs) - 1, tuple(rungs))
     where = "central sum" if phase is None else f"coefficient sum at phase offset {phase}"
     raise CertificationError(
         f"residual {residual} >= cap {DEFAULT_RESIDUAL_CAP} for the {where} "
@@ -685,9 +724,69 @@ def _certify(params: Params, offset: int | None) -> CertifiedInteger:
     )
 
 
+def _certify(params: Params, offset: int | None) -> CertifiedInteger:
+    """p_{kn+offset}, or the central coefficient for ``offset=None`` (a run of one), certified.
+
+    Offset 0 runs at the smallest N, :func:`dimension` of 0.  Any other
+    offset runs at the paper's N = 2kn+1, the smallest N that holds every
+    p_l of the row, so all of them read one cached row form
+    (:func:`_row_form`).  The double rung runs where its bound can
+    certify; the arbitrary rung, at :func:`required_bits`, runs where the
+    double rung did not certify.
+    """
+    if offset is None:
+        return central_run(params.k, params.n, params.n)[0]
+    dim = params.dim if offset else dimension(params, 0)
+    phase = offset % dim
+    value, residual = _double_rung(params, dim, phase)
+    rungs = [("double", _DOUBLE_BITS, residual)]
+    if residual >= DEFAULT_RESIDUAL_CAP:
+        bits = required_bits(params)
+        value, residual = _evaluate_arbitrary(params, dim, phase, bits)
+        rungs.append(("arbitrary", bits, residual))
+    return _certified(params, dim, phase, value, rungs)
+
+
+def central_run(k: int, first: int, last: int) -> list[CertifiedInteger]:
+    """M^(2k,n) for n = first..last, each certified, from one ball spectrum.
+
+    Each n tries the double rung at its own smallest odd N > kn.  The n
+    whose double rung does not certify share one arbitrary rung: the N
+    and F = :func:`required_bits` of the largest of them hold every
+    smaller n too (the sum is exact at any odd N > kn), so one sine table
+    and one division per term serve them all, and each n after the first
+    costs one product per term (:func:`_row_spectrum`).  A run of one is
+    :func:`central_via_spectrum`.  Raises CertificationError at the first
+    n, in order, that no rung certifies.
+    """
+    tried = []
+    for n in range(first, last + 1):
+        params = Params(k, n)
+        dim = dimension(params, 0)
+        tried.append((params, dim, *_double_rung(params, dim, None)))
+    escalated = {params.n for params, _, _, residual in tried if residual >= DEFAULT_RESIDUAL_CAP}
+    balls = {}
+    if escalated:
+        top = Params(k, max(escalated))
+        dim, bits = dimension(top, 0), required_bits(top)
+        ns = range(min(escalated), top.n + 1)
+        for n, spectrum in zip(ns, _row_spectrum(k, ns[0], top.n, dim, bits)):
+            if n in escalated:
+                form = None if spectrum is None else _form(spectrum, bits)
+                balls[n] = dim, bits, _central_ball(Params(k, n), form, dim, bits)
+    results = []
+    for params, dim, value, residual in tried:
+        rungs = [("double", _DOUBLE_BITS, residual)]
+        if params.n in balls:
+            dim, bits, (value, residual) = balls[params.n]
+            rungs.append(("arbitrary", bits, residual))
+        results.append(_certified(params, dim, None, value, rungs))
+    return results
+
+
 def central_via_spectrum(params: Params) -> CertifiedInteger:
     """M^(2k,n) from the closed-form sine-ratio sum at the smallest odd N > kn, certified."""
-    return _certify(params, None)
+    return central_run(params.k, params.n, params.n)[0]
 
 
 def coefficient_via_spectrum(params: Params, l: int) -> CertifiedInteger:

@@ -13,12 +13,13 @@ from cnomial import (
     Params,
     SequenceIdError,
     SequenceRecord,
+    central_coefficient,
     central_via_trace,
     compare,
     fetch_bfile,
     fixture_for_k,
 )
-from cnomial import oeis
+from cnomial import oeis, spectral
 
 TRINOMIAL_BFILE = b"# comment\n\n0 1\n1 1\n2 3\n3 7\n4 19\n5 51\n6 141\n"
 
@@ -252,6 +253,55 @@ def test_fetch_concurrent_same_id(tmp_path):
     assert not errors
     assert results == [(1, 1, 3, 7)] * 4
     assert (tmp_path / "A002426.txt").read_bytes() == TRINOMIAL_BFILE
+
+
+@pytest.mark.parametrize("between", [1, 2])
+def test_interleaved_writers_keep_each_file_whole(monkeypatch, tmp_path, between):
+    # Two processes fetch one id at once: each has its own per-id lock, so
+    # nothing orders their cache writes.  Writer B runs whole between
+    # writer A's writing of a temporary file and its os.replace, before
+    # A's body (between=1) or before A's meta file (between=2).  Both
+    # bodies stay whole, each fetch returns its own terms, the reader's
+    # fetched_at comes from a meta file only when that meta describes the
+    # body on disk, and no temporary file is left.
+    body_a = TRINOMIAL_BFILE
+    body_b = b"0 1\n1 1\n2 3\n"
+    monkeypatch.setattr(oeis, "_lock_for", lambda oeis_id: threading.Lock())
+    replace, calls, records = oeis.os.replace, [], {}
+
+    def interleaving(src, dst):
+        calls.append(dst)
+        if len(calls) == between:
+            records["b"] = fetch_bfile("A002426", 3, http_get=lambda url: body_b, directory=tmp_path)
+        replace(src, dst)
+
+    monkeypatch.setattr(oeis.os, "replace", interleaving)
+    records["a"] = fetch_bfile("A002426", 7, http_get=lambda url: body_a, directory=tmp_path)
+    monkeypatch.setattr(oeis.os, "replace", replace)
+    assert records["a"].terms == (1, 1, 3, 7, 19, 51, 141)
+    assert records["b"].terms == (1, 1, 3)
+    body = (tmp_path / "A002426.txt").read_bytes()
+    assert body in (body_a, body_b)
+    meta = json.loads((tmp_path / "A002426.meta.json").read_text())
+    stamps = {len(body_a): records["a"].fetched_at, len(body_b): records["b"].fetched_at}
+    _, fetched_at = oeis._read_cache("A002426", tmp_path)
+    if meta["bytes"] == len(body):
+        assert fetched_at == meta["fetched_at"] == stamps[len(body)]
+    else:
+        assert fetched_at == (tmp_path / "A002426.txt").stat().st_mtime
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["A002426.meta.json", "A002426.txt"]
+
+
+def test_compare_crosses_into_the_ball_rung(tmp_path):
+    # A 60-term b-file of exact terms, served by a fake transport: the
+    # spectral run over it escalates part way, and every term matches.
+    terms = [central_coefficient(Params(1, n)) for n in range(60)]
+    body = "".join(f"{n} {term}\n" for n, term in enumerate(terms)).encode()
+    record = fetch_bfile("A002426", 60, http_get=lambda url: body, directory=tmp_path)
+    report = compare(record, 1, 60)
+    assert report.all_equal and report.computed == tuple(terms)
+    rungs = [result.policy_used.strategy for result in spectral.central_run(1, 0, 59)]
+    assert rungs[0] == "double" and rungs[-1] == "arbitrary"
 
 
 def test_cache_dir_env_override(monkeypatch, tmp_path):

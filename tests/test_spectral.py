@@ -516,7 +516,11 @@ def test_row_spectrum_encloses_every_power(k, n):
     # Each powered entry (r, x, rx, g) holds 2^g E_r^n, and the radius of
     # the terms left out below one ulp holds their doubled magnitudes at
     # scale 2^F, at the paper's N and at the smallest: the exact powers
-    # against mpmath.iv at twice the budget.
+    # against mpmath.iv at 64 bits more than twice the budget.  Checked
+    # for n alone (binary powering) and for every n' of the run 1..n
+    # (products by E_r after n' = 1), whose widths are those of n: the
+    # last spectrum of the run keeps the terms that n alone keeps, at the
+    # same widths, and leaves the same ones out.
     p = Params(k, n)
     bits = required_bits(p)
     skipped = 0
@@ -524,26 +528,112 @@ def test_row_spectrum_encloses_every_power(k, n):
     try:
         mpmath.iv.prec = 2 * bits + 64
         for dim in sorted({p.dim, dimension(p, 0)}):
-            terms, slack = spectral._row_spectrum(p, dim, bits)
-            powered = {r: (x, rx, g) for r, x, rx, g in terms}
-            left_out = mpmath.iv.mpf(0)
-            for r in range(1, dim // 2 + 1):
-                ratio = mpmath.iv.sin(mpmath.iv.pi * (p.width * r) / dim) / mpmath.iv.sin(
-                    mpmath.iv.pi * r / dim
-                )
-                power = ratio**n
-                if r in powered:
-                    x, rx, g = powered[r]
-                    exact = mpmath.iv.ldexp(power, g)
-                    assert x - rx <= exact.a and exact.b <= x + rx, (dim, r)
-                else:
-                    left_out += abs(power)
-                    skipped += 1
-            assert mpmath.iv.ldexp(2 * left_out, bits).b <= slack, dim
+            ratios = [mpmath.iv.sin(mpmath.iv.pi * (p.width * r) / dim)
+                      / mpmath.iv.sin(mpmath.iv.pi * r / dim) for r in range(1, dim // 2 + 1)]
+            alone = list(spectral._row_spectrum(k, n, n, dim, bits))
+            run = list(spectral._row_spectrum(k, 1, n, dim, bits))
+            assert len(alone) == 1 and len(run) == n
+            assert [(r, g) for r, _, _, g in run[-1][0]] == [(r, g) for r, _, _, g in alone[0][0]]
+            assert run[-1][1] == alone[0][1]
+            for power_n, (terms, slack) in [(n, alone[0]), *enumerate(run, 1)]:
+                powered = {r: (x, rx, g) for r, x, rx, g in terms}
+                left_out = mpmath.iv.mpf(0)
+                for r, ratio in enumerate(ratios, 1):
+                    power = ratio**power_n
+                    if r in powered:
+                        x, rx, g = powered[r]
+                        exact = mpmath.iv.ldexp(power, g)
+                        assert x - rx <= exact.a and exact.b <= x + rx, (dim, power_n, r)
+                    else:
+                        left_out += abs(power)
+                        skipped += 1
+                assert mpmath.iv.ldexp(2 * left_out, bits).b <= slack, (dim, power_n)
     finally:
         mpmath.iv.prec = prec
     if n > 6:
         assert skipped > 0
+
+
+@pytest.mark.parametrize("k, first, last, crosses", [
+    *[(k, first, last, True)  # the double rung, then the ball rung
+      for k, first, last in [(1, 0, 120), (2, 10, 50), (3, 0, 40), (4, 12, 24), (5, 1, 30)]],
+    *[(k, first, last, False)  # wholly in the ball regime
+      for k, first, last in [(1, 60, 75), (2, 25, 31), (3, 100, 104), (5, 40, 44)]],
+])
+def test_central_run_equals_the_exact_row(k, first, last, crosses):
+    # Every n of a run is the exact coefficient.  The n that escalate all
+    # sum at the N and F of the largest of them; the others keep the
+    # double rung at their own smallest N.
+    results = spectral.central_run(k, first, last)
+    ns = range(first, last + 1)
+    assert [result.value for result in results] == [central_coefficient(Params(k, n)) for n in ns]
+    escalated = [n for n, result in zip(ns, results) if result.escalations]
+    top = Params(k, max(escalated))
+    for n, result in zip(ns, results):
+        assert result.residual < spectral.DEFAULT_RESIDUAL_CAP
+        if n in escalated:
+            assert result.dim == dimension(top, 0)
+            assert result.policy_used == spectral.PrecisionPolicy("arbitrary", required_bits(top))
+        else:
+            assert result == central_via_spectrum(Params(k, n)), n
+    assert escalated == list(range(escalated[0], last + 1))
+    assert (escalated[0] > first) == crosses
+
+
+@pytest.mark.parametrize("k, n", [(1, 3), (1, 29), (1, 30), (1, 60), (2, 21), (3, 40), (5, 14), (4, 0)])
+def test_a_run_of_one_is_the_ladder_alone(k, n):
+    # A run of one is central_via_spectrum, field by field, and its rungs
+    # are those of the ladder run alone: the double rung at the smallest
+    # N, then, where that does not certify, the ball rung on the cached
+    # row form at that N and at the budget of n.
+    p = Params(k, n)
+    (result,) = spectral.central_run(k, n, n)
+    assert result == central_via_spectrum(p)
+    dim = dimension(p, 0)
+    value, residual = spectral._double_rung(p, dim, None)
+    rungs = [("double", 53, residual)]
+    if residual >= spectral.DEFAULT_RESIDUAL_CAP:
+        bits = required_bits(p)
+        value, residual = spectral._evaluate_arbitrary(p, dim, None, bits)
+        rungs.append(("arbitrary", bits, residual))
+    assert (result.value, result.residual, result.dim, result.rungs) == (value, residual, dim, tuple(rungs))
+    assert result.escalations == len(rungs) - 1
+
+
+def _hex(values):
+    return [value.hex() for value in values]
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 5), half=st.integers(1, 200), n=st.integers(0, 400))
+@example(k=1, half=1, n=1)  # N = 3 = 2k+1: every numerator folds onto s_0
+@example(k=5, half=200, n=400)  # 11^400 overflows: every power by _pow
+@example(k=2, half=7, n=297)  # 5^297 fits, 2 E_r^n does not
+def test_double_rung_passes_match_per_entry_loops(k, half, n):
+    # The ratios, the powers and their mass, and the sum at every phase,
+    # against a per-entry loop that forms each entry as the route
+    # defines it, bit for bit (signed zeros and infinities included).
+    # Both sides add the same floats in the same order with sum().
+    dim, m = 2 * half + 1, 2 * k + 1
+    sines = spectral._sine_table(dim)
+    ratios = []
+    for r in range(1, half + 1):
+        t = m * r % (2 * dim)
+        sign, t = (1, t) if t < dim else (-1, t - dim)
+        ratios.append(sign * sines[min(t, dim - t)] / sines[r])
+    assert _hex(spectral._ratios(m, sines)) == _hex(ratios)
+    p = Params(k, n)
+    powers = [spectral._pow(float(m), n)] + [2.0 * spectral._pow(ratio, n) for ratio in ratios]
+    terms, mass = spectral._double_spectrum(p, dim)
+    assert _hex(terms) == _hex(powers)
+    assert mass.hex() == sum([abs(power) for power in powers], 0.0).hex()
+    assert spectral._double_sum(terms, dim, None).hex() == sum(powers, 0.0).hex()
+    weights = spectral._phase_weights(dim)
+    for phase in range(dim):
+        weighted = []
+        for r in range(1, len(powers)):
+            weighted.append(powers[r] * weights[r * phase % dim])
+        assert spectral._double_sum(terms, dim, phase).hex() == sum(weighted, powers[0]).hex(), phase
 
 
 def _corners(x, rx):
@@ -641,7 +731,7 @@ def test_weighting_radius_encloses_the_phase_sums(monkeypatch, cut):
     rng = random.Random(cut)
     terms = tuple((r, rng.randrange(-(2 ** (width + 60)), 2 ** (width + 60)), 0, width)
                   for r in range(1, dim // 2 + 1))
-    monkeypatch.setattr(spectral, "_row_spectrum", lambda *args: (terms, 0))
+    monkeypatch.setattr(spectral, "_row_spectrum", lambda *args: iter([(terms, 0)]))
     prec = mpmath.iv.prec
     try:
         mpmath.iv.prec = 2 * bits + 128

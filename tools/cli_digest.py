@@ -13,6 +13,9 @@ on PYTHONPATH and compare.  The grid, one group each:
   route squares step by step and the spectral sum runs at arbitrary
   precision, at the central l and three others, ``--method all``;
 - ``sequence``: windows of n for k 1-5, every method and format;
+- ``sequence-long``: ``--method spectral`` for k 1-5, 40 terms from n = 0
+  and from n = 25, plain and json-lines: runs whose double rung escalates
+  part way through the window;
 - ``oeis``: ``--offline`` for each registered id and k, counts 1-10,
   every format, and the count past the fixture;
 - ``verify``: grids k-max 1-4 by n-max, with no ``--seed`` and with three;
@@ -73,6 +76,12 @@ def _sequence() -> list[list[str]]:
             for method in cli.METHODS for fmt in FORMATS]
 
 
+def _sequence_long() -> list[list[str]]:
+    return [["sequence", "--k", str(k), "--start-n", str(start), "--count", "40",
+             "--method", "spectral", "--format", fmt]
+            for k in KS for start in (0, 25) for fmt in ("plain", "json-lines")]
+
+
 def _oeis() -> list[list[str]]:
     requests = []
     for oeis_id, k in OEIS.items():
@@ -117,6 +126,7 @@ GROUPS = {
     "compute-general": _compute_general,
     "compute-large": _compute_large,
     "sequence": _sequence,
+    "sequence-long": _sequence_long,
     "oeis": _oeis,
     "verify": _verify,
     "errors": _errors,
