@@ -11,11 +11,9 @@ against the sequence itself.
 from __future__ import annotations
 
 import contextlib
-import json
 import os
 import re
 import threading
-import time
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -227,54 +225,46 @@ def _lock_for(oeis_id: str) -> threading.Lock:
         return _FETCH_LOCKS.setdefault(oeis_id, threading.Lock())
 
 
-def _cache_paths(oeis_id: str, directory: Path) -> tuple[Path, Path]:
-    return directory / f"{oeis_id}.txt", directory / f"{oeis_id}.meta.json"
+def _cache_path(oeis_id: str, directory: Path) -> Path:
+    return directory / f"{oeis_id}.txt"
 
 
 def _write_cache(oeis_id: str, body: bytes, directory: Path) -> float:
+    """Cache ``body`` for ``oeis_id``; its mtime, the fetch's ``fetched_at``."""
     # Imported here: only a fetch from the network writes the cache.
     import tempfile
 
-    body_path, meta_path = _cache_paths(oeis_id, directory)
+    target = _cache_path(oeis_id, directory)
     directory.mkdir(parents=True, exist_ok=True)
-    fetched_at = time.time()
-    meta = json.dumps({"id": oeis_id, "fetched_at": fetched_at, "bytes": len(body)}).encode()
-    # Each write goes to a temporary file of its own, then replaces its
+    # The body goes to a temporary file of its own, then replaces its
     # target: no reader sees a half-written file, and two writers of one id
-    # (two processes) never share a temporary file.
-    for target, payload in ((body_path, body), (meta_path, meta)):
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=target.name + ".", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as out:
-                out.write(payload)
-            os.replace(tmp, target)
-        except BaseException:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(tmp)
-            raise
+    # (two processes) never share a temporary file.  The rename keeps the
+    # mtime, so the body carries its own fetched_at.
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=target.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as out:
+            out.write(body)
+        fetched_at = os.stat(tmp).st_mtime
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
     return fetched_at
 
 
 def _read_cache(oeis_id: str, directory: Path) -> tuple[str, float] | None:
-    """The cached body and when it was fetched, or None.
+    """The cached body, decoded as a fetched one is, and its mtime; or None.
 
-    The body and its meta file are replaced one after the other, so
-    another writer can come between them: the meta's ``fetched_at`` is
-    taken only when its ``bytes`` is the body's length, and the body's
-    mtime otherwise.
+    The mtime is read off the open file, so it is the mtime of the body read.
     """
-    body_path, meta_path = _cache_paths(oeis_id, directory)
-    if not body_path.exists():
-        return None
-    raw = body_path.read_bytes()
-    fetched_at = body_path.stat().st_mtime
     try:
-        meta = json.loads(meta_path.read_text())
-        if meta["bytes"] == len(raw):
-            fetched_at = float(meta["fetched_at"])
-    except (OSError, ValueError, KeyError, TypeError):
-        pass
-    return raw.decode(), fetched_at
+        with _cache_path(oeis_id, directory).open("rb") as cached:
+            fetched_at = os.fstat(cached.fileno()).st_mtime
+            raw = cached.read()
+    except FileNotFoundError:
+        return None
+    return raw.decode("utf-8", errors="replace"), fetched_at
 
 
 def fetch_bfile(

@@ -8,14 +8,15 @@ trace power collapses to a finite sum of sine-ratio powers:
 The paper takes N = 2kn+1.  At any odd N the sum, with the phase of an
 offset d = l - kn, gives the sum of p_{kn+t} over t = d (mod N), and every
 term but p_l drops out once N > kn + |d| (:func:`dimension`, the tight
-bound).  The central sum runs at the smallest such N, about kn.  Any other
+bound).  The centre l = kn, phase 0, is the sum of the powers alone and
+runs at the smallest such N, about kn (:func:`central_run`).  Any other
 coefficient runs at 2kn+1, which holds the whole row: E_r does not depend
-on l, so the arbitrary rung powers it once per row (:func:`_row_form`)
+on l, so the arbitrary rung powers it once per row (:func:`_phase_form`)
 and each l only weights those powers by its phase.  The trace route keeps
 2kn+1 too.  Every rung evaluates the sum from one half-table of sines,
-s_j = sin(j pi/N) for j <= N/2: numerators fold onto it, E_r = E_{N-r}
-pairs the terms, and the phase cosine is 1 - 2 s_j^2.  The sums are
-rounded back to integers, so every result carries a certificate: the
+s_j = sin(j pi/N) for j <= N/2: numerators read it mirrored and signed,
+E_r = E_{N-r} pairs the terms, and the phase cosine is 1 - 2 s_j^2.  The
+sums are rounded back to integers, so every result carries a certificate: the
 pre-rounding distance from the nearest integer plus a bound on the
 evaluation error, required to stay under a cap.  The bound matters: once
 terms outgrow the mantissa the measured distance alone is blind (above
@@ -155,32 +156,15 @@ def _sine_table(dim: int) -> tuple[float, ...]:
     return (0.0, *[sin((pi * j) / dim) for j in range(1, dim // 2 + 1)])
 
 
-def _numerators(m: int, dim: int) -> Iterator[tuple[int, int]]:
-    """sin(m r pi/N) = sign * s_j for r = 1..floor(N/2), as (sign, j) with j <= N/2.
-
-    The angle is reduced exactly: with t = m r mod 2N, sin(t pi/N) is
-    -sin((t-N) pi/N) when t >= N, and sin(j pi/N) = sin((N-j) pi/N) folds j
-    into the half-table.  t = 0 or N (possible when gcd(m, N) > 1) reads
-    s_0: a zero numerator.
-    """
-    for r in range(1, dim // 2 + 1):
-        t = (m * r) % (2 * dim)
-        if t < dim:
-            yield 1, min(t, dim - t)
-        else:
-            t -= dim
-            yield -1, min(t, dim - t)
-
-
 def _ratios(m: int, sines: tuple[float, ...]) -> list[float]:
     """E_r = sin(m r pi/N) / sin(r pi/N) for r = 1..floor(N/2), from the half-table.
 
     The numerator's angle is reduced exactly, t = m r mod 2N, and read off
     the half-table extended to sin(t pi/N) for t = 0..2N-1: mirrored,
-    sin(t pi/N) = s_{N-t}, and negated, sin(t pi/N) = -sin((t-N) pi/N), as
-    :func:`_numerators` folds it.  So only the division rounds, and each
-    entry is one index and one division.  E_r is the Dirichlet
-    kernel sin(m theta/2) / sin(theta/2) at theta = 2 pi r/N and at
+    sin(t pi/N) = s_{N-t}, and negated, sin(t pi/N) = -sin((t-N) pi/N);
+    t = 0 or N (when gcd(m, N) > 1) reads s_0, a zero numerator.  So only
+    the division rounds, and each entry is one index and one division.
+    E_r is the Dirichlet kernel sin(m theta/2) / sin(theta/2) at theta = 2 pi r/N and at
     2 pi (N - r)/N; ``verify``'s eigen-ratios check compares the two.
     """
     twice = 4 * len(sines) - 2  # 2N
@@ -539,22 +523,28 @@ def _row_spectrum(k: int, first: int, last: int, dim: int, bits: int) -> Iterato
     2^(bits - g_r + 1) each at scale 2^bits, doubled like every term for
     its pair E_r = E_{N-r}.
 
-    E_r does not depend on n, so each ball E_r is divided once.  The
-    first n powers it by :func:`_ball_pow`; each later n is one floor
-    product y <- floor(y E_r / 2^g) of the n before, and its radius the
-    closed form of :func:`_power_radius`.  The powers do not depend on
-    the phase; :func:`_row_form` keeps a run of one, per row, in the form
-    every coefficient of the row reads.
+    Numerators are read as :func:`_ratios` reads them: u = (2k+1) r mod
+    2N indexes the table mirrored to t = 0..N-1 at u mod N, and the
+    midpoint alone is negated where u >= N.  E_r does not depend on n, so
+    each ball E_r is divided once.  The first n powers it by
+    :func:`_ball_pow`; each later n is one floor product y <- floor(y E_r
+    / 2^g) of the n before, and its radius the closed form of
+    :func:`_power_radius`.  The powers do not depend on the phase;
+    :func:`_phase_form` keeps a run of one, per row, in the form every
+    coefficient of the row reads.
     """
     sines = _rotation_table(dim, bits)
+    mirrored = [*sines, *sines[:0:-1]]
     least = last.bit_length() + dim.bit_length() + GUARD_BITS
     live = []  # (r, E_r's midpoint and radius, g, the power of the n before)
-    for r, (sign, j) in enumerate(_numerators(2 * k + 1, dim), 1):
+    for r in range(1, dim // 2 + 1):
         s, rs = sines[r]
         if s <= rs:
             yield from repeat(None, last - first + 1)
             return
-        t, rt = sines[j]
+        u = (2 * k + 1) * r % (2 * dim)
+        sign = -1 if u >= dim else 1
+        t, rt = mirrored[u % dim]
         width = least
         if t > s:
             width += math.ceil((last - 1) * (math.log2(t) - math.log2(s)))
@@ -604,32 +594,26 @@ def _form(spectrum: _Spectrum, bits: int) -> _RowForm:
 
 
 @lru_cache(maxsize=8)
-def _row_form(params: Params, dim: int, bits: int) -> _RowForm | None:
-    """The row spectrum of n alone, a run of one (:func:`_row_spectrum`), as a :class:`_RowForm`, or None.
+def _phase_form(params: Params, dim: int, bits: int) -> tuple[_RowForm, tuple[int, ...], int] | None:
+    """What a phase's sum reads: the row form, its shifts and its radius, or None.
 
-    Cached per (k, n, N, F): every coefficient of a row reads the same one.
+    The row form is the spectrum of n alone (:func:`_row_spectrum`), None
+    where that is.  ``ups[i]`` = 2 cut + 1 takes term i's weighted product
+    from scale 2^(2g) to 2^(2F), doubled for the pair E_r = E_{N-r}.  The
+    radius, at 2^(2F), is the same for every phase of the row (see
+    :func:`_evaluate_arbitrary`).  Cached per (k, n, N, F): every
+    coefficient of a row reads the same one.
     """
     spectrum = next(_row_spectrum(params.k, params.n, params.n, dim, bits))
-    return None if spectrum is None else _form(spectrum, bits)
-
-
-@lru_cache(maxsize=8)
-def _phase_form(params: Params, dim: int, bits: int) -> tuple[tuple[int, ...], int]:
-    """What a phase's sum reads beyond the row form: its shifts and its radius.
-
-    ``ups[i]`` = 2 cut + 1 takes term i's weighted product from scale
-    2^(2g) to 2^(2F), doubled for the pair E_r = E_{N-r}.  The radius, at
-    2^(2F), is the same for every phase of the row (see
-    :func:`_evaluate_arbitrary`), so the central sum, which reads neither,
-    never builds them.  Cached per (k, n, N, F).
-    """
-    row = _row_form(params, dim, bits)
+    if spectrum is None:
+        return None
+    row = _form(spectrum, bits)
     _, rc = _cosine_table(dim, bits)
     magnitudes = list(map(abs, row.xs))
     mass = sum(map(lshift, magnitudes, row.cuts))
     cut_ulps = sum(m << 2 * cut for m, cut in zip(magnitudes, row.cuts) if cut)
     ups = tuple(2 * cut + 1 for cut in row.cuts)
-    return ups, 2 * (rc * mass + (row.spread << bits) + cut_ulps) + (row.slack << bits)
+    return row, ups, 2 * (rc * mass + (row.spread << bits) + cut_ulps) + (row.slack << bits)
 
 
 def _rounded(total: int, radius: int, scale: int) -> tuple[int, float]:
@@ -646,8 +630,7 @@ def _central_ball(params: Params, row: _RowForm | None, dim: int, bits: int) -> 
     """The central sum of a row form at the odd dimension ``dim``, at scale 2^bits.
 
     Each power is shifted up to 2^F and added, doubled for its pair, to
-    2^F (2k+1)^n; the radius is 2 spread + slack (see
-    :func:`_evaluate_arbitrary`).
+    2^F (2k+1)^n.  The shifts are exact, so the radius is 2 spread + slack.
     """
     if row is None:
         return 0, math.inf
@@ -655,20 +638,17 @@ def _central_ball(params: Params, row: _RowForm | None, dim: int, bits: int) -> 
     return _rounded(total, 2 * row.spread + row.slack, dim << bits)
 
 
-def _evaluate_arbitrary(
-    params: Params, dim: int, phase: int | None, bits: int
-) -> tuple[int, float]:
-    """The spectral sum at the odd dimension ``dim`` in fixed-point ball arithmetic at scale 2^bits.
+def _evaluate_arbitrary(params: Params, dim: int, phase: int, bits: int) -> tuple[int, float]:
+    """The sum at ``phase`` at the odd dimension ``dim`` in fixed-point ball arithmetic at scale 2^bits.
 
     Every quantity is an integer midpoint x and an integer radius rx with
     |2^g * value - x| <= rx at its scale 2^g, and every rounding is charged
     to the radius, so the residual encloses the distance of the exact sum
     from the returned integer: no error estimate is involved.
 
-    The powers come from the row's form (:func:`_row_form`), each at its
-    own width g = F - cut.  The central sum shifts each up to 2^F and adds
-    it, with radius 2 spread + slack (:func:`_central_ball`).  A phase
-    reads the cosine midpoint c at i = r * phase mod N
+    The powers come from the row's form (:func:`_phase_form`), each at
+    its own width g = F - cut.  A phase reads the cosine midpoint c at
+    i = r * phase mod N
     (:func:`_cosine_table`: radius rho_c, so |c - 2^F w| <= rho_c for the
     weight w), cuts it to c' = floor(c / 2^cut) at 2^g, and adds the
     exact product x c' shifted from 2^(2g) up to 2^(2F): one sum of
@@ -681,12 +661,12 @@ def _evaluate_arbitrary(
     2 (rho_c mass + 2^F spread + cut_ulps) + 2^F slack, the same for every
     phase of the row (:func:`_phase_form`).
     """
-    row = _row_form(params, dim, bits)
-    if phase is None or row is None:
-        return _central_ball(params, row, dim, bits)
+    form = _phase_form(params, dim, bits)
+    if form is None:
+        return 0, math.inf
+    row, ups, radius = form
     shift = 2 * bits
     cosines, _ = _cosine_table(dim, bits)
-    ups, radius = _phase_form(params, dim, bits)
     weights = [cosines[r * phase % dim] for r in row.rs]
     total = sum(map(lshift, map(mul, row.xs, map(rshift, weights, row.cuts)), ups))
     total += params.width**params.n << shift
@@ -722,29 +702,6 @@ def _certified(
         residual=residual,
         rungs=tuple(rungs),
     )
-
-
-def _certify(params: Params, offset: int | None) -> CertifiedInteger:
-    """p_{kn+offset}, or the central coefficient for ``offset=None`` (a run of one), certified.
-
-    Offset 0 runs at the smallest N, :func:`dimension` of 0.  Any other
-    offset runs at the paper's N = 2kn+1, the smallest N that holds every
-    p_l of the row, so all of them read one cached row form
-    (:func:`_row_form`).  The double rung runs where its bound can
-    certify; the arbitrary rung, at :func:`required_bits`, runs where the
-    double rung did not certify.
-    """
-    if offset is None:
-        return central_run(params.k, params.n, params.n)[0]
-    dim = params.dim if offset else dimension(params, 0)
-    phase = offset % dim
-    value, residual = _double_rung(params, dim, phase)
-    rungs = [("double", _DOUBLE_BITS, residual)]
-    if residual >= DEFAULT_RESIDUAL_CAP:
-        bits = required_bits(params)
-        value, residual = _evaluate_arbitrary(params, dim, phase, bits)
-        rungs.append(("arbitrary", bits, residual))
-    return _certified(params, dim, phase, value, rungs)
 
 
 def central_run(k: int, first: int, last: int) -> list[CertifiedInteger]:
@@ -797,10 +754,22 @@ def coefficient_via_spectrum(params: Params, l: int) -> CertifiedInteger:
     imaginary parts of the conjugate Fourier phases, leaving cosine
     weights.  The phase index is taken relative to the central column,
     ``(l - kn) mod N``: the n-th power of the central circulant stores
-    ``p_l`` that many columns right of its diagonal, and phase 0 (l = kn)
-    reduces to the central sum.  N is 2kn+1 for l != kn, shared by the
-    row, and :func:`dimension` of 0 at l = kn.
+    ``p_l`` that many columns right of its diagonal.  l = kn is the
+    central sum, :func:`central_run` of n alone.  Any other l runs at N =
+    2kn+1, which holds the whole row, so the row shares one cached form
+    (:func:`_phase_form`); the arbitrary rung, at :func:`required_bits`,
+    runs where the double rung did not certify.
     """
     if not 0 <= l <= params.degree:
         raise ValueError(f"l must be in [0, {params.degree}], got {l}")
-    return _certify(params, l - params.k * params.n)
+    offset = l - params.k * params.n
+    if not offset:
+        return central_run(params.k, params.n, params.n)[0]
+    dim, phase = params.dim, offset % params.dim
+    value, residual = _double_rung(params, dim, phase)
+    rungs = [("double", _DOUBLE_BITS, residual)]
+    if residual >= DEFAULT_RESIDUAL_CAP:
+        bits = required_bits(params)
+        value, residual = _evaluate_arbitrary(params, dim, phase, bits)
+        rungs.append(("arbitrary", bits, residual))
+    return _certified(params, dim, phase, value, rungs)

@@ -11,7 +11,7 @@ def cold_caches():
     """Start each test with the routes' functools caches empty; call the fixture to empty them again.
 
     A row or table cached by an earlier test would bypass a later test's
-    monkeypatch of what builds it (``_numerators``, ``_ball_pow``,
+    monkeypatch of what builds it (``_row_spectrum``, ``_ball_pow``,
     ``required_bits``).
     """
     _clear_route_caches()

@@ -431,17 +431,21 @@ def test_verify_reports_each_routes_coefficient(capsys, monkeypatch):
 
 
 def test_verify_reports_uncertified_cases_and_goes_on(capsys, monkeypatch):
-    # Fold every numerator with the wrong sign, on both rungs (the ball
-    # rung's numerators, the double rung's ratios, whose denominators are
+    # Drop the sign of every term, on both rungs (the midpoints of the ball
+    # rung's powers, the double rung's ratios, whose denominators are
     # positive): the sums are wrong and some cannot certify.  Each such
     # case fails with spectral-certified, and the grid still reaches its
     # last case and the summary.
-    true_numerators, true_ratios = cli.spectral._numerators, cli.spectral._ratios
+    true_spectrum, true_ratios = cli.spectral._row_spectrum, cli.spectral._ratios
 
-    def wrong_sign(m, dim):
-        return [(1, j) for _, j in true_numerators(m, dim)]
+    def wrong_sign(*args):
+        for spectrum in true_spectrum(*args):
+            if spectrum is not None:
+                terms, slack = spectrum
+                spectrum = tuple((r, abs(x), rx, g) for r, x, rx, g in terms), slack
+            yield spectrum
 
-    monkeypatch.setattr(cli.spectral, "_numerators", wrong_sign)
+    monkeypatch.setattr(cli.spectral, "_row_spectrum", wrong_sign)
     monkeypatch.setattr(cli.spectral, "_ratios", lambda m, sines: list(map(abs, true_ratios(m, sines))))
     code, out, err = run(capsys, "verify", "--k-max", "3", "--n-max", "8",
                          "--format", "json-lines")

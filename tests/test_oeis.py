@@ -1,5 +1,4 @@
 """Sequence fixtures, b-file client, cache behavior, and comparisons."""
-import json
 import threading
 import time
 import urllib.error
@@ -149,9 +148,25 @@ def test_fetch_parses_and_caches(tmp_path):
     assert not record.cache_hit
     assert record.fetched_at is not None
     assert (tmp_path / "A002426.txt").read_bytes() == TRINOMIAL_BFILE
-    meta = json.loads((tmp_path / "A002426.meta.json").read_text())
-    assert meta["id"] == "A002426"
-    assert meta["bytes"] == len(TRINOMIAL_BFILE)
+    assert record.fetched_at == (tmp_path / "A002426.txt").stat().st_mtime
+    assert [path.name for path in tmp_path.iterdir()] == ["A002426.txt"]
+
+
+def test_cached_body_reads_back_as_it_was_fetched(tmp_path):
+    # A body that is not UTF-8 decodes with replacement on the network
+    # path, and so does its cached copy when it is read back.
+    body = b"# A002426 caf\xe9\n0 1\n1 1\n2 3\n"
+    assert fetch_bfile("A002426", 3, http_get=lambda url: body, directory=tmp_path).terms == (1, 1, 3)
+
+    def broken_get(url):
+        raise OSError("network down")
+
+    for record in (
+        fetch_bfile("A002426", 3, offline=True, directory=tmp_path),
+        fetch_bfile("A002426", 3, http_get=broken_get, directory=tmp_path),
+    ):
+        assert record.terms == (1, 1, 3)
+        assert record.cache_hit
 
 
 def test_fetch_serves_cache_when_network_fails(tmp_path):
@@ -258,38 +273,40 @@ def test_fetch_concurrent_same_id(tmp_path):
 @pytest.mark.parametrize("between", [1, 2])
 def test_interleaved_writers_keep_each_file_whole(monkeypatch, tmp_path, between):
     # Two processes fetch one id at once: each has its own per-id lock, so
-    # nothing orders their cache writes.  Writer B runs whole between
-    # writer A's writing of a temporary file and its os.replace, before
-    # A's body (between=1) or before A's meta file (between=2).  Both
-    # bodies stay whole, each fetch returns its own terms, the reader's
-    # fetched_at comes from a meta file only when that meta describes the
-    # body on disk, and no temporary file is left.
+    # nothing orders their cache writes.  One writer runs whole between
+    # the other's writing of its temporary file and its os.replace: B
+    # within A's (between=1) or A within B's (between=2).  Both bodies
+    # stay whole, each fetch returns its own terms, the outer writer's
+    # body survives, the reader's fetched_at is that body's mtime and the
+    # outer fetch's own, and no temporary file is left.
     body_a = TRINOMIAL_BFILE
     body_b = b"0 1\n1 1\n2 3\n"
     monkeypatch.setattr(oeis, "_lock_for", lambda oeis_id: threading.Lock())
     replace, calls, records = oeis.os.replace, [], {}
+    fetches = {"a": (7, body_a), "b": (3, body_b)}
+    outer, inner = ("a", "b") if between == 1 else ("b", "a")
+
+    def fetch(name):
+        limit, body = fetches[name]
+        records[name] = fetch_bfile("A002426", limit, http_get=lambda url: body, directory=tmp_path)
 
     def interleaving(src, dst):
         calls.append(dst)
-        if len(calls) == between:
-            records["b"] = fetch_bfile("A002426", 3, http_get=lambda url: body_b, directory=tmp_path)
+        if len(calls) == 1:
+            fetch(inner)
         replace(src, dst)
 
     monkeypatch.setattr(oeis.os, "replace", interleaving)
-    records["a"] = fetch_bfile("A002426", 7, http_get=lambda url: body_a, directory=tmp_path)
+    fetch(outer)
     monkeypatch.setattr(oeis.os, "replace", replace)
+    assert len(calls) == 2
     assert records["a"].terms == (1, 1, 3, 7, 19, 51, 141)
     assert records["b"].terms == (1, 1, 3)
-    body = (tmp_path / "A002426.txt").read_bytes()
-    assert body in (body_a, body_b)
-    meta = json.loads((tmp_path / "A002426.meta.json").read_text())
-    stamps = {len(body_a): records["a"].fetched_at, len(body_b): records["b"].fetched_at}
+    path = tmp_path / "A002426.txt"
+    assert path.read_bytes() == fetches[outer][1]
     _, fetched_at = oeis._read_cache("A002426", tmp_path)
-    if meta["bytes"] == len(body):
-        assert fetched_at == meta["fetched_at"] == stamps[len(body)]
-    else:
-        assert fetched_at == (tmp_path / "A002426.txt").stat().st_mtime
-    assert sorted(path.name for path in tmp_path.iterdir()) == ["A002426.meta.json", "A002426.txt"]
+    assert fetched_at == path.stat().st_mtime == records[outer].fetched_at
+    assert [entry.name for entry in tmp_path.iterdir()] == ["A002426.txt"]
 
 
 def test_compare_crosses_into_the_ball_rung(tmp_path):

@@ -33,6 +33,22 @@ def route_dim(p, offset):
     return p.dim if offset else dimension(p, 0)
 
 
+def ladder(p, offset):
+    """The route's certified p_{kn+offset}, the centre for ``offset=None``."""
+    if offset is None:
+        return central_via_spectrum(p)
+    return coefficient_via_spectrum(p, p.k * p.n + offset)
+
+
+def arbitrary(p, dim, phase, bits):
+    """The ball rung at N = ``dim`` and F = ``bits``: the sum at ``phase``, or the central sum for None."""
+    if phase is not None:
+        return spectral._evaluate_arbitrary(p, dim, phase, bits)
+    spectrum = next(spectral._row_spectrum(p.k, p.n, p.n, dim, bits))
+    form = None if spectrum is None else spectral._form(spectrum, bits)
+    return spectral._central_ball(p, form, dim, bits)
+
+
 def ratios(k, n):
     """E_r, r = 1..floor(N/2), as the route evaluates them from the half-table."""
     p = Params(k, n)
@@ -249,7 +265,7 @@ def test_arbitrary_start_uses_computed_budget():
     # The ball rung alone, at the budget the ladder gives it, on a sum the
     # double rung certifies.
     p = Params(1, 2)
-    value, residual = spectral._evaluate_arbitrary(p, dimension(p, 0), None, required_bits(p))
+    value, residual = arbitrary(p, dimension(p, 0), None, required_bits(p))
     assert value == 3
     assert residual < spectral.DEFAULT_RESIDUAL_CAP
 
@@ -290,7 +306,7 @@ def test_every_certifying_rung_is_exact(k):
             phase = None if offset is None else offset % dim
             for strategy, (value, residual) in (
                 ("double", spectral._evaluate_double(p, dim, phase)),
-                ("arbitrary", spectral._evaluate_arbitrary(p, dim, phase, required_bits(p))),
+                ("arbitrary", arbitrary(p, dim, phase, required_bits(p))),
             ):
                 if residual < spectral.DEFAULT_RESIDUAL_CAP:
                     certified_at.add(strategy)
@@ -333,7 +349,7 @@ def test_ball_rung_encloses_the_exact_value(k):
         for l in sorted({0, d // 4 + 1, (3 * d) // 4, d - 1, k * n}):
             phase = None if l == k * n else (l - k * n) % p.dim
             for bits in (8, 16, 32, budget - 20, budget):
-                value, residual = spectral._evaluate_arbitrary(p, p.dim, phase, bits)
+                value, residual = arbitrary(p, p.dim, phase, bits)
                 assert abs(row[l] - value) <= residual, (k, n, l, bits, residual)
             assert residual < spectral.DEFAULT_RESIDUAL_CAP, (k, n, l)
 
@@ -352,11 +368,11 @@ def test_ball_rung_certifies_in_the_central_large_regime(k, n, l):
     bits = required_bits(p)
     for dim in (dimension(p, offset or 0), route_dim(p, offset)):
         phase = None if offset is None else offset % dim
-        value, residual = spectral._evaluate_arbitrary(p, dim, phase, bits)
+        value, residual = arbitrary(p, dim, phase, bits)
         assert value == expand_power(p).coeffs[l]
         assert residual < spectral.DEFAULT_RESIDUAL_CAP
     # The loop ends at the route's N, so ``residual`` is the rung's there.
-    result = spectral._certify(p, offset)
+    result = ladder(p, offset)
     assert result.dim == route_dim(p, offset)
     assert result.policy_used == spectral.PrecisionPolicy("arbitrary", bits)
     assert result.rungs == (("double", 53, math.inf), ("arbitrary", bits, residual))
@@ -385,7 +401,7 @@ def test_term_widths_stay_within_the_budget(monkeypatch, k, n, offset):
     bits = required_bits(p)
     dim = route_dim(p, offset)
     phase = None if offset is None else offset % dim
-    spectral._evaluate_arbitrary(p, dim, phase, bits)
+    arbitrary(p, dim, phase, bits)
     assert len(widths) + sum(skipped) == len(skipped) == dim // 2
     assert max(widths) <= bits
     assert min(widths) < bits
@@ -431,9 +447,9 @@ def test_every_rung_is_exact_at_the_smallest_dimension(k):
             value, residual = spectral._evaluate_double(p, dim, phase)
             if residual < spectral.DEFAULT_RESIDUAL_CAP:
                 assert value == row[l], (k, n, l)
-            value, residual = spectral._evaluate_arbitrary(p, dim, phase, required_bits(p))
+            value, residual = arbitrary(p, dim, phase, required_bits(p))
             assert value == row[l] and residual < spectral.DEFAULT_RESIDUAL_CAP, (k, n, l)
-            result = spectral._certify(p, offset)
+            result = ladder(p, offset)
             assert (result.value, result.dim) == (row[l], route_dim(p, offset)), (k, n, l)
 
 
@@ -451,7 +467,7 @@ def test_one_odd_dimension_less_aliases_a_second_coefficient(k):
             phase = None if offset == 0 else offset % dim
             aliased = [t for t in range(-k * n, k * n + 1) if (t - offset) % dim == 0]
             assert len(aliased) >= 2, (k, n, l, dim)
-            value, residual = spectral._evaluate_arbitrary(p, dim, phase, required_bits(p))
+            value, residual = arbitrary(p, dim, phase, required_bits(p))
             assert residual < spectral.DEFAULT_RESIDUAL_CAP, (k, n, l, dim)
             assert value == sum(row[k * n + t] for t in aliased) > row[l], (k, n, l, dim)
 
@@ -594,10 +610,20 @@ def test_a_run_of_one_is_the_ladder_alone(k, n):
     rungs = [("double", 53, residual)]
     if residual >= spectral.DEFAULT_RESIDUAL_CAP:
         bits = required_bits(p)
-        value, residual = spectral._evaluate_arbitrary(p, dim, None, bits)
+        value, residual = arbitrary(p, dim, None, bits)
         rungs.append(("arbitrary", bits, residual))
     assert (result.value, result.residual, result.dim, result.rungs) == (value, residual, dim, tuple(rungs))
     assert result.escalations == len(rungs) - 1
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_the_centre_is_the_central_run(k):
+    # coefficient_via_spectrum at l = kn is central_via_spectrum, field by
+    # field (value, residual, rung, dim, rungs), on both sides of the
+    # double-to-ball crossing and at n = 0.
+    for n in range(61):
+        p = Params(k, n)
+        assert coefficient_via_spectrum(p, k * n) == central_via_spectrum(p), (k, n)
 
 
 def _hex(values):
@@ -746,6 +772,33 @@ def test_weighting_radius_encloses_the_phase_sums(monkeypatch, cut):
         mpmath.iv.prec = prec
 
 
+@pytest.mark.parametrize("k, n", [(1, 60), (3, 40)])
+def test_slack_holds_the_terms_left_out(monkeypatch, k, n):
+    # A row spectrum that leaves out every other powered term and charges
+    # each to the slack as _row_spectrum charges a term below one ulp, by
+    # its doubled magnitude at scale 2^F: every sum of the row, each phase
+    # and the centre, must still enclose the exact coefficient.  The terms
+    # left out are far above one ulp, so a radius that drops the slack
+    # misses them.  At the centre, with n even, every term left out is
+    # positive and the bound is tight; the residual is the exact bound
+    # over N rounded to a float, so it is allowed one ulp.
+    p = Params(k, n)
+    bits = required_bits(p)
+    row_spectrum = spectral._row_spectrum
+
+    def thinned(*args):
+        for terms, slack in row_spectrum(*args):
+            slack += sum(2 * (abs(x) + rx) << (bits - g) for _, x, rx, g in terms[1::2])
+            yield terms[::2], slack
+
+    monkeypatch.setattr(spectral, "_row_spectrum", thinned)
+    row = expand_power(p).coeffs
+    for l in range(p.degree + 1):
+        phase = None if l == k * n else (l - k * n) % p.dim
+        value, residual = arbitrary(p, p.dim, phase, bits)
+        assert abs(row[l] - value) <= residual + math.ulp(residual), (k, n, l)
+
+
 @settings(max_examples=200, deadline=None)
 @given(x=st.integers(-(2**90), 2**90), rx=st.integers(0, 2**40), shift=st.integers(0, 80))
 def test_ball_down_encloses_both_ends(x, rx, shift):
@@ -862,11 +915,11 @@ def test_cheap_rungs_agree_with_the_ball_rung(k, n, where):
         value, residual = spectral._evaluate_double(p, dim, phase)
         if residual >= spectral.DEFAULT_RESIDUAL_CAP:
             continue
-        proven, radius = spectral._evaluate_arbitrary(p, dim, phase, required_bits(p))
+        proven, radius = arbitrary(p, dim, phase, required_bits(p))
         assert radius < spectral.DEFAULT_RESIDUAL_CAP
         assert value == proven, (k, n, l, dim)
         if dim == route_dim(p, offset):
-            result = spectral._certify(p, offset)
+            result = ladder(p, offset)
             assert result.policy_used.strategy == "double"
             assert result.dim == dim
 
