@@ -306,7 +306,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _clear_route_caches() -> None:
-    """Empty the routes' functools caches, so a timed repetition starts cold."""
+    """Empty the routes' functools caches, so a timed repetition starts cold.
+
+    ``spectral._PI``, Machin's pi at the widest scale asked for so far, is
+    a module global, not a functools cache: it outlives this, so only the
+    first repetition at a new widest scale pays for it.
+    """
     for module in (circulant, exact, spectral):
         for value in vars(module).values():
             clear = getattr(value, "cache_clear", None)
@@ -401,6 +406,7 @@ def cmd_oeis(args: argparse.Namespace) -> int:
             "expected": decimal(report.expected[i]),
             "computed": decimal(report.computed[i]),
             "equal": report.matches[i],
+            **({} if report.matches[i] else {"spectral": decimal(report.spectral[i])}),
         }
         for i in range(report.count)
     ]
@@ -424,9 +430,13 @@ def cmd_oeis(args: argparse.Namespace) -> int:
     else:
         n = report.first_mismatch
         i = n - report.start_n
+        trace, proven = report.computed[i], report.spectral[i]
+        computed = decimal(trace)
+        if trace != proven:
+            computed = f"trace {computed}, spectral {decimal(proven)}"
         plain = [
             f"{report.oeis_id} k={report.k}: mismatch at n={n}: sequence has "
-            f"{decimal(report.expected[i])}, computed {decimal(report.computed[i])} ({source})"
+            f"{decimal(report.expected[i])}, computed {computed} ({source})"
         ]
     _emit(records, plain, args.format)
     return 0 if report.all_equal else 1

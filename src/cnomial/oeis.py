@@ -114,9 +114,9 @@ class ComparisonReport(NamedTuple):
     """Outcome of checking recomputed terms against a sequence record.
 
     ``computed[i]`` is M^(2k, start_n + i) obtained from the trace path and
-    cross-checked against the spectral path; ``matches[i]`` is True when
-    both paths and the record agree.  Mismatches are report content, not
-    errors.
+    ``spectral[i]`` the same term from the spectral path; ``matches[i]`` is
+    True when both paths and the record agree.  Mismatches are report
+    content, not errors.
     """
 
     oeis_id: str
@@ -125,6 +125,7 @@ class ComparisonReport(NamedTuple):
     expected: tuple[int, ...]
     computed: tuple[int, ...]
     matches: tuple[bool, ...]
+    spectral: tuple[int, ...] = ()
 
     @property
     def count(self) -> int:
@@ -352,11 +353,11 @@ def compare(record: SequenceRecord, k: int, count: int) -> ComparisonReport:
         )
     expected = record.terms[:count]
     first = record.offset
-    spectra = central_run(k, first, first + count - 1)
+    spectral = [result.value for result in central_run(k, first, first + count - 1)]
     computed = [central_via_trace(Params(k, first + i)) for i in range(count)]
     matches = [
-        via_trace == want == via_spectrum.value
-        for via_trace, via_spectrum, want in zip(computed, spectra, expected)
+        via_trace == want == via_spectrum
+        for via_trace, via_spectrum, want in zip(computed, spectral, expected)
     ]
     return ComparisonReport(
         oeis_id=record.oeis_id,
@@ -365,4 +366,5 @@ def compare(record: SequenceRecord, k: int, count: int) -> ComparisonReport:
         expected=tuple(expected),
         computed=tuple(computed),
         matches=tuple(matches),
+        spectral=tuple(spectral),
     )

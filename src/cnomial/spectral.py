@@ -21,12 +21,13 @@ pre-rounding distance from the nearest integer plus a bound on the
 evaluation error, required to stay under a cap.  The bound matters: once
 terms outgrow the mantissa the measured distance alone is blind (above
 2^53 every double is an integer).  The ladder has two rungs, and the code
-chooses: the double rung, with a forward error bound, runs where that
-bound can reach the cap; when it does not certify, the arbitrary rung
-evaluates the sum in fixed-point ball arithmetic at :func:`required_bits`,
-whose radius encloses every rounding, each term at the width its size
-needs.  Its sines are seeded in integers alone (Machin's pi and the sine
-series), so the module needs only the standard library.
+chooses: the double rung, with a forward error bound, runs where the floor
+of that bound is below the cap, so no power overflows (:func:`_double_rung`);
+when it does not certify, the arbitrary rung evaluates the sum in
+fixed-point ball arithmetic at :func:`required_bits`, whose radius encloses
+every rounding, each term at the width its size needs.  Its sines are
+seeded in integers alone (Machin's pi and the sine series), so the module
+needs only the standard library.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ import math
 from collections.abc import Iterator
 from functools import lru_cache
 from itertools import repeat
-from math import inf, pi, sin
+from math import pi, sin
 from operator import lshift, mul, neg, rshift
 from typing import NamedTuple
 
@@ -121,26 +122,6 @@ def required_bits(params: Params) -> int:
     return magnitude.bit_length() + (params.dim - 1).bit_length() + GUARD_BITS
 
 
-def _round_with_residual(quotient: float) -> tuple[int, float]:
-    if not math.isfinite(quotient):
-        return 0, math.inf
-    nearest = round(quotient)
-    return int(nearest), abs(quotient - nearest)
-
-
-def _pow(base: float, n: int) -> float:
-    """``base ** n`` with C ``pow()`` overflow semantics: saturate to ±inf.
-
-    CPython raises OverflowError where libm returns ±HUGE_VAL; saturating
-    lets callers treat a non-finite sum as "escalate precision" rather than
-    a crash.
-    """
-    try:
-        return base**n
-    except OverflowError:
-        return -inf if (base < 0.0 and n % 2) else inf
-
-
 @lru_cache(maxsize=32)
 def _sine_table(dim: int) -> tuple[float, ...]:
     """The half-table s_j = sin(j pi/N), j = 0..floor(N/2), the double rung's only sines.
@@ -193,16 +174,11 @@ def _double_spectrum(params: Params, dim: int) -> tuple[tuple[float, ...], float
     both symmetric about N/2 when 2k+1 is odd), so each pair of the full
     sum over r = 1..N-1 is one doubled term, and the doubling is exact.
     A = sum |term|.  Neither depends on the phase, so every coefficient of
-    a row reads the same ones; cached per (k, n, N).  Where a power
-    overflows, every entry is formed again by :func:`_pow`, which
-    saturates it.
+    a row reads the same ones; cached per (k, n, N).  :func:`_double_rung`
+    asks for them only where its gate holds every power finite.
     """
     n, base = params.n, float(params.width)
-    ratios = _ratio_row(params.width, dim)
-    try:
-        powers = (base**n, *[2.0 * ratio**n for ratio in ratios])
-    except OverflowError:
-        powers = (_pow(base, n), *[2.0 * _pow(ratio, n) for ratio in ratios])
+    powers = (base**n, *[2.0 * ratio**n for ratio in _ratio_row(params.width, dim)])
     return powers, sum(map(abs, powers), 0.0)
 
 
@@ -225,8 +201,7 @@ def _double_sum(powers: tuple[float, ...], dim: int, phase: int | None) -> float
     is fixed: 0.0, the (2k+1)^n term, then r ascending (a phase's sum
     starts at that term, which is 0.0 plus it exactly).  ``sum`` of
     floats adds left to right before Python 3.12 and with compensation
-    from 3.12 on; the forward bound of :func:`_evaluate_double` covers
-    both.
+    from 3.12 on; the forward bound of :func:`_double_rung` covers both.
     """
     if phase is None:
         return sum(powers, 0.0)
@@ -235,13 +210,25 @@ def _double_sum(powers: tuple[float, ...], dim: int, phase: int | None) -> float
     return sum(map(mul, powers[1:], gathered), powers[0])
 
 
-def _evaluate_double(params: Params, dim: int, phase: int | None) -> tuple[int, float]:
-    """The spectral sum at the odd dimension ``dim`` in doubles, with a forward error bound."""
+def _double_rung(params: Params, dim: int, phase: int | None) -> tuple[int, float]:
+    """The spectral sum at the odd dimension ``dim`` in doubles, with a forward error bound.
+
+    The bound is at least the floor (2k+1)^n (10n + 2) u / N (below): where
+    that reaches the cap, nothing is evaluated and the rung is recorded as
+    tried, with residual inf.  Below the cap, (2k+1)^n < 2^51 N and
+    |E_r| <= 2k+1 up to a factor 1 + O(nu), so every term 2 E_r^n is below
+    2^52 N: no power overflows, and the mass, the sum and the bound stay
+    finite for any N below 2^320, far past any sine table in memory.
+    """
+    try:
+        double_floor = float(params.width) ** params.n * (10 * params.n + 2) * _EPS / dim
+    except OverflowError:  # (2k+1)^n is past the largest double
+        return 0, math.inf
+    if double_floor >= DEFAULT_RESIDUAL_CAP:
+        return 0, math.inf
     powers, mass = _double_spectrum(params, dim)
     quotient = _double_sum(powers, dim, phase) / dim
-    value, measured = _round_with_residual(quotient)
-    if not math.isfinite(quotient) or not math.isfinite(mass):
-        return value, math.inf
+    value = round(quotient)
     # Forward error bound on the quotient in units of u = 2^-53, charged
     # against the cosine-free mass A = sum |(2k+1)^n| + 2 |E_r|^n, which also
     # bounds the weighted terms (|w_r| <= 1):
@@ -249,9 +236,8 @@ def _evaluate_double(params: Params, dim: int, phase: int | None) -> tuple[int, 
     #   quotient u each; x cot x <= 1 on [0, pi/2] passes those 2.35u on to
     #   s_j at most unchanged, and libm's sine adds one ulp (2u): 4.35u.
     # - E_r: two entries and one division, 9.7u; the fold and the sign are
-    #   exact.  E_r^n multiplies that by n and pow adds an ulp, and the
-    #   doubling is exact: (9.7n + 2)u per term, rounded up to 10n + 2 to
-    #   cover second-order terms.
+    #   exact.  E_r^n multiplies that by n and pow adds an ulp; the doubling
+    #   is exact: (9.7n + 2)u per term, 10n + 2 with second-order terms.
     # - w_r = 1 - 2 s_j^2: s_j^2 is within 9.7u relative and below 1, so
     #   2 s_j^2 is within 19.4u absolute and the subtraction adds u.  This
     #   error is absolute: where w_r ~ 0 it is no fraction of E_r^n w_r.
@@ -259,13 +245,12 @@ def _evaluate_double(params: Params, dim: int, phase: int | None) -> tuple[int, 
     #   (10n + 2 + 21.4)u of |E_r^n|: 22 more units per term.
     # - Summation: left-to-right accumulation of len(powers) terms costs at
     #   most one u of A per addition; compensated summation costs less.
-    # - Division by N and the quantization of the quotient itself cost one
-    #   ulp of the quotient, which is what keeps the certificate honest
-    #   above 2^53.
+    # - Division by N and the quotient's own quantization cost one ulp of
+    #   the quotient, which keeps the certificate honest above 2^53.
     per_term = 10.0 * params.n + (2.0 if phase is None else 24.0)
     bound = mass * (per_term + len(powers) + 1) * _EPS / dim
     bound += math.ulp(abs(quotient))
-    return value, measured + bound
+    return value, abs(quotient - value) + bound
 
 
 #: (bits, mid, rad): a ball around 2^bits pi at the widest scale asked for so far.
@@ -617,12 +602,16 @@ def _phase_form(params: Params, dim: int, bits: int) -> tuple[_RowForm, tuple[in
 
 
 def _rounded(total: int, radius: int, scale: int) -> tuple[int, float]:
-    """The integer nearest total / scale, and the distance from it widened by radius / scale."""
+    """The integer v nearest total / scale, and the least double >= (|total - v scale| + radius) / scale."""
     value = (2 * total + scale) // (2 * scale)
+    distance = abs(total - value * scale) + radius
     try:
-        residual = (abs(total - value * scale) + radius) / scale
+        residual = distance / scale
     except OverflowError:
-        residual = math.inf
+        return value, math.inf
+    numerator, denominator = residual.as_integer_ratio()
+    if numerator * scale < distance * denominator:  # int / int rounds to nearest: one step up
+        residual = math.nextafter(residual, math.inf)
     return value, residual
 
 
@@ -671,20 +660,6 @@ def _evaluate_arbitrary(params: Params, dim: int, phase: int, bits: int) -> tupl
     total = sum(map(lshift, map(mul, row.xs, map(rshift, weights, row.cuts)), ups))
     total += params.width**params.n << shift
     return _rounded(total, radius, dim << shift)
-
-
-def _double_rung(params: Params, dim: int, phase: int | None) -> tuple[int, float]:
-    """:func:`_evaluate_double` where its bound can certify; else (0, inf), not evaluated.
-
-    The double rung's bound is at least this floor: its mass holds
-    (2k+1)^n and every term is charged (10n + 2)u (see
-    :func:`_evaluate_double`).  Where the floor reaches the cap, the rung
-    is still recorded as tried, with residual inf.
-    """
-    double_floor = _pow(float(params.width), params.n) * (10 * params.n + 2) * _EPS / dim
-    if double_floor < DEFAULT_RESIDUAL_CAP:
-        return _evaluate_double(params, dim, phase)
-    return 0, math.inf
 
 
 def _certified(

@@ -81,7 +81,7 @@ def test_acceptance_3_golden_ratio_anchor(capsys):
     by_hand = (9.0 + phi**2 + phi**-2 + phi**-2 + phi**2) / 5.0
     # The golden-ratio sum is the paper's N = 5; the route's central sum
     # runs at N = 3.
-    paper_value, paper_residual = spectral._evaluate_double(params, params.dim, None)
+    paper_value, paper_residual = spectral._double_rung(params, params.dim, None)
     result = spectral.central_via_spectrum(params)
     ok = (spectrum_ok
           and _close(by_hand, 3.0, 1e-14)
@@ -172,7 +172,7 @@ def test_acceptance_5_structural_invariants(capsys):
 def test_acceptance_6_escalation_recovers_wide_case(capsys):
     params = Params(1, 60)
     needs = spectral.required_bits(params)
-    _, double_residual = spectral._evaluate_double(
+    _, double_residual = spectral._double_rung(
         params, spectral.dimension(params, 0), None)
     result = spectral.central_via_spectrum(params)
     oracle = exact.central_coefficient(params)

@@ -548,6 +548,27 @@ def test_oeis_cross_sequence_mismatch(capsys):
     assert "sequence has 3, computed 5" in out
 
 
+def test_oeis_mismatch_names_both_routes(capsys, monkeypatch):
+    # The spectral run alone disagrees at n = 3: the plain line and the
+    # unequal record give both routes' values, not the trace value twice.
+    real = oeis.central_run
+
+    def run_off_by_one(k, first, last):
+        return [result._replace(value=result.value + (first + i == 3))
+                for i, result in enumerate(real(k, first, last))]
+
+    monkeypatch.setattr(oeis, "central_run", run_off_by_one)
+    code, out, _ = run(capsys, "oeis", "--k", "1", "--count", "5", "--offline")
+    assert code == 1
+    assert out == "A002426 k=1: mismatch at n=3: sequence has 7, computed trace 7, spectral 8 (fixture)\n"
+    code, out, _ = run(capsys, "oeis", "--k", "1", "--count", "5", "--offline", "--format", "json-lines")
+    assert code == 1
+    comparisons = [r for r in json_lines(out) if r["type"] == "comparison"]
+    assert comparisons[3] == {"type": "comparison", "oeis_id": "A002426", "k": 1, "n": 3,
+                              "expected": "7", "computed": "7", "equal": False, "spectral": "8"}
+    assert ["spectral" in r for r in comparisons] == [False, False, False, True, False]
+
+
 def test_oeis_json_records(capsys):
     code, out, _ = run(capsys, "oeis", "--k", "3", "--count", "4", "--offline",
                        "--format", "json-lines")
@@ -605,7 +626,7 @@ BIG_DIGITS = "7" + "0" * 4998 + "3"
         (["sequence", "--k", "1", "--count", "1", "--start-n", "3",
           "--method", "trace"], 0, BIG_DIGITS),
         (["oeis", "--k", "1", "--count", "4", "--offline"], 1,
-         f"A002426 k=1: mismatch at n=3: sequence has 7, computed {BIG_DIGITS} (fixture)"),
+         f"A002426 k=1: mismatch at n=3: sequence has 7, computed trace {BIG_DIGITS}, spectral 7 (fixture)"),
     ],
     ids=["compute", "sequence", "oeis"],
 )

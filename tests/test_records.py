@@ -34,7 +34,7 @@ RECORDS = [
         ComparisonReport,
         {"oeis_id": "A002426", "k": 1, "start_n": 0, "expected": (1, 1),
          "computed": (1, 1), "matches": (True, True)},
-        {},
+        {"spectral": ()},
         {"matches": (True, False)},
     ),
 ]

@@ -156,7 +156,7 @@ def test_central_anchor_golden_ratio():
     # the paper's N = 5.  The route sums at N = 3, where (9 + 0 + 0) / 3 = 3.
     assert abs((9 + 2 * (PHI**2 + PHI**-2)) / 5 - 3) < 1e-12
     p = Params(1, 2)
-    value, residual = spectral._evaluate_double(p, p.dim, None)
+    value, residual = spectral._double_rung(p, p.dim, None)
     assert value == 3 and residual < 1e-9
     result = central_via_spectrum(p)
     assert result.value == 3
@@ -238,7 +238,7 @@ def test_escalation_to_arbitrary():
     # 3^60 dwarfs 2^53: the double pass cannot certify and must escalate
     p = Params(1, 60)
     assert required_bits(p) > 52
-    _, residual = spectral._evaluate_double(p, dimension(p, 0), None)
+    _, residual = spectral._double_rung(p, dimension(p, 0), None)
     assert residual >= 0.25
     result = central_via_spectrum(p)
     assert result.escalations >= 1
@@ -305,7 +305,7 @@ def test_every_certifying_rung_is_exact(k):
             dim = dimension(p, offset or 0)
             phase = None if offset is None else offset % dim
             for strategy, (value, residual) in (
-                ("double", spectral._evaluate_double(p, dim, phase)),
+                ("double", spectral._double_rung(p, dim, phase)),
                 ("arbitrary", arbitrary(p, dim, phase, required_bits(p))),
             ):
                 if residual < spectral.DEFAULT_RESIDUAL_CAP:
@@ -323,9 +323,9 @@ def test_double_rungs_skipped_where_they_cannot_certify(monkeypatch):
     # 3^800 alone puts the double bound past the cap: the ladder records
     # the rung as tried, with residual inf, and never evaluates it.
     calls = []
-    evaluate = spectral._evaluate_double
+    spectrum = spectral._double_spectrum
     monkeypatch.setattr(
-        spectral, "_evaluate_double", lambda *args: calls.append(args) or evaluate(*args)
+        spectral, "_double_spectrum", lambda *args: calls.append(args) or spectrum(*args)
     )
     p = Params(1, 800)
     result = central_via_spectrum(p)
@@ -334,6 +334,38 @@ def test_double_rungs_skipped_where_they_cannot_certify(monkeypatch):
     assert result.rungs[1][:2] == ("arbitrary", required_bits(p))
     assert result.escalations == 1
     assert result.value == central_coefficient(p)
+
+
+#: k -> the largest n the double rung's floor admits, at the centre's
+#: smallest N and at the paper's 2kn+1.
+GATE_EDGES = {1: (30, 30), 2: (20, 21), 3: (17, 17), 4: (15, 15), 5: (14, 14),
+              6: (13, 13), 7: (12, 13), 8: (12, 12), 9: (11, 12), 10: (11, 11)}
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_the_gate_admits_finite_double_sums_only(monkeypatch, k):
+    # At the largest n the floor admits, the rung forms its powers, and
+    # every power and the mass are finite; at the next n it returns (0,
+    # inf) without forming any.  Both N: the centre's, and the paper's
+    # with a phase.
+    calls = []
+    spectrum = spectral._double_spectrum
+    monkeypatch.setattr(
+        spectral, "_double_spectrum", lambda *args: calls.append(args) or spectrum(*args)
+    )
+    for last, paper in zip(GATE_EDGES[k], (False, True)):
+        for n in (last, last + 1):
+            p = Params(k, n)
+            dim, phase = (p.dim, 1) if paper else (dimension(p, 0), None)
+            del calls[:]
+            value, residual = spectral._double_rung(p, dim, phase)
+            if n == last:
+                assert calls == [(p, dim)], (k, n, dim)
+                powers, mass = spectrum(p, dim)
+                assert all(map(math.isfinite, powers)) and math.isfinite(mass), (k, n, dim)
+                assert math.isfinite(residual), (k, n, dim)
+            else:
+                assert calls == [] and (value, residual) == (0, math.inf), (k, n, dim)
 
 
 @pytest.mark.parametrize("k", range(1, 6))
@@ -444,7 +476,7 @@ def test_every_rung_is_exact_at_the_smallest_dimension(k):
             offset = None if l == k * n else l - k * n
             dim = dimension(p, offset or 0)
             phase = None if offset is None else offset % dim
-            value, residual = spectral._evaluate_double(p, dim, phase)
+            value, residual = spectral._double_rung(p, dim, phase)
             if residual < spectral.DEFAULT_RESIDUAL_CAP:
                 assert value == row[l], (k, n, l)
             value, residual = arbitrary(p, dim, phase, required_bits(p))
@@ -630,16 +662,23 @@ def _hex(values):
     return [value.hex() for value in values]
 
 
+def saturating_pow(base, n):
+    """``base ** n``, saturated to +-inf where the float power overflows."""
+    try:
+        return base**n
+    except OverflowError:
+        return -math.inf if (base < 0.0 and n % 2) else math.inf
+
+
 @settings(max_examples=40, deadline=None)
-@given(k=st.integers(1, 5), half=st.integers(1, 200), n=st.integers(0, 400))
+@given(k=st.integers(1, 5), half=st.integers(1, 200), n=st.integers(0, 280))
 @example(k=1, half=1, n=1)  # N = 3 = 2k+1: every numerator folds onto s_0
-@example(k=5, half=200, n=400)  # 11^400 overflows: every power by _pow
-@example(k=2, half=7, n=297)  # 5^297 fits, 2 E_r^n does not
 def test_double_rung_passes_match_per_entry_loops(k, half, n):
     # The ratios, the powers and their mass, and the sum at every phase,
     # against a per-entry loop that forms each entry as the route
-    # defines it, bit for bit (signed zeros and infinities included).
-    # Both sides add the same floats in the same order with sum().
+    # defines it, bit for bit (signed zeros included).  n <= 280 keeps
+    # 11^n and every 2 |E_r|^n finite, gate or no gate.  Both sides add
+    # the same floats in the same order with sum().
     dim, m = 2 * half + 1, 2 * k + 1
     sines = spectral._sine_table(dim)
     ratios = []
@@ -649,7 +688,7 @@ def test_double_rung_passes_match_per_entry_loops(k, half, n):
         ratios.append(sign * sines[min(t, dim - t)] / sines[r])
     assert _hex(spectral._ratios(m, sines)) == _hex(ratios)
     p = Params(k, n)
-    powers = [spectral._pow(float(m), n)] + [2.0 * spectral._pow(ratio, n) for ratio in ratios]
+    powers = [saturating_pow(float(m), n)] + [2.0 * saturating_pow(ratio, n) for ratio in ratios]
     terms, mass = spectral._double_spectrum(p, dim)
     assert _hex(terms) == _hex(powers)
     assert mass.hex() == sum([abs(power) for power in powers], 0.0).hex()
@@ -780,8 +819,8 @@ def test_slack_holds_the_terms_left_out(monkeypatch, k, n):
     # and the centre, must still enclose the exact coefficient.  The terms
     # left out are far above one ulp, so a radius that drops the slack
     # misses them.  At the centre, with n even, every term left out is
-    # positive and the bound is tight; the residual is the exact bound
-    # over N rounded to a float, so it is allowed one ulp.
+    # positive and the bound is tight, and the residual is the smallest
+    # double at or above it.
     p = Params(k, n)
     bits = required_bits(p)
     row_spectrum = spectral._row_spectrum
@@ -796,7 +835,18 @@ def test_slack_holds_the_terms_left_out(monkeypatch, k, n):
     for l in range(p.degree + 1):
         phase = None if l == k * n else (l - k * n) % p.dim
         value, residual = arbitrary(p, p.dim, phase, bits)
-        assert abs(row[l] - value) <= residual + math.ulp(residual), (k, n, l)
+        assert abs(row[l] - value) <= residual, (k, n, l)
+
+
+@settings(max_examples=200, deadline=None)
+@given(total=st.integers(-(2**300), 2**300), radius=st.integers(0, 2**200),
+       scale=st.integers(1, 2**250))
+def test_rounded_residual_is_the_least_double_above_the_bound(total, radius, scale):
+    value, residual = spectral._rounded(total, radius, scale)
+    assert abs(Fraction(total, scale) - value) <= Fraction(1, 2)
+    bound = Fraction(abs(total - value * scale) + radius, scale)
+    assert Fraction(residual) >= bound
+    assert residual == 0.0 or Fraction(math.nextafter(residual, 0.0)) < bound
 
 
 @settings(max_examples=200, deadline=None)
@@ -912,7 +962,7 @@ def test_cheap_rungs_agree_with_the_ball_rung(k, n, where):
     offset = None if l == k * n else l - k * n
     for dim in (p.dim, dimension(p, offset or 0)):
         phase = None if offset is None else offset % dim
-        value, residual = spectral._evaluate_double(p, dim, phase)
+        value, residual = spectral._double_rung(p, dim, phase)
         if residual >= spectral.DEFAULT_RESIDUAL_CAP:
             continue
         proven, radius = arbitrary(p, dim, phase, required_bits(p))
@@ -938,7 +988,7 @@ def test_double_rung_bound_holds_the_true_error():
                 offset = None if l == k * n else l - k * n
                 for dim in (p.dim, dimension(p, offset or 0)):
                     phase = None if offset is None else offset % dim
-                    value, residual = spectral._evaluate_double(p, dim, phase)
+                    value, residual = spectral._double_rung(p, dim, phase)
                     if not math.isfinite(residual):
                         continue
                     powers, _ = spectral._double_spectrum(p, dim)
@@ -952,13 +1002,17 @@ def test_double_rung_bound_holds_the_true_error():
 
 def plain_double_rung(p, dim, phase):
     """The double rung by plain loops, each sum left to right from 0.0: the
-    reference the route's whole-row passes must match bit for bit."""
+    reference the route's whole-row passes must match bit for bit.  The
+    same floor gates it: where that reaches the cap, nothing is summed."""
+    floor = saturating_pow(float(p.width), p.n) * (10 * p.n + 2) * 2.0**-53 / dim
+    if floor >= spectral.DEFAULT_RESIDUAL_CAP:
+        return 0, math.inf
     sines = [0.0] + [math.sin((math.pi * j) / dim) for j in range(1, dim // 2 + 1)]
-    terms = [spectral._pow(float(p.width), p.n)]
+    terms = [float(p.width) ** p.n]
     for r in range(1, dim // 2 + 1):
         t = p.width * r % (2 * dim)
         sign, t = (1, t) if t < dim else (-1, t - dim)
-        terms.append(2.0 * spectral._pow(sign * sines[min(t, dim - t)] / sines[r], p.n))
+        terms.append(2.0 * (sign * sines[min(t, dim - t)] / sines[r]) ** p.n)
     mass = 0.0
     for term in terms:
         mass = mass + abs(term)
@@ -971,11 +1025,7 @@ def plain_double_rung(p, dim, phase):
     for term in terms:
         total = total + term
     quotient = total / dim
-    if not math.isfinite(quotient):
-        return 0, math.inf
     value = round(quotient)
-    if not math.isfinite(mass):
-        return value, math.inf
     per_term = 10.0 * p.n + (2.0 if phase is None else 24.0)
     bound = mass * (per_term + len(terms) + 1) * 2.0**-53 / dim + math.ulp(abs(quotient))
     return value, abs(quotient - value) + bound
@@ -994,7 +1044,7 @@ def test_double_rung_matches_plain_loops():
                 for dim in (p.dim, dimension(p, offset or 0)):
                     phase = None if offset is None else offset % dim
                     expected = plain_double_rung(p, dim, phase)
-                    assert spectral._evaluate_double(p, dim, phase) == expected, (k, n, l, dim)
+                    assert spectral._double_rung(p, dim, phase) == expected, (k, n, l, dim)
 
 
 def test_certified_residual_nonnegative():

@@ -16,6 +16,10 @@ on PYTHONPATH and compare.  The grid, one group each:
 - ``sequence-long``: ``--method spectral`` for k 1-5, 40 terms from n = 0
   and from n = 25, plain and json-lines: runs whose double rung escalates
   part way through the window;
+- ``double-gate``: k 1-10, n from one below the largest n the double
+  rung's gate admits to two above (:data:`GATE_EDGES`), at l = kn, 0 and
+  kn + 1, ``--method all``, json-lines: records that print ``strategy``,
+  ``escalations`` and ``residual``, so a moved gate changes the digest;
 - ``oeis``: ``--offline`` for each registered id and k, counts 1-10,
   every format, and the count past the fixture;
 - ``verify``: grids k-max 1-4 by n-max, with no ``--seed`` and with three;
@@ -46,6 +50,10 @@ KS = range(1, 6)
 NS = range(0, 41)
 FORMATS = ("plain", "csv", "json-lines")
 OEIS = {"A002426": 1, "A005191": 2, "A025012": 3}
+#: k -> the largest n the double rung's gate admits, at the centre's smallest
+#: N and at the 2kn+1 of every other l.
+GATE_EDGES = {1: (30, 30), 2: (20, 21), 3: (17, 17), 4: (15, 15), 5: (14, 14),
+              6: (13, 13), 7: (12, 13), 8: (12, 12), 9: (11, 12), 10: (11, 11)}
 
 
 def _compute_central() -> list[list[str]]:
@@ -80,6 +88,13 @@ def _sequence_long() -> list[list[str]]:
     return [["sequence", "--k", str(k), "--start-n", str(start), "--count", "40",
              "--method", "spectral", "--format", fmt]
             for k in KS for start in (0, 25) for fmt in ("plain", "json-lines")]
+
+
+def _double_gate() -> list[list[str]]:
+    return [["compute", "--k", str(k), "--n", str(n), "--l", str(l), "--method", "all",
+             "--format", "json-lines"]
+            for k, edges in GATE_EDGES.items() for n in range(min(edges) - 1, max(edges) + 3)
+            for l in (k * n, 0, k * n + 1)]
 
 
 def _oeis() -> list[list[str]]:
@@ -127,6 +142,7 @@ GROUPS = {
     "compute-large": _compute_large,
     "sequence": _sequence,
     "sequence-long": _sequence_long,
+    "double-gate": _double_gate,
     "oeis": _oeis,
     "verify": _verify,
     "errors": _errors,
