@@ -387,9 +387,8 @@ def cmd_oeis(args: argparse.Namespace) -> int:
         if k is None:
             raise ValueError(f"{oeis_id} is not registered; pass --k")
 
-    if args.offline and oeis.fixture_for_id(oeis_id) is not None:
-        record = oeis.fixture_for_id(oeis_id)
-    else:
+    record = oeis.fixture_for_id(oeis_id) if args.offline else None
+    if record is None:
         try:
             record = oeis.fetch_bfile(oeis_id, args.count, offline=args.offline)
         except oeis.FetchError as error:

@@ -16,6 +16,7 @@ and each l only weights those powers by its phase.  The trace route keeps
 2kn+1 too.  Every rung evaluates the sum from one half-table of sines,
 s_j = sin(j pi/N) for j <= N/2: numerators read it mirrored and signed,
 E_r = E_{N-r} pairs the terms, and the phase cosine is 1 - 2 s_j^2.  The
+arbitrary rung builds its table once per sum and keeps one row.  The
 sums are rounded back to integers, so every result carries a certificate: the
 pre-rounding distance from the nearest integer plus a bound on the
 evaluation error, required to stay under a cap.  The bound matters: once
@@ -182,7 +183,7 @@ def _double_spectrum(params: Params, dim: int) -> tuple[tuple[float, ...], float
     return powers, sum(map(abs, powers), 0.0)
 
 
-@lru_cache(maxsize=2)
+@lru_cache(maxsize=1)
 def _phase_weights(dim: int) -> tuple[float, ...]:
     """w_i = cos(2 pi i/N) = 1 - 2 s_{min(i, N-i)}^2, i = 0..N-1, from the half-table.
 
@@ -335,32 +336,32 @@ def _seed(dim: int, bits: int) -> tuple[tuple[int, int], tuple[int, int]]:
     return _ball_within(c, 2 * rs + 1, shift), _ball_within(s, rs, shift)
 
 
-@lru_cache(maxsize=2)
 def _rotation_table(dim: int, bits: int) -> tuple[tuple[int, int], ...]:
     """Balls (S_j, R_j) around 2^bits sin(j pi/N), j = 0..floor(N/2).
 
     :func:`_chebyshev_sines` builds them e = 2 bitlen(floor(N/2)) + 2 bits
     wider, which holds its quadratic error growth to a few ulps here.
-    Cached per (N, F): the row spectrum and the cosine table read the same one.
+    Built once per sum, not cached: its callers pass it to
+    :func:`_row_spectrum` and :func:`_cosine_table`.
     """
     extra = 2 * (dim // 2).bit_length() + 2
     return tuple(_ball_down(x, rx, extra) for x, rx in _chebyshev_sines(dim, bits + extra))
 
 
-@lru_cache(maxsize=2)
-def _cosine_table(dim: int, bits: int) -> tuple[tuple[int, ...], int]:
+def _cosine_table(sines: tuple[tuple[int, int], ...], bits: int) -> tuple[tuple[int, ...], int]:
     """Midpoints around 2^bits cos(2 i pi/N), i = 0..N-1, and one radius for all of them.
 
-    Entry i <= N/2 is 2^bits - 2 floor(S_i^2 / 2^bits), from the rotation
-    table's ball (S_i, R_i) around 2^bits s_i, so the table shares its seed
-    and recurrence; cos(2 (N - i) pi/N) is the same value, so the upper
-    half mirrors the lower and a phase index needs no fold.  With R = max
-    R_i, |S_i| <= 2^bits + R and 2^bits s_i <= 2^bits, so |S_i^2 - 2^(2 bits)
-    s_i^2| <= R (2^(bits+1) + R); the floor costs under an ulp, so each
-    square is within floor(R (2^(bits+1) + R) / 2^bits) + 2, and the cosine
-    within twice that.  Cached per (N, F).
+    ``sines`` is the rotation table of N at F = ``bits``
+    (:func:`_rotation_table`), N = 2 len(sines) - 1.  Entry i <= N/2 is
+    2^bits - 2 floor(S_i^2 / 2^bits), from its ball (S_i, R_i) around
+    2^bits s_i, so the cosines share the powers' seed and recurrence;
+    cos(2 (N - i) pi/N) is the same value, so the upper half mirrors the
+    lower and a phase index needs no fold.  With R = max R_i, |S_i| <=
+    2^bits + R and 2^bits s_i <= 2^bits, so |S_i^2 - 2^(2 bits) s_i^2| <= R
+    (2^(bits+1) + R); the floor costs under an ulp, so each square is
+    within floor(R (2^(bits+1) + R) / 2^bits) + 2, and the cosine within
+    twice that.  Not cached: :func:`_phase_form` keeps the row's.
     """
-    sines = _rotation_table(dim, bits)
     rad = max(r for _, r in sines)
     half = [(1 << bits) - 2 * (s * s >> bits) for s, _ in sines]
     return tuple(half + half[:0:-1]), 2 * ((rad * ((2 << bits) + rad) >> bits) + 2)
@@ -488,23 +489,40 @@ def _below_ulp(q: int, rq: int, n: int, width: int) -> bool:
     return b < width and (width - b) * n >= width
 
 
-_Spectrum = tuple[tuple[tuple[int, int, int, int], ...], int]
+class _RowForm(NamedTuple):
+    """One n of a row spectrum (:func:`_row_spectrum`), as the sums read it.
+
+    Term i is the midpoint ``xs[i]`` around 2^g E_r^n, r = ``rs[i]``, at
+    its width g = F - ``cuts[i]``.  ``spread`` is sum rx 2^cut, at scale
+    2^F; ``slack`` is the radius of the terms left out below one ulp, at
+    2^F.
+    """
+
+    rs: tuple[int, ...]
+    xs: tuple[int, ...]
+    cuts: tuple[int, ...]
+    spread: int
+    slack: int
 
 
-def _row_spectrum(k: int, first: int, last: int, dim: int, bits: int) -> Iterator[_Spectrum | None]:
-    """The power balls E_r^n, r = 1..floor(N/2), at the odd dimension ``dim``, for n = first..last.
+def _row_spectrum(
+    k: int, first: int, last: int, sines: tuple[tuple[int, int], ...], bits: int
+) -> Iterator[_RowForm | None]:
+    """The power balls E_r^n, r = 1..floor(N/2), on the rotation table ``sines``, for n = first..last.
 
-    Yields one spectrum per n, 1 <= first <= last, or None for every n
-    where the table is too coarse to divide by (a sine ball holds 0).  In
-    a spectrum, entry (r, x, rx, g) is the ball (x, rx) around 2^g E_r^n
-    at its own width g = g_r.  An error of 2^-g_r in E_r grows to about n
+    ``sines`` is :func:`_rotation_table` of N at F = ``bits``, so N = 2
+    len(sines) - 1.  Yields one :class:`_RowForm` per n, 1 <= first <=
+    last, or None for every n where the table is too coarse to divide by
+    (a sine ball holds 0).  The ball (x, rx) around 2^g E_r^n is kept at
+    its own width g = g_r: the form holds x and the cut F - g, and adds
+    rx 2^cut to its spread.  An error of 2^-g_r in E_r grows to about n
     |E_r|^(n-1) 2^-g_r in E_r^n, and N such terms are summed, so g_r =
     bitlen(n) + bitlen(N) + GUARD_BITS + ceil((n - 1) log2 |E_r|) where
     |E_r| > 1, capped at ``bits``, at n = ``last``; log2 |E_r| is read off
     the table's midpoints.  A width only decides whether a sum
     certifies, never whether its radius encloses it, and the widths of
     the largest n serve every smaller one.  The terms below one ulp
-    (:func:`_below_ulp`) are left out; the second item is their radius,
+    (:func:`_below_ulp`) are left out; the slack is their radius,
     2^(bits - g_r + 1) each at scale 2^bits, doubled like every term for
     its pair E_r = E_{N-r}.
 
@@ -515,14 +533,14 @@ def _row_spectrum(k: int, first: int, last: int, dim: int, bits: int) -> Iterato
     :func:`_ball_pow`; each later n is one floor product y <- floor(y E_r
     / 2^g) of the n before, and its radius the closed form of
     :func:`_power_radius`.  The powers do not depend on the phase;
-    :func:`_phase_form` keeps a run of one, per row, in the form every
-    coefficient of the row reads.
+    :func:`_phase_form` keeps a run of one, per row, for every
+    coefficient of the row to read.
     """
-    sines = _rotation_table(dim, bits)
+    dim = 2 * len(sines) - 1
     mirrored = [*sines, *sines[:0:-1]]
     least = last.bit_length() + dim.bit_length() + GUARD_BITS
     live = []  # (r, E_r's midpoint and radius, g, the power of the n before)
-    for r in range(1, dim // 2 + 1):
+    for r in range(1, len(sines)):
         s, rs = sines[r]
         if s <= rs:
             yield from repeat(None, last - first + 1)
@@ -549,56 +567,36 @@ def _row_spectrum(k: int, first: int, last: int, dim: int, bits: int) -> Iterato
                 y = (y * x) >> g
                 ry = _power_radius(x, rx, y, n, g)
             kept.append((r, x, rx, g, y))
-            terms.append((r, y, ry, g))
+            terms.append((r, y, bits - g, ry << bits - g))
         live = kept
-        yield tuple(terms), slack
+        *columns, spreads = list(zip(*terms)) or [()] * 4
+        yield _RowForm(*columns, sum(spreads), slack)
 
 
-class _RowForm(NamedTuple):
-    """A row spectrum as the sums read it (:func:`_form`).
+@lru_cache(maxsize=1)
+def _phase_form(
+    params: Params, dim: int, bits: int
+) -> tuple[_RowForm, tuple[int, ...], tuple[int, ...], int] | None:
+    """What a phase's sum reads: the row form, the cosines, the shifts and the radius, or None.
 
-    Term i is the midpoint ``xs[i]`` around 2^g E_r^n, r = ``rs[i]``, at
-    its width g = F - ``cuts[i]``.  ``spread`` is sum rx 2^cut, at scale
-    2^F; ``slack`` is the radius of the terms left out below one ulp, at
-    2^F.
-    """
-
-    rs: tuple[int, ...]
-    xs: tuple[int, ...]
-    cuts: tuple[int, ...]
-    spread: int
-    slack: int
-
-
-def _form(spectrum: _Spectrum, bits: int) -> _RowForm:
-    """One spectrum of :func:`_row_spectrum` at scale 2^bits, as a :class:`_RowForm`."""
-    terms, slack = spectrum
-    rs, xs, rads, widths = list(zip(*terms)) or [()] * 4
-    cuts = tuple(bits - g for g in widths)
-    return _RowForm(rs, xs, cuts, sum(map(lshift, rads, cuts)), slack)
-
-
-@lru_cache(maxsize=8)
-def _phase_form(params: Params, dim: int, bits: int) -> tuple[_RowForm, tuple[int, ...], int] | None:
-    """What a phase's sum reads: the row form, its shifts and its radius, or None.
-
-    The row form is the spectrum of n alone (:func:`_row_spectrum`), None
-    where that is.  ``ups[i]`` = 2 cut + 1 takes term i's weighted product
-    from scale 2^(2g) to 2^(2F), doubled for the pair E_r = E_{N-r}.  The
-    radius, at 2^(2F), is the same for every phase of the row (see
-    :func:`_evaluate_arbitrary`).  Cached per (k, n, N, F): every
+    The row form (:func:`_row_spectrum` of n alone, None where that is)
+    and the cosines (:func:`_cosine_table`) come from one rotation table.
+    ``ups[i]`` = 2 cut + 1 takes term i's weighted product from scale
+    2^(2g) to 2^(2F), doubled for the pair E_r = E_{N-r}.  The radius, at
+    2^(2F), is the same for every phase of the row (see
+    :func:`_evaluate_arbitrary`).  Cached per (k, n, N, F), one row: every
     coefficient of a row reads the same one.
     """
-    spectrum = next(_row_spectrum(params.k, params.n, params.n, dim, bits))
-    if spectrum is None:
+    sines = _rotation_table(dim, bits)
+    row = next(_row_spectrum(params.k, params.n, params.n, sines, bits))
+    if row is None:
         return None
-    row = _form(spectrum, bits)
-    _, rc = _cosine_table(dim, bits)
+    cosines, rc = _cosine_table(sines, bits)
     magnitudes = list(map(abs, row.xs))
     mass = sum(map(lshift, magnitudes, row.cuts))
     cut_ulps = sum(m << 2 * cut for m, cut in zip(magnitudes, row.cuts) if cut)
     ups = tuple(2 * cut + 1 for cut in row.cuts)
-    return row, ups, 2 * (rc * mass + (row.spread << bits) + cut_ulps) + (row.slack << bits)
+    return row, cosines, ups, 2 * (rc * mass + (row.spread << bits) + cut_ulps) + (row.slack << bits)
 
 
 def _rounded(total: int, radius: int, scale: int) -> tuple[int, float]:
@@ -635,9 +633,9 @@ def _evaluate_arbitrary(params: Params, dim: int, phase: int, bits: int) -> tupl
     to the radius, so the residual encloses the distance of the exact sum
     from the returned integer: no error estimate is involved.
 
-    The powers come from the row's form (:func:`_phase_form`), each at
-    its own width g = F - cut.  A phase reads the cosine midpoint c at
-    i = r * phase mod N
+    The powers and the cosines come from the row's form
+    (:func:`_phase_form`), each power at its own width g = F - cut.  A
+    phase reads the cosine midpoint c at i = r * phase mod N
     (:func:`_cosine_table`: radius rho_c, so |c - 2^F w| <= rho_c for the
     weight w), cuts it to c' = floor(c / 2^cut) at 2^g, and adds the
     exact product x c' shifted from 2^(2g) up to 2^(2F): one sum of
@@ -653,9 +651,8 @@ def _evaluate_arbitrary(params: Params, dim: int, phase: int, bits: int) -> tupl
     form = _phase_form(params, dim, bits)
     if form is None:
         return 0, math.inf
-    row, ups, radius = form
+    row, cosines, ups, radius = form
     shift = 2 * bits
-    cosines, _ = _cosine_table(dim, bits)
     weights = [cosines[r * phase % dim] for r in row.rs]
     total = sum(map(lshift, map(mul, row.xs, map(rshift, weights, row.cuts)), ups))
     total += params.width**params.n << shift
@@ -702,10 +699,9 @@ def central_run(k: int, first: int, last: int) -> list[CertifiedInteger]:
         top = Params(k, max(escalated))
         dim, bits = dimension(top, 0), required_bits(top)
         ns = range(min(escalated), top.n + 1)
-        for n, spectrum in zip(ns, _row_spectrum(k, ns[0], top.n, dim, bits)):
+        for n, row in zip(ns, _row_spectrum(k, ns[0], top.n, _rotation_table(dim, bits), bits)):
             if n in escalated:
-                form = None if spectrum is None else _form(spectrum, bits)
-                balls[n] = dim, bits, _central_ball(Params(k, n), form, dim, bits)
+                balls[n] = dim, bits, _central_ball(Params(k, n), row, dim, bits)
     results = []
     for params, dim, value, residual in tried:
         rungs = [("double", _DOUBLE_BITS, residual)]

@@ -10,9 +10,12 @@ from cnomial.cli import _clear_route_caches
 def cold_caches():
     """Start each test with the routes' functools caches empty; call the fixture to empty them again.
 
-    A row or table cached by an earlier test would bypass a later test's
-    monkeypatch of what builds it (``_row_spectrum``, ``_ball_pow``,
-    ``required_bits``).
+    A row or table cached by an earlier test (``_phase_form``'s one row of
+    the ball rung, ``_double_spectrum``'s of the double rung, a sine
+    half-table) would bypass a later test's monkeypatch of what builds it
+    (``_row_spectrum``, ``_power_radius``, ``_ball_pow``,
+    ``required_bits``).  The ball rung's rotation and cosine tables are
+    built per sum and never cached.
     """
     _clear_route_caches()
     return _clear_route_caches

@@ -1,6 +1,9 @@
 """Caches that serve one request: C's windows by (k, e), sine half-tables by
-N and ratio rows by (2k+1, N); what they share, and that they clear."""
+N and ratio rows by (2k+1, N); what they share, and that they clear.  The
+one row the phase sums keep, and the README's table of every cache."""
 import functools
+import re
+from pathlib import Path
 
 from cnomial import Params, circulant, cli, exact, spectral
 from cnomial.cli import main
@@ -105,3 +108,50 @@ def test_clear_route_caches_empties_every_route_cache(capsys):
             "cnomial.spectral._ratio_row"} <= filled
     cli._clear_route_caches()
     assert {name: cache.cache_info().currsize for name, cache in caches.items()} == dict.fromkeys(caches, 0)
+
+
+def test_a_row_read_around_another_equals_a_cold_rebuild(cold_caches):
+    # (1, 60) and (2, 30) share N = 121 at different F, and neither's
+    # double rung certifies.  Four l of the first row, each read on a
+    # fresh build, again on the kept row, and after the other row's phase
+    # sum has evicted it, equal a cold rebuild field for field, and so
+    # does the other row's sum in between: the one kept row, cosines
+    # included, belongs to the row that asks.
+    p, other = Params(1, 60), Params(2, 30)
+    bits = spectral.required_bits(p)
+    assert p.dim == other.dim and bits != spectral.required_bits(other)
+    ls, row = (0, 1, 59, 97), exact.expand_power(p).coeffs
+    cold = {}
+    for l in ls:
+        cold_caches()
+        cold[l] = spectral.coefficient_via_spectrum(p, l)
+        assert cold[l].escalations and cold[l].value == row[l]
+    cold_caches()
+    cold_other = spectral.coefficient_via_spectrum(other, 7)
+    assert cold_other.escalations and cold_other.value == exact.expand_power(other).coeffs[7]
+    cold_caches()
+    for l in ls:
+        assert spectral.coefficient_via_spectrum(p, l) == cold[l]
+        assert spectral.coefficient_via_spectrum(p, l) == cold[l]
+        assert spectral.coefficient_via_spectrum(other, 7) == cold_other
+    info = spectral._phase_form.cache_info()
+    assert (info.hits, info.misses, info.maxsize) == (len(ls), 2 * len(ls), 1)
+    # The kept cosines are the ones folded from the row's own rotation table.
+    _, cosines, _, _ = spectral._phase_form(p, p.dim, bits)
+    assert cosines == spectral._cosine_table(spectral._rotation_table(p.dim, bits), bits)[0]
+
+
+def test_readme_lists_every_route_cache_at_its_size():
+    # The README's table of caches names every functools cache of the
+    # route modules, and gives each its maxsize: a cache added, removed or
+    # resized without the table fails here.
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = text[text.index("### Caches\n"):]
+    section = section[:section.index("\n#", 1)]
+    listed = {f"cnomial.{name}": int(size)
+              for name, size in re.findall(r"^\| `(\w+\.\w+)` \| [^|]+ \| (\d+) \|", section, re.M)}
+    caches = {f"{module.__name__}.{name}": value.cache_parameters()["maxsize"]
+              for module in (circulant, exact, spectral)
+              for name, value in vars(module).items()
+              if callable(getattr(value, "cache_parameters", None))}
+    assert listed == caches

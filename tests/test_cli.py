@@ -439,11 +439,8 @@ def test_verify_reports_uncertified_cases_and_goes_on(capsys, monkeypatch):
     true_spectrum, true_ratios = cli.spectral._row_spectrum, cli.spectral._ratios
 
     def wrong_sign(*args):
-        for spectrum in true_spectrum(*args):
-            if spectrum is not None:
-                terms, slack = spectrum
-                spectrum = tuple((r, abs(x), rx, g) for r, x, rx, g in terms), slack
-            yield spectrum
+        for row in true_spectrum(*args):
+            yield None if row is None else row._replace(xs=tuple(map(abs, row.xs)))
 
     monkeypatch.setattr(cli.spectral, "_row_spectrum", wrong_sign)
     monkeypatch.setattr(cli.spectral, "_ratios", lambda m, sines: list(map(abs, true_ratios(m, sines))))
@@ -531,6 +528,19 @@ def test_oeis_fixture_match(capsys):
         code, out, _ = run(capsys, "oeis", "--k", "1", *extra, "--offline")
         assert code == 0
         assert out.strip() == "A002426 k=1: 10 terms compared, all equal (fixture)"
+
+
+def test_oeis_offline_looks_the_fixture_up_once(capsys, monkeypatch):
+    # The offline path reads the fixture it found, without a second lookup.
+    lookups, lookup = [], oeis.fixture_for_id
+
+    def counting(oeis_id):
+        lookups.append(oeis_id)
+        return lookup(oeis_id)
+
+    monkeypatch.setattr(oeis, "fixture_for_id", counting)
+    assert run(capsys, "oeis", "--k", "2", "--offline")[0] == 0
+    assert lookups == ["A005191"]
 
 
 def test_oeis_explicit_id(capsys):

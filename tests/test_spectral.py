@@ -44,9 +44,8 @@ def arbitrary(p, dim, phase, bits):
     """The ball rung at N = ``dim`` and F = ``bits``: the sum at ``phase``, or the central sum for None."""
     if phase is not None:
         return spectral._evaluate_arbitrary(p, dim, phase, bits)
-    spectrum = next(spectral._row_spectrum(p.k, p.n, p.n, dim, bits))
-    form = None if spectrum is None else spectral._form(spectrum, bits)
-    return spectral._central_ball(p, form, dim, bits)
+    row = next(spectral._row_spectrum(p.k, p.n, p.n, spectral._rotation_table(dim, bits), bits))
+    return spectral._central_ball(p, row, dim, bits)
 
 
 def ratios(k, n):
@@ -559,15 +558,33 @@ def test_terms_below_one_ulp_are_below_one_ulp(width, n, b, rq, negative):
         assert Fraction(abs(q) + rq, 2**width) ** n < Fraction(1, 2**width)
 
 
+def spectra(*args):
+    """Each form of ``_row_spectrum(*args)``, paired with the radii of its
+    powers in term order, as ``_power_radius`` returned them."""
+    power_radius, radii, forms = spectral._power_radius, [], []
+
+    def recording(*radius_args):
+        radii.append(power_radius(*radius_args))
+        return radii[-1]
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(spectral, "_power_radius", recording)
+        for row in spectral._row_spectrum(*args):
+            forms.append((row, radii[:]))
+            radii.clear()
+    return forms
+
+
 @pytest.mark.parametrize("k, n", [(1, 60), (2, 30), (3, 40), (2, 6)])
 def test_row_spectrum_encloses_every_power(k, n):
-    # Each powered entry (r, x, rx, g) holds 2^g E_r^n, and the radius of
+    # Each powered term, midpoint x at width g = F - cut with the radius rx
+    # that the form's spread adds up, holds 2^g E_r^n, and the radius of
     # the terms left out below one ulp holds their doubled magnitudes at
     # scale 2^F, at the paper's N and at the smallest: the exact powers
     # against mpmath.iv at 64 bits more than twice the budget.  Checked
     # for n alone (binary powering) and for every n' of the run 1..n
     # (products by E_r after n' = 1), whose widths are those of n: the
-    # last spectrum of the run keeps the terms that n alone keeps, at the
+    # last form of the run keeps the terms that n alone keeps, at the
     # same widths, and leaves the same ones out.
     p = Params(k, n)
     bits = required_bits(p)
@@ -578,13 +595,16 @@ def test_row_spectrum_encloses_every_power(k, n):
         for dim in sorted({p.dim, dimension(p, 0)}):
             ratios = [mpmath.iv.sin(mpmath.iv.pi * (p.width * r) / dim)
                       / mpmath.iv.sin(mpmath.iv.pi * r / dim) for r in range(1, dim // 2 + 1)]
-            alone = list(spectral._row_spectrum(k, n, n, dim, bits))
-            run = list(spectral._row_spectrum(k, 1, n, dim, bits))
+            sines = spectral._rotation_table(dim, bits)
+            alone = spectra(k, n, n, sines, bits)
+            run = spectra(k, 1, n, sines, bits)
             assert len(alone) == 1 and len(run) == n
-            assert [(r, g) for r, _, _, g in run[-1][0]] == [(r, g) for r, _, _, g in alone[0][0]]
-            assert run[-1][1] == alone[0][1]
-            for power_n, (terms, slack) in [(n, alone[0]), *enumerate(run, 1)]:
-                powered = {r: (x, rx, g) for r, x, rx, g in terms}
+            (last, _), (single, _) = run[-1], alone[0]
+            assert (last.rs, last.cuts, last.slack) == (single.rs, single.cuts, single.slack)
+            for power_n, (row, radii) in [(n, alone[0]), *enumerate(run, 1)]:
+                assert len(radii) == len(row.rs)
+                assert row.spread == sum(rx << cut for rx, cut in zip(radii, row.cuts))
+                powered = {r: (x, rx, bits - cut) for r, x, rx, cut in zip(row.rs, row.xs, radii, row.cuts)}
                 left_out = mpmath.iv.mpf(0)
                 for r, ratio in enumerate(ratios, 1):
                     power = ratio**power_n
@@ -595,7 +615,7 @@ def test_row_spectrum_encloses_every_power(k, n):
                     else:
                         left_out += abs(power)
                         skipped += 1
-                assert mpmath.iv.ldexp(2 * left_out, bits).b <= slack, (dim, power_n)
+                assert mpmath.iv.ldexp(2 * left_out, bits).b <= row.slack, (dim, power_n)
     finally:
         mpmath.iv.prec = prec
     if n > 6:
@@ -770,7 +790,7 @@ def test_cosine_table_encloses_the_cosines(half, bits):
     # table's one radius of 2^bits cos(2 i pi/N), i = 0..N-1, against
     # mpmath.iv at 64 more bits.
     dim = 2 * half + 1
-    cosines, rad = spectral._cosine_table(dim, bits)
+    cosines, rad = spectral._cosine_table(spectral._rotation_table(dim, bits), bits)
     assert len(cosines) == dim and cosines[0] == 1 << bits
     prec = mpmath.iv.prec
     try:
@@ -796,7 +816,9 @@ def test_weighting_radius_encloses_the_phase_sums(monkeypatch, cut):
     rng = random.Random(cut)
     terms = tuple((r, rng.randrange(-(2 ** (width + 60)), 2 ** (width + 60)), 0, width)
                   for r in range(1, dim // 2 + 1))
-    monkeypatch.setattr(spectral, "_row_spectrum", lambda *args: iter([(terms, 0)]))
+    rs, xs, _, _ = zip(*terms)
+    row = spectral._RowForm(rs, xs, (cut,) * len(rs), 0, 0)
+    monkeypatch.setattr(spectral, "_row_spectrum", lambda *args: iter([row]))
     prec = mpmath.iv.prec
     try:
         mpmath.iv.prec = 2 * bits + 128
@@ -816,19 +838,23 @@ def test_slack_holds_the_terms_left_out(monkeypatch, k, n):
     # A row spectrum that leaves out every other powered term and charges
     # each to the slack as _row_spectrum charges a term below one ulp, by
     # its doubled magnitude at scale 2^F: every sum of the row, each phase
-    # and the centre, must still enclose the exact coefficient.  The terms
-    # left out are far above one ulp, so a radius that drops the slack
-    # misses them.  At the centre, with n even, every term left out is
-    # positive and the bound is tight, and the residual is the smallest
-    # double at or above it.
+    # and the centre, must still enclose the exact coefficient.  The
+    # spread keeps the radii of the terms left out, so with the doubled
+    # midpoints in the slack every radius is the one a fake charging
+    # 2 (|x| + rx) 2^cut per term left out would give.  The terms left
+    # out are far above one ulp, so a radius that drops the slack misses
+    # them.  At the centre, with n even, every term left out is positive
+    # and the bound is tight, and the residual is the smallest double at
+    # or above it.
     p = Params(k, n)
     bits = required_bits(p)
     row_spectrum = spectral._row_spectrum
 
     def thinned(*args):
-        for terms, slack in row_spectrum(*args):
-            slack += sum(2 * (abs(x) + rx) << (bits - g) for _, x, rx, g in terms[1::2])
-            yield terms[::2], slack
+        for row in row_spectrum(*args):
+            left_out = sum(2 * abs(x) << cut for x, cut in zip(row.xs[1::2], row.cuts[1::2]))
+            yield row._replace(rs=row.rs[::2], xs=row.xs[::2], cuts=row.cuts[::2],
+                               slack=row.slack + left_out)
 
     monkeypatch.setattr(spectral, "_row_spectrum", thinned)
     row = expand_power(p).coeffs
@@ -998,6 +1024,51 @@ def test_double_rung_bound_holds_the_true_error():
                     assert error <= bound, (k, n, l, dim)
                     checked += 1
     assert checked > 1000
+
+
+def test_double_rung_phase_charge_holds_the_worst_weights(monkeypatch):
+    # The weighted terms' charge, against inputs as far off as the bound's
+    # own accounting allows, all in the direction that adds up: each power
+    # 2 E_r^n within (9.7n + 2)u of its exact value, relative, and each
+    # weight within 20.4u of its cosine, both moved toward the sign that
+    # grows the weighted term.  The true error, in Fractions against the
+    # exact p_l, must stay within the bound.  At n = 1 and 2 the powers'
+    # 10n charge is too small to absorb these weights' errors, so a phase
+    # sum charged 2u per term, as the centre is, fails here (k = 1, n = 1
+    # at N = 7, 11, 13) whether sum() adds left to right or compensates.
+    # Prime N > 2kn gives every r its own phase index and holds p_l alone.
+    u = 2.0**-53
+    checked = 0
+    with mpmath.workprec(200):
+        for k in range(1, 4):
+            for n in (1, 2):
+                p = Params(k, n)
+                row = expand_power(p).coeffs
+                for dim in (7, 11, 13, 17, 19, 23):
+                    if dim <= p.degree:
+                        continue
+                    ratios = [mpmath.sin(mpmath.pi * p.width * r / dim) / mpmath.sin(mpmath.pi * r / dim)
+                              for r in range(1, dim // 2 + 1)]
+                    cosines = [mpmath.cos(2 * mpmath.pi * i / dim) for i in range(dim)]
+                    for l in range(p.degree + 1):
+                        if l == k * n:
+                            continue
+                        phase = (l - k * n) % dim
+                        powers, weights = [float(p.width) ** n], [float(c) for c in cosines]
+                        for r, ratio in enumerate(ratios, 1):
+                            term, i = 2 * ratio**n, r * phase % dim
+                            grow = 1 if term * cosines[i] >= 0 else -1
+                            powers.append(float(term * (1 + (9.7 * n + 1.5) * u * grow)))
+                            weights[i] = float(cosines[i] + 19.9 * u * (1 if term >= 0 else -1))
+                        spectrum = tuple(powers), sum(map(abs, powers), 0.0)
+                        monkeypatch.setattr(spectral, "_double_spectrum", lambda params, dim: spectrum)
+                        monkeypatch.setattr(spectral, "_phase_weights", lambda dim: tuple(weights))
+                        value, residual = spectral._double_rung(p, dim, phase)
+                        quotient = Fraction(spectral._double_sum(spectrum[0], dim, phase) / dim)
+                        bound = Fraction(residual) - abs(quotient - value)
+                        assert abs(quotient - row[l]) <= bound, (k, n, dim, l)
+                        checked += 1
+    assert checked > 150
 
 
 def plain_double_rung(p, dim, phase):
