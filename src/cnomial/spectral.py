@@ -420,31 +420,16 @@ def _ball_div(x: int, rx: int, y: int, ry: int, bits: int) -> tuple[int, int]:
     return q, -((-(rx << bits) - (abs(q) + 1) * ry) // (y - ry)) + 1
 
 
-def _ball_pow(x: int, rx: int, n: int, bits: int) -> tuple[int, int]:
-    """The n-th power, n >= 1, of the ball (x, rx): binary powering of the midpoint alone.
-
-    Left to right, each step floors once: a square Y <- floor(Y^2 / 2^bits),
-    on a set bit a product Y <- floor(Y x / 2^bits).  The radius is not
-    carried through the loop but bounded once, by :func:`_power_radius`.
-    """
-    y = x
-    for bit in bin(n)[3:]:
-        y = (y * y) >> bits
-        if bit == "1":
-            y = (y * x) >> bits
-    return y, _power_radius(x, rx, y, n, bits)
-
-
 def _power_radius(x: int, rx: int, y: int, n: int, bits: int) -> int:
     """The radius of the midpoint y of x^n, reached by any chain of floor squares and floor products by x.
 
     Each step of the chain floors once: a square Y <- floor(Y^2 / 2^bits)
     or a product Y <- floor(Y x / 2^bits), in any order; binary powering
-    (:func:`_ball_pow`) is one such chain, and so is any chain continued
-    by products, as the n of a run (:func:`_row_spectrum`) are.  Write u =
-    2^-bits, X = x u and a = max(1, (|x| + rx) u), so |X| <= a and every
-    point t of the ball has |t| <= a.  Suppose Y u is within e = a^m ((1 +
-    u)^h - 1) of X^m.  A square is then within (a^m + e)^2 - a^(2m) + u <=
+    is one such chain, and so is any chain continued by products, as the
+    n of a run (:func:`_row_spectrum`) are.  Write u = 2^-bits, X = x u
+    and a = max(1, (|x| + rx) u), so |X| <= a and every point t of the
+    ball has |t| <= a.  Suppose Y u is within e = a^m ((1 + u)^h - 1) of
+    X^m.  A square is then within (a^m + e)^2 - a^(2m) + u <=
     a^(2m) ((1 + u)^(2h+1) - 1) of X^(2m), and a product within a e + u <=
     a^(m+1) ((1 + u)^(h+1) - 1) of X^(m+1), because a >= 1.  h = 0 at m = 1,
     so h = m - 1 throughout, whatever the chain.  The ball adds |t^n - X^n|
@@ -529,16 +514,18 @@ def _row_spectrum(
     Numerators are read as :func:`_ratios` reads them: u = (2k+1) r mod
     2N indexes the table mirrored to t = 0..N-1 at u mod N, and the
     midpoint alone is negated where u >= N.  E_r does not depend on n, so
-    each ball E_r is divided once.  The first n powers it by
-    :func:`_ball_pow`; each later n is one floor product y <- floor(y E_r
-    / 2^g) of the n before, and its radius the closed form of
-    :func:`_power_radius`.  The powers do not depend on the phase;
+    each ball E_r is divided once.  The first n powers it by binary
+    powering of the midpoint alone, along the chain of ``first``'s bits,
+    worked out once for the run; each later n is one floor product y <-
+    floor(y E_r / 2^g) of the n before.  Every radius is the closed form
+    of :func:`_power_radius`.  The powers do not depend on the phase;
     :func:`_phase_form` keeps a run of one, per row, for every
     coefficient of the row to read.
     """
     dim = 2 * len(sines) - 1
     mirrored = [*sines, *sines[:0:-1]]
-    least = last.bit_length() + dim.bit_length() + GUARD_BITS
+    least = min(last.bit_length() + dim.bit_length() + GUARD_BITS, bits)
+    odd = [bit == "1" for bit in bin(first)[3:]]  # the binary chain of x^first
     live = []  # (r, E_r's midpoint and radius, g, the power of the n before)
     for r in range(1, len(sines)):
         s, rs = sines[r]
@@ -546,14 +533,12 @@ def _row_spectrum(
             yield from repeat(None, last - first + 1)
             return
         u = (2 * k + 1) * r % (2 * dim)
-        sign = -1 if u >= dim else 1
         t, rt = mirrored[u % dim]
         width = least
         if t > s:
-            width += math.ceil((last - 1) * (math.log2(t) - math.log2(s)))
-        width = min(width, bits)
-        q, rq = _ball_div(t, rt, s, rs, width)
-        live.append((r, sign * q, rq, width, None))
+            width = min(width + math.ceil((last - 1) * (math.log2(t) - math.log2(s))), bits)
+        x, rx = _ball_div(t, rt, s, rs, width)
+        live.append((r, -x if u >= dim else x, rx, width, None))
     slack = 0
     for n in range(first, last + 1):
         kept, terms = [], []
@@ -562,12 +547,15 @@ def _row_spectrum(
                 slack += 1 << (bits - g + 1)
                 continue
             if y is None:
-                y, ry = _ball_pow(x, rx, n, g)
+                y = x
+                for step in odd:
+                    y = (y * y) >> g
+                    if step:
+                        y = (y * x) >> g
             else:
                 y = (y * x) >> g
-                ry = _power_radius(x, rx, y, n, g)
             kept.append((r, x, rx, g, y))
-            terms.append((r, y, bits - g, ry << bits - g))
+            terms.append((r, y, bits - g, _power_radius(x, rx, y, n, g) << bits - g))
         live = kept
         *columns, spreads = list(zip(*terms)) or [()] * 4
         yield _RowForm(*columns, sum(spreads), slack)

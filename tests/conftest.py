@@ -13,7 +13,7 @@ def cold_caches():
     A row or table cached by an earlier test (``_phase_form``'s one row of
     the ball rung, ``_double_spectrum``'s of the double rung, a sine
     half-table) would bypass a later test's monkeypatch of what builds it
-    (``_row_spectrum``, ``_power_radius``, ``_ball_pow``,
+    (``_row_spectrum``, ``_power_radius``, ``_ball_div``,
     ``required_bits``).  The ball rung's rotation and cosine tables are
     built per sum and never cached.
     """

@@ -496,10 +496,11 @@ def test_bench_json_records(capsys):
 
 def test_bench_repetitions_start_from_cold_caches(capsys, monkeypatch):
     # The spectral route caches its row spectrum; every timed repetition
-    # builds it again, so none of them times a cache hit.
+    # builds it again (a division per ball term), so none of them times a
+    # cache hit.
     calls = []
-    power = cli.spectral._ball_pow
-    monkeypatch.setattr(cli.spectral, "_ball_pow", lambda *args: calls.append(args) or power(*args))
+    divide = cli.spectral._ball_div
+    monkeypatch.setattr(cli.spectral, "_ball_div", lambda *args: calls.append(args) or divide(*args))
     counts = []
     for repetitions in ("1", "3"):
         calls.clear()

@@ -413,20 +413,22 @@ def test_ball_rung_certifies_in_the_central_large_regime(k, n, l):
 def test_term_widths_stay_within_the_budget(monkeypatch, k, n, offset):
     # Every term's power runs at a width of at most F, and each r =
     # 1..floor(N/2) at the route's N is either powered or below one ulp;
-    # at n > 1 the terms with |E_r| < 1 run narrower.
+    # at n > 1 the terms with |E_r| < 1 run narrower.  Each midpoint is
+    # the binary powering chain that the closed-form radius covers.
     widths, skipped = [], []
-    power, below = spectral._ball_pow, spectral._below_ulp
+    radius, below = spectral._power_radius, spectral._below_ulp
 
-    def recording(x, rx, n, bits):
+    def recording(x, rx, y, n, bits):
+        assert y == binary_power(x, n, bits)
         widths.append(bits)
-        return power(x, rx, n, bits)
+        return radius(x, rx, y, n, bits)
 
     def counting(*args):
         skip = below(*args)
         skipped.append(skip)
         return skip
 
-    monkeypatch.setattr(spectral, "_ball_pow", recording)
+    monkeypatch.setattr(spectral, "_power_radius", recording)
     monkeypatch.setattr(spectral, "_below_ulp", counting)
     p = Params(k, n)
     bits = required_bits(p)
@@ -725,6 +727,16 @@ def _corners(x, rx):
     return (x - rx, x + rx) + ((0,) if abs(x) <= rx else ())
 
 
+def binary_power(x, n, bits):
+    """The midpoint of x^n at scale 2^bits by binary powering, one floor per step."""
+    y = x
+    for bit in bin(n)[3:]:
+        y = (y * y) >> bits
+        if bit == "1":
+            y = (y * x) >> bits
+    return y
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     bits=st.integers(1, 80),
@@ -740,7 +752,8 @@ def test_ball_operations_enclose_every_corner(bits, x, rx, y, ry, n):
     # a power) bound the deviation from the midpoint.  Radii this wide
     # mostly take the power's always-valid fallback radius.
     scale = 2**bits
-    mid, rad = spectral._ball_pow(x, rx, n, bits)
+    mid = binary_power(x, n, bits)
+    rad = spectral._power_radius(x, rx, mid, n, bits)
     for a in _corners(x, rx):
         assert abs(Fraction(a**n, scale ** (n - 1)) - mid) <= rad
     if y > ry:
@@ -770,13 +783,8 @@ def test_power_radius_in_closed_form_encloses_every_corner(bits, where, rx, n):
     scale = 2**bits
     x = math.floor(where * scale)
     assert n * (rx + 4) <= scale
-    mid, rad = spectral._ball_pow(x, rx, n, bits)
-    y = x
-    for bit in bin(n)[3:]:
-        y = (y * y) >> bits
-        if bit == "1":
-            y = (y * x) >> bits
-    assert mid == y
+    mid = binary_power(x, n, bits)
+    rad = spectral._power_radius(x, rx, mid, n, bits)
     for a in _corners(x, rx):
         assert abs(Fraction(a**n, scale ** (n - 1)) - mid) <= rad
     a = max(Fraction(1), Fraction(abs(x) + rx, scale))

@@ -20,6 +20,12 @@ on PYTHONPATH and compare.  The grid, one group each:
   rung's gate admits to two above (:data:`GATE_EDGES`), at l = kn, 0 and
   kn + 1, ``--method all``, json-lines: records that print ``strategy``,
   ``escalations`` and ``residual``, so a moved gate changes the digest;
+- ``row-orders``: ``--method all`` json-lines reads of several l of one
+  row (l = 0, 2kn and both sides of the centre; n = 0 too), in ascending
+  order, in descending order, and interleaved with another row's
+  (:data:`ROWS`), so that a row the spectral route keeps between reads
+  (``_phase_form``'s, ``_double_spectrum``'s), read stale, changes the
+  digest;
 - ``oeis``: ``--offline`` for each registered id and k, counts 1-10,
   every format, and the count past the fixture;
 - ``verify``: grids k-max 1-4 by n-max, with no ``--seed`` and with three;
@@ -54,6 +60,9 @@ OEIS = {"A002426": 1, "A005191": 2, "A025012": 3}
 #: N and at the 2kn+1 of every other l.
 GATE_EDGES = {1: (30, 30), 2: (20, 21), 3: (17, 17), 4: (15, 15), 5: (14, 14),
               6: (13, 13), 7: (12, 13), 8: (12, 12), 9: (11, 12), 10: (11, 11)}
+
+#: Pairs of rows that ``row-orders`` reads, each row alone and the pair interleaved.
+ROWS = (((1, 7), (2, 12)), ((3, 40), (1, 60)), ((4, 0), (5, 9)))
 
 
 def _compute_central() -> list[list[str]]:
@@ -95,6 +104,20 @@ def _double_gate() -> list[list[str]]:
              "--format", "json-lines"]
             for k, edges in GATE_EDGES.items() for n in range(min(edges) - 1, max(edges) + 3)
             for l in (k * n, 0, k * n + 1)]
+
+
+def _row_orders() -> list[list[str]]:
+    def reads(k: int, n: int) -> list[tuple[int, int, int]]:
+        ls = {0, 1, k * n - 3, k * n - 1, k * n, k * n + 2, k * n + 5, 2 * k * n - 1, 2 * k * n}
+        return [(k, n, l) for l in sorted(l for l in ls if 0 <= l <= 2 * k * n)]
+
+    orders = []
+    for a, b in ROWS:
+        first, second = reads(*a), reads(*b)
+        orders += [first, first[::-1], second, second[::-1]]
+        orders.append([read for pair in zip(first, second[::-1]) for read in pair])
+    return [["compute", "--k", str(k), "--n", str(n), "--l", str(l), "--method", "all",
+             "--format", "json-lines"] for order in orders for k, n, l in order]
 
 
 def _oeis() -> list[list[str]]:
@@ -143,6 +166,7 @@ GROUPS = {
     "sequence": _sequence,
     "sequence-long": _sequence_long,
     "double-gate": _double_gate,
+    "row-orders": _row_orders,
     "oeis": _oeis,
     "verify": _verify,
     "errors": _errors,
