@@ -64,8 +64,8 @@ def _window(k: int, e: int) -> tuple[int, ...]:
     enough (:data:`POW_MAX_BITS`, :data:`DECIMAL_MIN_BITS`) is one ``pow``
     (:func:`_central_power`) instead.  Cached per (k, e): n = 2m and
     2m + 1 read the same half power, and the powers of nearby n share
-    their own halves.  The cache is sized for the n of one request, and
-    ``cnomial.cli.main`` empties it as each request starts.  The window's
+    their own halves.  The cache is sized for the n of one request, which
+    starts with it empty (``cnomial.cli.KEPT_CACHES``).  The window's
     entries sum to the row sum (2k+1)ᵉ, since row sums multiply under
     cyclic convolution; that sum bounds every entry of a square.
     """
@@ -213,7 +213,9 @@ def _half_power_windows(k: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...
     X's window is :func:`_window`'s cached tuple itself.  One pair is
     kept: reads come in runs on one row, and Y's window at large n holds
     MBs.  A miss drops the kept pair before it builds the next one, so
-    that two are never held at once.
+    that two are never held at once.  One of the two caches that outlive
+    a request (``cnomial.cli.KEPT_CACHES``), for the l of one row that
+    come in separate requests.
     """
     _half_power_windows.cache_clear()
     x = _window(k, n // 2)

@@ -305,31 +305,40 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if failures == 0 else 1
 
 
-def _clear_route_caches() -> None:
-    """Empty the routes' functools caches, so a timed repetition starts cold.
+#: The route caches that outlive a request, as ``module.name``: general-mid
+#: reads four l of one row in four requests, and these two keep that row
+#: (the trace route's half-power windows, the ball rung's row form).  They
+#: go once a row's l can come in one request (ROADMAP, directions 3-4).
+#: Every other cache serves one request only.
+KEPT_CACHES = frozenset({"circulant._half_power_windows", "spectral._phase_form"})
 
-    ``spectral._PI``, Machin's pi at the widest scale asked for so far, is
-    a module global, not a functools cache: it outlives this, so only the
-    first repetition at a new widest scale pays for it.
+#: Every functools cache of the route modules, as (module, name), found once
+#: per process: walking the namespaces as each request starts would cost
+#: about 14 us (2-vCPU Xeon, Python 3.11), a tenth of a small request.
+_ROUTE_CACHES = tuple(
+    (module, name)
+    for module in (circulant, exact, spectral)
+    for name, value in vars(module).items()
+    if callable(getattr(value, "cache_clear", None))
+)
+_REQUEST_CACHES = tuple(
+    (module, name) for module, name in _ROUTE_CACHES
+    if f"{module.__name__.rpartition('.')[2]}.{name}" not in KEPT_CACHES
+)
+
+
+def _clear_route_caches(caches: tuple = _ROUTE_CACHES) -> None:
+    """Empty the routes' functools caches (by default all of them), so a
+    timed repetition, or with ``_REQUEST_CACHES`` a request, starts cold.
+
+    Each cache is looked up on its module by name, so a rebinding there (a
+    test's recorder) is the one emptied.  ``spectral._PI``, Machin's pi at
+    the widest scale asked for so far, is a module global, not a functools
+    cache: it outlives this, so only the first repetition at a new widest
+    scale pays for it.
     """
-    for module in (circulant, exact, spectral):
-        for value in vars(module).values():
-            clear = getattr(value, "cache_clear", None)
-            if callable(clear):
-                clear()
-
-
-def _clear_request_caches() -> None:
-    """Empty the caches that serve one request: C's windows by (k, e), the
-    sine half-tables by N and the ratio rows by (2k+1, N).
-
-    :func:`main` starts every request with them empty, so that a request
-    shares them only between its own n and never reads an earlier
-    request's; their sizes cover one request.
-    """
-    circulant._window.cache_clear()
-    spectral._sine_table.cache_clear()
-    spectral._ratio_row.cache_clear()
+    for module, name in caches:
+        getattr(module, name).cache_clear()
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -566,7 +575,7 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else argv)
-    _clear_request_caches()
+    _clear_route_caches(_REQUEST_CACHES)
     try:
         return args.func(args)
     except CertificationError as error:

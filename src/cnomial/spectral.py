@@ -133,7 +133,7 @@ def _sine_table(dim: int) -> tuple[float, ...]:
     N: a row's ratios and phase weights read one table, and so do the
     sums of different n that meet at one N, as the n of a ``sequence`` or
     the cases of a ``verify`` grid do.  The cache is sized for one
-    request; ``cnomial.cli.main`` empties it as each request starts.
+    request, which starts with it empty (``cnomial.cli.KEPT_CACHES``).
     """
     return (0.0, *[sin((pi * j) / dim) for j in range(1, dim // 2 + 1)])
 
@@ -160,8 +160,8 @@ def _ratio_row(m: int, dim: int) -> tuple[float, ...]:
     """:func:`_ratios` of m = 2k+1 on the half-table of N, cached per (m, N).
 
     E_r does not depend on n: the central sums of n and n + 1 can share
-    one N, and ``verify`` checks the ratios its central sum powers.
-    Emptied with :func:`_sine_table` as each request starts.
+    one N, and ``verify`` checks the ratios its central sum powers.  A
+    request starts with it empty.
     """
     return tuple(_ratios(m, _sine_table(dim)))
 
@@ -175,8 +175,10 @@ def _double_spectrum(params: Params, dim: int) -> tuple[tuple[float, ...], float
     both symmetric about N/2 when 2k+1 is odd), so each pair of the full
     sum over r = 1..N-1 is one doubled term, and the doubling is exact.
     A = sum |term|.  Neither depends on the phase, so every coefficient of
-    a row reads the same ones; cached per (k, n, N).  :func:`_double_rung`
-    asks for them only where its gate holds every power finite.
+    a row that one request reads (``verify``'s central and seeded sums of a
+    case) reads the same ones; cached per (k, n, N), and a request starts
+    with the cache empty.  :func:`_double_rung` asks for them only where
+    its gate holds every power finite.
     """
     n, base = params.n, float(params.width)
     powers = (base**n, *[2.0 * ratio**n for ratio in _ratio_row(params.width, dim)])
@@ -188,7 +190,9 @@ def _phase_weights(dim: int) -> tuple[float, ...]:
     """w_i = cos(2 pi i/N) = 1 - 2 s_{min(i, N-i)}^2, i = 0..N-1, from the half-table.
 
     The phase r * d mod N of a term is reduced exactly before it indexes
-    the table, so no cosine is needed; cached per N.
+    the table, so no cosine is needed; cached per N for the phase sums of
+    one request (``verify --seed``'s general l of a case), which starts
+    with it empty.
     """
     half = [1 - 2 * s * s for s in _sine_table(dim)]
     return tuple(half + half[:0:-1])
@@ -573,7 +577,9 @@ def _phase_form(
     2^(2g) to 2^(2F), doubled for the pair E_r = E_{N-r}.  The radius, at
     2^(2F), is the same for every phase of the row (see
     :func:`_evaluate_arbitrary`).  Cached per (k, n, N, F), one row: every
-    coefficient of a row reads the same one.
+    coefficient of a row reads the same one.  One of the two caches that
+    outlive a request (``cnomial.cli.KEPT_CACHES``), for the l of one row
+    that come in separate requests.
     """
     sines = _rotation_table(dim, bits)
     row = next(_row_spectrum(params.k, params.n, params.n, sines, bits))

@@ -1,6 +1,6 @@
-"""Caches that serve one request: C's windows by (k, e), sine half-tables by
-N and ratio rows by (2k+1, N); what they share, and that they clear.  The
-one row the phase sums keep, and the README's table of every cache."""
+"""The route caches: what they share within a request, that every request
+starts with them empty but for the two row caches, that those two keep one
+row, and the README's table of every cache."""
 import functools
 import re
 from pathlib import Path
@@ -28,6 +28,14 @@ def recorded(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, functools.lru_cache(maxsize=size)(recording))
     return misses
+
+
+def route_caches():
+    """Every functools cache of the route modules, by ``module.name``."""
+    return {f"{module.__name__.rpartition('.')[2]}.{name}": value
+            for module in (circulant, exact, spectral)
+            for name, value in vars(module).items()
+            if callable(getattr(value, "cache_info", None))}
 
 
 def test_sequence_forms_each_window_once_and_even_ones_by_a_square(capsys, monkeypatch):
@@ -79,33 +87,46 @@ def test_a_central_sum_and_the_eigen_ratios_check_share_one_ratio_row(capsys, mo
     assert sorted(formed) == sorted(dims)
 
 
-def test_each_request_starts_with_the_request_caches_empty(capsys):
-    # The same request twice in one process builds the same tables twice:
-    # nothing is carried from one request to the next.
-    caches = (circulant._window, spectral._sine_table, spectral._ratio_row)
-    builds = []
+def test_each_request_starts_with_every_cache_but_the_row_caches_empty(capsys):
+    # The same requests twice in one process build the same entries and hit
+    # the same ones: apart from the two row caches, nothing is carried from
+    # one request to the next.  verify --seed fills the double rung's
+    # spectra and phase weights, oeis the trace windows.
+    caches = {name: cache for name, cache in route_caches().items() if name not in cli.KEPT_CACHES}
+    requests = (["oeis", "--k", "1", "--offline"],
+                ["verify", "--k-max", "2", "--n-max", "4", "--seed", "1"])
+    counts = []
     for _ in range(2):
-        assert run(capsys, "oeis", "--k", "1", "--offline")[0] == 0
-        builds.append([(cache.cache_info().misses, cache.cache_info().hits) for cache in caches])
-    assert builds[0] == builds[1]
-    assert all(misses for misses, _ in builds[0])
+        for argv in requests:
+            assert run(capsys, *argv)[0] == 0
+            counts.append({name: cache.cache_info()[:2] for name, cache in caches.items()})
+    assert counts[:2] == counts[2:]
+    assert {name for count in counts[:2] for name, (_, misses) in count.items() if misses} == set(caches)
 
 
-def test_clear_route_caches_empties_every_route_cache(capsys):
+def test_the_two_row_caches_outlive_a_request(capsys):
+    # Two l of one row in two requests: the second reads the trace route's
+    # half-power windows and the ball rung's row form the first one left.
+    assert cli.KEPT_CACHES == {"circulant._half_power_windows", "spectral._phase_form"}
+    for l in (7, 8):
+        assert run(capsys, "compute", "--k", "1", "--n", "60", "--l", str(l), "--method", "all")[0] == 0
+    caches = route_caches()
+    assert {name: caches[name].cache_info().hits for name in cli.KEPT_CACHES} == dict.fromkeys(cli.KEPT_CACHES, 1)
+
+
+def test_clear_route_caches_empties_every_route_cache(capsys, monkeypatch):
     # Fill what a mixed set of requests fills, then clear: every functools
-    # cache of the route modules is empty again.
+    # cache of the route modules is empty again, a test's rebinding too.
+    recorded(monkeypatch, spectral, "_double_spectrum")
     for argv in (["sequence", "--k", "1", "--count", "6", "--method", "trace"],
                  ["sequence", "--k", "2", "--count", "6", "--method", "spectral"],
                  ["compute", "--k", "3", "--n", "40", "--l", "7", "--method", "all"],
                  ["verify", "--k-max", "2", "--n-max", "4", "--seed", "1"]):
         assert run(capsys, *argv)[0] == 0
-    caches = {f"{module.__name__}.{name}": value
-              for module in (circulant, exact, spectral)
-              for name, value in vars(module).items()
-              if callable(getattr(value, "cache_info", None))}
+    caches = route_caches()
     filled = {name for name, cache in caches.items() if cache.cache_info().currsize}
-    assert {"cnomial.circulant._window", "cnomial.spectral._sine_table",
-            "cnomial.spectral._ratio_row"} <= filled
+    assert {"circulant._window", "spectral._sine_table", "spectral._ratio_row",
+            "spectral._double_spectrum"} | cli.KEPT_CACHES <= filled
     cli._clear_route_caches()
     assert {name: cache.cache_info().currsize for name, cache in caches.items()} == dict.fromkeys(caches, 0)
 
@@ -143,15 +164,14 @@ def test_a_row_read_around_another_equals_a_cold_rebuild(cold_caches):
 
 def test_readme_lists_every_route_cache_at_its_size():
     # The README's table of caches names every functools cache of the
-    # route modules, and gives each its maxsize: a cache added, removed or
-    # resized without the table fails here.
+    # route modules, gives each its maxsize, and marks as kept exactly the
+    # caches that cli.main leaves filled between requests: a cache added,
+    # removed, resized or kept without the table fails here.
     text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     section = text[text.index("### Caches\n"):]
     section = section[:section.index("\n#", 1)]
-    listed = {f"cnomial.{name}": int(size)
-              for name, size in re.findall(r"^\| `(\w+\.\w+)` \| [^|]+ \| (\d+) \|", section, re.M)}
-    caches = {f"{module.__name__}.{name}": value.cache_parameters()["maxsize"]
-              for module in (circulant, exact, spectral)
-              for name, value in vars(module).items()
-              if callable(getattr(value, "cache_parameters", None))}
-    assert listed == caches
+    rows = re.findall(r"^\| `(\w+\.\w+)` \| [^|]+ \| (\d+) \| (kept|no)\b[^|]* \|", section, re.M)
+    caches = route_caches()
+    assert {name: int(size) for name, size, _ in rows} == {
+        name: cache.cache_parameters()["maxsize"] for name, cache in caches.items()}
+    assert {name for name, _, kept in rows if kept == "kept"} == cli.KEPT_CACHES

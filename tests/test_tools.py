@@ -17,8 +17,8 @@ KEYS = {
                      "four_l_min_s", "four_l_median_s"},
     "bench_import.py": {"type", "case", "argv", "repetitions", "min_ms", "median_ms",
                         "modules"},
-    "cli_digest.py": {"type", "group", "requests", "repetitions", "stdout", "stderr",
-                      "exit_codes"},
+    "cli_digest.py": {"type", "group", "requests", "repetitions", "python", "stdout", "stderr",
+                      "exit_codes", "values"},
 }
 
 

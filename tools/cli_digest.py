@@ -24,7 +24,7 @@ on PYTHONPATH and compare.  The grid, one group each:
   row (l = 0, 2kn and both sides of the centre; n = 0 too), in ascending
   order, in descending order, and interleaved with another row's
   (:data:`ROWS`), so that a row the spectral route keeps between reads
-  (``_phase_form``'s, ``_double_spectrum``'s), read stale, changes the
+  (``_phase_form``'s, which outlives a request), read stale, changes the
   digest;
 - ``oeis``: ``--offline`` for each registered id and k, counts 1-10,
   every format, and the count past the fixture;
@@ -32,23 +32,39 @@ on PYTHONPATH and compare.  The grid, one group each:
 - ``errors``: usage errors (exit 2), value errors (exit 2) and help texts.
 
 Every request runs in this process through ``cnomial.cli.main``, as the
-benchmark sends them, so the package's caches stay warm from one request
-to the next.  The grid runs ``repetitions`` times; a pass whose output
+benchmark sends them, so the two caches that outlive a request
+(``cnomial.cli.KEPT_CACHES``) carry rows from one request to the next.
+``COLUMNS`` is pinned to 80, since argparse wraps help to the terminal,
+and the b-file cache is an empty directory, since ``oeis --offline``
+reads it.  The grid runs ``repetitions`` times; a pass whose output
 differs from the first's is reported on stderr and the script exits 1.
 One JSON line per group, then one for ``all``, goes to stdout, with the
-keys ``type``, ``group``, ``requests``, ``repetitions``, ``stdout``,
-``stderr`` and ``exit_codes``: the last three are SHA-256 digests of the
-first pass's outputs and exit codes, request by request.
+keys ``type``, ``group``, ``requests``, ``repetitions``, ``python`` (the
+minor version that ran it), ``stdout``, ``stderr``, ``exit_codes`` and
+``values``.  ``stdout``, ``stderr`` and ``exit_codes`` are SHA-256 digests
+of the first pass's outputs and exit codes, request by request.
+``values`` digests stdout with every ``residual`` removed (the json-lines
+key and the csv column), which is all that may differ between Python
+versions: the double rung's sums of floats are compensated from 3.12 on.
+It is null for ``errors``, whose help texts change with argparse, and
+``all``'s leaves that group out.  ``tests/golden/cli_digest.jsonl`` holds
+this script's output; regenerate it where output changes on purpose:
+
+    PYTHONPATH=src python3 tools/cli_digest.py > tests/golden/cli_digest.jsonl
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import json
+import os
 import sys
+import tempfile
 import traceback
+from unittest import mock
 
 from cnomial import cli
 
@@ -187,37 +203,72 @@ def run(argv: list[str]) -> tuple[str, str, str]:
     return out.getvalue(), err.getvalue(), code
 
 
+def digest(texts) -> str:
+    """SHA-256 of a stream of texts, each framed by its length."""
+    hashed = hashlib.sha256()
+    for text in texts:
+        data = text.encode()
+        hashed.update(b"%d:" % len(data) + data)
+    return hashed.hexdigest()
+
+
 def digests(results: list[tuple[str, str, str]]) -> dict[str, str]:
-    """SHA-256 of each stream, every request's text framed by its length."""
-    hashes = [hashlib.sha256() for _ in range(3)]
-    for result in results:
-        for digest, text in zip(hashes, result):
-            data = text.encode()
-            digest.update(b"%d:" % len(data) + data)
-    return dict(zip(("stdout", "stderr", "exit_codes"), (h.hexdigest() for h in hashes)))
+    """The digest of each stream: stdout, stderr and exit codes, request by request."""
+    return dict(zip(("stdout", "stderr", "exit_codes"), map(digest, zip(*results))))
+
+
+def without_residuals(argv: list[str], stdout: str) -> str:
+    """A request's stdout with every ``residual`` removed: the json-lines key, the csv column."""
+    fmt = argv[argv.index("--format") + 1] if "--format" in argv else "plain"
+    if fmt == "json-lines":
+        records = map(json.loads, stdout.splitlines())
+        return "".join(json.dumps({key: value for key, value in record.items() if key != "residual"}) + "\n"
+                       for record in records)
+    if fmt == "csv" and stdout:
+        rows = list(csv.reader(io.StringIO(stdout)))
+        kept = [i for i, name in enumerate(rows[0]) if name != "residual"]
+        buffer = io.StringIO()
+        csv.writer(buffer).writerows([row[i] for i in kept] for row in rows)
+        return buffer.getvalue()
+    return stdout
+
+
+def grid_digests(repetitions: int = 1) -> tuple[list[dict], int]:
+    """The digest records of the grid, and 1 if a later pass differed from the first, else 0."""
+    grid = {name: build() for name, build in GROUPS.items()}
+    first: dict[str, list[tuple[str, str, str]]] = {}
+    status = 0
+    with tempfile.TemporaryDirectory() as cache, \
+            mock.patch.dict(os.environ, COLUMNS="80", CNOMIAL_CACHE_DIR=cache):
+        for repetition in range(repetitions):
+            for name, requests in grid.items():
+                results = [run(argv) for argv in requests]
+                if name not in first:
+                    first[name] = results
+                elif results != first[name]:
+                    index = next(i for i, pair in enumerate(zip(results, first[name])) if pair[0] != pair[1])
+                    print(f"pass {repetition + 1} differs from the first in {name}: {requests[index]}",
+                          file=sys.stderr)
+                    status = 1
+    values = {name: [without_residuals(argv, out) for argv, (out, _, _) in zip(grid[name], results)]
+              for name, results in first.items() if name != "errors"}
+    first["all"] = [result for results in first.values() for result in results]
+    values["all"] = [result for results in values.values() for result in results]
+    python = "%d.%d" % sys.version_info[:2]
+    records = [{"type": "digest", "group": name, "requests": len(results), "repetitions": repetitions,
+                "python": python, **digests(results),
+                "values": digest(values[name]) if name in values else None}
+               for name, results in first.items()]
+    return records, status
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repetitions", type=int, default=1)
     args = parser.parse_args()
-    grid = {name: build() for name, build in GROUPS.items()}
-    first: dict[str, list[tuple[str, str, str]]] = {}
-    status = 0
-    for repetition in range(args.repetitions):
-        for name, requests in grid.items():
-            results = [run(argv) for argv in requests]
-            if name not in first:
-                first[name] = results
-            elif results != first[name]:
-                index = next(i for i, pair in enumerate(zip(results, first[name])) if pair[0] != pair[1])
-                print(f"pass {repetition + 1} differs from the first in {name}: {requests[index]}",
-                      file=sys.stderr)
-                status = 1
-    everything = [result for results in first.values() for result in results]
-    for name, results in (*first.items(), ("all", everything)):
-        print(json.dumps({"type": "digest", "group": name, "requests": len(results),
-                          "repetitions": args.repetitions, **digests(results)}))
+    records, status = grid_digests(args.repetitions)
+    for record in records:
+        print(json.dumps(record))
     return status
 
 
