@@ -472,12 +472,48 @@ def _method_list(text: str) -> list[str]:
     return values or ["all"]
 
 
+def _option_table(command: argparse.ArgumentParser, name: str, dest: str) -> tuple | None:
+    """The options of one command's parser, read off its own actions, or None.
+
+    The table is ``(options, defaults, required)``: each option string
+    maps to ``(dest, converter, choices, const)``, with no converter for a
+    ``store_true`` flag, whose const is what it stores; ``defaults`` is the
+    namespace before any option is read (``dest`` set to ``name``, then
+    every action's default in the parser's order, then ``set_defaults``);
+    ``required`` holds the dests that must be given.  A parser with an
+    action :func:`_parse_with_table` cannot reproduce gets None: anything
+    but help, ``store_true`` or ``store`` of one value, or a str default
+    with a ``type``, which argparse converts when the option is not given.
+    """
+    options: dict[str, tuple] = {}
+    defaults = {dest: name}
+    required = set()
+    for action in command._actions:
+        kind = type(action)
+        if kind is argparse._HelpAction:
+            continue
+        if kind is argparse._StoreTrueAction:
+            entry = (action.dest, None, None, action.const)
+        elif kind is argparse._StoreAction and action.nargs is None \
+                and not (action.type is not None and isinstance(action.default, str)):
+            convert = command._registry_get("type", action.type, action.type)
+            entry = (action.dest, convert, action.choices, None)
+        else:
+            return None
+        options.update(dict.fromkeys(action.option_strings, entry))
+        defaults[action.dest] = action.default
+        if action.required:
+            required.add(action.dest)
+    defaults.update(command._defaults)
+    return options, defaults, frozenset(required)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parsing leaves it as it was.
 
-    Its ``commands`` attribute maps each command's name to the command's
-    own parser, which :func:`_parse_args` runs directly.
+    Its ``option_tables`` attribute maps each command's name to the
+    command's :func:`_option_table`, which :func:`_parse_args` reads.
     """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -549,28 +585,64 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=10)
     p.set_defaults(func=cmd_oeis)
 
-    parser.commands = sub.choices
+    parser.option_tables = {
+        name: _option_table(command, name, sub.dest) for name, command in sub.choices.items()
+    }
     return parser
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, with the same output, errors and exit codes.
+def _parse_with_table(table: tuple, argv: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse builds for the canonical ``argv`` that
+    :func:`_parse_args` describes, or None for any other argv.
 
-    Where argv[0] names a command, that command's parser reads the rest
-    directly, without the top-level pass that would only find the
-    command; arguments left over are the top-level parser's error, as
-    they are there.  Anything else (help, no command, an unknown one)
-    goes through the top-level parser.
+    A repeated option keeps its last value, as in argparse.
+    """
+    options, defaults, required = table
+    values = dict(defaults)
+    seen = set()
+    index, end = 1, len(argv)
+    while index < end:
+        entry = options.get(argv[index])
+        if entry is None:
+            return None
+        dest, convert, choices, const = entry
+        if convert is None:
+            value = const
+        else:
+            index += 1
+            if index == end or argv[index].startswith("-"):
+                return None
+            try:
+                value = convert(argv[index])
+            except Exception:  # argparse reports or raises it
+                return None
+            if choices is not None and value not in choices:
+                return None
+        values[dest] = value
+        seen.add(dest)
+        index += 1
+    if not required <= seen:
+        return None
+    return argparse.Namespace(**values)
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, with the same namespace, output, errors and exit codes.
+
+    An argv that names a command with an option table and then gives only
+    that command's exact option strings, each flag alone and each value
+    option followed by a value that does not start with ``-``, converts
+    and is a valid choice, with every required option present, is read
+    off the table (:func:`_parse_with_table`) without argparse.  Anything
+    else goes to argparse, which prints what it prints: help, no command or
+    an unknown one, unknown or abbreviated options, ``--opt=value``,
+    ``--``, a value starting with ``-``, a stray word, a value its
+    ``type`` rejects, a bad choice, a missing required option.
     """
     parser = build_parser()
-    command = parser.commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args, extras = command.parse_known_args(argv[1:])
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    args.command = argv[0]
-    return args
+    table = parser.option_tables.get(argv[0]) if argv else None
+    args = None if table is None else _parse_with_table(table, argv)
+    return parser.parse_args(argv) if args is None else args
 
 
 def main(argv: list[str] | None = None) -> int:

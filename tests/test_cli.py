@@ -1,5 +1,9 @@
 """Command-line contract: outputs, formats, and exit codes."""
+import argparse
+import ast
+import contextlib
 import csv
+import importlib.util
 import io
 import json
 import math
@@ -10,6 +14,8 @@ from pathlib import Path
 
 import pytest
 from dirichlet import dirichlet_kernel
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cnomial import oeis
 from cnomial import cli
@@ -728,8 +734,10 @@ def test_unknown_subcommand_is_usage_error():
     assert info.value.code == 2
 
 
-#: Bad and help argv: each is parsed by the named command's own parser where
-#: argv[0] is a command, and by the top-level parser otherwise.
+ROOT = Path(__file__).resolve().parent.parent
+
+#: Bad and help argv, which argparse reads, and canonical ones, which the
+#: option tables read: the namespace, output and exit code are argparse's.
 PARSE_ARGV = [
     [], ["--help"], ["-h"], ["-h", "compute"], ["transmogrify"], ["COMPUTE", "--k", "1"],
     ["--", "compute", "--k", "1", "--n", "2"], ["compute"], ["compute", "--help"], ["compute", "-h"],
@@ -746,23 +754,129 @@ PARSE_ARGV = [
     ["compute", "--k=1", "--n=2", "--method=all", "--for", "csv"],
     ["sequence", "--k", "2", "--count", "3", "--start-n", "4", "--format", "json-lines"],
     ["bench", "--k", "1", "--n", "1,2", "--method", "conv"],
+    # canonical: one per command, --offline, a repeated option, shuffled order
+    ["compute", "--k", "2", "--n", "30", "--l", "7", "--method", "all", "--format", "json-lines", "--offline"],
+    ["compute", "--method", "trace", "--n", "4", "--k", "1", "--k", "3", "--method", "spectral"],
+    ["sequence", "--method", "spectral", "--count", "3", "--start-n", "0", "--k", "1"],
+    ["verify", "--seed", "0", "--n-max", "3", "--k-max", "1", "--offline", "--offline"],
+    ["bench", "--k", "1", "--n", "1,2", "--method", "conv,trace"],
+    ["oeis", "--id", "A002426", "--k", "1", "--count", "3"],
+    ["oeis", "--k", "1", "--offline", "--format", "json-lines"],
+    ["oeis"], ["compute", "--k", "1", "--n", "1_0", "--l", ""], ["oeis", "--id", "", "--count", "0"],
+    # canonical in shape, but argparse's to answer
+    ["compute", "--k", "1", "--n", "-2"], ["compute", "--k", "1", "--n", ""], ["sequence", "--k", "1"],
+    ["compute", "--k", "1", "--n", "2", "--method", "trace", "--method", "bad"],
+    ["bench", "--k", "1", "--n", "1", "--method", "all,conv"],
+    ["oeis", "--id", "-h"], ["oeis", "--k", "1", "--id", "--offline"], ["oeis", "--id", "-1"],
 ]
 
 
-def parsed(parse, argv, capsys):
+def parsed(parse, argv):
     """(namespace, exit code, stdout, stderr) of one parse."""
+    out, err = io.StringIO(), io.StringIO()
     namespace, code = None, None
-    try:
-        namespace = vars(parse(list(argv)))
-    except SystemExit as exit:
-        code = exit.code
-    captured = capsys.readouterr()
-    return namespace, code, captured.out, captured.err
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            namespace = vars(parse(list(argv)))
+        except SystemExit as exit:
+            code = exit.code
+    return namespace, code, out.getvalue(), err.getvalue()
 
 
 @pytest.mark.parametrize("argv", PARSE_ARGV, ids=" ".join)
-def test_command_parser_dispatch_matches_the_top_level_parser(capsys, argv):
+def test_command_parser_dispatch_matches_the_top_level_parser(argv):
     # Usage, help and error text, exit codes and namespaces, byte for byte.
-    expected = parsed(cli.build_parser().parse_args, argv, capsys)
-    assert parsed(cli._parse_args, argv, capsys) == expected
+    expected = parsed(cli.build_parser().parse_args, argv)
+    assert parsed(cli._parse_args, argv) == expected
     assert expected[0] is not None or expected[1] in (0, 2)
+
+
+def _vocabulary() -> tuple[dict, list[str], list[str]]:
+    """Per command, each option string with the values argparse accepts for it
+    (None for a flag) and whether it is required; every option string; values.
+    All read off the parsers' own actions."""
+    parser = cli.build_parser()
+    (sub,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    choices = sorted({choice for command in sub.choices.values() for action in command._actions
+                      if action.choices for choice in action.choices})
+    values = ["0", "3", "-1", "-0", "-x", "--k", "-h", "", "x", "1_0", " 2", "9" * 4301, "1,2", "1,", ",",
+              "conv,trace", "conv,bad", "all,conv", "A002426", "B1", "nope", *choices]
+
+    def accepts(command, action, value):
+        try:
+            command._check_value(action, command._get_value(action, value))
+        except argparse.ArgumentError:
+            return False
+        return not value.startswith("-")
+
+    commands = {
+        name: {option: (None if action.nargs == 0 else [v for v in values if accepts(command, action, v)],
+                        action.required)
+               for action in command._actions if not isinstance(action, argparse._HelpAction)
+               for option in action.option_strings}
+        for name, command in sub.choices.items()
+    }
+    options = sorted({option for command in sub.choices.values() for option in command._option_string_actions})
+    return commands, options, values
+
+
+COMMANDS, OPTIONS, VALUES = _vocabulary()
+#: Tokens that are no exact option string: prefixes, ``=`` forms, ``--``, help, stray words.
+STRAYS = sorted({option[:cut] for option in OPTIONS for cut in (2, 3, 5) if option[:cut] not in OPTIONS}
+                | {f"{option}={value}" for option in OPTIONS[:4] for value in ("1", "", "-1")}
+                | {"--", "-", "-h", "--help", "extra", "compute", "--bogus"})
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_option_tables_answer_as_argparse_does(data):
+    # The command's own options with values it accepts, its required ones
+    # often among them, answered by the tables; half the time with one
+    # token of any option and value, or a stray one, for argparse to answer.
+    command = data.draw(st.sampled_from([*COMMANDS, "transmogrify", "--k", "-h"]))
+    own = COMMANDS.get(command, {})
+
+    def item(option):
+        good, _ = own[option]
+        if good is None:
+            return st.just((option,))
+        return st.tuples(st.just(option), st.sampled_from(good))
+
+    items = data.draw(st.lists(st.sampled_from(sorted(own)).flatmap(item), max_size=6)) if own else []
+    if data.draw(st.booleans()):
+        items += [data.draw(item(option)) for option, (_, needed) in own.items() if needed]
+    if data.draw(st.booleans()):
+        items.append(data.draw(st.one_of(st.tuples(st.sampled_from(OPTIONS), st.sampled_from(VALUES)),
+                                         st.tuples(st.sampled_from(STRAYS + VALUES)))))
+    items = data.draw(st.permutations(items))
+    argv = [command, *(token for item in items for token in item)]
+    expected = parsed(cli.build_parser().parse_args, argv)
+    assert parsed(cli._parse_args, argv) == expected
+
+
+def _perfbench_argv() -> list[list[str]]:
+    """Every argv shape the benchmark sends: each workload's batch and the runner's warm-up."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text())
+    (warmup,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and [getattr(target, "id", None) for target in node.targets] == ["WARMUP"]]
+    return [*ast.literal_eval(warmup),
+            *(argv for name in sorted(workloads.BATCHES) for argv in workloads.batch(name, 1))]
+
+
+def test_benchmark_requests_skip_argparse(monkeypatch):
+    # Every command has a table, and every request the benchmark sends is
+    # read off it: argparse's own parse would raise here.
+    assert set(cli.build_parser().option_tables) == set(COMMANDS)
+    assert all(table is not None for table in cli.build_parser().option_tables.values())
+    requests = _perfbench_argv()
+    expected = [vars(cli.build_parser().parse_args(argv)) for argv in requests]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse parsed a canonical argv")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    assert [vars(cli._parse_args(argv)) for argv in requests] == expected

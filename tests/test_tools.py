@@ -21,12 +21,16 @@ KEYS = {
                       "exit_codes", "values"},
 }
 
+#: Arguments past ``--repetitions 1``: the digest grid's smallest group, since
+#: ``tests/test_golden.py`` runs the whole grid in process.
+ARGS = {"cli_digest.py": ["--group", "errors"]}
+
 
 @pytest.mark.parametrize("script", list(KEYS))
 def test_tool_runs_and_prints_its_records(script):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / script), "--repetitions", "1"],
+        [sys.executable, str(ROOT / "tools" / script), "--repetitions", "1", *ARGS.get(script, [])],
         capture_output=True, text=True, env=env, timeout=120, check=False,
     )
     assert done.returncode == 0, done.stderr
@@ -37,3 +41,15 @@ def test_tool_runs_and_prints_its_records(script):
     source = (ROOT / "tools" / script).read_text()
     docstring = source[: source.index('"""', 3)]
     assert all(f"``{key}``" in docstring for key in KEYS[script])
+
+
+def test_cli_digest_runs_the_groups_named():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    script = [sys.executable, str(ROOT / "tools" / "cli_digest.py")]
+    done = subprocess.run([*script, "--group", "errors", "--group", "oeis"], capture_output=True,
+                          text=True, env=env, timeout=120, check=False)
+    assert done.returncode == 0, done.stderr
+    assert [json.loads(line)["group"] for line in done.stdout.splitlines()] == ["oeis", "errors", "all"]
+    done = subprocess.run([*script, "--group", "nope"], capture_output=True, text=True, env=env,
+                          timeout=120, check=False)
+    assert (done.returncode, done.stdout) == (2, "")

@@ -1,6 +1,6 @@
 """Digest the CLI's stdout, stderr and exit codes over a fixed grid of requests.
 
-    PYTHONPATH=src python3 tools/cli_digest.py [--repetitions 1]
+    PYTHONPATH=src python3 tools/cli_digest.py [--repetitions 1] [--group NAME ...]
 
 Two source trees print the same lines exactly when ``cnomial``'s output is
 byte-identical on the grid: run the script once with each tree's ``src``
@@ -31,6 +31,9 @@ on PYTHONPATH and compare.  The grid, one group each:
 - ``verify``: grids k-max 1-4 by n-max, with no ``--seed`` and with three;
 - ``errors``: usage errors (exit 2), value errors (exit 2) and help texts.
 
+``--group NAME``, which may be repeated, runs only the groups named (an
+unknown name is a usage error, exit 2); by default every group runs.
+
 Every request runs in this process through ``cnomial.cli.main``, as the
 benchmark sends them, so the two caches that outlive a request
 (``cnomial.cli.KEPT_CACHES``) carry rows from one request to the next.
@@ -38,11 +41,12 @@ benchmark sends them, so the two caches that outlive a request
 and the b-file cache is an empty directory, since ``oeis --offline``
 reads it.  The grid runs ``repetitions`` times; a pass whose output
 differs from the first's is reported on stderr and the script exits 1.
-One JSON line per group, then one for ``all``, goes to stdout, with the
-keys ``type``, ``group``, ``requests``, ``repetitions``, ``python`` (the
-minor version that ran it), ``stdout``, ``stderr``, ``exit_codes`` and
-``values``.  ``stdout``, ``stderr`` and ``exit_codes`` are SHA-256 digests
-of the first pass's outputs and exit codes, request by request.
+One JSON line per group run, then one for ``all`` of them, goes to
+stdout, with the keys ``type``, ``group``, ``requests``, ``repetitions``,
+``python`` (the minor version that ran it), ``stdout``, ``stderr``,
+``exit_codes`` and ``values``.  ``stdout``, ``stderr`` and ``exit_codes``
+are SHA-256 digests of the first pass's outputs and exit codes, request
+by request.
 ``values`` digests stdout with every ``residual`` removed (the json-lines
 key and the csv column), which is all that may differ between Python
 versions: the double rung's sums of floats are compensated from 3.12 on.
@@ -233,9 +237,10 @@ def without_residuals(argv: list[str], stdout: str) -> str:
     return stdout
 
 
-def grid_digests(repetitions: int = 1) -> tuple[list[dict], int]:
-    """The digest records of the grid, and 1 if a later pass differed from the first, else 0."""
-    grid = {name: build() for name, build in GROUPS.items()}
+def grid_digests(repetitions: int = 1, groups: list[str] | None = None) -> tuple[list[dict], int]:
+    """The digest records of the grid's ``groups`` (by default all of them), and 1
+    if a later pass differed from the first, else 0."""
+    grid = {name: build() for name, build in GROUPS.items() if groups is None or name in groups}
     first: dict[str, list[tuple[str, str, str]]] = {}
     status = 0
     with tempfile.TemporaryDirectory() as cache, \
@@ -265,8 +270,10 @@ def grid_digests(repetitions: int = 1) -> tuple[list[dict], int]:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repetitions", type=int, default=1)
+    parser.add_argument("--group", action="append", choices=list(GROUPS),
+                        help="run only this group (repeatable; default: every group)")
     args = parser.parse_args()
-    records, status = grid_digests(args.repetitions)
+    records, status = grid_digests(args.repetitions, args.group)
     for record in records:
         print(json.dumps(record))
     return status
