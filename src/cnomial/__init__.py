@@ -1,16 +1,17 @@
 """Central (2k+1)-nomial coefficients by three independent routes.
 
 M^(2k,n) is the coefficient of x^{kn} in (1 + x + ... + x^{2k})^n, the
-largest entry of the row.  The package computes it (and any other
-coefficient p_l of the row) three ways:
+largest entry of the row.  The package computes any coefficient p_l of
+the row three ways, one function each, and the central one is l = kn:
 
-- the exact coefficient row by a four-term recurrence, cross-checked by
-  a running-window convolution (:mod:`cnomial.exact`), the oracle;
-- exact circulant-matrix powers, reading the trace or a shifted row
-  (:mod:`cnomial.circulant`);
-- a closed-form trigonometric sum over the circulant spectrum, evaluated
-  in floating or fixed-point ball arithmetic and rounded back with a
-  certified residual
+- :func:`coefficient`, the exact recurrence stopped at p_l, and
+  :func:`expand_power`, the whole row, cross-checked by a running-window
+  convolution (:mod:`cnomial.exact`), the oracle;
+- :func:`coefficient_via_shift`, read off exact circulant-matrix powers;
+  at l = kn that is the trace (:mod:`cnomial.circulant`);
+- :func:`coefficient_via_spectrum`, a closed-form trigonometric sum over
+  the circulant spectrum, evaluated in floating or fixed-point ball
+  arithmetic and rounded back with a certified residual
   (:mod:`cnomial.spectral`).
 
 :mod:`cnomial.oeis` ties the k = 1, 2, 3 sequences to their OEIS entries;
@@ -18,14 +19,13 @@ it is imported on first use of one of its names here, so a process that
 never compares against OEIS does not load it.  The ``cnomial`` console
 script exposes everything on the command line.
 """
-from .circulant import central_via_trace, coefficient_via_shift
-from .exact import central_coefficient, expand_power
+from .circulant import coefficient_via_shift
+from .exact import coefficient, expand_power
 from .params import Params
 from .spectral import (
     CertificationError,
     CertifiedInteger,
     PrecisionPolicy,
-    central_via_spectrum,
     coefficient_via_spectrum,
 )
 
@@ -55,9 +55,7 @@ __all__ = [
     "PrecisionPolicy",
     "SequenceIdError",
     "SequenceRecord",
-    "central_coefficient",
-    "central_via_spectrum",
-    "central_via_trace",
+    "coefficient",
     "coefficient_via_shift",
     "coefficient_via_spectrum",
     "compare",

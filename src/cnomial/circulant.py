@@ -4,8 +4,9 @@ The route powers one matrix, the symmetric central circulant C
 (first-row ones at offsets -k..k mod N), by squaring, and keeps only the
 nonzero window of each power: the window of Cᵉ is the coefficient row of
 (1 + x + ... + x^{2k})ᵉ.  Every coefficient is read off the windows of
-two half powers; the central one is the trace of Cⁿ over N.  The ring
-of N points appears only in :func:`matrix_power`.
+two half powers (:func:`coefficient_via_shift`); the central one, the
+trace of Cⁿ over N, takes half the products.  The ring of N points
+appears only in :func:`matrix_power`.
 """
 from __future__ import annotations
 
@@ -187,24 +188,6 @@ def _unpack(packed: Decimal, digits: int, count: int) -> list[int]:
     return [parse(text[i : i + digits]) for i in range(len(text) - digits, -1, -digits)]
 
 
-def central_via_trace(params: Params) -> int:
-    """M^(2k,n) as trace of the n-th power of the central circulant, over N.
-
-    Every diagonal entry of a circulant equals its (0, 0) entry, so
-    Tr(C^n) / N is the (0, 0) entry of C^n: its first row's entry at
-    offset 0.  The n-th power is never formed: the entry is read off the
-    windows x and y of the two half powers X and Y
-    (:func:`_half_power_windows`), which other coefficients of the row
-    share.  C is symmetric, so each window is a palindrome centred on
-    offset 0.  With i and j their centres, entry 0 of X Y is
-    sum_t x_{i+t} y_{j-t} = x_i y_j + 2 sum_{t>=1} x_{i+t} y_{j+t}: half
-    the products of the read in :func:`coefficient_via_shift`.
-    """
-    x, y = _half_power_windows(params.k, params.n)
-    i, j = len(x) // 2, len(y) // 2
-    return x[i] * y[j] + 2 * sum(map(mul, x[i + 1 :], y[j + 1 :]))
-
-
 @lru_cache(maxsize=1)
 def _half_power_windows(k: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Windows of X = C^{floor(n/2)} and Y = X, or X C when n is odd, for
@@ -234,19 +217,30 @@ def coefficient_via_shift(params: Params, l: int) -> int:
     a trailing block of k ones), is the shift ``m = N - k``, so ``p_l``
     sits at offset ``(l - kn) mod N``.
 
-    As in :func:`central_via_trace`, the n-th power is never formed: the
-    entry is read off the windows x and y of the two half powers, cached
-    per (k, n) for the other coefficients of the same row.  The window of
-    Cᵉ, 2ke+1 entries from offset -ke, is the coefficient row of
+    The n-th power is never formed: the entry is read off the windows x
+    and y of the two half powers (:func:`_half_power_windows`), cached per
+    (k, n) for the other coefficients of the same row.  The window of Cᵉ,
+    2ke+1 entries from offset -ke, is the coefficient row of
     (1 + x + ... + x^{2k})ᵉ, so p_l = sum_j x_j y_{l-j}.  The windows'
     product has 2kn+1 = N coefficients and fills the ring exactly, so no
     index wraps and none is reduced mod N.  y is a palindrome, so
     y_{l-j} = y_{j+c} with c = len(y) - 1 - l: one pass over aligned
     slices from j = max(0, -c) on.
+
+    The central coefficient, l = kn, is Tr(Cⁿ) / N: every diagonal entry
+    of a circulant equals its (0, 0) entry, the first row's entry at
+    offset 0.  It takes half the products.  C is symmetric, so both
+    windows are palindromes centred on offset 0, at i = k⌊n/2⌋ and
+    j = kn - i, and x_{i+t} y_{j-t} = x_{i-t} y_{j+t}: the terms t and -t
+    of p_kn = sum_t x_{i+t} y_{j-t} are equal, so
+    p_kn = x_i y_j + 2 sum_{t>=1} x_{i+t} y_{j+t}, over aligned slices.
     """
     if not 0 <= l <= params.degree:
         raise ValueError(f"l must be in [0, {params.degree}], got {l}")
     x, y = _half_power_windows(params.k, params.n)
+    if l == params.k * params.n:
+        i, j = len(x) // 2, len(y) // 2
+        return x[i] * y[j] + 2 * sum(map(mul, x[i + 1 :], y[j + 1 :]))
     c = len(y) - 1 - l
     lo = max(0, -c)
     return sum(map(mul, x[lo:], y[lo + c :]))

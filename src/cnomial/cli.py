@@ -69,22 +69,15 @@ def _emit(records: list[dict], plain_lines: list[str], fmt: str) -> None:
 def _evaluate(method: str, params: Params, l: int) -> int | spectral.CertifiedInteger:
     """p_l by one method: an int, or the certified result of ``spectral``.
 
-    The central coefficient takes each route's central entry point.  Routes
-    are looked up on their modules at every call, so a rebinding there
-    (a test's fake, a tracer's wrapper) sees the call.
+    Each route has one entry point, and the central coefficient is l = kn.
+    Routes are looked up on their modules at every call, so a rebinding
+    there (a test's fake, a tracer's wrapper) sees the call.
     """
-    central = l == params.k * params.n
     if method == "conv":
-        if central:
-            return exact.central_coefficient(params)
         return exact.coefficient(params, l)
     if method == "trace":
-        if central:
-            return circulant.central_via_trace(params)
         return circulant.coefficient_via_shift(params, l)
     if method == "spectral":
-        if central:
-            return spectral.central_via_spectrum(params)
         return spectral.coefficient_via_spectrum(params, l)
     raise ValueError(f"unknown method {method!r}")
 
@@ -185,14 +178,14 @@ def _verify_case(
     """
     failed = []
     values = {}
-    table = exact.expand_power(params)
-    row = table.coeffs
-    central = row[params.k * params.n]
+    row = exact.expand_power(params)
+    kn = params.k * params.n
+    central = row[kn]
 
     if list(row) != window:
         failed.append("exact-window")
-    proven = _certified(failed, spectral.central_via_spectrum, params)
-    trace = circulant.central_via_trace(params)
+    proven = _certified(failed, spectral.coefficient_via_spectrum, params, kn)
+    trace = circulant.coefficient_via_shift(params, kn)
     if central != trace or proven not in (None, central):
         failed.append("methods-equal")
         values["methods-equal"] = _routes(central, trace, proven)
@@ -203,8 +196,7 @@ def _verify_case(
     if row[0] != 1 or (params.n >= 1 and row[1] != params.n):
         failed.append("edge-coefficients")
     # C^n has first row b_j = p_{(j + kn) mod N}: the row rotated by kn.
-    shift = params.k * params.n
-    if circulant.matrix_power(params, params.n) != row[shift:] + row[:shift]:
+    if circulant.matrix_power(params, params.n) != row[kn:] + row[:kn]:
         failed.append("circulant-row")
 
     # The double rung's ratios E_r = sin(m r pi/N) / sin(r pi/N), folded
@@ -462,14 +454,16 @@ def _int_list(text: str) -> list[int]:
 
 def _method_list(text: str) -> list[str]:
     values = [part for part in text.split(",") if part]
+    if not values:
+        raise argparse.ArgumentTypeError("expected at least one method")
     if values == ["all"]:
-        return ["all"]
+        return values
     for value in values:
         if value not in METHODS:
             raise argparse.ArgumentTypeError(
                 f"method must be one of {', '.join(METHODS + ('all',))}; got {value!r}"
             )
-    return values or ["all"]
+    return values
 
 
 def _option_table(command: argparse.ArgumentParser, name: str, dest: str) -> tuple | None:
@@ -521,11 +515,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("plain", "csv", "json-lines"),
         default="plain",
         help="output format (default: plain)",
-    )
-    common.add_argument(
-        "--offline",
-        action="store_true",
-        help="never touch the network; use fixtures or the cache",
     )
 
     parser = argparse.ArgumentParser(
@@ -579,6 +568,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "oeis", parents=[common], help="compare computed terms against an OEIS sequence"
+    )
+    p.add_argument(
+        "--offline",
+        action="store_true",
+        help="never touch the network; use fixtures or the cache",
     )
     p.add_argument("--id", default=None, help="OEIS identifier, e.g. A002426")
     p.add_argument("--k", type=int, default=None)

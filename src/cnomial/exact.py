@@ -10,38 +10,22 @@ from __future__ import annotations
 
 from itertools import accumulate, chain, repeat
 from operator import sub
-from typing import NamedTuple
 
 from .params import Params
 
 
-class CoefficientTable(NamedTuple):
-    """Full coefficient row of ``(1 + x + ... + x^{2k})^n``.
-
-    ``coeffs[l]`` is the exact integer coefficient of ``x^l`` for
-    ``l in [0, 2kn]``.  The row is symmetric, sums to ``(2k+1)^n``, and its
-    central entry ``coeffs[kn]`` is the central (2k+1)-nomial coefficient.
-    """
-
-    params: Params
-    coeffs: tuple[int, ...]
-
-    @property
-    def central(self) -> int:
-        return self.coeffs[self.params.k * self.params.n]
-
-
-def expand_power(params: Params) -> CoefficientTable:
+def expand_power(params: Params) -> tuple[int, ...]:
     """Expand ``(1 + x + ... + x^{2k})^n`` into its exact coefficient row.
 
-    The row p_0..p_{2kn} comes from the four-term recurrence (see
+    Entry l of the row p_0..p_{2kn} is the coefficient of x^l.  The row is
+    symmetric, sums to (2k+1)^n, and its entry kn is the central
+    (2k+1)-nomial coefficient.  It comes from the four-term recurrence (see
     :func:`_recurrence_prefix`), O(kn) big-int steps.  Its cross-check,
     n multiplications by the all-ones row as a running-window sum (see
     :func:`_times_ones`), O(kn²) big-int additions, shares no arithmetic
     with it.
     """
-    row = _recurrence_prefix(params, params.degree)
-    return CoefficientTable(params=params, coeffs=tuple(row))
+    return tuple(_recurrence_prefix(params, params.degree))
 
 
 def _recurrence_prefix(params: Params, last: int) -> list[int]:
@@ -91,13 +75,9 @@ def coefficient(params: Params, l: int) -> int:
     """The entry p_l, by the recurrence stopped at min(l, 2kn − l).
 
     The row is symmetric, p_l = p_{2kn−l}, so no entry takes more than kn
-    steps and the rest of the row is never built.
+    steps and the rest of the row is never built; the central coefficient
+    is l = kn, the recurrence stopped there.
     """
     if not 0 <= l <= params.degree:
         raise ValueError(f"l must be in [0, {params.degree}], got {l}")
     return _recurrence_prefix(params, min(l, params.degree - l))[-1]
-
-
-def central_coefficient(params: Params) -> int:
-    """The central entry p_kn, by the recurrence stopped there."""
-    return coefficient(params, params.k * params.n)

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from ._digits import unlimited_digits
-from .circulant import central_via_trace
+from .circulant import coefficient_via_shift
 from .params import Params
 from .spectral import central_run
 
@@ -340,8 +340,9 @@ def fetch_bfile(
 def compare(record: SequenceRecord, k: int, count: int) -> ComparisonReport:
     """Recompute ``count`` central coefficients for this k and diff them.
 
-    Each term is computed through the exact trace path and the certified
-    spectral path, the latter as one run over the window
+    Each term is computed through the exact trace path
+    (:func:`cnomial.circulant.coefficient_via_shift` at l = kn) and the
+    certified spectral path, the latter as one run over the window
     (:func:`cnomial.spectral.central_run`); an index matches only when
     both agree with the record.
     """
@@ -354,7 +355,7 @@ def compare(record: SequenceRecord, k: int, count: int) -> ComparisonReport:
     expected = record.terms[:count]
     first = record.offset
     spectral = [result.value for result in central_run(k, first, first + count - 1)]
-    computed = [central_via_trace(Params(k, first + i)) for i in range(count)]
+    computed = [coefficient_via_shift(Params(k, n), k * n) for n in range(first, first + count)]
     matches = [
         via_trace == want == via_spectrum
         for via_trace, via_spectrum, want in zip(computed, spectral, expected)

@@ -679,8 +679,8 @@ def central_run(k: int, first: int, last: int) -> list[CertifiedInteger]:
     smaller n too (the sum is exact at any odd N > kn), so one sine table
     and one division per term serve them all, and each n after the first
     costs one product per term (:func:`_row_spectrum`).  A run of one is
-    :func:`central_via_spectrum`.  Raises CertificationError at the first
-    n, in order, that no rung certifies.
+    :func:`coefficient_via_spectrum` at l = kn.  Raises CertificationError
+    at the first n, in order, that no rung certifies.
     """
     tried = []
     for n in range(first, last + 1):
@@ -704,11 +704,6 @@ def central_run(k: int, first: int, last: int) -> list[CertifiedInteger]:
             rungs.append(("arbitrary", bits, residual))
         results.append(_certified(params, dim, None, value, rungs))
     return results
-
-
-def central_via_spectrum(params: Params) -> CertifiedInteger:
-    """M^(2k,n) from the closed-form sine-ratio sum at the smallest odd N > kn, certified."""
-    return central_run(params.k, params.n, params.n)[0]
 
 
 def coefficient_via_spectrum(params: Params, l: int) -> CertifiedInteger:

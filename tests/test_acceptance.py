@@ -37,9 +37,9 @@ def test_acceptance_1_three_methods_agree_on_grid(capsys):
     for k in range(1, 5):
         for n in range(1, 31):
             params = Params(k, n)
-            conv = exact.central_coefficient(params)
-            trace = circulant.central_via_trace(params)
-            spect = spectral.central_via_spectrum(params).value
+            conv = exact.coefficient(params, k * n)
+            trace = circulant.coefficient_via_shift(params, k * n)
+            spect = spectral.coefficient_via_spectrum(params, k * n).value
             if not (conv == trace == spect):
                 ok = False
             cases += 1
@@ -56,7 +56,7 @@ def test_acceptance_2_general_coefficients_match_expansion(capsys):
     for k in range(1, 4):
         for n in range(1, 13):
             params = Params(k, n)
-            row = exact.expand_power(params).coeffs
+            row = exact.expand_power(params)
             for l in range(params.degree + 1):
                 shift = circulant.coefficient_via_shift(params, l)
                 spect = spectral.coefficient_via_spectrum(params, l).value
@@ -82,7 +82,7 @@ def test_acceptance_3_golden_ratio_anchor(capsys):
     # The golden-ratio sum is the paper's N = 5; the route's central sum
     # runs at N = 3.
     paper_value, paper_residual = spectral._double_rung(params, params.dim, None)
-    result = spectral.central_via_spectrum(params)
+    result = spectral.coefficient_via_spectrum(params, params.k * params.n)
     ok = (spectrum_ok
           and _close(by_hand, 3.0, 1e-14)
           and paper_value == 3
@@ -104,9 +104,9 @@ def test_acceptance_4_sequence_fixtures_match_independent_route(capsys):
         ok = ok and fixture.oeis_id == oeis_id and len(fixture.terms) == 10
         for n, term in enumerate(fixture.terms):
             params = Params(k, n)
-            ok = ok and term == exact.central_coefficient(params)
-            ok = ok and term == circulant.central_via_trace(params)
-            ok = ok and term == spectral.central_via_spectrum(params).value
+            ok = ok and term == exact.coefficient(params, k * n)
+            ok = ok and term == circulant.coefficient_via_shift(params, k * n)
+            ok = ok and term == spectral.coefficient_via_spectrum(params, k * n).value
     _report(capsys, 4, ok,
             "bundled A002426/A005191/A025012 prefixes (n = 0..9, from the OEIS "
             "entries) match the conv, trace and spectral routes")
@@ -131,7 +131,7 @@ def test_acceptance_5_structural_invariants(capsys):
         for n in range(1, 13):
             params = Params(k, n)
             dim = params.dim
-            row = exact.expand_power(params).coeffs
+            row = exact.expand_power(params)
 
             if row != row[::-1]:
                 ok = False
@@ -160,8 +160,8 @@ def test_acceptance_5_structural_invariants(capsys):
                     checks += 1
 
             central = row[params.k * n]
-            if not (central == circulant.central_via_trace(params)
-                    == spectral.central_via_spectrum(params).value):
+            if not (central == circulant.coefficient_via_shift(params, k * n)
+                    == spectral.coefficient_via_spectrum(params, k * n).value):
                 ok = False
             checks += 1
     _report(capsys, 5, ok,
@@ -174,8 +174,8 @@ def test_acceptance_6_escalation_recovers_wide_case(capsys):
     needs = spectral.required_bits(params)
     _, double_residual = spectral._double_rung(
         params, spectral.dimension(params, 0), None)
-    result = spectral.central_via_spectrum(params)
-    oracle = exact.central_coefficient(params)
+    result = spectral.coefficient_via_spectrum(params, params.k * params.n)
+    oracle = exact.coefficient(params, params.k * params.n)
     ok = (needs > 52
           and double_residual >= spectral.DEFAULT_RESIDUAL_CAP
           and result.escalations >= 1

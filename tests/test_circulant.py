@@ -12,9 +12,9 @@ from sparse import (
     multiply,
 )
 
-from cnomial import Params, central_coefficient, expand_power
+from cnomial import Params, coefficient, expand_power
 from cnomial import circulant
-from cnomial.circulant import central_via_trace, coefficient_via_shift, matrix_power
+from cnomial.circulant import coefficient_via_shift, matrix_power
 
 
 def trace(a):
@@ -259,7 +259,7 @@ def test_packed_steps_without_a_digit_limit(monkeypatch):
     monkeypatch.setattr(circulant, "DECIMAL_MIN_BITS", 0)
     steps = decimal_steps(monkeypatch)
     p = Params(3, 40)
-    assert central_via_trace(p) == central_coefficient(p)
+    assert coefficient_via_shift(p, p.k * p.n) == coefficient(p, p.k * p.n)
     assert steps
 
 
@@ -276,9 +276,9 @@ def test_trace_all_ones():
 
 
 def test_central_via_trace_examples():
-    assert central_via_trace(Params(1, 2)) == 3
-    assert central_via_trace(Params(1, 1)) == 1
-    assert central_via_trace(Params(2, 2)) == 5
+    assert coefficient_via_shift(Params(1, 2), 2) == 3
+    assert coefficient_via_shift(Params(1, 1), 1) == 1
+    assert coefficient_via_shift(Params(2, 2), 4) == 5
 
 
 def test_central_via_trace_equals_oracle_on_grid():
@@ -287,7 +287,7 @@ def test_central_via_trace_equals_oracle_on_grid():
         for n in range(0, 31):
             p = Params(k, n)
             full = trace(CirculantMatrix(p.dim, matrix_power(p, n))) // p.dim
-            assert central_via_trace(p) == full == central_coefficient(p), (k, n)
+            assert coefficient_via_shift(p, k * n) == full == coefficient(p, k * n), (k, n)
 
 
 def test_circulant_row_on_grid():
@@ -296,7 +296,7 @@ def test_circulant_row_on_grid():
     for k in range(1, 5):
         for n in range(0, 41):
             p = Params(k, n)
-            row = expand_power(p).coeffs
+            row = expand_power(p)
             rotated = tuple(row[(j + k * n) % p.dim] for j in range(p.dim))
             assert matrix_power(p, n) == rotated, (k, n)
 
@@ -306,9 +306,9 @@ def test_trace_route_in_target_regime():
     # on the binary one.
     for k, n in [(1, 1600), (3, 800), (10, 400)]:
         p = Params(k, n)
-        assert central_via_trace(p) == central_coefficient(p), (k, n)
+        assert coefficient_via_shift(p, k * n) == coefficient(p, k * n), (k, n)
     p = Params(10, 200)
-    row = expand_power(p).coeffs
+    row = expand_power(p)
     try:
         for l in (3, 1234, 3100):
             assert coefficient_via_shift(p, l) == row[l], l
@@ -323,22 +323,34 @@ def test_coefficient_via_shift_examples():
 
 
 def test_coefficient_via_shift_full_rows():
-    # Every coefficient by the read off the two half-power windows, and the
+    # Every coefficient by the read off the two half-power windows, the
     # central one by the palindromic half read, against the exact row.
     for k in range(1, 6):
         for n in range(41):
             p = Params(k, n)
-            row = expand_power(p).coeffs
-            assert central_via_trace(p) == row[k * n], (k, n)
+            row = expand_power(p)
             for l in range(p.degree + 1):
                 assert coefficient_via_shift(p, l) == row[l], (k, n, l)
+
+
+def test_the_centre_half_read_equals_the_full_read():
+    # At l = kn the route reads half the products of the palindromic
+    # windows; the full aligned-slice read of the same windows, and the
+    # exact row, give the same entry: n odd and even, and n = 0.
+    for k in range(1, 6):
+        for n in range(41):
+            p = Params(k, n)
+            x, y = circulant._half_power_windows(k, n)
+            c = len(y) - 1 - k * n
+            full = sum(x[j] * y[j + c] for j in range(max(0, -c), len(x)))
+            assert coefficient_via_shift(p, k * n) == full == expand_power(p)[k * n], (k, n)
 
 
 def test_coefficient_via_shift_any_shift():
     # the read-back offset (l + n*m) mod N undoes whatever shift built the
     # matrix; the route reads the central shift m = N - k at (l - kn) mod N
     for p in (Params(2, 3), Params(2, 4), Params(1, 5)):
-        row = expand_power(p).coeffs
+        row = expand_power(p)
         for m in (0, 1, p.k, p.dim - p.k, p.dim - 1):
             power = power_by_products(build_shifted(p, m), p.n).first_row
             for l in range(p.degree + 1):
@@ -362,8 +374,7 @@ def test_coefficient_via_shift_never_forms_full_power(monkeypatch):
         for n in (7, 8):
             # The central read and the other coefficients share one half power.
             p = Params(1, n)
-            row = expand_power(p).coeffs
-            assert central_via_trace(p) == row[p.k * p.n]
+            row = expand_power(p)
             assert [coefficient_via_shift(p, l) for l in range(p.degree + 1)] == list(row)
         assert circulant._half_power_windows.cache_info().currsize == 1
     finally:

@@ -117,12 +117,12 @@ def test_compute_csv(capsys):
 
 
 def test_compute_disagree_exits_nonzero(capsys, monkeypatch):
-    real = cli.exact.central_coefficient
+    real = cli.exact.coefficient
 
-    def corrupted(params):
-        return real(params) + 1
+    def corrupted(params, l):
+        return real(params, l) + 1
 
-    monkeypatch.setattr(cli.exact, "central_coefficient", corrupted)
+    monkeypatch.setattr(cli.exact, "coefficient", corrupted)
     code, out, _ = run(capsys, "compute", "--k", "1", "--n", "2", "--method", "all")
     assert code == 1
     assert out.splitlines()[-1] == "DISAGREE"
@@ -132,7 +132,7 @@ def test_compute_conv_central_stops_at_kn(capsys, monkeypatch):
     # At the centre the conv branch runs the recurrence to p_kn only, never
     # to the end of the row.
     real = cli.exact._recurrence_prefix
-    central = cli.exact.expand_power(cli.Params(3, 7)).central
+    central = cli.exact.expand_power(cli.Params(3, 7))[21]
     lasts = []
 
     def recording(params, last):
@@ -152,13 +152,38 @@ def test_compute_conv_reads_one_coefficient_without_the_row(capsys, monkeypatch)
     def refuse(params):
         raise AssertionError("compute must not expand the whole row")
 
-    row = cli.exact.expand_power(cli.Params(3, 40)).coeffs
+    row = cli.exact.expand_power(cli.Params(3, 40))
     monkeypatch.setattr(cli.exact, "expand_power", refuse)
     for l in (0, 7, 120, 233, 240):
         code, out, _ = run(capsys, "compute", "--k", "3", "--n", "40", "--l", str(l),
                            "--method", "all")
         assert code == 0, l
         assert out.splitlines() == [f"{method} {row[l]}" for method in cli.METHODS] + ["AGREE"]
+
+
+@pytest.mark.parametrize("k, n, l", [(3, 7, 21), (3, 7, 0), (1, 0, 0)], ids=["centre", "l=0", "n=0"])
+def test_compute_all_calls_each_route_once(capsys, monkeypatch, k, n, l):
+    # One entry point per route, at the centre (no --l) as at any other l.
+    calls = []
+
+    def recorder(module, name):
+        real = getattr(module, name)
+
+        def recorded(params, at):
+            calls.append((name, params, at))
+            return real(params, at)
+
+        monkeypatch.setattr(module, name, recorded)
+
+    recorder(cli.exact, "coefficient")
+    recorder(cli.circulant, "coefficient_via_shift")
+    recorder(cli.spectral, "coefficient_via_spectrum")
+    at = [] if l == k * n else ["--l", str(l)]
+    code, out, _ = run(capsys, "compute", "--k", str(k), "--n", str(n), *at, "--method", "all")
+    assert (code, out.splitlines()[-1]) == (0, "AGREE")
+    p = cli.Params(k, n)
+    assert calls == [("coefficient", p, l), ("coefficient_via_shift", p, l),
+                     ("coefficient_via_spectrum", p, l)]
 
 
 def test_compute_out_of_range_l(capsys):
@@ -266,7 +291,7 @@ def test_verify_seeded_is_reproducible(capsys):
 
 
 def test_verify_detects_corruption(capsys, monkeypatch):
-    monkeypatch.setattr(cli.circulant, "central_via_trace", lambda params: -7)
+    monkeypatch.setattr(cli.circulant, "coefficient_via_shift", lambda params, l: -7)
     code, out, err = run(capsys, "verify", "--k-max", "1", "--n-max", "2")
     assert code == 1
     assert out.strip() == "2 cases, 2 failures"
@@ -275,7 +300,7 @@ def test_verify_detects_corruption(capsys, monkeypatch):
 
 def test_verify_detects_wrong_circulant_row(capsys, monkeypatch):
     # Perturb one entry of C^3 only: verify's full power at n = 3, never the
-    # half powers that central_via_trace forms for n <= 3.
+    # half powers that coefficient_via_shift forms for n <= 3.
     true_power = cli.circulant.matrix_power
 
     def perturbed(params, e):
@@ -295,11 +320,8 @@ def test_verify_detects_an_asymmetric_row(capsys, monkeypatch):
     true_expand = cli.exact.expand_power
 
     def swapped(params):
-        table = true_expand(params)
-        if params.n != 3:
-            return table
-        c = table.coeffs
-        return table._replace(coeffs=c[:2] + (c[3], c[2]) + c[4:])
+        c = true_expand(params)
+        return c if params.n != 3 else c[:2] + (c[3], c[2]) + c[4:]
 
     monkeypatch.setattr(cli.exact, "expand_power", swapped)
     code, out, err = run(capsys, "verify", "--k-max", "1", "--n-max", "3")
@@ -370,8 +392,8 @@ def test_verify_checks_the_mirrored_angle(capsys, monkeypatch):
 def test_verify_reports_the_disagreeing_values(capsys, monkeypatch):
     # One route off by one: the FAIL line and the case record carry every
     # route's value, and the failed names and the summary stay as they are.
-    real = cli.circulant.central_via_trace
-    monkeypatch.setattr(cli.circulant, "central_via_trace", lambda params: real(params) + 1)
+    real = cli.circulant.coefficient_via_shift
+    monkeypatch.setattr(cli.circulant, "coefficient_via_shift", lambda params, l: real(params, l) + 1)
     code, out, err = run(capsys, "verify", "--k-max", "1", "--n-max", "2")
     assert code == 1
     assert out.strip() == "2 cases, 2 failures"
@@ -386,10 +408,10 @@ def test_verify_reports_the_disagreeing_values(capsys, monkeypatch):
     assert case["failed"] == "methods-equal"
     assert case["values"] == {"methods-equal": {"conv": "3", "trace": "4", "spectral": "3"}}
 
-    def uncertified(params):
+    def uncertified(params, l):
         raise cli.CertificationError("starved", residual=1.0)
 
-    monkeypatch.setattr(cli.spectral, "central_via_spectrum", uncertified)
+    monkeypatch.setattr(cli.spectral, "coefficient_via_spectrum", uncertified)
     code, out, err = run(capsys, "verify", "--k-max", "1", "--n-max", "1",
                          "--format", "json-lines")
     assert code == 1
@@ -405,8 +427,9 @@ def test_verify_reports_each_routes_coefficient(capsys, monkeypatch):
     real = cli.spectral.coefficient_via_spectrum
 
     def off_by_one(params, l):
+        # The centre stays right, so that only the seeded l fail.
         result = real(params, l)
-        return result._replace(value=result.value + 1)
+        return result if l == params.k * params.n else result._replace(value=result.value + 1)
 
     monkeypatch.setattr(cli.spectral, "coefficient_via_spectrum", off_by_one)
     code, out, err = run(capsys, "verify", "--k-max", "1", "--n-max", "3", "--seed", "5",
@@ -417,7 +440,7 @@ def test_verify_reports_each_routes_coefficient(capsys, monkeypatch):
     lines = err.splitlines()
     assert len(lines) == len(cases)
     for case, line in zip(cases, lines):
-        row = cli.exact.expand_power(cli.Params(1, case["n"])).coeffs
+        row = cli.exact.expand_power(cli.Params(1, case["n"]))
         names = case["failed"].split(";")
         assert all(name.startswith("coefficient-l") for name in names)
         assert set(case["values"]) == set(names)
@@ -521,6 +544,25 @@ def test_bench_bad_method(capsys):
     with pytest.raises(SystemExit) as info:
         main(["bench", "--k", "1", "--n", "10", "--method", "quantum"])
     assert info.value.code == 2
+
+
+def test_bench_empty_method_list(capsys):
+    # "," names no method: refused like an empty --n list, not read as "all".
+    for methods in (",", ",,", ""):
+        with pytest.raises(SystemExit) as info:
+            main(["bench", "--k", "1", "--n", "1", "--method", methods])
+        assert info.value.code == 2
+        assert "expected at least one method" in capsys.readouterr().err
+
+
+def test_offline_is_an_oeis_option_only(capsys):
+    # The other commands never touch the network, so they take no --offline.
+    for argv in (["compute", "--k", "1", "--n", "2"], ["sequence", "--k", "1", "--count", "2"],
+                 ["verify", "--k-max", "1", "--n-max", "1"], ["bench", "--k", "1", "--n", "1"]):
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--offline"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --offline" in capsys.readouterr().err
 
 
 def test_bench_bad_n_list(capsys):
@@ -648,13 +690,13 @@ BIG_DIGITS = "7" + "0" * 4998 + "3"
     ids=["compute", "sequence", "oeis"],
 )
 def test_values_over_int_str_digit_limit(capsys, monkeypatch, argv, code, line):
-    real = cli.circulant.central_via_trace
+    real = cli.circulant.coefficient_via_shift
 
-    def route(params):
-        return BIG if params.n == 3 else real(params)
+    def route(params, l):
+        return BIG if params.n == 3 else real(params, l)
 
-    monkeypatch.setattr(cli.circulant, "central_via_trace", route)
-    monkeypatch.setattr(oeis, "central_via_trace", route)
+    monkeypatch.setattr(cli.circulant, "coefficient_via_shift", route)
+    monkeypatch.setattr(oeis, "coefficient_via_shift", route)
     status, out, err = run(capsys, *argv)
     assert (status, err) == (code, "")
     assert out.strip() == line
@@ -754,11 +796,11 @@ PARSE_ARGV = [
     ["compute", "--k=1", "--n=2", "--method=all", "--for", "csv"],
     ["sequence", "--k", "2", "--count", "3", "--start-n", "4", "--format", "json-lines"],
     ["bench", "--k", "1", "--n", "1,2", "--method", "conv"],
-    # canonical: one per command, --offline, a repeated option, shuffled order
-    ["compute", "--k", "2", "--n", "30", "--l", "7", "--method", "all", "--format", "json-lines", "--offline"],
+    # canonical: one per command, a repeated option, shuffled order
+    ["compute", "--k", "2", "--n", "30", "--l", "7", "--method", "all", "--format", "json-lines"],
     ["compute", "--method", "trace", "--n", "4", "--k", "1", "--k", "3", "--method", "spectral"],
     ["sequence", "--method", "spectral", "--count", "3", "--start-n", "0", "--k", "1"],
-    ["verify", "--seed", "0", "--n-max", "3", "--k-max", "1", "--offline", "--offline"],
+    ["verify", "--seed", "0", "--n-max", "3", "--k-max", "1", "--format", "csv", "--format", "plain"],
     ["bench", "--k", "1", "--n", "1,2", "--method", "conv,trace"],
     ["oeis", "--id", "A002426", "--k", "1", "--count", "3"],
     ["oeis", "--k", "1", "--offline", "--format", "json-lines"],
@@ -768,6 +810,8 @@ PARSE_ARGV = [
     ["compute", "--k", "1", "--n", "2", "--method", "trace", "--method", "bad"],
     ["bench", "--k", "1", "--n", "1", "--method", "all,conv"],
     ["oeis", "--id", "-h"], ["oeis", "--k", "1", "--id", "--offline"], ["oeis", "--id", "-1"],
+    # an empty method list, refused
+    ["bench", "--k", "1", "--n", "1", "--method", ","],
 ]
 
 

@@ -7,8 +7,8 @@ from enumeration import EnumerationCapExceeded, multinomial_direct
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnomial import Params, central_coefficient, expand_power
-from cnomial.exact import _recurrence_prefix, _times_ones, coefficient
+from cnomial import Params, coefficient, expand_power
+from cnomial.exact import _recurrence_prefix, _times_ones
 
 
 def window_row(p):
@@ -20,47 +20,42 @@ def window_row(p):
 
 
 def test_power_one_is_the_polynomial_itself():
-    assert expand_power(Params(1, 1)).coeffs == (1, 1, 1)
+    assert expand_power(Params(1, 1)) == (1, 1, 1)
 
 
 def test_trinomial_square_row():
     # [1,1,1] * [1,1,1] by hand
-    assert expand_power(Params(1, 2)).coeffs == (1, 2, 3, 2, 1)
+    assert expand_power(Params(1, 2)) == (1, 2, 3, 2, 1)
 
 
 def test_pentanomial_square_row():
     # two all-ones rows of length 5 by hand
-    assert expand_power(Params(2, 2)).coeffs == (1, 2, 3, 4, 5, 4, 3, 2, 1)
+    assert expand_power(Params(2, 2)) == (1, 2, 3, 4, 5, 4, 3, 2, 1)
 
 
 def test_power_zero_collapses_to_unit_row():
-    assert expand_power(Params(3, 0)).coeffs == (1,)
+    assert expand_power(Params(3, 0)) == (1,)
 
 
 def test_central_trinomial_square():
-    assert central_coefficient(Params(1, 2)) == 3
+    assert coefficient(Params(1, 2), 2) == 3
 
 
 def test_central_any_first_power_is_one():
     for k in range(1, 5):
-        assert central_coefficient(Params(k, 1)) == 1
+        assert coefficient(Params(k, 1), k) == 1
 
 
 def test_central_trinomial_fifth_power():
     # prefix of the central trinomial sequence: 1, 1, 3, 7, 19, 51
-    assert central_coefficient(Params(1, 5)) == 51
-
-
-def test_table_central_property():
-    table = expand_power(Params(2, 3))
-    assert table.central == table.coeffs[6]
+    assert coefficient(Params(1, 5), 5) == 51
 
 
 def test_row_structure_on_grid():
     for k in range(1, 5):
         for n in range(0, 13):
             p = Params(k, n)
-            row = expand_power(p).coeffs
+            row = expand_power(p)
             assert len(row) == p.degree + 1
             assert row[0] == row[p.degree] == 1
             assert row == row[::-1]
@@ -73,7 +68,7 @@ def test_strategies_produce_identical_rows():
     for k in range(1, 11):
         for n in range(0, 31):
             p = Params(k, n)
-            assert expand_power(p).coeffs == window_row(p), (k, n)
+            assert expand_power(p) == window_row(p), (k, n)
 
 
 def test_single_coefficient_matches_the_row():
@@ -82,7 +77,7 @@ def test_single_coefficient_matches_the_row():
     for k in range(1, 6):
         for n in range(0, 31):
             p = Params(k, n)
-            row = expand_power(p).coeffs
+            row = expand_power(p)
             assert [coefficient(p, l) for l in range(p.degree + 1)] == list(row), (k, n)
     for l in (-1, 5):
         with pytest.raises(ValueError, match="l must be in"):
@@ -115,7 +110,7 @@ def test_multinomial_equals_convolution_everywhere():
     for k in range(1, 5):
         for n in range(1, 13):
             p = Params(k, n)
-            row = expand_power(p).coeffs
+            row = expand_power(p)
             for l in range(p.degree + 1):
                 assert multinomial_direct(p, l) == row[l], (k, n, l)
 
@@ -136,7 +131,7 @@ def test_enumeration_cap_trips():
 @settings(max_examples=40, deadline=None)
 def test_row_invariants_fuzzed(k, n):
     p = Params(k, n)
-    row = expand_power(p).coeffs
+    row = expand_power(p)
     assert row == row[::-1]
     assert sum(row) == p.width**n
     assert all(c >= 1 for c in row)
@@ -146,4 +141,4 @@ def test_row_invariants_fuzzed(k, n):
 @settings(max_examples=40, deadline=None)
 def test_recurrence_matches_window_fuzzed(k, n):
     p = Params(k, n)
-    assert expand_power(p).coeffs == window_row(p)
+    assert expand_power(p) == window_row(p)

@@ -41,9 +41,9 @@ def test_central_coefficient_stops_at_kn(monkeypatch):
         for n in range(0, 25):
             p = Params(k, n)
             built.clear()
-            central = exact.central_coefficient(p)
+            central = exact.coefficient(p, k * n)
             assert built == [k * n + 1], (k, n)
-            assert central == exact.expand_power(p).central, (k, n)
+            assert central == exact.expand_power(p)[k * n], (k, n)
 
 
 @given(
@@ -74,7 +74,7 @@ def test_big_integers_survive_recurrence():
     # they have 953 digits, and every step's exact division is on big ints.
     n = 2000
     closed = sum(math.comb(n, 2 * j) * math.comb(2 * j, j) for j in range(n // 2 + 1))
-    assert exact.central_coefficient(Params(1, n)) == closed
+    assert exact.coefficient(Params(1, n), n) == closed
 
 
 def test_sum_abs():

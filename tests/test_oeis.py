@@ -12,8 +12,8 @@ from cnomial import (
     Params,
     SequenceIdError,
     SequenceRecord,
-    central_coefficient,
-    central_via_trace,
+    coefficient,
+    coefficient_via_shift,
     compare,
     fetch_bfile,
     fixture_for_k,
@@ -51,8 +51,8 @@ def test_fixture_terms_match_independent_path():
     # fixtures are typed in from the OEIS entries; each term against the
     # circulant trace route
     for record in fixtures():
-        for i, term in enumerate(record.terms):
-            assert term == central_via_trace(Params(record.k, record.offset + i))
+        for n, term in enumerate(record.terms, record.offset):
+            assert term == coefficient_via_shift(Params(record.k, n), record.k * n)
 
 
 def test_unregistered_k_absent():
@@ -312,7 +312,7 @@ def test_interleaved_writers_keep_each_file_whole(monkeypatch, tmp_path, between
 def test_compare_crosses_into_the_ball_rung(tmp_path):
     # A 60-term b-file of exact terms, served by a fake transport: the
     # spectral run over it escalates part way, and every term matches.
-    terms = [central_coefficient(Params(1, n)) for n in range(60)]
+    terms = [coefficient(Params(1, n), n) for n in range(60)]
     body = "".join(f"{n} {term}\n" for n, term in enumerate(terms)).encode()
     record = fetch_bfile("A002426", 60, http_get=lambda url: body, directory=tmp_path)
     report = compare(record, 1, 60)

@@ -8,7 +8,6 @@ from cnomial import (
     PrecisionPolicy,
     SequenceRecord,
 )
-from cnomial.exact import CoefficientTable
 
 #: Each record type, the fields a constructor call passes by keyword, the
 #: defaults of the rest, and one field changed to another valid value.
@@ -22,8 +21,6 @@ RECORDS = [
         {"escalations": 0, "rungs": ()},
         {"escalations": 1},
     ),
-    (CoefficientTable, {"params": Params(1, 2), "coeffs": (1, 2, 3, 2, 1)}, {},
-     {"params": Params(1, 3)}),
     (
         SequenceRecord,
         {"oeis_id": "A002426", "offset": 0, "terms": (1, 1, 3), "provenance": "fixture"},
@@ -74,7 +71,6 @@ def test_immutable(cls, given, defaults, changed):
 
 
 def test_properties():
-    assert CoefficientTable(Params(1, 2), (1, 2, 3, 2, 1)).central == 3
     report = ComparisonReport("A002426", 1, 4, (19, 51, 141), (19, 52, 141), (True, False, True))
     assert (report.count, report.all_equal, report.first_mismatch) == (3, False, 5)
 

@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 from cnomial import (
     CertificationError,
     Params,
-    central_coefficient,
-    central_via_spectrum,
+    coefficient,
     coefficient_via_spectrum,
     expand_power,
 )
@@ -36,7 +35,7 @@ def route_dim(p, offset):
 def ladder(p, offset):
     """The route's certified p_{kn+offset}, the centre for ``offset=None``."""
     if offset is None:
-        return central_via_spectrum(p)
+        return coefficient_via_spectrum(p, p.k * p.n)
     return coefficient_via_spectrum(p, p.k * p.n + offset)
 
 
@@ -157,7 +156,7 @@ def test_central_anchor_golden_ratio():
     p = Params(1, 2)
     value, residual = spectral._double_rung(p, p.dim, None)
     assert value == 3 and residual < 1e-9
-    result = central_via_spectrum(p)
+    result = coefficient_via_spectrum(p, p.k * p.n)
     assert result.value == 3
     assert result.residual < 1e-9
     assert result.policy_used.strategy == "double"
@@ -166,31 +165,31 @@ def test_central_anchor_golden_ratio():
 
 
 def test_central_identity_case():
-    assert central_via_spectrum(Params(1, 1)).value == 1
+    assert coefficient_via_spectrum(Params(1, 1), 1).value == 1
 
 
 def test_central_zero_power():
-    assert central_via_spectrum(Params(3, 0)).value == 1
+    assert coefficient_via_spectrum(Params(3, 0), 0).value == 1
 
 
 def test_central_heptanomial_matches_oracle():
     p = Params(3, 4)
-    result = central_via_spectrum(p)
-    assert result.value == central_coefficient(p) == 231
+    result = coefficient_via_spectrum(p, p.k * p.n)
+    assert result.value == coefficient(p, p.k * p.n) == 231
 
 
 def test_central_matches_oracle_on_grid():
     for k in range(1, 4):
         for n in range(1, 16):
             p = Params(k, n)
-            assert central_via_spectrum(p).value == central_coefficient(p), (k, n)
+            assert coefficient_via_spectrum(p, p.k * p.n).value == coefficient(p, p.k * p.n), (k, n)
 
 
 def test_coefficient_examples():
     assert coefficient_via_spectrum(Params(1, 2), 1).value == 2
     assert (
         coefficient_via_spectrum(Params(1, 2), 2).value
-        == central_via_spectrum(Params(1, 2)).value
+        == coefficient_via_spectrum(Params(1, 2), 2).value
     )
     assert coefficient_via_spectrum(Params(2, 3), 0).value == 1
 
@@ -199,7 +198,7 @@ def test_coefficient_full_rows():
     for k in range(1, 4):
         for n in range(1, 7):
             p = Params(k, n)
-            row = expand_power(p).coeffs
+            row = expand_power(p)
             for l in range(p.degree + 1):
                 assert coefficient_via_spectrum(p, l).value == row[l], (k, n, l)
 
@@ -213,8 +212,8 @@ def test_parseval_row_energy():
     # sum of squared coefficients of P^n is the central coefficient of P^{2n}
     for k in range(1, 4):
         for n in range(1, 7):
-            row = expand_power(Params(k, n)).coeffs
-            assert sum(c * c for c in row) == central_coefficient(Params(k, 2 * n))
+            row = expand_power(Params(k, n))
+            assert sum(c * c for c in row) == coefficient(Params(k, 2 * n), 2 * k * n)
 
 
 def test_double_certifies_within_its_budget():
@@ -225,7 +224,7 @@ def test_double_certifies_within_its_budget():
             p = Params(k, n)
             if required_bits(p) > 52:
                 continue
-            result = central_via_spectrum(p)
+            result = coefficient_via_spectrum(p, p.k * p.n)
             assert result.policy_used.strategy == "double"
             assert result.escalations == 0
             assert result.residual < 0.25
@@ -239,25 +238,25 @@ def test_escalation_to_arbitrary():
     assert required_bits(p) > 52
     _, residual = spectral._double_rung(p, dimension(p, 0), None)
     assert residual >= 0.25
-    result = central_via_spectrum(p)
+    result = coefficient_via_spectrum(p, p.k * p.n)
     assert result.escalations >= 1
     assert result.policy_used.strategy == "arbitrary"
     assert result.policy_used.mantissa_bits == required_bits(p)
-    assert result.value == central_coefficient(p)
+    assert result.value == coefficient(p, p.k * p.n)
 
 
 def test_escalation_count_is_one_from_double():
-    assert central_via_spectrum(Params(1, 60)).escalations == 1
+    assert coefficient_via_spectrum(Params(1, 60), 60).escalations == 1
 
 
 def test_overflowing_double_sum_escalates_and_recovers():
     # 3^800 overflows a double entirely; the saturated (inf) pass must fall
     # through the ladder and still land on the exact value.
     p = Params(1, 800)
-    result = central_via_spectrum(p)
+    result = coefficient_via_spectrum(p, p.k * p.n)
     assert result.policy_used.strategy == "arbitrary"
     assert result.escalations == 1
-    assert result.value == central_coefficient(p)
+    assert result.value == coefficient(p, p.k * p.n)
 
 
 def test_arbitrary_start_uses_computed_budget():
@@ -272,19 +271,19 @@ def test_arbitrary_start_uses_computed_budget():
 def test_starved_budget_fails_certification(monkeypatch):
     monkeypatch.setattr(spectral, "required_bits", lambda params: 8)
     with pytest.raises(CertificationError) as info:
-        central_via_spectrum(Params(1, 60))
+        coefficient_via_spectrum(Params(1, 60), 60)
     assert info.value.residual >= spectral.DEFAULT_RESIDUAL_CAP
     assert info.value.rungs == (("double", 53, math.inf), ("arbitrary", 8, info.value.residual))
 
 
 def test_rungs_record_every_rung_tried():
     p = Params(1, 60)
-    result = central_via_spectrum(p)
+    result = coefficient_via_spectrum(p, p.k * p.n)
     assert [strategy for strategy, _, _ in result.rungs] == ["double", "arbitrary"]
     assert [bits for _, bits, _ in result.rungs] == [53, required_bits(p)]
     assert all(residual >= 0.25 for _, _, residual in result.rungs[:-1])
     assert result.rungs[-1][2] == result.residual < 0.25
-    assert len(central_via_spectrum(Params(1, 2)).rungs) == 1
+    assert len(coefficient_via_spectrum(Params(1, 2), 2).rungs) == 1
 
 
 @pytest.mark.parametrize("k", range(1, 6))
@@ -297,7 +296,7 @@ def test_every_certifying_rung_is_exact(k):
     certified_at = set()
     for n in range(1, 61):
         p = Params(k, n)
-        row = expand_power(p).coeffs
+        row = expand_power(p)
         d = p.degree
         for l in sorted({0, d // 4 + 1, (3 * d) // 4, d - 1, k * n}):
             offset = None if l == k * n else l - k * n
@@ -311,7 +310,7 @@ def test_every_certifying_rung_is_exact(k):
                     certified_at.add(strategy)
                     assert value == row[l], (k, n, l, strategy)
             if l == k * n:
-                result = central_via_spectrum(p)
+                result = coefficient_via_spectrum(p, p.k * p.n)
             else:
                 result = coefficient_via_spectrum(p, l)
             assert result.value == row[l], (k, n, l, result.rungs)
@@ -327,12 +326,12 @@ def test_double_rungs_skipped_where_they_cannot_certify(monkeypatch):
         spectral, "_double_spectrum", lambda *args: calls.append(args) or spectrum(*args)
     )
     p = Params(1, 800)
-    result = central_via_spectrum(p)
+    result = coefficient_via_spectrum(p, p.k * p.n)
     assert calls == []
     assert result.rungs[0] == ("double", 53, math.inf)
     assert result.rungs[1][:2] == ("arbitrary", required_bits(p))
     assert result.escalations == 1
-    assert result.value == central_coefficient(p)
+    assert result.value == coefficient(p, p.k * p.n)
 
 
 #: k -> the largest n the double rung's floor admits, at the centre's
@@ -375,7 +374,7 @@ def test_ball_rung_encloses_the_exact_value(k):
     # (2, 6), and the central sum (phase None).
     for n in range(1, 61):
         p = Params(k, n)
-        row = expand_power(p).coeffs
+        row = expand_power(p)
         d, budget = p.degree, required_bits(p)
         for l in sorted({0, d // 4 + 1, (3 * d) // 4, d - 1, k * n}):
             phase = None if l == k * n else (l - k * n) % p.dim
@@ -400,7 +399,7 @@ def test_ball_rung_certifies_in_the_central_large_regime(k, n, l):
     for dim in (dimension(p, offset or 0), route_dim(p, offset)):
         phase = None if offset is None else offset % dim
         value, residual = arbitrary(p, dim, phase, bits)
-        assert value == expand_power(p).coeffs[l]
+        assert value == expand_power(p)[l]
         assert residual < spectral.DEFAULT_RESIDUAL_CAP
     # The loop ends at the route's N, so ``residual`` is the rung's there.
     result = ladder(p, offset)
@@ -458,10 +457,10 @@ def test_dimension_is_the_smallest_odd_above_kn_plus_the_offset():
 
 def test_certified_results_report_the_dimension():
     p = Params(1, 60)
-    assert central_via_spectrum(p).dim == 61
+    assert coefficient_via_spectrum(p, p.k * p.n).dim == 61
     assert coefficient_via_spectrum(p, 0).dim == 121
     assert coefficient_via_spectrum(p, 45).dim == 121
-    assert central_via_spectrum(Params(3, 0)).dim == 1
+    assert coefficient_via_spectrum(Params(3, 0), 0).dim == 1
 
 
 @pytest.mark.parametrize("k", range(1, 5))
@@ -471,7 +470,7 @@ def test_every_rung_is_exact_at_the_smallest_dimension(k):
     # The ladder runs at the route's N.
     for n in range(1, 41):
         p = Params(k, n)
-        row = expand_power(p).coeffs
+        row = expand_power(p)
         d = p.degree
         for l in sorted({0, 1, d // 4, k * n, (3 * d) // 4, d}):
             offset = None if l == k * n else l - k * n
@@ -493,7 +492,7 @@ def test_one_odd_dimension_less_aliases_a_second_coefficient(k):
     # includes l +- N, and every entry of the row is positive.
     for n in range(1, 13):
         p = Params(k, n)
-        row = expand_power(p).coeffs
+        row = expand_power(p)
         for l in range(p.degree + 1):
             offset = l - k * n
             dim = dimension(p, offset) - 2
@@ -508,7 +507,7 @@ def test_one_odd_dimension_less_aliases_a_second_coefficient(k):
 def read(p, l):
     """p_l by the spectral route as the CLI asks for it."""
     if l == p.k * p.n:
-        return central_via_spectrum(p)
+        return coefficient_via_spectrum(p, p.k * p.n)
     return coefficient_via_spectrum(p, l)
 
 
@@ -522,7 +521,7 @@ def test_results_do_not_depend_on_the_cache_state(cold_caches, k):
     rng = random.Random(k)
     for n in range(1, 31):
         p = Params(k, n)
-        row = expand_power(p).coeffs
+        row = expand_power(p)
         ls = list(range(p.degree + 1))
         cold = {}
         for l in ls:
@@ -636,7 +635,7 @@ def test_central_run_equals_the_exact_row(k, first, last, crosses):
     # double rung at their own smallest N.
     results = spectral.central_run(k, first, last)
     ns = range(first, last + 1)
-    assert [result.value for result in results] == [central_coefficient(Params(k, n)) for n in ns]
+    assert [result.value for result in results] == [coefficient(Params(k, n), k * n) for n in ns]
     escalated = [n for n, result in zip(ns, results) if result.escalations]
     top = Params(k, max(escalated))
     for n, result in zip(ns, results):
@@ -645,20 +644,20 @@ def test_central_run_equals_the_exact_row(k, first, last, crosses):
             assert result.dim == dimension(top, 0)
             assert result.policy_used == spectral.PrecisionPolicy("arbitrary", required_bits(top))
         else:
-            assert result == central_via_spectrum(Params(k, n)), n
+            assert result == coefficient_via_spectrum(Params(k, n), k * n), n
     assert escalated == list(range(escalated[0], last + 1))
     assert (escalated[0] > first) == crosses
 
 
 @pytest.mark.parametrize("k, n", [(1, 3), (1, 29), (1, 30), (1, 60), (2, 21), (3, 40), (5, 14), (4, 0)])
 def test_a_run_of_one_is_the_ladder_alone(k, n):
-    # A run of one is central_via_spectrum, field by field, and its rungs
+    # A run of one is the centre, l = kn, field by field, and its rungs
     # are those of the ladder run alone: the double rung at the smallest
     # N, then, where that does not certify, the ball rung on the cached
     # row form at that N and at the budget of n.
     p = Params(k, n)
     (result,) = spectral.central_run(k, n, n)
-    assert result == central_via_spectrum(p)
+    assert result == coefficient_via_spectrum(p, p.k * p.n)
     dim = dimension(p, 0)
     value, residual = spectral._double_rung(p, dim, None)
     rungs = [("double", 53, residual)]
@@ -672,12 +671,11 @@ def test_a_run_of_one_is_the_ladder_alone(k, n):
 
 @pytest.mark.parametrize("k", range(1, 6))
 def test_the_centre_is_the_central_run(k):
-    # coefficient_via_spectrum at l = kn is central_via_spectrum, field by
+    # coefficient_via_spectrum at l = kn is central_run of n alone, field by
     # field (value, residual, rung, dim, rungs), on both sides of the
     # double-to-ball crossing and at n = 0.
     for n in range(61):
-        p = Params(k, n)
-        assert coefficient_via_spectrum(p, k * n) == central_via_spectrum(p), (k, n)
+        assert coefficient_via_spectrum(Params(k, n), k * n) == spectral.central_run(k, n, n)[0], (k, n)
 
 
 def _hex(values):
@@ -865,7 +863,7 @@ def test_slack_holds_the_terms_left_out(monkeypatch, k, n):
                                slack=row.slack + left_out)
 
     monkeypatch.setattr(spectral, "_row_spectrum", thinned)
-    row = expand_power(p).coeffs
+    row = expand_power(p)
     for l in range(p.degree + 1):
         phase = None if l == k * n else (l - k * n) % p.dim
         value, residual = arbitrary(p, p.dim, phase, bits)
@@ -965,7 +963,7 @@ def test_one_dimension_needs_no_seed(monkeypatch):
     # N = 1 (n = 0) has the one entry s_0 = 0.
     monkeypatch.setattr(spectral, "_seed", None)
     assert spectral._chebyshev_sines(1, 64) == [(0, 0)]
-    assert central_via_spectrum(Params(3, 0)).value == 1
+    assert coefficient_via_spectrum(Params(3, 0), 0).value == 1
 
 
 def test_starved_ball_budget_raises_and_restores_iv_precision(monkeypatch):
@@ -973,7 +971,7 @@ def test_starved_ball_budget_raises_and_restores_iv_precision(monkeypatch):
     for bits in range(1, 9):
         monkeypatch.setattr(spectral, "required_bits", lambda params: bits)
         with pytest.raises(CertificationError) as info:
-            central_via_spectrum(Params(10, 100))
+            coefficient_via_spectrum(Params(10, 100), 1000)
         assert info.value.rungs[-1][:2] == ("arbitrary", bits)
         assert info.value.residual >= spectral.DEFAULT_RESIDUAL_CAP
         assert mpmath.iv.prec == prec
@@ -1017,7 +1015,7 @@ def test_double_rung_bound_holds_the_true_error():
     for k in range(1, 7):
         for n in range(1, 70):
             p = Params(k, n)
-            row = expand_power(p).coeffs
+            row = expand_power(p)
             for l in sorted({round(j * p.degree / 6) for j in range(7)}):
                 offset = None if l == k * n else l - k * n
                 for dim in (p.dim, dimension(p, offset or 0)):
@@ -1051,7 +1049,7 @@ def test_double_rung_phase_charge_holds_the_worst_weights(monkeypatch):
         for k in range(1, 4):
             for n in (1, 2):
                 p = Params(k, n)
-                row = expand_power(p).coeffs
+                row = expand_power(p)
                 for dim in (7, 11, 13, 17, 19, 23):
                     if dim <= p.degree:
                         continue
@@ -1127,5 +1125,5 @@ def test_double_rung_matches_plain_loops():
 
 
 def test_certified_residual_nonnegative():
-    result = central_via_spectrum(Params(2, 5))
+    result = coefficient_via_spectrum(Params(2, 5), 10)
     assert result.residual >= 0.0

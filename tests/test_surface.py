@@ -12,12 +12,10 @@ import cnomial
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 DOCUMENTED = {
-    # the six route entry points
-    "central_coefficient",
+    # the route entry points, one per route and the exact row
+    "coefficient",
     "expand_power",
-    "central_via_trace",
     "coefficient_via_shift",
-    "central_via_spectrum",
     "coefficient_via_spectrum",
     # parameters, policy and the certified result
     "Params",
