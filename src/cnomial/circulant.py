@@ -5,8 +5,10 @@ The route powers one matrix, the symmetric central circulant C
 nonzero window of each power: the window of Cᵉ is the coefficient row of
 (1 + x + ... + x^{2k})ᵉ.  Every coefficient is read off the windows of
 two half powers (:func:`coefficient_via_shift`); the central one, the
-trace of Cⁿ over N, takes half the products.  The ring of N points
-appears only in :func:`matrix_power`.
+trace of Cⁿ over N, takes half the products (:func:`_central_read`).  A
+run of consecutive n (:func:`central_run`) powers its first half power
+only: each later window is one product by C of the one before.  The ring
+of N points appears only in :func:`matrix_power`.
 """
 from __future__ import annotations
 
@@ -63,10 +65,12 @@ def _window(k: int, e: int) -> tuple[int, ...]:
     of its half (:func:`_square`), an odd one the product by C
     (:func:`_times_central`) of the even power below it.  A power small
     enough (:data:`POW_MAX_BITS`, :data:`DECIMAL_MIN_BITS`) is one ``pow``
-    (:func:`_central_power`) instead.  Cached per (k, e): n = 2m and
-    2m + 1 read the same half power, and the powers of nearby n share
-    their own halves.  The cache is sized for the n of one request, which
-    starts with it empty (``cnomial.cli.KEPT_CACHES``).  The window's
+    (:func:`_central_power`) instead.  Cached per (k, e): the chain of
+    one power shares its own halves, and the reads of one request (the
+    cases of ``verify``, the l of a case) share their half powers.  A run
+    of n (:func:`central_run`) asks for its first window only.  The cache
+    is sized for one request, which starts with it empty
+    (``cnomial.cli.KEPT_CACHES``).  The window's
     entries sum to the row sum (2k+1)ᵉ, since row sums multiply under
     cyclic convolution; that sum bounds every entry of a square.
     """
@@ -229,18 +233,48 @@ def coefficient_via_shift(params: Params, l: int) -> int:
 
     The central coefficient, l = kn, is Tr(Cⁿ) / N: every diagonal entry
     of a circulant equals its (0, 0) entry, the first row's entry at
-    offset 0.  It takes half the products.  C is symmetric, so both
-    windows are palindromes centred on offset 0, at i = k⌊n/2⌋ and
-    j = kn - i, and x_{i+t} y_{j-t} = x_{i-t} y_{j+t}: the terms t and -t
-    of p_kn = sum_t x_{i+t} y_{j-t} are equal, so
-    p_kn = x_i y_j + 2 sum_{t>=1} x_{i+t} y_{j+t}, over aligned slices.
+    offset 0.  It takes half the products (:func:`_central_read`).
     """
     if not 0 <= l <= params.degree:
         raise ValueError(f"l must be in [0, {params.degree}], got {l}")
     x, y = _half_power_windows(params.k, params.n)
     if l == params.k * params.n:
-        i, j = len(x) // 2, len(y) // 2
-        return x[i] * y[j] + 2 * sum(map(mul, x[i + 1 :], y[j + 1 :]))
+        return _central_read(x, y)
     c = len(y) - 1 - l
     lo = max(0, -c)
     return sum(map(mul, x[lo:], y[lo + c :]))
+
+
+def _central_read(x: Sequence[int], y: Sequence[int]) -> int:
+    """p_kn from the windows x of C^⌊n/2⌋ and y of C^⌈n/2⌉.
+
+    p_kn = sum_t x_{i+t} y_{j-t}, with i = k⌊n/2⌋ and j = kn - i the
+    windows' centres, both on offset 0.  C is symmetric, so both windows
+    are palindromes and x_{i+t} y_{j-t} = x_{i-t} y_{j+t}: the terms t and
+    -t are equal, so p_kn = x_i y_j + 2 sum_{t>=1} x_{i+t} y_{j+t}, over
+    aligned slices, half the products.
+    """
+    i, j = len(x) // 2, len(y) // 2
+    return x[i] * y[j] + 2 * sum(map(mul, x[i + 1 :], y[j + 1 :]))
+
+
+def central_run(k: int, first: int, last: int) -> list[int]:
+    """M^(2k,n) for n = first..last, ``first <= last``, each read off the
+    windows of C^⌊n/2⌋ and C^⌈n/2⌉ (:func:`_central_read`).
+
+    The first pair comes from :func:`_window`.  From n to n + 1, ⌈n/2⌉
+    goes up by one when n + 1 is odd and ⌊n/2⌋ catches up with it when
+    n + 1 is even, so each later window is one :func:`_times_central` of
+    the one before, and an even n forms none.
+    """
+    Params(k, first)  # refuses k < 1 and n < 0, as every route does
+    x = _window(k, first // 2)
+    y = _times_central(x, k) if first % 2 else x
+    values = [_central_read(x, y)]
+    for n in range(first + 1, last + 1):
+        if n % 2:
+            y = _times_central(y, k)
+        else:
+            x = y
+        values.append(_central_read(x, y))
+    return values

@@ -30,6 +30,10 @@ from .spectral import CertificationError
 
 METHODS = ("conv", "trace", "spectral")
 
+#: The module of each method, whose ``central_run(k, first, last)`` gives
+#: ``sequence`` its window of n.
+_RUN_MODULES = {"conv": exact, "trace": circulant, "spectral": spectral}
+
 #: Relative/absolute tolerance of verify's ``eigen-ratios`` check, which compares the
 #: double rung's sine ratios E_r with the Dirichlet kernel.
 EIGEN_TOL = 1e-12
@@ -69,9 +73,10 @@ def _emit(records: list[dict], plain_lines: list[str], fmt: str) -> None:
 def _evaluate(method: str, params: Params, l: int) -> int | spectral.CertifiedInteger:
     """p_l by one method: an int, or the certified result of ``spectral``.
 
-    Each route has one entry point, and the central coefficient is l = kn.
-    Routes are looked up on their modules at every call, so a rebinding
-    there (a test's fake, a tracer's wrapper) sees the call.
+    Each route has one entry point for one coefficient, and the central
+    coefficient is l = kn; ``sequence`` calls each route's run of n
+    instead.  Routes are looked up on their modules at every call, so a
+    rebinding there (a test's fake, a tracer's wrapper) sees the call.
     """
     if method == "conv":
         return exact.coefficient(params, l)
@@ -133,11 +138,10 @@ def cmd_sequence(args: argparse.Namespace) -> int:
     if args.start_n < 0:
         raise ValueError(f"start-n must be >= 0, got {args.start_n}")
     ns = range(args.start_n, args.start_n + args.count)
-    if args.method == "spectral":
-        # One ball spectrum serves every n whose double rung escalates.
-        values = [result.value for result in spectral.central_run(args.k, ns[0], ns[-1])]
-    else:
-        values = [_value(_evaluate(args.method, Params(args.k, n), args.k * n)) for n in ns]
+    # One run per request, looked up on its module at the call, as in
+    # _evaluate: each route carries one n's row, window or spectrum on to
+    # the next n.
+    values = map(_value, _RUN_MODULES[args.method].central_run(args.k, ns[0], ns[-1]))
     records = [
         {"type": "term", "k": args.k, "n": n, "method": args.method, "value": decimal(value)}
         for n, value in zip(ns, values)

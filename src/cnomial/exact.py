@@ -4,7 +4,9 @@ This module is the ground truth the other routes are checked against.  The
 row is built by the four-term recurrence that P = (1 + x + ... + x^{2k})^n
 satisfies, one exact division per coefficient; the running window, n
 multiplications by the all-ones row, builds the same row with no division
-and is the recurrence's cross-check.
+and is the recurrence's cross-check.  A run of consecutive n
+(:func:`central_run`) takes the recurrence at its first n only: each later
+row is one pass of the running window over the row before.
 """
 from __future__ import annotations
 
@@ -81,3 +83,25 @@ def coefficient(params: Params, l: int) -> int:
     if not 0 <= l <= params.degree:
         raise ValueError(f"l must be in [0, {params.degree}], got {l}")
     return _recurrence_prefix(params, min(l, params.degree - l))[-1]
+
+
+def central_run(k: int, first: int, last: int) -> list[int]:
+    """M^(2k,n) for n = first..last, ``first <= last``: the recurrence at
+    ``first``, then one running-window pass per n.
+
+    The first n is :func:`coefficient` at l = kn, the recurrence stopped
+    at the centre.  Each later row is the row before times the row of ones
+    (:func:`_times_ones`).  The rows are palindromes, so only the half
+    p_0..p_kn is kept: the new half, entries 0..k(n+1) of the product,
+    reads the old row up to k past its centre, which is the old half with
+    its k entries before the centre mirrored on.  Each later n is one pass
+    over about half a row, and its centre is the last entry of the new
+    half.  A run of one is the recurrence alone.
+    """
+    width = 2 * k + 1
+    half = _recurrence_prefix(Params(k, first), k * first)
+    values = [half[-1]]
+    for n in range(first + 1, last + 1):
+        half = _times_ones(half + half[-2 : -k - 2 : -1], width)[: k * n + 1]
+        values.append(half[-1])
+    return values

@@ -17,10 +17,8 @@ import threading
 from pathlib import Path
 from typing import Callable, NamedTuple
 
+from . import circulant, spectral
 from ._digits import unlimited_digits
-from .circulant import coefficient_via_shift
-from .params import Params
-from .spectral import central_run
 
 #: k -> OEIS identifier for the central (2k+1)-nomial coefficient sequence.
 OEIS_BY_K = {1: "A002426", 2: "A005191", 3: "A025012"}
@@ -340,11 +338,11 @@ def fetch_bfile(
 def compare(record: SequenceRecord, k: int, count: int) -> ComparisonReport:
     """Recompute ``count`` central coefficients for this k and diff them.
 
-    Each term is computed through the exact trace path
-    (:func:`cnomial.circulant.coefficient_via_shift` at l = kn) and the
-    certified spectral path, the latter as one run over the window
-    (:func:`cnomial.spectral.central_run`); an index matches only when
-    both agree with the record.
+    Each term is computed through the exact trace path and the certified
+    spectral path, each as one run over the window
+    (:func:`cnomial.circulant.central_run`,
+    :func:`cnomial.spectral.central_run`), looked up on its module at the
+    call; an index matches only when both agree with the record.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -353,12 +351,12 @@ def compare(record: SequenceRecord, k: int, count: int) -> ComparisonReport:
             f"count {count} exceeds the {len(record.terms)} available terms"
         )
     expected = record.terms[:count]
-    first = record.offset
-    spectral = [result.value for result in central_run(k, first, first + count - 1)]
-    computed = [coefficient_via_shift(Params(k, n), k * n) for n in range(first, first + count)]
+    first, last = record.offset, record.offset + count - 1
+    proven = [result.value for result in spectral.central_run(k, first, last)]
+    computed = circulant.central_run(k, first, last)
     matches = [
         via_trace == want == via_spectrum
-        for via_trace, via_spectrum, want in zip(computed, spectral, expected)
+        for via_trace, via_spectrum, want in zip(computed, proven, expected)
     ]
     return ComparisonReport(
         oeis_id=record.oeis_id,
@@ -367,5 +365,5 @@ def compare(record: SequenceRecord, k: int, count: int) -> ComparisonReport:
         expected=tuple(expected),
         computed=tuple(computed),
         matches=tuple(matches),
-        spectral=tuple(spectral),
+        spectral=tuple(proven),
     )

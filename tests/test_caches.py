@@ -38,28 +38,42 @@ def route_caches():
             if callable(getattr(value, "cache_info", None))}
 
 
-def test_sequence_forms_each_window_once_and_even_ones_by_a_square(capsys, monkeypatch):
-    # Every power by steps: the half powers of consecutive n, and their own
-    # half powers, come from the cache; each even window is the square of
-    # its half, and no window is formed twice.
+def test_sequence_trace_run_squares_only_its_first_window(capsys, monkeypatch):
+    # Every power by steps.  The run's first window, of C^10, comes through
+    # the cache, each even power of its chain the square of its half; each
+    # later window is one product by C of the one before, and nothing is
+    # squared or looked up after the first window.
     monkeypatch.setattr(circulant, "POW_MAX_BITS", 0)
     windows = recorded(monkeypatch, circulant, "_window")
-    square, squares = circulant._square, []
+    square, times_central, events = circulant._square, circulant._times_central, []
+    k, first, count = 2, 21, 40
+    last = first + count - 1
 
     def recording_square(values, bound):
-        squares.append(len(values))
+        events.append(("square", (len(values) - 1) // (2 * k)))
         return square(values, bound)
 
+    def recording_times_central(values, at):
+        events.append(("times", (len(values) - 1) // (2 * at)))
+        return times_central(values, at)
+
     monkeypatch.setattr(circulant, "_square", recording_square)
-    k, count = 2, 40
-    code, out, _ = run(capsys, "sequence", "--k", str(k), "--count", str(count), "--method", "trace")
+    monkeypatch.setattr(circulant, "_times_central", recording_times_central)
+    code, out, _ = run(capsys, "sequence", "--k", str(k), "--start-n", str(first),
+                       "--count", str(count), "--method", "trace")
     assert code == 0
-    assert out.split() == [str(exact.coefficient(Params(k, n), k * n)) for n in range(count)]
-    assert len(windows) == len(set(windows))
-    assert sorted(e for _, e in windows) == list(range(count // 2))
-    # A square of the window of e/2 (2k(e/2)+1 entries) for every even e > 0.
-    halves = [(width - 1) // (2 * k) for width in squares]
-    assert sorted(2 * h for h in halves) == [e for _, e in windows if e and e % 2 == 0]
+    assert out.split() == [str(exact.coefficient(Params(k, n), k * n)) for n in range(first, last + 1)]
+    chain, e = [], first // 2
+    while e:
+        chain.append(e)
+        e = e - 1 if e % 2 else e // 2
+    assert sorted(e for _, e in windows) == sorted([*chain, 0])
+    # The chain: a square of the half of every even power, a product by C
+    # of the power below every odd one.
+    split = len(chain)
+    assert sorted(events[:split]) == sorted(("times", e - 1) if e % 2 else ("square", e // 2) for e in chain)
+    # The run: C^11 for n = 21, then one product per odd n, each of the last window.
+    assert events[split:] == [("times", e) for e in range(first // 2, (last + 1) // 2)]
 
 
 def test_verify_grid_builds_one_sine_table_per_dimension(capsys, monkeypatch):

@@ -13,7 +13,7 @@ from sparse import (
 )
 
 from cnomial import Params, coefficient, expand_power
-from cnomial import circulant
+from cnomial import circulant, exact
 from cnomial.circulant import coefficient_via_shift, matrix_power
 
 
@@ -314,6 +314,21 @@ def test_trace_route_in_target_regime():
             assert coefficient_via_shift(p, l) == row[l], l
     finally:
         circulant._half_power_windows.cache_clear()
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_central_run_equals_the_centre_of_each_n(k):
+    # Every run of 1-12 n from 0-40: odd and even starts, and runs that
+    # cross from one half power e to the next, one product each.
+    centres = [coefficient_via_shift(Params(k, n), k * n) for n in range(52)]
+    for first in range(41):
+        for count in range(1, 13):
+            run = circulant.central_run(k, first, first + count - 1)
+            assert run == centres[first : first + count], (first, count)
+
+
+def test_the_conv_and_trace_runs_agree():
+    assert circulant.central_run(1, 0, 300) == exact.central_run(1, 0, 300)
 
 
 def test_coefficient_via_shift_examples():

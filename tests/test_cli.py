@@ -252,6 +252,50 @@ def test_sequence_json_records(capsys):
     assert all(r["method"] == "spectral" for r in records)
 
 
+@pytest.mark.parametrize("method, module, run_name, per_n", [
+    ("conv", cli.exact, "central_run", "coefficient"),
+    ("trace", cli.circulant, "central_run", "coefficient_via_shift"),
+])
+def test_sequence_calls_its_routes_run_once(capsys, monkeypatch, method, module, run_name, per_n):
+    # The window of n is one run of the route, looked up on its module at
+    # the call, and the route's one-coefficient entry point is never called.
+    calls = []
+    real = getattr(module, run_name)
+
+    def recorded(k, first, last):
+        calls.append((k, first, last))
+        return real(k, first, last)
+
+    def refuse(params, l):
+        raise AssertionError(f"sequence must not call {per_n}")
+
+    monkeypatch.setattr(module, run_name, recorded)
+    monkeypatch.setattr(module, per_n, refuse)
+    code, out, _ = run(capsys, "sequence", "--k", "2", "--start-n", "3", "--count", "5",
+                       "--method", method)
+    assert (code, out) == (0, "19 85 381 1751 8135\n")
+    assert calls == [(2, 3, 7)]
+
+
+def test_oeis_calls_the_trace_run_once(capsys, monkeypatch):
+    # oeis --offline takes its trace terms from one run, never per n.
+    calls = []
+    real = cli.circulant.central_run
+
+    def recorded(k, first, last):
+        calls.append((k, first, last))
+        return real(k, first, last)
+
+    def refuse(params, l):
+        raise AssertionError("oeis must not call coefficient_via_shift")
+
+    monkeypatch.setattr(cli.circulant, "central_run", recorded)
+    monkeypatch.setattr(cli.circulant, "coefficient_via_shift", refuse)
+    code, out, _ = run(capsys, "oeis", "--k", "3", "--count", "7", "--offline")
+    assert code == 0, out
+    assert calls == [(3, 0, 6)]
+
+
 def test_sequence_bad_count(capsys):
     code, _, err = run(capsys, "sequence", "--k", "1", "--count", "0")
     assert code == 2
@@ -610,13 +654,13 @@ def test_oeis_cross_sequence_mismatch(capsys):
 def test_oeis_mismatch_names_both_routes(capsys, monkeypatch):
     # The spectral run alone disagrees at n = 3: the plain line and the
     # unequal record give both routes' values, not the trace value twice.
-    real = oeis.central_run
+    real = oeis.spectral.central_run
 
     def run_off_by_one(k, first, last):
         return [result._replace(value=result.value + (first + i == 3))
                 for i, result in enumerate(real(k, first, last))]
 
-    monkeypatch.setattr(oeis, "central_run", run_off_by_one)
+    monkeypatch.setattr(oeis.spectral, "central_run", run_off_by_one)
     code, out, _ = run(capsys, "oeis", "--k", "1", "--count", "5", "--offline")
     assert code == 1
     assert out == "A002426 k=1: mismatch at n=3: sequence has 7, computed trace 7, spectral 8 (fixture)\n"
@@ -690,13 +734,18 @@ BIG_DIGITS = "7" + "0" * 4998 + "3"
     ids=["compute", "sequence", "oeis"],
 )
 def test_values_over_int_str_digit_limit(capsys, monkeypatch, argv, code, line):
-    real = cli.circulant.coefficient_via_shift
+    # The trace route gives BIG at n = 3: compute through its one
+    # coefficient, sequence and oeis through its run of n.
+    real, real_run = cli.circulant.coefficient_via_shift, cli.circulant.central_run
 
     def route(params, l):
         return BIG if params.n == 3 else real(params, l)
 
+    def run_route(k, first, last):
+        return [BIG if first + i == 3 else value for i, value in enumerate(real_run(k, first, last))]
+
     monkeypatch.setattr(cli.circulant, "coefficient_via_shift", route)
-    monkeypatch.setattr(oeis, "coefficient_via_shift", route)
+    monkeypatch.setattr(cli.circulant, "central_run", run_route)
     status, out, err = run(capsys, *argv)
     assert (status, err) == (code, "")
     assert out.strip() == line

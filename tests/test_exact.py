@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cnomial import Params, coefficient, expand_power
-from cnomial.exact import _recurrence_prefix, _times_ones
+from cnomial.exact import _recurrence_prefix, _times_ones, central_run
 
 
 def window_row(p):
@@ -82,6 +82,17 @@ def test_single_coefficient_matches_the_row():
     for l in (-1, 5):
         with pytest.raises(ValueError, match="l must be in"):
             coefficient(Params(1, 2), l)
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_central_run_equals_the_coefficient_of_each_n(k):
+    # Every run of 1-12 n from 0-40, odd and even starts alike: the
+    # recurrence at its first n, a half-row window pass for each later n.
+    centres = [coefficient(Params(k, n), k * n) for n in range(52)]
+    for first in range(41):
+        for count in range(1, 13):
+            run = central_run(k, first, first + count - 1)
+            assert run == centres[first : first + count], (first, count)
 
 
 def test_recurrence_guard_raises_on_inexact_step():

@@ -13,9 +13,10 @@ on PYTHONPATH and compare.  The grid, one group each:
   route squares step by step and the spectral sum runs at arbitrary
   precision, at the central l and three others, ``--method all``;
 - ``sequence``: windows of n for k 1-5, every method and format;
-- ``sequence-long``: ``--method spectral`` for k 1-5, 40 terms from n = 0
-  and from n = 25, plain and json-lines: runs whose double rung escalates
-  part way through the window;
+- ``sequence-long``: every method for k 1-5, 40 terms from n = 0 and from
+  n = 25, plain and json-lines: spectral runs whose double rung escalates
+  part way through the window, and conv and trace runs that carry one row
+  or one window across 40 n;
 - ``double-gate``: k 1-10, n from one below the largest n the double
   rung's gate admits to two above (:data:`GATE_EDGES`), at l = kn, 0 and
   kn + 1, ``--method all``, json-lines: records that print ``strategy``,
@@ -115,8 +116,8 @@ def _sequence() -> list[list[str]]:
 
 def _sequence_long() -> list[list[str]]:
     return [["sequence", "--k", str(k), "--start-n", str(start), "--count", "40",
-             "--method", "spectral", "--format", fmt]
-            for k in KS for start in (0, 25) for fmt in ("plain", "json-lines")]
+             "--method", method, "--format", fmt]
+            for k in KS for start in (0, 25) for method in cli.METHODS for fmt in ("plain", "json-lines")]
 
 
 def _double_gate() -> list[list[str]]:
