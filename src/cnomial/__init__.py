@@ -4,9 +4,10 @@ M^(2k,n) is the coefficient of x^{kn} in (1 + x + ... + x^{2k})^n, the
 largest entry of the row.  The package computes any coefficient p_l of
 the row three ways, one function each, and the central one is l = kn:
 
-- :func:`coefficient`, the exact recurrence stopped at p_l, and
-  :func:`expand_power`, the whole row, cross-checked by a running-window
-  convolution (:mod:`cnomial.exact`), the oracle;
+- :func:`coefficient`, one entry by the exact inclusion–exclusion sum
+  over binomial coefficients, and :func:`expand_power`, the whole row by
+  the exact recurrence, cross-checked by a running-window convolution
+  (:mod:`cnomial.exact`), the oracle;
 - :func:`coefficient_via_shift`, read off exact circulant-matrix powers;
   at l = kn that is the trace (:mod:`cnomial.circulant`);
 - :func:`coefficient_via_spectrum`, a closed-form trigonometric sum over

@@ -1,16 +1,21 @@
-"""Exact coefficient rows of (1 + x + ... + x^{2k})^n.
+"""Exact coefficients of (1 + x + ... + x^{2k})^n.
 
-This module is the ground truth the other routes are checked against.  The
-row is built by the four-term recurrence that P = (1 + x + ... + x^{2k})^n
+This module is the ground truth the other routes are checked against, and
+it holds two exact algorithms with no arithmetic in common.  The row is
+built by the four-term recurrence that P = (1 + x + ... + x^{2k})^n
 satisfies, one exact division per coefficient; the running window, n
 multiplications by the all-ones row, builds the same row with no division
 and is the recurrence's cross-check.  A run of consecutive n
 (:func:`central_run`) takes the recurrence at its first n only: each later
-row is one pass of the running window over the row before.
+row is one pass of the running window over the row before.  One entry
+(:func:`coefficient`) comes from neither: it is the classical
+inclusion–exclusion sum over binomial coefficients, one exact step per
+2k+1 entries.
 """
 from __future__ import annotations
 
 from itertools import accumulate, chain, repeat
+from math import comb, perm
 from operator import sub
 
 from .params import Params
@@ -74,23 +79,48 @@ def _times_ones(row: list[int], width: int) -> list[int]:
 
 
 def coefficient(params: Params, l: int) -> int:
-    """The entry p_l, by the recurrence stopped at min(l, 2kn − l).
+    """The entry p_l, by inclusion–exclusion at l′ = min(l, 2kn − l).
 
-    The row is symmetric, p_l = p_{2kn−l}, so no entry takes more than kn
-    steps and the rest of the row is never built; the central coefficient
-    is l = kn, the recurrence stopped there.
+    With m = 2k+1, P = (1 − xᵐ)ⁿ·(1 − x)⁻ⁿ, and the coefficient of x^l of
+    that product is
+
+        p_l = Σ_j (−1)^j·C(n, j)·C(l − mj + n − 1, n − 1),   0 ≤ j ≤ ⌊l/m⌋.
+
+    The row is symmetric, p_l = p_{2kn−l}, so the sum is taken at l′ and
+    has ⌊l′/m⌋ < n steps after its first term; the central coefficient is
+    l = kn.  Term j+1 is term j times (n − j)/(j + 1) times the ratio of
+    two runs of m consecutive integers, b(b−1)…(b−m+1) over
+    a(a−1)…(a−m+1) with b = l′ − mj and a = b + n − 1: one product and
+    one exact division per step.  A remainder means a factor is wrong and
+    raises :class:`ArithmeticError`.  No row is built, and no arithmetic
+    is shared with the recurrence.
     """
     if not 0 <= l <= params.degree:
         raise ValueError(f"l must be in [0, {params.degree}], got {l}")
-    return _recurrence_prefix(params, min(l, params.degree - l))[-1]
+    n, m = params.n, params.width
+    if n == 0:
+        return 1
+    b = min(l, params.degree - l)
+    a = b + n - 1
+    term = total = comb(a, n - 1)
+    for j in range(1, b // m + 1):
+        term, remainder = divmod(term * ((n - j + 1) * perm(b, m)), j * perm(a, m))
+        if remainder:
+            raise ArithmeticError(
+                f"inclusion-exclusion step j={j} is not exact for k={params.k}, n={n}"
+            )
+        total = total - term if j & 1 else total + term
+        b -= m
+        a -= m
+    return total
 
 
 def central_run(k: int, first: int, last: int) -> list[int]:
     """M^(2k,n) for n = first..last, ``first <= last``: the recurrence at
     ``first``, then one running-window pass per n.
 
-    The first n is :func:`coefficient` at l = kn, the recurrence stopped
-    at the centre.  Each later row is the row before times the row of ones
+    The first n is the recurrence stopped at the centre, p_0..p_kn.  Each
+    later row is the row before times the row of ones
     (:func:`_times_ones`).  The rows are palindromes, so only the half
     p_0..p_kn is kept: the new half, entries 0..k(n+1) of the product,
     reads the old row up to k past its centre, which is the old half with

@@ -129,26 +129,33 @@ def test_compute_disagree_exits_nonzero(capsys, monkeypatch):
 
 
 def test_compute_conv_central_stops_at_kn(capsys, monkeypatch):
-    # At the centre the conv branch runs the recurrence to p_kn only, never
-    # to the end of the row.
-    real = cli.exact._recurrence_prefix
+    # At the centre the conv branch sums inclusion-exclusion at l = kn:
+    # floor(21 / 7) = 3 steps, each the run b(b-1)...(b-6) over
+    # a(a-1)...(a-6) with b = 21 - 7j and a = b + n - 1, and neither the
+    # recurrence nor the row.
     central = cli.exact.expand_power(cli.Params(3, 7))[21]
-    lasts = []
+    real = cli.exact.perm
+    runs = []
 
-    def recording(params, last):
-        lasts.append(last)
-        return real(params, last)
+    def recording(x, m):
+        runs.append((x, m))
+        return real(x, m)
 
-    monkeypatch.setattr(cli.exact, "_recurrence_prefix", recording)
+    def refuse(*args):
+        raise AssertionError("compute --method conv must not build a row")
+
+    monkeypatch.setattr(cli.exact, "perm", recording)
+    monkeypatch.setattr(cli.exact, "_recurrence_prefix", refuse)
+    monkeypatch.setattr(cli.exact, "expand_power", refuse)
     code, out, _ = run(capsys, "compute", "--k", "3", "--n", "7", "--method", "conv")
     assert code == 0
     assert out.strip() == str(central)
-    assert lasts == [21]
+    assert runs == [(21, 7), (27, 7), (14, 7), (20, 7), (7, 7), (13, 7)]
 
 
 def test_compute_conv_reads_one_coefficient_without_the_row(capsys, monkeypatch):
-    # A general l reads p_l by the recurrence stopped at min(l, 2kn - l);
-    # no route of `compute` builds the whole row.
+    # A general l reads p_l by inclusion-exclusion at min(l, 2kn - l); no
+    # route of `compute` builds the whole row.
     def refuse(params):
         raise AssertionError("compute must not expand the whole row")
 

@@ -1,4 +1,5 @@
-"""Exact rows by the recurrence, its window cross-check and the enumeration oracle."""
+"""Exact rows by the recurrence, its window cross-check, single entries by
+inclusion-exclusion and the enumeration oracle."""
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -7,7 +8,7 @@ from enumeration import EnumerationCapExceeded, multinomial_direct
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnomial import Params, coefficient, expand_power
+from cnomial import Params, coefficient, exact, expand_power
 from cnomial.exact import _recurrence_prefix, _times_ones, central_run
 
 
@@ -72,16 +73,41 @@ def test_strategies_produce_identical_rows():
 
 
 def test_single_coefficient_matches_the_row():
-    # One entry by the recurrence stopped at min(l, 2kn - l): the row's
-    # symmetry lets no entry take more than kn steps.
-    for k in range(1, 6):
-        for n in range(0, 31):
-            p = Params(k, n)
-            row = expand_power(p)
-            assert [coefficient(p, l) for l in range(p.degree + 1)] == list(row), (k, n)
-    for l in (-1, 5):
-        with pytest.raises(ValueError, match="l must be in"):
-            coefficient(Params(1, 2), l)
+    # One entry by inclusion-exclusion at min(l, 2kn - l), a second exact
+    # algorithm, against every entry of the recurrence's row.
+    grid = [(k, n) for k in range(1, 6) for n in range(41)] + [(10, n) for n in range(21)]
+    for k, n in grid:
+        p = Params(k, n)
+        row = expand_power(p)
+        assert [coefficient(p, l) for l in range(p.degree + 1)] == list(row), (k, n)
+
+
+@pytest.mark.parametrize("k", [1, 3, 10])
+def test_single_coefficient_at_n_zero_and_out_of_range(k):
+    # n = 0 is the unit row; an l outside [0, 2kn] is refused, not summed.
+    assert coefficient(Params(k, 0), 0) == 1
+    for n in (0, 1, 7):
+        for l in (-1, 2 * k * n + 1):
+            with pytest.raises(ValueError, match="l must be in"):
+                coefficient(Params(k, n), l)
+
+
+@given(data=st.data(), k=st.integers(1, 10), n=st.integers(1, 400))
+@settings(max_examples=60, deadline=None)
+def test_single_coefficient_matches_the_recurrence_fuzzed(data, k, n):
+    p = Params(k, n)
+    l = data.draw(st.integers(0, p.degree))
+    assert coefficient(p, l) == _recurrence_prefix(p, min(l, p.degree - l))[-1]
+
+
+def test_inclusion_exclusion_guard_raises_on_inexact_step(monkeypatch):
+    # One factor off by one in every run: the first step's division leaves
+    # a remainder, which the guard must report rather than floor away.
+    real = exact.perm
+    monkeypatch.setattr(exact, "perm", lambda x, m: real(x, m) + 1)
+    for k, n, l in ((1, 5, 5), (3, 7, 21), (10, 20, 150)):
+        with pytest.raises(ArithmeticError, match="j=1 is not exact"):
+            coefficient(Params(k, n), l)
 
 
 @pytest.mark.parametrize("k", range(1, 6))

@@ -28,22 +28,31 @@ def test_convolve_cyclic_example():
 
 
 def test_central_coefficient_stops_at_kn(monkeypatch):
-    built = []
-    true_prefix = exact._recurrence_prefix
+    # p_kn is the inclusion-exclusion sum at l = kn: floor(kn / (2k+1))
+    # steps of two runs of 2k+1 consecutive integers each, and neither the
+    # recurrence nor the row.  Any other l mirrors to min(l, 2kn - l), so
+    # no entry takes more steps than the centre.
+    rows = {(k, n): exact.expand_power(Params(k, n)) for k in range(1, 6) for n in range(25)}
+    runs = []
+    true_perm = exact.perm
 
-    def recorded(params, last):
-        prefix = true_prefix(params, last)
-        built.append(len(prefix))
-        return prefix
+    def recorded(x, m):
+        runs.append((x, m))
+        return true_perm(x, m)
 
-    monkeypatch.setattr(exact, "_recurrence_prefix", recorded)
-    for k in range(1, 6):
-        for n in range(0, 25):
-            p = Params(k, n)
-            built.clear()
-            central = exact.coefficient(p, k * n)
-            assert built == [k * n + 1], (k, n)
-            assert central == exact.expand_power(p)[k * n], (k, n)
+    def refuse(*args):
+        raise AssertionError("coefficient must not build a row")
+
+    monkeypatch.setattr(exact, "perm", recorded)
+    monkeypatch.setattr(exact, "_recurrence_prefix", refuse)
+    monkeypatch.setattr(exact, "expand_power", refuse)
+    for (k, n), row in rows.items():
+        p = Params(k, n)
+        for l in range(p.degree + 1):
+            runs.clear()
+            assert exact.coefficient(p, l) == row[l], (k, n, l)
+            assert len(runs) == 2 * (min(l, p.degree - l) // p.width), (k, n, l)
+            assert all(m == p.width for _, m in runs), (k, n, l)
 
 
 @given(
