@@ -21,18 +21,22 @@ import math
 import sys
 import time
 from math import pi, sin
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import circulant, exact, spectral
 from ._digits import decimal
 from .params import Params
 from .spectral import CertificationError
 
-METHODS = ("conv", "trace", "spectral")
-
-#: The module of each method, whose ``central_run(k, first, last)`` gives
+#: Each method's module and the name there of its entry point for one
+#: coefficient; each module's ``central_run(k, first, last)`` gives
 #: ``sequence`` its window of n.
-_RUN_MODULES = {"conv": exact, "trace": circulant, "spectral": spectral}
+_ROUTES = {
+    "conv": (exact, "coefficient"),
+    "trace": (circulant, "coefficient_via_shift"),
+    "spectral": (spectral, "coefficient_via_spectrum"),
+}
+METHODS = tuple(_ROUTES)
 
 #: Relative/absolute tolerance of verify's ``eigen-ratios`` check, which compares the
 #: double rung's sine ratios E_r with the Dirichlet kernel.
@@ -78,13 +82,8 @@ def _evaluate(method: str, params: Params, l: int) -> int | spectral.CertifiedIn
     instead.  Routes are looked up on their modules at every call, so a
     rebinding there (a test's fake, a tracer's wrapper) sees the call.
     """
-    if method == "conv":
-        return exact.coefficient(params, l)
-    if method == "trace":
-        return circulant.coefficient_via_shift(params, l)
-    if method == "spectral":
-        return spectral.coefficient_via_spectrum(params, l)
-    raise ValueError(f"unknown method {method!r}")
+    module, name = _ROUTES[method]
+    return getattr(module, name)(params, l)
 
 
 def _value(result: int | spectral.CertifiedInteger) -> int:
@@ -112,9 +111,8 @@ def _coefficient(method: str, params: Params, l: int) -> dict:
 
 def cmd_compute(args: argparse.Namespace) -> int:
     params = Params(args.k, args.n)
+    # Each route refuses an l outside [0, 2kn] before anything prints.
     l = args.l if args.l is not None else params.k * params.n
-    if not 0 <= l <= params.degree:
-        raise ValueError(f"l must be in [0, {params.degree}], got {l}")
     methods = list(METHODS) if args.method == "all" else [args.method]
     records = [_coefficient(method, params, l) for method in methods]
     plain = [f"{r['method']} {r['value']}" for r in records]
@@ -141,7 +139,7 @@ def cmd_sequence(args: argparse.Namespace) -> int:
     # One run per request, looked up on its module at the call, as in
     # _evaluate: each route carries one n's row, window or spectrum on to
     # the next n.
-    values = map(_value, _RUN_MODULES[args.method].central_run(args.k, ns[0], ns[-1]))
+    values = map(_value, _ROUTES[args.method][0].central_run(args.k, ns[0], ns[-1]))
     records = [
         {"type": "term", "k": args.k, "n": n, "method": args.method, "value": decimal(value)}
         for n, value in zip(ns, values)
@@ -462,6 +460,8 @@ def _method_list(text: str) -> list[str]:
         raise argparse.ArgumentTypeError("expected at least one method")
     if values == ["all"]:
         return values
+    if "all" in values:
+        raise argparse.ArgumentTypeError("'all' cannot be combined with other methods")
     for value in values:
         if value not in METHODS:
             raise argparse.ArgumentTypeError(
@@ -470,123 +470,89 @@ def _method_list(text: str) -> list[str]:
     return values
 
 
-def _option_table(command: argparse.ArgumentParser, name: str, dest: str) -> tuple | None:
-    """The options of one command's parser, read off its own actions, or None.
+#: One option of a command, as ``add_argument`` takes it; a ``type`` of None
+#: keeps the string and ``bool`` makes a ``store_true`` flag.  No str default
+#: has a converting ``type``, which argparse would apply and the tables not.
+class _Option(NamedTuple):
+    string: str
+    type: Callable | None = None
+    default: object = None
+    choices: tuple | None = None
+    help: str | None = None
+    required: bool = False
 
-    The table is ``(options, defaults, required)``: each option string
-    maps to ``(dest, converter, choices, const)``, with no converter for a
-    ``store_true`` flag, whose const is what it stores; ``defaults`` is the
-    namespace before any option is read (``dest`` set to ``name``, then
-    every action's default in the parser's order, then ``set_defaults``);
-    ``required`` holds the dests that must be given.  A parser with an
-    action :func:`_parse_with_table` cannot reproduce gets None: anything
-    but help, ``store_true`` or ``store`` of one value, or a str default
-    with a ``type``, which argparse converts when the option is not given.
-    """
-    options: dict[str, tuple] = {}
-    defaults = {dest: name}
-    required = set()
-    for action in command._actions:
-        kind = type(action)
-        if kind is argparse._HelpAction:
-            continue
-        if kind is argparse._StoreTrueAction:
-            entry = (action.dest, None, None, action.const)
-        elif kind is argparse._StoreAction and action.nargs is None \
-                and not (action.type is not None and isinstance(action.default, str)):
-            convert = command._registry_get("type", action.type, action.type)
-            entry = (action.dest, convert, action.choices, None)
-        else:
-            return None
-        options.update(dict.fromkeys(action.option_strings, entry))
-        defaults[action.dest] = action.default
-        if action.required:
-            required.add(action.dest)
-    defaults.update(command._defaults)
-    return options, defaults, frozenset(required)
+
+_FORMAT = _Option("--format", None, "plain", ("plain", "csv", "json-lines"),
+                  "output format (default: plain)")
+
+#: Every command, in ``--help`` order: its help line, its handler and its
+#: options, ``--format`` first.  :func:`build_parser` and
+#: :func:`_command_tables` both read it.
+_COMMANDS = {
+    "compute": ("one coefficient by one or all methods", cmd_compute, (
+        _FORMAT, _Option("--k", int, required=True), _Option("--n", int, required=True),
+        _Option("--l", int, help="coefficient index (default: kn, the central one)"),
+        _Option("--method", None, "conv", METHODS + ("all",)))),
+    "sequence": ("emit M^(2k,n) for a range of n", cmd_sequence, (
+        _FORMAT, _Option("--k", int, required=True), _Option("--count", int, required=True),
+        _Option("--start-n", int, 0), _Option("--method", None, "conv", METHODS))),
+    "verify": ("cross-method and invariant checks on a grid", cmd_verify, (
+        _FORMAT, _Option("--k-max", int, required=True), _Option("--n-max", int, required=True),
+        _Option("--seed", int,
+                help="also check 3 random general coefficients per case, reproducibly"))),
+    "bench": ("wall-time table for the three methods", cmd_bench, (
+        _FORMAT, _Option("--k", int, required=True),
+        _Option("--n", _int_list, required=True, help="comma-separated list of n values"),
+        _Option("--method", _method_list, ["all"], help="comma-separated methods or 'all'"),
+        _Option("--repetitions", int, 3))),
+    "oeis": ("compare computed terms against an OEIS sequence", cmd_oeis, (
+        _FORMAT, _Option("--offline", bool, False,
+                         help="never touch the network; use fixtures or the cache"),
+        _Option("--id", help="OEIS identifier, e.g. A002426"), _Option("--k", int),
+        _Option("--count", int, 10))),
+}
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process: parsing leaves it as it was.
-
-    Its ``option_tables`` attribute maps each command's name to the
-    command's :func:`_option_table`, which :func:`_parse_args` reads.
+    """Argparse's parser for every command in :data:`_COMMANDS`, built once per
+    process, on the first argv the option tables do not read (see
+    :func:`_parse_args`).  Parsing leaves it as it was.
     """
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format",
-        choices=("plain", "csv", "json-lines"),
-        default="plain",
-        help="output format (default: plain)",
-    )
-
-    parser = argparse.ArgumentParser(
-        prog="cnomial",
-        description=(
-            "Central (2k+1)-nomial coefficients by polynomial convolution, "
-            "circulant trace, and trigonometric spectral sum."
-        ),
-    )
+    parser = argparse.ArgumentParser(prog="cnomial", description=(
+        "Central (2k+1)-nomial coefficients by polynomial convolution, "
+        "circulant trace, and trigonometric spectral sum."))
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser(
-        "compute", parents=[common], help="one coefficient by one or all methods"
-    )
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--l", type=int, default=None, help="coefficient index (default: kn, the central one)")
-    p.add_argument("--method", choices=METHODS + ("all",), default="conv")
-    p.set_defaults(func=cmd_compute)
-
-    p = sub.add_parser(
-        "sequence", parents=[common], help="emit M^(2k,n) for a range of n"
-    )
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--start-n", type=int, default=0)
-    p.add_argument("--method", choices=METHODS, default="conv")
-    p.set_defaults(func=cmd_sequence)
-
-    p = sub.add_parser(
-        "verify", parents=[common], help="cross-method and invariant checks on a grid"
-    )
-    p.add_argument("--k-max", type=int, required=True)
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="also check 3 random general coefficients per case, reproducibly",
-    )
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser(
-        "bench", parents=[common], help="wall-time table for the three methods"
-    )
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=_int_list, required=True, help="comma-separated list of n values")
-    p.add_argument("--method", type=_method_list, default=["all"], help="comma-separated methods or 'all'")
-    p.add_argument("--repetitions", type=int, default=3)
-    p.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser(
-        "oeis", parents=[common], help="compare computed terms against an OEIS sequence"
-    )
-    p.add_argument(
-        "--offline",
-        action="store_true",
-        help="never touch the network; use fixtures or the cache",
-    )
-    p.add_argument("--id", default=None, help="OEIS identifier, e.g. A002426")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--count", type=int, default=10)
-    p.set_defaults(func=cmd_oeis)
-
-    parser.option_tables = {
-        name: _option_table(command, name, sub.dest) for name, command in sub.choices.items()
-    }
+    for name, (text, handler, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=text)
+        for option in options:
+            kind = {"action": "store_true"} if option.type is bool else {
+                "type": option.type, "choices": option.choices, "required": option.required}
+            command.add_argument(option.string, default=option.default, help=option.help, **kind)
+        command.set_defaults(func=handler)
     return parser
+
+
+@functools.cache
+def _command_tables() -> dict[str, tuple]:
+    """Each command's ``(options, defaults, required)``, read off :data:`_COMMANDS`
+    once per process: each option string's ``(dest, convert, choices)``, with
+    no converter for a flag; the namespace before any option is read, as
+    argparse starts it; the dests that must be given.
+    """
+    tables = {}
+    for name, (_, handler, options) in _COMMANDS.items():
+        entries, defaults, required = {}, {"command": name}, set()
+        for option in options:
+            dest = option.string[2:].replace("-", "_")
+            convert = None if option.type is bool else option.type or str
+            entries[option.string] = (dest, convert, option.choices)
+            defaults[dest] = option.default
+            if option.required:
+                required.add(dest)
+        defaults["func"] = handler
+        tables[name] = entries, defaults, frozenset(required)
+    return tables
 
 
 def _parse_with_table(table: tuple, argv: list[str]) -> argparse.Namespace | None:
@@ -603,10 +569,9 @@ def _parse_with_table(table: tuple, argv: list[str]) -> argparse.Namespace | Non
         entry = options.get(argv[index])
         if entry is None:
             return None
-        dest, convert, choices, const = entry
-        if convert is None:
-            value = const
-        else:
+        dest, convert, choices = entry
+        value = True  # a flag's, which has no converter
+        if convert is not None:
             index += 1
             if index == end or argv[index].startswith("-"):
                 return None
@@ -627,20 +592,20 @@ def _parse_with_table(table: tuple, argv: list[str]) -> argparse.Namespace | Non
 def _parse_args(argv: list[str]) -> argparse.Namespace:
     """``build_parser().parse_args(argv)``, with the same namespace, output, errors and exit codes.
 
-    An argv that names a command with an option table and then gives only
-    that command's exact option strings, each flag alone and each value
-    option followed by a value that does not start with ``-``, converts
-    and is a valid choice, with every required option present, is read
-    off the table (:func:`_parse_with_table`) without argparse.  Anything
-    else goes to argparse, which prints what it prints: help, no command or
-    an unknown one, unknown or abbreviated options, ``--opt=value``,
-    ``--``, a value starting with ``-``, a stray word, a value its
-    ``type`` rejects, a bad choice, a missing required option.
+    An argv that names a command and then gives only that command's exact
+    option strings, each flag alone and each value option followed by a
+    value that does not start with ``-``, converts and is a valid choice,
+    with every required option present, is read off the command's table
+    (:func:`_command_tables`, :func:`_parse_with_table`); argparse's parser
+    is not built.  Anything else goes to argparse, which prints what it
+    prints: help, no command or an unknown one, unknown or abbreviated
+    options, ``--opt=value``, ``--``, a value starting with ``-``, a stray
+    word, a value its ``type`` rejects, a bad choice, a missing required
+    option.
     """
-    parser = build_parser()
-    table = parser.option_tables.get(argv[0]) if argv else None
+    table = _command_tables().get(argv[0]) if argv else None
     args = None if table is None else _parse_with_table(table, argv)
-    return parser.parse_args(argv) if args is None else args
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv: list[str] | None = None) -> int:

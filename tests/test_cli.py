@@ -606,6 +606,17 @@ def test_bench_empty_method_list(capsys):
         assert "expected at least one method" in capsys.readouterr().err
 
 
+def test_bench_all_with_other_methods(capsys):
+    # "all" is a method name alone; beside others it is refused as such.
+    for methods in ("all,conv", "conv,all", "all,all"):
+        with pytest.raises(SystemExit) as info:
+            main(["bench", "--k", "1", "--n", "1", "--method", methods])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --method: 'all' cannot be combined with other methods" in err
+        assert "must be one of" not in err
+
+
 def test_offline_is_an_oeis_option_only(capsys):
     # The other commands never touch the network, so they take no --offline.
     for argv in (["compute", "--k", "1", "--n", "2"], ["sequence", "--k", "1", "--count", "2"],
@@ -774,8 +785,10 @@ def test_reused_parser_leaks_no_value_between_requests(capsys):
     expected = []
     for argv in (first, second):
         cli.build_parser.cache_clear()
+        cli._command_tables.cache_clear()
         expected.append(run(capsys, *argv))
     cli.build_parser.cache_clear()
+    cli._command_tables.cache_clear()
     assert [run(capsys, *argv) for argv in (first, second)] == expected
     assert expected[1] == (0, "200018125733654567755310652383117\n", "")
 
@@ -969,8 +982,7 @@ def _perfbench_argv() -> list[list[str]]:
 def test_benchmark_requests_skip_argparse(monkeypatch):
     # Every command has a table, and every request the benchmark sends is
     # read off it: argparse's own parse would raise here.
-    assert set(cli.build_parser().option_tables) == set(COMMANDS)
-    assert all(table is not None for table in cli.build_parser().option_tables.values())
+    assert set(cli._command_tables()) == set(COMMANDS)
     requests = _perfbench_argv()
     expected = [vars(cli.build_parser().parse_args(argv)) for argv in requests]
 
@@ -980,3 +992,25 @@ def test_benchmark_requests_skip_argparse(monkeypatch):
     monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
     assert [vars(cli._parse_args(argv)) for argv in requests] == expected
+
+
+def test_canonical_argv_builds_no_parser(monkeypatch):
+    # The tables come from the command table itself: a process whose
+    # requests are all canonical never builds argparse's parser.
+    requests = _perfbench_argv()
+    expected = [vars(cli.build_parser().parse_args(argv)) for argv in requests]
+
+    def refuse():
+        raise AssertionError("a canonical argv built argparse's parser")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    cli._command_tables.cache_clear()
+    assert [vars(cli._parse_args(argv)) for argv in requests] == expected
+
+
+def test_no_str_default_has_a_converting_type():
+    # Argparse converts a str default by the option's type when the option
+    # is not given; the tables keep defaults as declared.
+    for _, _, options in cli._COMMANDS.values():
+        for option in options:
+            assert not isinstance(option.default, str) or option.type is None, option
