@@ -12,7 +12,6 @@ of N points appears only in :func:`matrix_power`.
 """
 from __future__ import annotations
 
-import sys
 from collections.abc import Sequence
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from functools import lru_cache
@@ -182,14 +181,15 @@ def _pack(values: Sequence[int], digits: int) -> Decimal:
 def _unpack(packed: Decimal, digits: int, count: int) -> list[int]:
     """The lowest ``count`` fields of ``digits`` digits of ``packed``, lowest first.
 
-    ``int`` parses a field directly within CPython's int/str digit limit
-    (0: none, as on Pythons before 3.10.7, which have no limit); a wider
-    field goes through :class:`~decimal.Decimal`.
+    ``int`` parses the fields directly unless CPython's int/str digit
+    limit refuses them; then they go through :class:`~decimal.Decimal`.
     """
     text = str(packed)[-digits * count :].zfill(digits * count)
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    parse = int if not 0 < limit < digits else lambda field: int(Decimal(field))
-    return [parse(text[i : i + digits]) for i in range(len(text) - digits, -1, -digits)]
+    fields = [text[i : i + digits] for i in range(len(text) - digits, -1, -digits)]
+    try:
+        return list(map(int, fields))
+    except ValueError:
+        return [int(Decimal(field)) for field in fields]
 
 
 @lru_cache(maxsize=1)
@@ -259,8 +259,8 @@ def _central_read(x: Sequence[int], y: Sequence[int]) -> int:
 
 
 def central_run(k: int, first: int, last: int) -> list[int]:
-    """M^(2k,n) for n = first..last, ``first <= last``, each read off the
-    windows of C^⌊n/2⌋ and C^⌈n/2⌉ (:func:`_central_read`).
+    """M^(2k,n) for n = first..last (none when ``first > last``), each read
+    off the windows of C^⌊n/2⌋ and C^⌈n/2⌉ (:func:`_central_read`).
 
     The first pair comes from :func:`_window`.  From n to n + 1, ⌈n/2⌉
     goes up by one when n + 1 is odd and ⌊n/2⌋ catches up with it when
@@ -268,6 +268,8 @@ def central_run(k: int, first: int, last: int) -> list[int]:
     the one before, and an even n forms none.
     """
     Params(k, first)  # refuses k < 1 and n < 0, as every route does
+    if first > last:
+        return []
     x = _window(k, first // 2)
     y = _times_central(x, k) if first % 2 else x
     values = [_central_read(x, y)]

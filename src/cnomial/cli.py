@@ -186,7 +186,7 @@ def _verify_case(
 
     if list(row) != window:
         failed.append("exact-window")
-    proven = _certified(failed, spectral.coefficient_via_spectrum, params, kn)
+    proven = _certified(failed, params, kn)
     trace = circulant.coefficient_via_shift(params, kn)
     if central != trace or proven not in (None, central):
         failed.append("methods-equal")
@@ -215,7 +215,7 @@ def _verify_case(
         failed.append("eigen-ratios")
 
     for l in ls:
-        proven = _certified(failed, spectral.coefficient_via_spectrum, params, l)
+        proven = _certified(failed, params, l)
         shift = circulant.coefficient_via_shift(params, l)
         if row[l] != shift or proven not in (None, row[l]):
             failed.append(f"coefficient-l{l}")
@@ -234,16 +234,15 @@ def _described(name: str, values: dict[str, dict]) -> str:
     return f"{name} ({detail})"
 
 
-def _certified(
-    failed: list[str], route: Callable[..., spectral.CertifiedInteger], *args: object
-) -> int | None:
-    """The value ``route(*args)`` certifies, or None with ``spectral-certified`` in ``failed``.
+def _certified(failed: list[str], params: Params, l: int) -> int | None:
+    """The value the spectral sum certifies for ``p_l``, or None with
+    ``spectral-certified`` in ``failed``.
 
     A sum that does not certify fails its case and lets the grid go on; the
     other routes' checks still run.
     """
     try:
-        return route(*args).value
+        return spectral.coefficient_via_spectrum(params, l).value
     except CertificationError:
         if "spectral-certified" not in failed:
             failed.append("spectral-certified")

@@ -116,8 +116,8 @@ def coefficient(params: Params, l: int) -> int:
 
 
 def central_run(k: int, first: int, last: int) -> list[int]:
-    """M^(2k,n) for n = first..last, ``first <= last``: the recurrence at
-    ``first``, then one running-window pass per n.
+    """M^(2k,n) for n = first..last (none when ``first > last``): the
+    recurrence at ``first``, then one running-window pass per n.
 
     The first n is the recurrence stopped at the centre, p_0..p_kn.  Each
     later row is the row before times the row of ones
@@ -128,8 +128,11 @@ def central_run(k: int, first: int, last: int) -> list[int]:
     over about half a row, and its centre is the last entry of the new
     half.  A run of one is the recurrence alone.
     """
+    params = Params(k, first)  # refuses k < 1 and n < 0, as every route does
+    if first > last:
+        return []
     width = 2 * k + 1
-    half = _recurrence_prefix(Params(k, first), k * first)
+    half = _recurrence_prefix(params, k * first)
     values = [half[-1]]
     for n in range(first + 1, last + 1):
         half = _times_ones(half + half[-2 : -k - 2 : -1], width)[: k * n + 1]

@@ -671,7 +671,8 @@ def _certified(
 
 
 def central_run(k: int, first: int, last: int) -> list[CertifiedInteger]:
-    """M^(2k,n) for n = first..last, each certified, from one ball spectrum.
+    """M^(2k,n) for n = first..last (none when ``first > last``), each
+    certified, from one ball spectrum.
 
     Each n tries the double rung at its own smallest odd N > kn.  The n
     whose double rung does not certify share one arbitrary rung: the N
@@ -682,6 +683,7 @@ def central_run(k: int, first: int, last: int) -> list[CertifiedInteger]:
     :func:`coefficient_via_spectrum` at l = kn.  Raises CertificationError
     at the first n, in order, that no rung certifies.
     """
+    Params(k, first)  # refuses k < 1 and n < 0, as every route does
     tried = []
     for n in range(first, last + 1):
         params = Params(k, n)

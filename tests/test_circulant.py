@@ -1,4 +1,7 @@
 """Circulant construction, powers, trace extraction, shift bookkeeping."""
+import sys
+from contextlib import contextmanager
+
 import pytest
 from dense import dense_power, dense_product, to_dense
 from hypothesis import given, settings
@@ -251,16 +254,46 @@ def test_matrix_power_beyond_the_digit_limit(monkeypatch):
     assert placed(fields, 40, dim) == _convolve_cyclic(row, row)
 
 
+no_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="this Python has no digit limit"
+)
+
+
+@contextmanager
+def digit_limit(limit):
+    """CPython's int/str digit limit set to ``limit`` in this block."""
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+@no_digit_limit
 def test_packed_steps_without_a_digit_limit(monkeypatch):
-    # Pythons before 3.10.7 have no int/str digit limit and no
-    # sys.get_int_max_str_digits: the decimal steps parse every field by
-    # int.  At (3, 40) every product is small, so the decimal kernel is forced.
-    monkeypatch.delattr(circulant.sys, "get_int_max_str_digits")
+    # A limit of 0 is none, as on Pythons before 3.10.7, which have no
+    # limit: the decimal steps parse every field by int.  At (3, 40) every
+    # product is small, so the decimal kernel is forced.
     monkeypatch.setattr(circulant, "DECIMAL_MIN_BITS", 0)
     steps = decimal_steps(monkeypatch)
     p = Params(3, 40)
-    assert coefficient_via_shift(p, p.k * p.n) == coefficient(p, p.k * p.n)
+    with digit_limit(0):
+        assert coefficient_via_shift(p, p.k * p.n) == coefficient(p, p.k * p.n)
     assert steps
+
+
+@no_digit_limit
+def test_unpack_reads_no_limit(monkeypatch):
+    # A limit read as 0 may be another thread's lift, restored before the
+    # fields are parsed: 5000-digit fields still come back under the real
+    # limit of 4300.
+    values = [10**4999 + 7, 3 * 10**4999 + 1]
+    packed = circulant._pack(values, 5000)
+    with digit_limit(4300):
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+        fields = circulant._unpack(packed, 5000, 2)
+    assert fields == values
 
 
 def test_trace_identity():

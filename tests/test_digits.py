@@ -36,37 +36,25 @@ def lifts(monkeypatch):
         sys.set_int_max_str_digits(previous)
 
 
-def test_admitted_bits_is_the_exact_threshold():
-    sys_limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        for limit in (1, 2, 3, 4, LIMIT, 4300):
-            bits = _digits._admitted_bits(limit)
-            assert len(str(2**bits - 1)) <= limit < len(str(2 ** (bits + 1) - 1))
-    finally:
-        sys.set_int_max_str_digits(sys_limit)
-
-
 def test_a_value_within_the_limit_converts_directly(lifts):
-    top = 2 ** _digits._admitted_bits(LIMIT) - 1
+    # LIMIT digits are within the limit; LIMIT + 1 are past it (below).
+    top = 10**LIMIT - 1
     for value in (0, 7, -top, top):
         assert decimal(value) == str(value)
     assert lifts == []
 
 
 def test_a_value_past_the_threshold_lifts_the_limit(lifts):
-    # 2^b is within the limit but not within the bound; 10^LIMIT is past both.
-    bound = 2 ** _digits._admitted_bits(LIMIT)
-    assert decimal(bound) == str(bound)
     with pytest.raises(ValueError):
         str(10**LIMIT)
     assert decimal(-(10**LIMIT)) == "-1" + "0" * LIMIT
-    assert lifts == [LIMIT, LIMIT]
+    assert lifts == [LIMIT]
     assert sys.get_int_max_str_digits() == LIMIT
 
 
-def test_a_limit_of_zero_lifts_under_the_lock(lifts):
+def test_a_limit_of_zero_converts_without_a_lift(lifts):
+    # No limit is read: 0 admits every value, so str converts it directly.
     sys.set_int_max_str_digits(0)
     assert decimal(10**LIMIT) == "1" + "0" * LIMIT
-    assert lifts == [0]
+    assert lifts == []
     assert sys.get_int_max_str_digits() == 0

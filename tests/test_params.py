@@ -1,7 +1,7 @@
 """Validation and derived quantities of the (k, n) parameter pair."""
 import pytest
 
-from cnomial import Params
+from cnomial import Params, circulant, exact, spectral
 
 
 def test_derived_quantities():
@@ -56,3 +56,13 @@ def test_validation_messages(k, n, message):
         with pytest.raises(ValueError) as info:
             call()
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize("route", [exact, circulant, spectral], ids=lambda m: m.__name__)
+def test_central_run_checks_its_first_n_before_an_empty_range(route):
+    # n = 5..3 is empty, but k = 0 and n = -1 are refused all the same.
+    assert route.central_run(1, 5, 3) == []
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        route.central_run(0, 5, 3)
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        route.central_run(1, -1, -3)
