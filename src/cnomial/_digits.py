@@ -1,4 +1,4 @@
-"""Decimal conversion of integers beyond CPython's digit limit.
+"""Decimal conversion of integers beyond CPython's digit limit, both ways.
 
 CPython refuses ``str(i)`` and ``int(s)`` for integers of more decimal
 digits than its int/str digit limit (4300 by default), a guard against
@@ -50,3 +50,16 @@ def decimal(value: int) -> str:
     except ValueError:
         with unlimited_digits():
             return str(value)
+
+
+def integer(text: str) -> int:
+    """``int(text)`` with no digit limit, lifted as :func:`decimal` lifts it.
+
+    A ``text`` that ``int`` refuses for another reason raises ValueError
+    from the second try too.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        with unlimited_digits():
+            return int(text)

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import circulant, spectral
-from ._digits import unlimited_digits
+from ._digits import integer
 
 #: k -> OEIS identifier for the central (2k+1)-nomial coefficient sequence.
 OEIS_BY_K = {1: "A002426", 2: "A005191", 3: "A025012"}
@@ -37,6 +37,10 @@ _PREFIXES = {
 BFILE_URL = "https://oeis.org/{oeis_id}/b{digits}.txt"
 
 _ID_PATTERN = re.compile(r"\AA\d{6}\Z")
+
+#: A b-file field: ASCII digits with an optional leading minus.  ``int``
+#: alone also takes '+', '_' separators and non-ASCII digits.
+_FIELD_PATTERN = re.compile(r"-?[0-9]+")
 
 HttpGet = Callable[[str], bytes]
 
@@ -174,8 +178,10 @@ def parse_bfile(text: str) -> list[tuple[int, int]]:
     """Parse b-file text into (index, value) pairs.
 
     Blank lines and '#' comments are ignored; data lines must be exactly
-    two integer fields with consecutive indices.  Terms may have any number
-    of digits.  Errors report the 1-based line number.
+    two integer fields (ASCII digits, an optional leading minus) with
+    consecutive indices.  Terms may have any number of digits: the digit
+    limit is lifted only for a field that ``int`` refuses.  Errors report
+    the 1-based line number.
     """
     pairs: list[tuple[int, int]] = []
     for line_number, raw in enumerate(text.splitlines(), start=1):
@@ -187,13 +193,9 @@ def parse_bfile(text: str) -> list[tuple[int, int]]:
             raise BFileParseError(
                 f"expected 'index value', got {raw.strip()!r}", line_number
             )
-        try:
-            with unlimited_digits():
-                index, value = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise BFileParseError(
-                f"non-integer field in {raw.strip()!r}", line_number
-            ) from None
+        if not all(map(_FIELD_PATTERN.fullmatch, fields)):
+            raise BFileParseError(f"non-integer field in {line!r}", line_number)
+        index, value = map(integer, fields)
         if pairs and index != pairs[-1][0] + 1:
             raise BFileParseError(
                 f"index {index} does not follow {pairs[-1][0]}", line_number

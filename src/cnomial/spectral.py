@@ -13,20 +13,24 @@ runs at the smallest such N, about kn (:func:`central_run`).  Any other
 coefficient runs at 2kn+1, which holds the whole row: E_r does not depend
 on l, so the arbitrary rung powers it once per row (:func:`_phase_form`)
 and each l only weights those powers by its phase.  The trace route keeps
-2kn+1 too.  Every rung evaluates the sum from one half-table of sines,
+2kn+1 too.  E_r = E_{N-r} pairs the terms on both rungs, which compute
+E_r by two formulas.  The double rung reads one half-table of sines,
 s_j = sin(j pi/N) for j <= N/2: numerators read it mirrored and signed,
-E_r = E_{N-r} pairs the terms, and the phase cosine is 1 - 2 s_j^2.  The
-arbitrary rung builds its table once per sum and keeps one row.  The
-sums are rounded back to integers, so every result carries a certificate: the
-pre-rounding distance from the nearest integer plus a bound on the
-evaluation error, required to stay under a cap.  The bound matters: once
-terms outgrow the mantissa the measured distance alone is blind (above
-2^53 every double is an integer).  The ladder has two rungs, and the code
-chooses: the double rung, with a forward error bound, runs where the floor
-of that bound is below the cap, so no power overflows (:func:`_double_rung`);
-when it does not certify, the arbitrary rung evaluates the sum in
+and the phase cosine is 1 - 2 s_j^2.  The arbitrary rung reads one table
+of cosines, cos(2 pi i/N) for i < N: E_r is the cosine sum 1 + 2
+sum_{j=1..k} cos(2 pi j r/N) that the sine ratio closes, k additions
+and no division, and a phase weight is one entry.  It builds its table
+once per sum and keeps one row.  The sums are rounded back to integers,
+so every result carries a certificate: the pre-rounding distance from the
+nearest integer plus a bound on the evaluation error, required to stay
+under a cap.  The bound matters: once terms outgrow the mantissa the
+measured distance alone is blind (above 2^53 every double is an
+integer).  The ladder has two rungs, and the code chooses: the double
+rung, with a forward error bound, runs where the floor of that bound is
+below the cap, so no power overflows (:func:`_double_rung`); when it
+does not certify, the arbitrary rung evaluates the sum in
 fixed-point ball arithmetic at :func:`required_bits`, whose radius encloses
-every rounding, each term at the width its size needs.  Its sines are
+every rounding, each term at the width its size needs.  Its cosines are
 seeded in integers alone (Machin's pi and the sine series), so the module
 needs only the standard library.
 """
@@ -35,7 +39,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from functools import lru_cache
-from itertools import repeat
 from math import pi, sin
 from operator import lshift, mul, neg, rshift
 from typing import NamedTuple
@@ -305,8 +308,8 @@ def _ball_within(x: int, rx: int, shift: int) -> tuple[int, int]:
     return mid, hi - mid
 
 
-def _seed(dim: int, bits: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Balls around 2^bits (cos, sin)(pi/N), odd N >= 3, in integers alone.
+def _seed(dim: int, bits: int) -> tuple[int, int]:
+    """A ball around 2^bits sin(pi/N), odd N >= 3, in integers alone.
 
     The work runs at p = bits + bitlen(bits) + GUARD_BITS, on a ball
     (X, rho_x) around 2^p x, x = pi/N.  sin x is its alternating series at
@@ -317,12 +320,8 @@ def _seed(dim: int, bits: int) -> tuple[tuple[int, int], tuple[int, int]]:
     every term is then within 2 ulps of its exact value at X, and the
     series stops at a term that is 0, so within 2 ulps of 0, which bounds
     the alternating tail.  Hence rho_s = 2 (terms + 1) + rho_x, since
-    |sin'| <= 1.  cos x = sqrt(1 - sin^2 x) is isqrt(2^(2p) - S^2): for
-    sines a, b <= 0.87 (sin(pi/3) < 0.867),
-    |sqrt(1 - a^2) - sqrt(1 - b^2)| = |a - b| (a + b) / (sqrt(1 - a^2) +
-    sqrt(1 - b^2)) < 2 |a - b|, and the floor costs an ulp, so
-    rho_c = 2 rho_s + 1.  Each ball then goes to scale 2^bits as the ball
-    between the floor of its lower end and the ceiling of its upper one.
+    |sin'| <= 1.  The ball then goes to scale 2^bits as the ball between
+    the floor of its lower end and the ceiling of its upper one.
     """
     shift = bits.bit_length() + GUARD_BITS
     prec = bits + shift
@@ -335,73 +334,65 @@ def _seed(dim: int, bits: int) -> tuple[tuple[int, int], tuple[int, int]]:
         i += 1
         cut = max(prec - term.bit_length(), 0)
         term = ((term * (square >> cut)) >> (prec - cut)) // (2 * i * (2 * i + 1))
-    rs = 2 * (i + 1) + rx
-    c = math.isqrt((1 << (2 * prec)) - s * s)
-    return _ball_within(c, 2 * rs + 1, shift), _ball_within(s, rs, shift)
+    return _ball_within(s, 2 * (i + 1) + rx, shift)
 
 
-def _rotation_table(dim: int, bits: int) -> tuple[tuple[int, int], ...]:
-    """Balls (S_j, R_j) around 2^bits sin(j pi/N), j = 0..floor(N/2).
+def _chebyshev_cosines(dim: int, bits: int) -> list[tuple[int, int]]:
+    """Balls (C_j, R_j) around 2^bits cos(2 j pi/N), j = 0..floor(N/2), one product each.
 
-    :func:`_chebyshev_sines` builds them e = 2 bitlen(floor(N/2)) + 2 bits
-    wider, which holds its quadratic error growth to a few ulps here.
-    Built once per sum, not cached: its callers pass it to
-    :func:`_row_spectrum` and :func:`_cosine_table`.
-    """
-    extra = 2 * (dim // 2).bit_length() + 2
-    return tuple(_ball_down(x, rx, extra) for x, rx in _chebyshev_sines(dim, bits + extra))
+    The cosines c_j = cos(2 j pi/N) of the rotation z^j = exp(2 i j pi/N)
+    obey the Chebyshev recurrence c_{j+1} = 2 c_1 c_j - c_{j-1}.  C_0 =
+    2^bits is exact.  C_1 = 2^bits - 2 floor(S^2 / 2^bits), since c_1 =
+    1 - 2 sin^2(pi/N), from :func:`_seed`'s ball (S, rho_s) around 2^bits
+    sin(pi/N): |S^2 - 2^(2 bits) sin^2(pi/N)| <= rho_s (2S + rho_s), and
+    the floor cuts under an ulp, so C_1 is within rho = 2 (ceil(rho_s (2S
+    + rho_s) / 2^bits) + 1).  N = 1 has only C_0 and needs no seed.
+    Write eps_j = C_j - 2^bits c_j, so eps_0 = 0 and |eps_1| <= rho.  A
+    step C_{j+1} = floor(2 C_1 C_j / 2^bits) - C_{j-1}, with C_1 = 2^bits
+    c_1 + gamma and |gamma| <= rho, gives
 
+        eps_{j+1} = 2 c_1 eps_j - eps_{j-1} + d_j,   d_j = 2 gamma C_j / 2^bits - f_j,
 
-def _cosine_table(sines: tuple[tuple[int, int], ...], bits: int) -> tuple[tuple[int, ...], int]:
-    """Midpoints around 2^bits cos(2 i pi/N), i = 0..N-1, and one radius for all of them.
-
-    ``sines`` is the rotation table of N at F = ``bits``
-    (:func:`_rotation_table`), N = 2 len(sines) - 1.  Entry i <= N/2 is
-    2^bits - 2 floor(S_i^2 / 2^bits), from its ball (S_i, R_i) around
-    2^bits s_i, so the cosines share the powers' seed and recurrence;
-    cos(2 (N - i) pi/N) is the same value, so the upper half mirrors the
-    lower and a phase index needs no fold.  With R = max R_i, |S_i| <=
-    2^bits + R and 2^bits s_i <= 2^bits, so |S_i^2 - 2^(2 bits) s_i^2| <= R
-    (2^(bits+1) + R); the floor costs under an ulp, so each square is
-    within floor(R (2^(bits+1) + R) / 2^bits) + 2, and the cosine within
-    twice that.  Not cached: :func:`_phase_form` keeps the row's.
-    """
-    rad = max(r for _, r in sines)
-    half = [(1 << bits) - 2 * (s * s >> bits) for s, _ in sines]
-    return tuple(half + half[:0:-1]), 2 * ((rad * ((2 << bits) + rad) >> bits) + 2)
-
-
-def _chebyshev_sines(dim: int, bits: int) -> list[tuple[int, int]]:
-    """Balls (S_j, R_j) around 2^bits sin(j pi/N), j = 0..floor(N/2), one product each.
-
-    The sines of the rotation z^j = exp(i j pi/N) obey the Chebyshev
-    recurrence s_{j+1} = 2c s_j - s_{j-1}, c = cos(pi/N).  :func:`_seed`
-    gives balls (C, rho_c) and (S_1, rho_s) around (c, s_1); N = 1 has
-    only s_0 = 0 and needs none.  Write eps_j = S_j - 2^bits s_j, so
-    eps_0 = 0 and |eps_1| <= rho_s.  A step S_{j+1} = floor(2 C S_j / 2^bits) - S_{j-1},
-    with C = 2^bits c + gamma and |gamma| <= rho_c, gives
-
-        eps_{j+1} = 2c eps_j - eps_{j-1} + d_j,   d_j = 2 gamma S_j / 2^bits - f_j,
-
-    f_j in [0, 1) being the floor's cut, so |d_j| <= d = ceil(2 rho_c
-    max|S| / 2^bits) + 1 over the computed entries.  The recurrence is
-    linear, and a kick at step i reaches entry j as U_{j-1-i}(c), the
+    f_j in [0, 1) being the floor's cut, so |d_j| <= d = ceil(2 rho
+    max|C| / 2^bits) + 1 over the computed entries.  The recurrence is
+    linear, and a kick at step i reaches entry j as U_{j-1-i}(c_1), the
     Chebyshev polynomial of the second kind, with |U_m| <= m + 1 on
-    [-1, 1]; eps_1 reaches it as U_{j-1}(c).  Hence
+    [-1, 1]; eps_1 reaches it as U_{j-1}(c_1).  Hence
 
-        |eps_j| <= R_j = j rho_s + sum_{i=1}^{j-1} (j - i) d = j rho_s + j(j-1)/2 d,
+        |eps_j| <= R_j = j rho + sum_{i=1}^{j-1} (j - i) d = j rho + j(j-1)/2 d,
 
     at any budget.
     """
-    half = dim // 2
+    half, one = dim // 2, 1 << bits
     if not half:
-        return [(0, 0)]
-    (c, rc), (s, rs) = _seed(dim, bits)
-    table, twice = [0, s][: half + 1], 2 * c
+        return [(one, 0)]
+    s, rs = _seed(dim, bits)
+    first = one - 2 * (s * s >> bits)
+    rho = 2 * (-(-rs * (2 * s + rs) >> bits) + 1)
+    table, twice = [one, first], 2 * first
     for _ in range(half - 1):
         table.append(((twice * table[-1]) >> bits) - table[-2])
-    d = -(-2 * rc * max(map(abs, table)) >> bits) + 1
-    return [(x, j * rs + j * (j - 1) // 2 * d) for j, x in enumerate(table)]
+    d = -(-2 * rho * max(map(abs, table)) >> bits) + 1
+    return [(x, j * rho + j * (j - 1) // 2 * d) for j, x in enumerate(table)]
+
+
+def _cosine_ring(dim: int, bits: int) -> tuple[tuple[int, ...], int]:
+    """Midpoints around 2^bits cos(2 i pi/N), i = 0..N-1, and one radius for all of them.
+
+    :func:`_chebyshev_cosines` builds the half i <= N/2 e = 2
+    bitlen(floor(N/2)) + 2 bits wider, which holds its quadratic error
+    growth to a few ulps here; each ball goes down to 2^bits as
+    :func:`_ball_down` takes it, and R_j grows with j, so the last radius
+    serves the whole table.  cos(2 (N - i) pi/N) is the same value, so the
+    upper half mirrors the lower and an index r j mod N needs no fold.
+    Entry 0 is 2^bits exactly.  Built once per sum, not cached: the
+    eigenvalues of :func:`_row_spectrum` and the phase weights of
+    :func:`_phase_form` read one table.
+    """
+    extra = 2 * (dim // 2).bit_length() + 2
+    half = _chebyshev_cosines(dim, bits + extra)
+    mids = [x >> extra for x, _ in half]
+    return tuple(mids + mids[:0:-1]), _ball_down(0, half[-1][1], extra)[1]
 
 
 def _ball_down(x: int, rx: int, shift: int) -> tuple[int, int]:
@@ -410,18 +401,6 @@ def _ball_down(x: int, rx: int, shift: int) -> tuple[int, int]:
     The midpoint's floor shift costs under an ulp; the radius rounds up.
     """
     return x >> shift, -(-rx >> shift) + 1
-
-
-def _ball_div(x: int, rx: int, y: int, ry: int, bits: int) -> tuple[int, int]:
-    """The quotient of the balls (x, rx) / (y, ry) at scale 2^bits, for y > ry.
-
-    x and y share any one scale.  2^bits x/y lies within an ulp above the
-    midpoint q.  Moving x and y within their radii moves it by at most
-    (rx 2^bits + (|q| + 1) ry)/(y - ry), because 2^bits |x|/y <= |q| + 1 and
-    the divisor stays above y - ry.
-    """
-    q = (x << bits) // y
-    return q, -((-(rx << bits) - (abs(q) + 1) * ry) // (y - ry)) + 1
 
 
 def _power_radius(x: int, rx: int, y: int, n: int, bits: int) -> int:
@@ -494,55 +473,62 @@ class _RowForm(NamedTuple):
     slack: int
 
 
-def _row_spectrum(
-    k: int, first: int, last: int, sines: tuple[tuple[int, int], ...], bits: int
-) -> Iterator[_RowForm | None]:
-    """The power balls E_r^n, r = 1..floor(N/2), on the rotation table ``sines``, for n = first..last.
+def _eigenvalues(
+    k: int, cosines: tuple[int, ...], rad: int, bits: int, last: int
+) -> list[tuple[int, int, int, int]]:
+    """Balls (r, x, rx, g) around 2^g E_r, r = 1..floor(N/2), at the width g their powers need up to n = ``last``.
 
-    ``sines`` is :func:`_rotation_table` of N at F = ``bits``, so N = 2
-    len(sines) - 1.  Yields one :class:`_RowForm` per n, 1 <= first <=
-    last, or None for every n where the table is too coarse to divide by
-    (a sine ball holds 0).  The ball (x, rx) around 2^g E_r^n is kept at
-    its own width g = g_r: the form holds x and the cut F - g, and adds
-    rx 2^cut to its spread.  An error of 2^-g_r in E_r grows to about n
-    |E_r|^(n-1) 2^-g_r in E_r^n, and N such terms are summed, so g_r =
-    bitlen(n) + bitlen(N) + GUARD_BITS + ceil((n - 1) log2 |E_r|) where
-    |E_r| > 1, capped at ``bits``, at n = ``last``; log2 |E_r| is read off
-    the table's midpoints.  A width only decides whether a sum
-    certifies, never whether its radius encloses it, and the widths of
-    the largest n serve every smaller one.  The terms below one ulp
-    (:func:`_below_ulp`) are left out; the slack is their radius,
-    2^(bits - g_r + 1) each at scale 2^bits, doubled like every term for
-    its pair E_r = E_{N-r}.
-
-    Numerators are read as :func:`_ratios` reads them: u = (2k+1) r mod
-    2N indexes the table mirrored to t = 0..N-1 at u mod N, and the
-    midpoint alone is negated where u >= N.  E_r does not depend on n, so
-    each ball E_r is divided once.  The first n powers it by binary
-    powering of the midpoint alone, along the chain of ``first``'s bits,
-    worked out once for the run; each later n is one floor product y <-
-    floor(y E_r / 2^g) of the n before.  Every radius is the closed form
-    of :func:`_power_radius`.  The powers do not depend on the phase;
-    :func:`_phase_form` keeps a run of one, per row, for every
-    coefficient of the row to read.
+    E_r = 1 + 2 sum_{j=1..k} cos(2 pi j r/N) is the eigenvalue as the sum
+    of the circulant row's Fourier phases; the sine ratio of :func:`_ratios`
+    is its closed form.  ``cosines`` and ``rad`` are :func:`_cosine_ring`
+    of N at F = ``bits``: the midpoint 2^F + 2 sum_j C_{j r mod N} is an
+    exact integer sum, within 2k ``rad`` of 2^F E_r, and the table repeated
+    k times reads j r mod N, j = 1..k, as one slice.  The ball then goes
+    down to its width g as :func:`_ball_down` takes it.  An error of 2^-g
+    in E_r grows to about n |E_r|^(n-1) 2^-g in E_r^n, and N such terms
+    are summed, so g = bitlen(n) + bitlen(N) + GUARD_BITS + ceil((n - 1)
+    log2 |E_r|) where |E_r| > 1, capped at ``bits``, at n = ``last``;
+    log2 |E_r| is read off the midpoint.  A width only decides whether a
+    sum certifies, never whether its radius encloses it, and the widths
+    of the largest n serve every smaller one.
     """
-    dim = 2 * len(sines) - 1
-    mirrored = [*sines, *sines[:0:-1]]
+    dim, one = len(cosines), 1 << bits
     least = min(last.bit_length() + dim.bit_length() + GUARD_BITS, bits)
+    ring, spread, balls = cosines * k, 2 * k * rad, []
+    for r in range(1, dim // 2 + 1):
+        e = one + 2 * sum(ring[r : k * r + 1 : r])
+        cut = bits - least
+        if abs(e) > one:
+            cut = max(cut - math.ceil((last - 1) * (math.log2(abs(e)) - bits)), 0)
+        # _ball_down inline: its call is about 5 % of a small row's form
+        balls.append((r, e >> cut, -(-spread >> cut) + 1, bits - cut))
+    return balls
+
+
+def _row_spectrum(
+    k: int, first: int, last: int, cosines: tuple[int, ...], rad: int, bits: int
+) -> Iterator[_RowForm]:
+    """The power balls E_r^n, r = 1..floor(N/2), on the cosine table ``cosines``, for n = first..last.
+
+    ``cosines`` and ``rad`` are :func:`_cosine_ring` of N at F = ``bits``.
+    Yields one :class:`_RowForm` per n, 1 <= first <= last.  The ball (x,
+    rx) around 2^g E_r^n is kept at the width g of its eigenvalue
+    (:func:`_eigenvalues`): the form holds x and the cut F - g, and adds rx
+    2^cut to its spread.  The terms below one ulp (:func:`_below_ulp`) are
+    left out; the slack is their radius, 2^(bits - g + 1) each at scale
+    2^bits, doubled like every term for its pair E_r = E_{N-r}.
+
+    E_r does not depend on n, so each is summed once.  The first n powers
+    it by binary powering of the midpoint alone, along the chain of
+    ``first``'s bits, worked out once for the run; each later n is one
+    floor product y <- floor(y E_r / 2^g) of the n before.  Every radius
+    is the closed form of :func:`_power_radius`.  The powers do not depend
+    on the phase; :func:`_phase_form` keeps a run of one, per row, for
+    every coefficient of the row to read.
+    """
     odd = [bit == "1" for bit in bin(first)[3:]]  # the binary chain of x^first
-    live = []  # (r, E_r's midpoint and radius, g, the power of the n before)
-    for r in range(1, len(sines)):
-        s, rs = sines[r]
-        if s <= rs:
-            yield from repeat(None, last - first + 1)
-            return
-        u = (2 * k + 1) * r % (2 * dim)
-        t, rt = mirrored[u % dim]
-        width = least
-        if t > s:
-            width = min(width + math.ceil((last - 1) * (math.log2(t) - math.log2(s))), bits)
-        x, rx = _ball_div(t, rt, s, rs, width)
-        live.append((r, -x if u >= dim else x, rx, width, None))
+    # (r, E_r's midpoint and radius, g, the power of the n before)
+    live = [(*ball, None) for ball in _eigenvalues(k, cosines, rad, bits, last)]
     slack = 0
     for n in range(first, last + 1):
         kept, terms = [], []
@@ -568,11 +554,11 @@ def _row_spectrum(
 @lru_cache(maxsize=1)
 def _phase_form(
     params: Params, dim: int, bits: int
-) -> tuple[_RowForm, tuple[int, ...], tuple[int, ...], int] | None:
-    """What a phase's sum reads: the row form, the cosines, the shifts and the radius, or None.
+) -> tuple[_RowForm, tuple[int, ...], tuple[int, ...], int]:
+    """What a phase's sum reads: the row form, the cosines, the shifts and the radius.
 
-    The row form (:func:`_row_spectrum` of n alone, None where that is)
-    and the cosines (:func:`_cosine_table`) come from one rotation table.
+    The row form (:func:`_row_spectrum` of n alone) and the phase weights
+    read one cosine table (:func:`_cosine_ring`).
     ``ups[i]`` = 2 cut + 1 takes term i's weighted product from scale
     2^(2g) to 2^(2F), doubled for the pair E_r = E_{N-r}.  The radius, at
     2^(2F), is the same for every phase of the row (see
@@ -581,11 +567,8 @@ def _phase_form(
     outlive a request (``cnomial.cli.KEPT_CACHES``), for the l of one row
     that come in separate requests.
     """
-    sines = _rotation_table(dim, bits)
-    row = next(_row_spectrum(params.k, params.n, params.n, sines, bits))
-    if row is None:
-        return None
-    cosines, rc = _cosine_table(sines, bits)
+    cosines, rc = _cosine_ring(dim, bits)
+    row = next(_row_spectrum(params.k, params.n, params.n, cosines, rc, bits))
     magnitudes = list(map(abs, row.xs))
     mass = sum(map(lshift, magnitudes, row.cuts))
     cut_ulps = sum(m << 2 * cut for m, cut in zip(magnitudes, row.cuts) if cut)
@@ -607,14 +590,12 @@ def _rounded(total: int, radius: int, scale: int) -> tuple[int, float]:
     return value, residual
 
 
-def _central_ball(params: Params, row: _RowForm | None, dim: int, bits: int) -> tuple[int, float]:
+def _central_ball(params: Params, row: _RowForm, dim: int, bits: int) -> tuple[int, float]:
     """The central sum of a row form at the odd dimension ``dim``, at scale 2^bits.
 
     Each power is shifted up to 2^F and added, doubled for its pair, to
     2^F (2k+1)^n.  The shifts are exact, so the radius is 2 spread + slack.
     """
-    if row is None:
-        return 0, math.inf
     total = (sum(map(lshift, row.xs, row.cuts)) << 1) + (params.width**params.n << bits)
     return _rounded(total, 2 * row.spread + row.slack, dim << bits)
 
@@ -630,7 +611,7 @@ def _evaluate_arbitrary(params: Params, dim: int, phase: int, bits: int) -> tupl
     The powers and the cosines come from the row's form
     (:func:`_phase_form`), each power at its own width g = F - cut.  A
     phase reads the cosine midpoint c at i = r * phase mod N
-    (:func:`_cosine_table`: radius rho_c, so |c - 2^F w| <= rho_c for the
+    (:func:`_cosine_ring`: radius rho_c, so |c - 2^F w| <= rho_c for the
     weight w), cuts it to c' = floor(c / 2^cut) at 2^g, and adds the
     exact product x c' shifted from 2^(2g) up to 2^(2F): one sum of
     products per coefficient.  With X = 2^g E_r^n and |x - X| <=
@@ -642,10 +623,7 @@ def _evaluate_arbitrary(params: Params, dim: int, phase: int, bits: int) -> tupl
     2 (rho_c mass + 2^F spread + cut_ulps) + 2^F slack, the same for every
     phase of the row (:func:`_phase_form`).
     """
-    form = _phase_form(params, dim, bits)
-    if form is None:
-        return 0, math.inf
-    row, cosines, ups, radius = form
+    row, cosines, ups, radius = _phase_form(params, dim, bits)
     shift = 2 * bits
     weights = [cosines[r * phase % dim] for r in row.rs]
     total = sum(map(lshift, map(mul, row.xs, map(rshift, weights, row.cuts)), ups))
@@ -677,8 +655,8 @@ def central_run(k: int, first: int, last: int) -> list[CertifiedInteger]:
     Each n tries the double rung at its own smallest odd N > kn.  The n
     whose double rung does not certify share one arbitrary rung: the N
     and F = :func:`required_bits` of the largest of them hold every
-    smaller n too (the sum is exact at any odd N > kn), so one sine table
-    and one division per term serve them all, and each n after the first
+    smaller n too (the sum is exact at any odd N > kn), so one cosine
+    table and one sum per eigenvalue serve them all, and each n after the first
     costs one product per term (:func:`_row_spectrum`).  A run of one is
     :func:`coefficient_via_spectrum` at l = kn.  Raises CertificationError
     at the first n, in order, that no rung certifies.
@@ -695,7 +673,7 @@ def central_run(k: int, first: int, last: int) -> list[CertifiedInteger]:
         top = Params(k, max(escalated))
         dim, bits = dimension(top, 0), required_bits(top)
         ns = range(min(escalated), top.n + 1)
-        for n, row in zip(ns, _row_spectrum(k, ns[0], top.n, _rotation_table(dim, bits), bits)):
+        for n, row in zip(ns, _row_spectrum(k, ns[0], top.n, *_cosine_ring(dim, bits), bits)):
             if n in escalated:
                 balls[n] = dim, bits, _central_ball(Params(k, n), row, dim, bits)
     results = []

@@ -171,9 +171,9 @@ def test_a_row_read_around_another_equals_a_cold_rebuild(cold_caches):
         assert spectral.coefficient_via_spectrum(other, 7) == cold_other
     info = spectral._phase_form.cache_info()
     assert (info.hits, info.misses, info.maxsize) == (len(ls), 2 * len(ls), 1)
-    # The kept cosines are the ones folded from the row's own rotation table.
+    # The kept cosines are the row's own cosine table.
     _, cosines, _, _ = spectral._phase_form(p, p.dim, bits)
-    assert cosines == spectral._cosine_table(spectral._rotation_table(p.dim, bits), bits)[0]
+    assert cosines == spectral._cosine_ring(p.dim, bits)[0]
 
 
 def test_readme_lists_every_route_cache_at_its_size():

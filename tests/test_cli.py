@@ -520,7 +520,7 @@ def test_verify_reports_uncertified_cases_and_goes_on(capsys, monkeypatch):
 
     def wrong_sign(*args):
         for row in true_spectrum(*args):
-            yield None if row is None else row._replace(xs=tuple(map(abs, row.xs)))
+            yield row._replace(xs=tuple(map(abs, row.xs)))
 
     monkeypatch.setattr(cli.spectral, "_row_spectrum", wrong_sign)
     monkeypatch.setattr(cli.spectral, "_ratios", lambda m, sines: list(map(abs, true_ratios(m, sines))))
@@ -576,11 +576,11 @@ def test_bench_json_records(capsys):
 
 def test_bench_repetitions_start_from_cold_caches(capsys, monkeypatch):
     # The spectral route caches its row spectrum; every timed repetition
-    # builds it again (a division per ball term), so none of them times a
+    # builds it again (its cosine table first), so none of them times a
     # cache hit.
     calls = []
-    divide = cli.spectral._ball_div
-    monkeypatch.setattr(cli.spectral, "_ball_div", lambda *args: calls.append(args) or divide(*args))
+    build = cli.spectral._cosine_ring
+    monkeypatch.setattr(cli.spectral, "_cosine_ring", lambda *args: calls.append(args) or build(*args))
     counts = []
     for repetitions in ("1", "3"):
         calls.clear()

@@ -5,7 +5,7 @@ from contextlib import contextmanager
 import pytest
 
 from cnomial import _digits
-from cnomial._digits import decimal
+from cnomial._digits import decimal, integer
 
 pytestmark = pytest.mark.skipif(
     not hasattr(sys, "set_int_max_str_digits"), reason="this Python has no digit limit"
@@ -58,3 +58,17 @@ def test_a_limit_of_zero_converts_without_a_lift(lifts):
     assert decimal(10**LIMIT) == "1" + "0" * LIMIT
     assert lifts == []
     assert sys.get_int_max_str_digits() == 0
+
+
+def test_text_within_the_limit_parses_directly(lifts):
+    for text in ("0", "-7", "9" * LIMIT):
+        assert integer(text) == int(text)
+    assert lifts == []
+
+
+def test_text_past_the_limit_lifts_it_once(lifts):
+    assert integer("-1" + "0" * LIMIT) == -(10**LIMIT)
+    assert lifts == [LIMIT]
+    assert sys.get_int_max_str_digits() == LIMIT
+    with pytest.raises(ValueError):
+        integer("1.5")

@@ -1,4 +1,5 @@
 """Sequence fixtures, b-file client, cache behavior, and comparisons."""
+import sys
 import threading
 import time
 import urllib.error
@@ -104,9 +105,18 @@ def test_parse_bfile_skips_comments_and_blanks():
     assert pairs == [(0, 1), (1, 5)]
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="this Python has no digit limit")
 def test_parse_bfile_term_over_int_str_digit_limit():
-    digits = "7" + "0" * 4998 + "3"  # 5000 digits, over the default 4300
-    assert oeis.parse_bfile(f"0 1\n1 {digits}\n") == [(0, 1), (1, 7 * 10**4999 + 3)]
+    # A 5000-digit term parses under the default limit of 4300, which is
+    # in force again afterwards.
+    digits = "7" + "0" * 4998 + "3"
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert oeis.parse_bfile(f"0 1\n1 {digits}\n") == [(0, 1), (1, 7 * 10**4999 + 3)]
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 def test_parse_bfile_field_count_error():
@@ -119,6 +129,17 @@ def test_parse_bfile_non_integer_error():
     with pytest.raises(BFileParseError) as info:
         oeis.parse_bfile("0 x\n")
     assert info.value.line_number == 1
+
+
+@pytest.mark.parametrize("field", ["1_000", "+3", "\u0661\u0662", "1.5", "1e3"])
+def test_parse_bfile_refuses_what_is_not_ascii_digits(field):
+    # int() alone takes an underscore separator, a plus sign and
+    # Arabic-Indic digits; a b-file field is ASCII digits with an optional
+    # leading minus, so each is refused on its own line.
+    with pytest.raises(BFileParseError) as info:
+        oeis.parse_bfile(f"0 1\n1 -4\n2 {field}\n")
+    assert info.value.line_number == 3
+    assert str(info.value).startswith("line 3: ")
 
 
 def test_parse_bfile_gap_error():

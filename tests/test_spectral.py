@@ -43,7 +43,7 @@ def arbitrary(p, dim, phase, bits):
     """The ball rung at N = ``dim`` and F = ``bits``: the sum at ``phase``, or the central sum for None."""
     if phase is not None:
         return spectral._evaluate_arbitrary(p, dim, phase, bits)
-    row = next(spectral._row_spectrum(p.k, p.n, p.n, spectral._rotation_table(dim, bits), bits))
+    row = next(spectral._row_spectrum(p.k, p.n, p.n, *spectral._cosine_ring(dim, bits), bits))
     return spectral._central_ball(p, row, dim, bits)
 
 
@@ -596,9 +596,9 @@ def test_row_spectrum_encloses_every_power(k, n):
         for dim in sorted({p.dim, dimension(p, 0)}):
             ratios = [mpmath.iv.sin(mpmath.iv.pi * (p.width * r) / dim)
                       / mpmath.iv.sin(mpmath.iv.pi * r / dim) for r in range(1, dim // 2 + 1)]
-            sines = spectral._rotation_table(dim, bits)
-            alone = spectra(k, n, n, sines, bits)
-            run = spectra(k, 1, n, sines, bits)
+            table = spectral._cosine_ring(dim, bits)
+            alone = spectra(k, n, n, *table, bits)
+            run = spectra(k, 1, n, *table, bits)
             assert len(alone) == 1 and len(run) == n
             (last, _), (single, _) = run[-1], alone[0]
             assert (last.rs, last.cuts, last.slack) == (single.rs, single.cuts, single.slack)
@@ -721,6 +721,11 @@ def test_double_rung_passes_match_per_entry_loops(k, half, n):
         assert spectral._double_sum(terms, dim, phase).hex() == sum(weighted, powers[0]).hex(), phase
 
 
+def iv_encloses(ball, exact):
+    mid, rad = ball
+    return mid - rad <= exact.a and exact.b <= mid + rad
+
+
 def _corners(x, rx):
     return (x - rx, x + rx) + ((0,) if abs(x) <= rx else ())
 
@@ -740,25 +745,18 @@ def binary_power(x, n, bits):
     bits=st.integers(1, 80),
     x=st.integers(-(2**90), 2**90),
     rx=st.integers(0, 2**40),
-    y=st.integers(1, 2**90),
-    ry=st.integers(0, 2**40),
     n=st.integers(1, 12),
 )
-def test_ball_operations_enclose_every_corner(bits, x, rx, y, ry, n):
-    # Exact rationals at the extreme points of the operand balls: quotients
-    # are monotone in each operand and powers in |t|, so corners (and 0 for
-    # a power) bound the deviation from the midpoint.  Radii this wide
-    # mostly take the power's always-valid fallback radius.
+def test_ball_operations_enclose_every_corner(bits, x, rx, n):
+    # Exact rationals at the extreme points of the operand ball: powers
+    # are monotone in |t|, so corners and 0 bound the deviation from the
+    # midpoint.  Radii this wide mostly take the power's always-valid
+    # fallback radius.
     scale = 2**bits
     mid = binary_power(x, n, bits)
     rad = spectral._power_radius(x, rx, mid, n, bits)
     for a in _corners(x, rx):
         assert abs(Fraction(a**n, scale ** (n - 1)) - mid) <= rad
-    if y > ry:
-        mid, rad = spectral._ball_div(x, rx, y, ry, bits)
-        for a in (x - rx, x + rx):
-            for b in (y - ry, y + ry):
-                assert abs(Fraction(a * scale, b) - mid) <= rad
 
 
 @settings(max_examples=150, deadline=None)
@@ -789,23 +787,46 @@ def test_power_radius_in_closed_form_encloses_every_corner(bits, where, rx, n):
     assert rad <= 2 * n * (rx + 2) * a**n + 2
 
 
-@settings(max_examples=30, deadline=None)
-@given(half=st.integers(0, 300), bits=st.integers(1, 300))
+@settings(max_examples=40, deadline=None)
+@given(half=st.integers(0, 1000), bits=st.integers(1, 400))
+@example(half=1000, bits=64)  # the floors' quadratic drift shows on the recurrence
 def test_cosine_table_encloses_the_cosines(half, bits):
-    # Every midpoint, the mirrored upper half included, is within the
-    # table's one radius of 2^bits cos(2 i pi/N), i = 0..N-1, against
-    # mpmath.iv at 64 more bits.
+    # Every midpoint of the table, the mirrored upper half included, is
+    # within the table's one radius of 2^bits cos(2 i pi/N), i = 0..N-1,
+    # and every ball (C_j, R_j) of the recurrence behind it, without the
+    # table's guard bits, where its radius is tight, holds 2^bits cos(2 j
+    # pi/N), j = 0..floor(N/2): against mpmath.iv at 64 more bits.
     dim = 2 * half + 1
-    cosines, rad = spectral._cosine_table(spectral._rotation_table(dim, bits), bits)
+    cosines, rad = spectral._cosine_ring(dim, bits)
     assert len(cosines) == dim and cosines[0] == 1 << bits
+    recurrence = spectral._chebyshev_cosines(dim, bits)
+    assert len(recurrence) == half + 1 and recurrence[0] == (1 << bits, 0)
     prec = mpmath.iv.prec
     try:
         mpmath.iv.prec = bits + 64
         for i, mid in enumerate(cosines):
             exact = mpmath.iv.ldexp(mpmath.iv.cos(2 * mpmath.iv.pi * i / dim), bits)
             assert mid - rad <= exact.a and exact.b <= mid + rad, (i, mid, rad)
+            if i <= half:
+                assert iv_encloses(recurrence[i], exact), (i, recurrence[i])
     finally:
         mpmath.iv.prec = prec
+
+
+@settings(max_examples=200, deadline=None)
+@given(bits=st.integers(1, 200), where=st.fractions(0, 1), rs=st.integers(0, 2**12))
+@example(bits=8, where=Fraction(200, 256), rs=16)  # 2^8 divides rs (2S + rs); S^2 does not
+def test_first_cosine_holds_both_ends_of_the_sine_ball(bits, where, rs):
+    # C_1 = 2^bits - 2 floor(S^2 / 2^bits) against 2^bits (1 - 2 s^2),
+    # exact in Fractions, at both ends s = (S -+ rs) / 2^bits of any sine
+    # ball (S, rs), S >= 0, that the seed could give: the floor's ulp
+    # counts wherever the square's own term ends on an integer.
+    s = math.floor(where * 2**bits)
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(spectral, "_seed", lambda dim, bits: (s, rs))
+        _, (first, rho) = spectral._chebyshev_cosines(3, bits)
+    for end in (s - rs, s + rs):
+        assert abs(2**bits - 2 * Fraction(end * end, 2**bits) - first) <= rho, end
 
 
 @pytest.mark.parametrize("cut", [0, 12])
@@ -892,35 +913,8 @@ def test_ball_down_encloses_both_ends(x, rx, shift):
         assert abs(Fraction(a, 2**shift) - mid) <= rad
 
 
-@settings(max_examples=40, deadline=None)
-@given(half=st.integers(1, 1000), bits=st.integers(1, 400))
-def test_rotation_table_encloses_the_sines(half, bits):
-    # |S_j - 2^bits sin(j pi/N)| <= R_j for every entry, at every budget,
-    # against mpmath.iv at 64 more bits: the table, and the recurrence
-    # behind it without the table's guard bits, where its radius is tight.
-    dim = 2 * half + 1
-    tables = [spectral._rotation_table(dim, bits), spectral._chebyshev_sines(dim, bits)]
-    for table in tables:
-        assert len(table) == half + 1 and table[0][0] == 0
-    prec = mpmath.iv.prec
-    try:
-        mpmath.iv.prec = bits + 64
-        for j in range(half + 1):
-            exact = mpmath.iv.ldexp(mpmath.iv.sin(mpmath.iv.pi * j / dim), bits)
-            for table in tables:
-                mid, rad = table[j]
-                assert mid - rad <= exact.a and exact.b <= mid + rad, (j, mid, rad)
-    finally:
-        mpmath.iv.prec = prec
-
-
 SEED_DIMS = (3, 5, 7, 61, 1601, 16001)
 SEED_BITS = (30, 64, 200, 1000, 3000, 7200)
-
-
-def iv_encloses(ball, exact):
-    mid, rad = ball
-    return mid - rad <= exact.a and exact.b <= mid + rad
 
 
 def test_integer_pi_encloses_pi(monkeypatch):
@@ -943,26 +937,84 @@ def test_integer_pi_encloses_pi(monkeypatch):
 
 @pytest.mark.parametrize("dim", SEED_DIMS)
 def test_integer_seed_encloses_cos_and_sin(dim):
-    # The balls around (cos, sin)(pi/N) that start the Chebyshev table,
-    # against mpmath.iv at 64 more bits; each is a floor and a ceiling of
-    # the value, so its radius is one ulp.
+    # The ball around sin(pi/N) that seeds the cosine recurrence, and the
+    # first cosine cos(2 pi/N) drawn from it, against mpmath.iv at 64
+    # more bits.  The sine ball is a floor and a ceiling of the value, so
+    # its radius is one ulp; the cosine's is at most 2 (2 + 1).
     prec = mpmath.iv.prec
     try:
         for bits in SEED_BITS:
-            cos_ball, sin_ball = spectral._seed(dim, bits)
+            sin_ball = spectral._seed(dim, bits)
+            cos_ball = spectral._chebyshev_cosines(dim, bits)[1]
             mpmath.iv.prec = bits + 64
             angle = mpmath.iv.pi / dim
-            assert iv_encloses(cos_ball, mpmath.iv.ldexp(mpmath.iv.cos(angle), bits)), bits
             assert iv_encloses(sin_ball, mpmath.iv.ldexp(mpmath.iv.sin(angle), bits)), bits
-            assert cos_ball[1] == sin_ball[1] == 1, (bits, cos_ball[1], sin_ball[1])
+            assert iv_encloses(cos_ball, mpmath.iv.ldexp(mpmath.iv.cos(2 * angle), bits)), bits
+            assert sin_ball[1] == 1 and cos_ball[1] <= 6, (bits, sin_ball[1], cos_ball[1])
     finally:
         mpmath.iv.prec = prec
 
 
+@pytest.mark.parametrize("dim", SEED_DIMS)
+def test_eigenvalue_balls_enclose_the_kernel_and_the_double_ratios(dim):
+    # Each ball around 2^g E_r, the cosine sum 2^F + 2 sum_j C_{jr mod N},
+    # holds the Dirichlet kernel sin((2k+1) r pi/N) / sin(r pi/N) in
+    # mpmath.iv at 64 more bits, and the double rung's ratio of the same
+    # r within 16 ulps of the double: the two rungs' formulas for E_r
+    # agree.  At F = 32 every width is F (no cut); at F = 200 the widths
+    # cut the balls.  Every r up to N = 61, about a hundred r above.
+    prec = mpmath.iv.prec
+    try:
+        for bits in (32, 200):
+            table = spectral._cosine_ring(dim, bits)
+            mpmath.iv.prec = bits + 64
+            for k in range(1, 11):
+                ratios = spectral._ratio_row(2 * k + 1, dim)
+                balls = spectral._eigenvalues(k, *table, bits, 1)
+                assert [ball[0] for ball in balls] == list(range(1, dim // 2 + 1))
+                for r, x, rx, g in balls[:: max(dim // 200, 1)]:
+                    assert g <= bits and (bits > 32 or g == bits), (k, r, g)
+                    kernel = (mpmath.iv.sin(mpmath.iv.pi * (2 * k + 1) * r / dim)
+                              / mpmath.iv.sin(mpmath.iv.pi * r / dim))
+                    assert iv_encloses((x, rx), mpmath.iv.ldexp(kernel, g)), (k, r)
+                    ratio = ratios[r - 1]
+                    gap = abs(Fraction(ratio) - Fraction(x, 2**g)) - Fraction(rx, 2**g)
+                    assert gap <= 16 * Fraction(math.ulp(ratio)), (k, r)
+    finally:
+        mpmath.iv.prec = prec
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    k=st.integers(1, 10),
+    half=st.integers(1, 30),
+    bits=st.integers(8, 120),
+    rad=st.integers(0, 2**130),
+    last=st.integers(1, 400),
+    seed=st.integers(0, 2**32),
+)
+def test_eigenvalue_balls_hold_every_sum_in_the_table_balls(k, half, bits, rad, last, seed):
+    # On any table of midpoints with one radius R, each ball around 2^g
+    # E_r holds every sum 2^F + 2 sum_j t_j, j = 1..k, of points t_j
+    # within R of the midpoints C_{jr mod N}: the ends of that interval
+    # are the midpoint sum -+ 2kR, taken down to 2^g exactly in Fractions.
+    # The midpoints are arbitrary integers in [-2^F, 2^F] and R runs far
+    # past 2^(F - g), so the cut's rounding shows.
+    dim, rng = 2 * half + 1, random.Random(seed)
+    lower = [1 << bits, *[rng.randrange(-(1 << bits), (1 << bits) + 1) for _ in range(half)]]
+    cosines = tuple(lower + lower[:0:-1])
+    balls = spectral._eigenvalues(k, cosines, rad, bits, last)
+    assert [ball[0] for ball in balls] == list(range(1, half + 1))
+    for r, x, rx, g in balls:
+        mid = (1 << bits) + 2 * sum(cosines[j * r % dim] for j in range(1, k + 1))
+        for end in (mid - 2 * k * rad, mid + 2 * k * rad):
+            assert abs(Fraction(end, 2 ** (bits - g)) - x) <= rx, (r, g)
+
+
 def test_one_dimension_needs_no_seed(monkeypatch):
-    # N = 1 (n = 0) has the one entry s_0 = 0.
+    # N = 1 (n = 0) has the one entry c_0 = 1.
     monkeypatch.setattr(spectral, "_seed", None)
-    assert spectral._chebyshev_sines(1, 64) == [(0, 0)]
+    assert spectral._chebyshev_cosines(1, 64) == [(1 << 64, 0)]
     assert coefficient_via_spectrum(Params(3, 0), 0).value == 1
 
 
